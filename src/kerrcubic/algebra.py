@@ -37,7 +37,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .fock import Operator, InvalidDimensionError, _annihilation_matrix
+from .fock import Operator, InvalidDimensionError
 
 
 # ---------------------------------------------------------------------------
@@ -583,21 +583,42 @@ def effective_cubic_hamiltonian(
     return substitute_gaussian_frame(h, lam).drop_constant()
 
 
+@lru_cache(maxsize=64)
+def _ladder_diagonal(j: int, n: int) -> np.ndarray:
+    """r_j[k] = sqrt(k+1) sqrt(k+2) ... sqrt(k+j): the one nonzero diagonal of a^j.
+
+    Multiplied left to right, as the matrix powers a^(j-1) @ a would; read-only.
+    """
+    if j == 0:
+        out = np.ones(n)
+    else:
+        out = _ladder_diagonal(j - 1, n)[: n - j] * np.sqrt(np.arange(j, n, dtype=float))
+    out.setflags(write=False)
+    return out
+
+
 def to_matrix(p: BosonPolynomial, alpha: float, n: int) -> Operator:
-    """Evaluate the alpha symbol and assemble the dense Fock-space matrix."""
+    """Evaluate the alpha symbol and assemble the dense Fock-space matrix.
+
+    The monomial (a^dag)^m a^n has one nonzero diagonal, with entry
+    [k+m, k+n] = r_m[k] r_n[k] (see `_ladder_diagonal`), so every monomial is
+    added as a band in O(N); the result is bit-identical to the dense products
+    (a^dag)^m @ a^n. Each monomial's alpha polynomial is evaluated on its own
+    and added in sorted order: regrouping the sum by powers of alpha would
+    reintroduce the cancellation the exact algebra avoids at alpha ~ 1e4.
+    """
     deg = p.degree
     if n < deg + 2:
         raise InvalidDimensionError(
             f"Fock dimension {n} too small for polynomial degree {deg}"
         )
-    a = _annihilation_matrix(n)
-    max_pow = max((max(m, nn) for (m, nn) in p.terms), default=0)
-    pows = [np.eye(n, dtype=complex)]
-    for _ in range(max_pow):
-        pows.append(pows[-1] @ a)
     out = np.zeros((n, n), dtype=complex)
+    flat = out.reshape(-1)
     for (m, nn), poly in sorted(p.terms.items()):
-        out += poly(alpha) * (pows[m].conj().T @ pows[nn])
+        length = n - max(m, nn)
+        band = _ladder_diagonal(m, n)[:length] * _ladder_diagonal(nn, n)[:length]
+        start = m * n + nn
+        flat[start: start + length * (n + 1): n + 1] += poly(alpha) * band
     scale = np.abs(out).max()
     herm = scale == 0 or np.abs(out - out.conj().T).max() < 1e-12 * scale
     return Operator(out, hermitian=bool(herm))

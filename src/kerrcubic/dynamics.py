@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .fock import (
     fidelity,
     lambda_from_db,
 )
-from .states import ideal_cubic_gate
+from .states import ideal_cubic_target
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -64,6 +65,10 @@ class NoiseParams:
     ddelta: float = 0.0
     dbeta_x: float = 0.0
     dbeta_p: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.dtheta, self.ddelta, self.dbeta_x, self.dbeta_p))):
+            raise ValueError(f"noise offsets must be finite, got {self}")
 
     @property
     def any(self) -> bool:
@@ -88,6 +93,11 @@ class GateConfig:
     max_step_doublings: int = 6
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.chi, self.lam, self.alpha, self.kappa))):
+            raise ValueError(
+                f"chi, lam, alpha and kappa must be finite, got chi={self.chi}, "
+                f"lam={self.lam}, alpha={self.alpha}, kappa={self.kappa}"
+            )
         if min(self.chi, self.lam, self.alpha) <= 0:
             raise ValueError("chi, lam and alpha must be positive")
         if self.gamma < 0 or not math.isfinite(self.gamma):
@@ -144,19 +154,33 @@ def _cosh_sinh(lam: float) -> tuple[float, float]:
     return 0.5 * (lam + 1.0 / lam), 0.5 * (lam - 1.0 / lam)
 
 
-def effective_generators(cfg: GateConfig) -> tuple[Operator, Operator, complex]:
-    """Effective Hamiltonian, fluctuation Lindblad operator, and drift rate.
+@lru_cache(maxsize=64)
+def _frame_hamiltonian(chi: float, lam: float, ddelta: float, dbeta: complex) -> BosonPolynomial:
+    """Substituted driven Kerr with counter-terms and noise, constant dropped.
 
+    Independent of alpha, so the gates of an alpha optimization share it.
     Noise offsets are folded into the detuning and drive before the frame
     substitution, so the counter-term cancellation stays exact for the ideal
     part and the noise appears as the residual terms it physically is.
     """
-    delta_c, beta_c = algebra.cubic_counterterms(cfg.chi)
-    delta = delta_c + AlphaPoly(cfg.noise.ddelta)
-    beta = beta_c + AlphaPoly(complex(cfg.noise.dbeta_x, cfg.noise.dbeta_p))
-    h_poly = substitute_gaussian_frame(
-        algebra.driven_kerr(cfg.chi, delta, beta), cfg.lam
-    ).drop_constant()
+    delta_c, beta_c = algebra.cubic_counterterms(chi)
+    delta = delta_c + AlphaPoly(ddelta)
+    beta = beta_c + AlphaPoly(dbeta)
+    return substitute_gaussian_frame(algebra.driven_kerr(chi, delta, beta), lam).drop_constant()
+
+
+@lru_cache(maxsize=16)
+def _frame_number_operator(lam: float) -> BosonPolynomial:
+    """n_eff = a_eff^dag a_eff in the frame, constant sinh^2 + alpha^2 included."""
+    return substitute_gaussian_frame(BosonPolynomial({(1, 1): 1}), lam)
+
+
+def effective_generators(cfg: GateConfig) -> tuple[Operator, Operator, complex]:
+    """Effective Hamiltonian, fluctuation Lindblad operator, and drift rate."""
+    h_poly = _frame_hamiltonian(
+        float(cfg.chi), float(cfg.lam), float(cfg.noise.ddelta),
+        complex(cfg.noise.dbeta_x, cfg.noise.dbeta_p),
+    )
     h = algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
     c, s = _cosh_sinh(cfg.lam)
@@ -175,9 +199,7 @@ def _gauge_hamiltonian(l_fluct: Operator, drift: complex) -> np.ndarray:
 
 def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
     """exp(-i dtheta n_eff) with the alpha^2 constant dropped (global phase)."""
-    n_eff = substitute_gaussian_frame(
-        BosonPolynomial({(1, 1): 1}), cfg.lam
-    ).drop_constant()
+    n_eff = _frame_number_operator(float(cfg.lam)).drop_constant()
     m = algebra.to_matrix(n_eff, cfg.alpha, cfg.n_fock)
     w, v = np.linalg.eigh(m.matrix)
     return (v * np.exp(-1j * cfg.noise.dtheta * w)) @ v.conj().T
@@ -185,7 +207,7 @@ def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
 
 def effective_number_operator(cfg: GateConfig) -> tuple[Operator, float]:
     """(n_eff with its constant dropped, the dropped constant sinh^2 + alpha^2)."""
-    n_eff = substitute_gaussian_frame(BosonPolynomial({(1, 1): 1}), cfg.lam)
+    n_eff = _frame_number_operator(float(cfg.lam))
     const = n_eff.coefficient(0, 0)(cfg.alpha).real
     return algebra.to_matrix(n_eff.drop_constant(), cfg.alpha, cfg.n_fock), const
 
@@ -347,7 +369,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
         # tau = 0: the medium is never entered
         return EvolutionResult(psi_in, 0.0, psi_in, {"tau": 0.0})
 
-    target = ideal_cubic_gate(cfg.gamma, cfg.n_fock) @ psi_in
+    target = ideal_cubic_target(cfg.gamma, psi_in)
     tau = cfg.tau
     h, l_fluct, drift = effective_generators(cfg)
     diagnostics: dict = {"tau": tau}
@@ -469,7 +491,7 @@ def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     if psi_in.dim != cfg.n_fock:
         raise ValueError(f"input state dim {psi_in.dim} != n_fock {cfg.n_fock}")
 
-    target = ideal_cubic_gate(cfg.gamma, cfg.n_fock) @ psi_in
+    target = ideal_cubic_target(cfg.gamma, psi_in)
     tau = cfg.tau
     params = cubic_parameters(cfg.chi, cfg.lam, cfg.alpha, cfg.gamma)
     xi, h_steps = _discrete_sequence(cfg, params.beta_cubic, tau)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,17 +152,41 @@ def gkp_state(params: GkpParams, n: int) -> PureState:
     return PureState(zp.vector + phase * zm.vector)
 
 
-def ideal_cubic_gate(gamma: float, n: int) -> Operator:
-    """The unitary exp(i*gamma*x^3) on the truncated space."""
-    x = TruncatedMode(n).x
+def _warn_winding(gamma: float, n: int) -> None:
     if abs(gamma) * (2.0 * n) ** 1.5 > 1e5:
         warnings.warn(
             f"gate angle {gamma} winds many turns across the cutoff window N = {n}",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def ideal_cubic_gate(gamma: float, n: int) -> Operator:
+    """The unitary exp(i*gamma*x^3) on the truncated space."""
+    _warn_winding(gamma, n)
+    x = TruncatedMode(n).x
     x3 = x @ x @ x
     return Operator(_expm_hermitian(x3, 1j * gamma))
+
+
+def ideal_cubic_target(gamma: float, psi_in: PureState) -> PureState:
+    """The ideal gate's output exp(i*gamma*x^3)|psi_in>, with a read-only vector.
+
+    Cached per (gamma, amplitudes of psi_in): the repeated gates of an alpha
+    optimization share one target. The cutoff warning fires on every call.
+    """
+    _warn_winding(gamma, psi_in.dim)
+    return _cached_target(float(gamma), psi_in.vector.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _cached_target(gamma: float, amplitudes: bytes) -> PureState:
+    psi = PureState(np.frombuffer(amplitudes, dtype=complex).copy(), normalize=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)  # warned by the caller
+        out = ideal_cubic_gate(gamma, psi.dim) @ psi
+    out.vector.setflags(write=False)
+    return out
 
 
 def nlq_operator(gamma: float, n: int) -> Operator:

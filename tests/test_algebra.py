@@ -23,6 +23,18 @@ def poly_matrix_direct(p, alpha, n):
     return out
 
 
+def power_tower_matrix(p, alpha, n):
+    """Dense assembly from the powers of a, in to_matrix's term order: the bitwise reference."""
+    a = fk.annihilation(n).matrix
+    pows = [np.eye(n, dtype=complex)]
+    for _ in range(max(max(key) for key in p.terms)):
+        pows.append(pows[-1] @ a)
+    out = np.zeros((n, n), complex)
+    for (m, nn), coeff in sorted(p.terms.items()):
+        out += coeff(alpha) * (pows[m].conj().T @ pows[nn])
+    return out
+
+
 class TestAlphaPoly:
     def test_pruning_and_degree(self):
         p = AlphaPoly([1, 0, 2, 0, 0])
@@ -295,3 +307,29 @@ class TestEffectiveCubicHamiltonian:
     def test_degree_overflow_rejected(self):
         with pytest.raises(fk.InvalidDimensionError):
             alg.to_matrix(alg.driven_kerr(1.0), 0.0, 4)
+
+    def test_banded_assembly_equals_power_tower_for_random_polynomials(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(8, 48))
+            terms = {
+                (int(rng.integers(0, 4)), int(rng.integers(0, 4))):
+                    [complex(*rng.normal(size=2)) for _ in range(int(rng.integers(1, 4)))]
+                for _ in range(int(rng.integers(1, 8)))
+            }
+            p = BosonPolynomial(terms)
+            alpha = float(rng.normal(scale=10.0))
+            assert np.array_equal(alg.to_matrix(p, alpha, n).matrix,
+                                  power_tower_matrix(p, alpha, n))
+
+    @pytest.mark.parametrize("ddelta", [0.0, 3e5])
+    def test_banded_assembly_equals_power_tower_at_operating_point(self, ddelta):
+        # the cubic Hamiltonian at alpha = 1.4e4, 15 dB, where entries reach ~1e17
+        lam, alpha, n = 10**0.75, 1.4e4, 128
+        delta, beta = alg.cubic_counterterms(1.0)
+        h = alg.substitute_gaussian_frame(
+            alg.driven_kerr(1.0, delta + AlphaPoly(ddelta), beta), lam
+        ).drop_constant()
+        m = alg.to_matrix(h, alpha, n)
+        assert m.hermitian
+        assert np.array_equal(m.matrix, power_tower_matrix(h, alpha, n))

@@ -28,6 +28,18 @@ class TestGateConfig:
         with pytest.raises(ValueError):
             make_cfg(gamma=-0.2)
 
+    @pytest.mark.parametrize("field", ["chi", "lam", "alpha", "kappa"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_field(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["dtheta", "ddelta", "dbeta_x", "dbeta_p"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_rejects_nonfinite_noise_offset(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseParams(**{field: value})
+
     def test_make_from_db(self):
         cfg = GateConfig.make(lam_db=15.0, alpha=10.0, gamma=0.1, chi_over_kappa=1e-4)
         assert abs(cfg.lam - 10**0.75) < 1e-12
@@ -219,6 +231,39 @@ class TestCubicGate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dyn.cubic_gate(make_cfg(n_fock=64), fk.vacuum(32))
+
+    @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(dtheta=0.01, ddelta=0.2)])
+    def test_cached_operating_point_is_bit_identical(self, noise):
+        cfg = make_cfg(noise=noise)
+        psi = st.squeezed_vacuum(0.5, cfg.n_fock)
+
+        def clear():
+            for cache in (dyn._frame_hamiltonian, dyn._frame_number_operator,
+                          st._cached_target, alg._ladder_diagonal):
+                cache.cache_clear()
+
+        clear()
+        cold = dyn.cubic_gate(cfg, psi)
+        warm = dyn.cubic_gate(cfg, psi)
+        assert dyn._frame_hamiltonian.cache_info().hits >= 1
+        assert st._cached_target.cache_info().hits >= 1
+        clear()
+        again = dyn.cubic_gate(cfg, psi)
+        for res in (warm, again):
+            assert res.error == cold.error
+            assert res.state.vector.tobytes() == cold.state.vector.tobytes()
+            assert res.target.vector.tobytes() == cold.target.vector.tobytes()
+
+    def test_generator_cache_distinguishes_noise(self):
+        h0, _, _ = dyn.effective_generators(make_cfg())
+        cfg = make_cfg(noise=NoiseParams(ddelta=0.5))
+        h1, _, _ = dyn.effective_generators(cfg)
+        delta, beta = alg.cubic_counterterms(cfg.chi)
+        hp = alg.substitute_gaussian_frame(
+            alg.driven_kerr(cfg.chi, delta + alg.AlphaPoly(0.5), beta), cfg.lam
+        ).drop_constant()
+        assert np.array_equal(h1.matrix, alg.to_matrix(hp, cfg.alpha, cfg.n_fock).matrix)
+        assert not np.array_equal(h1.matrix, h0.matrix)
 
 
 class TestNoiseEquivalences:

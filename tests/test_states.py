@@ -154,6 +154,34 @@ class TestIdealCubicGate:
         assert np.abs((twice - once)[:d, :d]).max() < 1e-9
 
 
+    def test_repeated_call_still_warns(self):
+        for _ in range(2):
+            with pytest.warns(fk.TruncationWarning):
+                st.ideal_cubic_gate(500.0, 32)
+
+
+class TestIdealCubicTarget:
+    def test_equals_gate_applied_to_input(self):
+        n = 96
+        psi = st.squeezed_vacuum(0.5, n)
+        ref = st.ideal_cubic_gate(0.1, n) @ psi
+        got = st.ideal_cubic_target(0.1, psi)
+        assert got.vector.tobytes() == ref.vector.tobytes()
+        assert st.ideal_cubic_target(0.1, psi) is got
+        assert st.ideal_cubic_target(0.2, psi) is not got
+
+    def test_cached_vector_is_read_only(self):
+        target = st.ideal_cubic_target(0.1, fk.vacuum(32))
+        with pytest.raises(ValueError):
+            target.vector[0] = 0.0
+
+    def test_repeated_call_still_warns(self):
+        psi = fk.vacuum(32)
+        for _ in range(2):
+            with pytest.warns(fk.TruncationWarning):
+                st.ideal_cubic_target(500.0, psi)
+
+
 class TestNlqVariance:
     def test_cubic_state_value(self):
         # the quartic operator is cutoff-sensitive; 0.1257 at N=128, converged by 256
