@@ -15,11 +15,15 @@ entries.
 
 The master-equation integrator is a deterministic Strang splitting: the
 Hamiltonian half-step is exact (one spectral decomposition, reused for every
-step), the dissipator substep is a Heun stage. Because the dissipator
-annihilates traces, any Runge-Kutta polynomial in it preserves the trace to
-roundoff; hermiticity is restored by symmetrization each step. The step count
-doubles deterministically until the result stops moving, so reruns are
-bit-identical.
+step), the dissipator substep is a Heun stage. Adjacent half-steps are merged
+into one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
+the half-step is applied alone only at the start, the end and at snapshots.
+The dissipator is evaluated from CSR forms of L, L^dag and M = L^dag L (L is
+tridiagonal, M pentadiagonal), so each evaluation is O(N^2). Because the
+dissipator annihilates traces, any Runge-Kutta polynomial in it preserves the
+trace to roundoff; hermiticity is restored by symmetrization each step. The
+step count doubles deterministically until the result stops moving, so reruns
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from . import algebra
 from .algebra import AlphaPoly, BosonPolynomial, cubic_parameters, substitute_gaussian_frame
@@ -75,6 +80,13 @@ class NoiseParams:
         return any((self.dtheta, self.ddelta, self.dbeta_x, self.dbeta_p))
 
 
+def kappa_from_ratio(chi: float, chi_over_kappa: float) -> float:
+    """Decay rate chi / (chi/kappa); the ratio must be finite and positive."""
+    if not (math.isfinite(chi_over_kappa) and chi_over_kappa > 0):
+        raise ValueError(f"chi_over_kappa must be finite and > 0, got {chi_over_kappa}")
+    return chi / chi_over_kappa
+
+
 @dataclass(frozen=True)
 class GateConfig:
     """One operating point of the gate (chi = 1 sets the time unit)."""
@@ -114,8 +126,8 @@ class GateConfig:
     @staticmethod
     def make(lam_db: float, alpha: float, gamma: float, chi: float = 1.0,
              chi_over_kappa: float | None = None, **kw) -> "GateConfig":
-        """Construct from dB squeezing and the chi/kappa ratio."""
-        kappa = 0.0 if chi_over_kappa is None else chi / chi_over_kappa
+        """Construct from dB squeezing and the chi/kappa ratio (None: lossless)."""
+        kappa = 0.0 if chi_over_kappa is None else kappa_from_ratio(chi, chi_over_kappa)
         return GateConfig(lam=lambda_from_db(lam_db), alpha=alpha, gamma=gamma,
                           chi=chi, kappa=kappa, **kw)
 
@@ -243,40 +255,44 @@ def evolve_unitary(h: Operator, tau: float, psi: PureState) -> PureState:
     return PureState(out, normalize=False)
 
 
-def _dissipator_step(rho, dt, lm, lm_dag, m_op):
-    # Heun stage for d(rho) = L rho L^dag - (M rho + rho M)/2,  M = L^dag L.
-    def d(r):
-        lr = lm @ r
-        return lr @ lm_dag - 0.5 * (m_op @ r + r @ m_op)
+def _lindblad_fixed(prop, lindblad, tau, rho0, n_steps, samples=0):
+    """Strang splitting with exact Hamiltonian steps; returns (rho, trace_drift, snaps).
 
-    k1 = d(rho)
-    k2 = d(rho + dt * k1)
-    return rho + (0.5 * dt) * (k1 + k2)
-
-
-def _lindblad_fixed(h, lm, tau, rho0, n_steps, samples=0):
-    """Strang splitting with exact Hamiltonian steps; returns (rho, trace_drift, snaps)."""
-    prop = _SpectralPropagator(h)
+    Adjacent Hamiltonian half-steps are merged: the loop carries the mid-step
+    state U(dt/2) rho U(dt/2)^dag, applies the Heun dissipator stage, then the
+    full step U(dt) = U(dt/2)^2. The closing half-step is applied at the end
+    and at each snapshot only.
+    """
+    l_op, l_dag, m_op = lindblad
     dt = tau / n_steps
     u_half = prop.unitary(0.5 * dt)
-    u_half_dag = u_half.conj().T
-    lm_dag = lm.conj().T
-    m_op = lm_dag @ lm
+    u_step = u_half @ u_half
     snap_every = max(1, n_steps // samples) if samples else 0
 
-    rho = rho0.copy()
+    def sandwich(u, r):
+        r = u @ r @ u.conj().T
+        return 0.5 * (r + r.conj().T)
+
+    # d(r) = L r L^dag - (M r + r M)/2 with M = L^dag L, from CSR operands
+    def d(r):
+        return (l_op @ r) @ l_dag - 0.5 * (m_op @ r + r @ m_op)
+
+    rho = sandwich(u_half, rho0)
     drift = 0.0
-    snaps = []
-    if samples:
-        snaps.append((0.0, rho.copy()))
-    for k in range(n_steps):
-        rho = u_half @ rho @ u_half_dag
-        rho = _dissipator_step(rho, dt, lm, lm_dag, m_op)
-        rho = u_half @ rho @ u_half_dag
-        rho = 0.5 * (rho + rho.conj().T)
+    snaps = [(0.0, rho0.copy())] if samples else []
+    for k in range(1, n_steps + 1):
+        k1 = d(rho)
+        k2 = d(rho + dt * k1)
+        rho = rho + (0.5 * dt) * (k1 + k2)
+        if k == n_steps:
+            rho = sandwich(u_half, rho)
+            if samples:
+                snaps.append((k * dt, rho))
+        else:
+            if samples and k % snap_every == 0:
+                snaps.append((k * dt, sandwich(u_half, rho)))
+            rho = sandwich(u_step, rho)
         drift = max(drift, abs(np.trace(rho).real - 1.0))
-        if samples and ((k + 1) % snap_every == 0 or k == n_steps - 1):
-            snaps.append(((k + 1) * dt, rho.copy()))
     return rho, drift, snaps
 
 
@@ -296,34 +312,46 @@ def evolve_lindblad(
     until the final state stops moving by more than `tol` (max-entry norm),
     raising IntegrationError past `max_doublings`. Trace is preserved to
     roundoff by construction; positivity is eigen-spot-checked at the end.
+    Diagnostics: kept `steps`, `integrated_steps` summed over every rung,
+    `step_delta` of the accepted rung, `trace_drift`, `min_eigenvalue`.
     """
     hm = h.matrix if isinstance(h, Operator) else h
     lm = l_op.matrix if isinstance(l_op, Operator) else l_op
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
-        return rho0, {"trace_drift": 0.0, "steps": 0, "snapshots": []}
+        return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0,
+                      "snapshots": []}
 
+    prop = _SpectralPropagator(hm)
+    l_sp = sparse.csr_matrix(lm)
+    l_dag = sparse.csr_matrix(lm.conj().T)
+    m_op = l_dag @ l_sp
+    lindblad = (l_sp, l_dag, m_op)
     diagnostics: dict = {}
     if n_steps is not None:
-        rho, drift, snaps = _lindblad_fixed(hm, lm, tau, rho0.matrix, n_steps, samples)
-        diagnostics.update(steps=n_steps, trace_drift=drift, snapshots=snaps)
+        rho, drift, snaps = _lindblad_fixed(prop, lindblad, tau, rho0.matrix, n_steps, samples)
+        diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift,
+                           snapshots=snaps)
     else:
         # explicit dissipator stages are stable for kappa_edge * dt <~ 2;
         # start from the stability floor, then double until the state stops
         # moving
-        m_edge = float(np.abs(lm.conj().T @ lm).sum(axis=1).max())
+        m_edge = float(abs(m_op).sum(axis=1).max())
         n = max(128, int(math.ceil(tau * m_edge)))
+        integrated = 0
         rho_prev = None
         delta = math.inf
         for _ in range(max_doublings + 1):
-            rho, drift, snaps = _lindblad_fixed(hm, lm, tau, rho0.matrix, n, samples)
+            rho, drift, snaps = _lindblad_fixed(prop, lindblad, tau, rho0.matrix, n, samples)
+            integrated += n
             if np.all(np.isfinite(rho)):
                 if rho_prev is not None:
                     delta = float(np.abs(rho - rho_prev).max())
                     if delta < tol:
-                        diagnostics.update(steps=n, trace_drift=drift,
-                                           step_delta=delta, snapshots=snaps)
+                        diagnostics.update(steps=n, integrated_steps=integrated,
+                                           trace_drift=drift, step_delta=delta,
+                                           snapshots=snaps)
                         break
                 rho_prev = rho
             n *= 2

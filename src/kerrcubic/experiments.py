@@ -16,12 +16,13 @@ import math
 import multiprocessing
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import algebra
-from .dynamics import EvolutionResult, GateConfig, cubic_gate
+from .dynamics import EvolutionResult, GateConfig, cubic_gate, kappa_from_ratio
 from .fock import (
     MixedState,
     PureState,
@@ -170,7 +171,7 @@ def _configure_point(spec: SweepSpec, value: float) -> GateConfig:
     elif spec.param == "alpha":
         cfg = replace(cfg, alpha=value)
     elif spec.param == "chi_over_kappa":
-        cfg = replace(cfg, kappa=cfg.chi / value)
+        cfg = replace(cfg, kappa=kappa_from_ratio(cfg.chi, value))
     elif spec.param == "trotter_steps":
         cfg = replace(cfg, trotter_steps=int(value))
     elif spec.param == "dtheta":
@@ -311,28 +312,42 @@ class CubicStateResult:
     evolution: EvolutionResult
 
 
+@lru_cache(maxsize=8)
+def _correction_basis(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only generators x^2, p^2, {x,p}/2, x, p of the Gaussian correction."""
+    mode = TruncatedMode(n)
+    x, p = mode.x, mode.p
+    basis = (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)
+    for b in basis:
+        b.setflags(write=False)
+    return basis
+
+
+def _correction_spectrum(params, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) with the correction exp(i sum_k params_k G_k) = v diag(e^{iw}) v^dag."""
+    gen = sum(c * b for c, b in zip(params, _correction_basis(n)))
+    return np.linalg.eigh(gen)
+
+
 def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndarray]:
     """Maximize fidelity over a single-mode Gaussian unitary applied to the output.
 
     The correction group is exp(i(u x^2 + v p^2 + w {x,p}/2 + dx x + dp p));
     state preparation allows this freedom because the input is fixed, unlike a
-    gate acting on unknown states.
+    gate acting on unknown states. Each trial g is scored as <phi|rho|phi> with
+    phi = g^dag|target>, so no N x N product is formed besides the eigh.
     """
     n = target.dim
-    mode = TruncatedMode(n)
-    x, p = mode.x, mode.p
-    basis = (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)
     mixed = isinstance(out, MixedState)
     tv = target.vector
 
     def neg_fid(params: np.ndarray) -> float:
-        gen = sum(c * b for c, b in zip(params, basis))
-        w, v = np.linalg.eigh(gen)
-        g = (v * np.exp(1j * w)) @ v.conj().T
+        w, v = _correction_spectrum(params, n)
+        phi = v @ (np.exp(-1j * w) * (v.conj().T @ tv))
         if mixed:
-            f = float(np.real(np.vdot(tv, g @ out.matrix @ g.conj().T @ tv)))
+            f = float(np.real(np.vdot(phi, out.matrix @ phi)))
         else:
-            f = float(abs(np.vdot(tv, g @ out.vector)) ** 2)
+            f = float(abs(np.vdot(phi, out.vector)) ** 2)
         return -f
 
     best = minimize(
@@ -360,11 +375,7 @@ def generate_cubic_state(
     params = np.zeros(5)
     if gaussian_correction:
         f, params = optimize_gaussian_correction(res.target, out)
-        mode = TruncatedMode(cfg.n_fock)
-        basis = (mode.x @ mode.x, mode.p @ mode.p,
-                 0.5 * (mode.x @ mode.p + mode.p @ mode.x), mode.x, mode.p)
-        gen = sum(c * b for c, b in zip(params, basis))
-        w, v = np.linalg.eigh(gen)
+        w, v = _correction_spectrum(params, cfg.n_fock)
         g = (v * np.exp(1j * w)) @ v.conj().T
         if isinstance(out, MixedState):
             out = MixedState(g @ out.matrix @ g.conj().T)

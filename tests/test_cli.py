@@ -34,6 +34,14 @@ class TestDispatchBasics:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "UnsupportedConfigurationError"
 
+    def test_zero_chi_over_kappa_is_configuration_error(self, tmp_path, capsys):
+        code = run(["gate", "--out", str(tmp_path), "--lambda-db", "6", "--alpha", "3",
+                    "--fock", "32", "--chi-over-kappa", "0", "--input", "vacuum"])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ValueError"
+        assert "chi_over_kappa" in doc["error"]["message"]
+
 
 class TestConfigFile:
     def test_unknown_key_reports_line(self, tmp_path, capsys):

@@ -46,6 +46,14 @@ class TestGateConfig:
         assert abs(cfg.kappa - 1e4) < 1e-9
         assert abs(cfg.lam_db - 15.0) < 1e-12
 
+    @pytest.mark.parametrize("ratio", [0.0, -1e-4, math.nan, math.inf])
+    def test_make_rejects_bad_chi_over_kappa(self, ratio):
+        with pytest.raises(ValueError, match="chi_over_kappa"):
+            GateConfig.make(lam_db=10.0, alpha=10.0, gamma=0.1, chi_over_kappa=ratio)
+
+    def test_make_without_ratio_is_lossless(self):
+        assert GateConfig.make(lam_db=10.0, alpha=10.0, gamma=0.1).kappa == 0.0
+
     def test_tau_matches_parameters(self):
         cfg = make_cfg()
         p = alg.cubic_parameters(cfg.chi, cfg.lam, cfg.alpha, cfg.gamma)
@@ -191,6 +199,114 @@ class TestEvolveLindblad:
                 fk.Operator(np.zeros((n, n)), hermitian=True), l_op, 5.0,
                 fk.fock_state(n, 6).density_matrix(), tol=1e-16, max_doublings=0,
             )
+
+
+def _dense_lindblad_reference(h, lm, tau, rho0, n_steps, samples=0):
+    # the integrator's former loop: two dense half-step sandwiches and two
+    # dense dissipator evaluations per step
+    u_half = dyn._SpectralPropagator(h).unitary(0.5 * tau / n_steps)
+    u_half_dag = u_half.conj().T
+    lm_dag = lm.conj().T
+    m_op = lm_dag @ lm
+    dt = tau / n_steps
+    snap_every = max(1, n_steps // samples) if samples else 0
+
+    def d(r):
+        return lm @ r @ lm_dag - 0.5 * (m_op @ r + r @ m_op)
+
+    rho = rho0.copy()
+    snaps = [(0.0, rho.copy())] if samples else []
+    for k in range(n_steps):
+        rho = u_half @ rho @ u_half_dag
+        k1 = d(rho)
+        k2 = d(rho + dt * k1)
+        rho = rho + (0.5 * dt) * (k1 + k2)
+        rho = u_half @ rho @ u_half_dag
+        rho = 0.5 * (rho + rho.conj().T)
+        if samples and ((k + 1) % snap_every == 0 or k == n_steps - 1):
+            snaps.append(((k + 1) * dt, rho.copy()))
+    return rho, snaps
+
+
+def _dense_ladder_reference(h, lm, tau, rho0, tol=1e-7, max_doublings=6):
+    # the former step-doubling ladder over the dense loop; returns (rho, rungs)
+    m_edge = float(np.abs(lm.conj().T @ lm).sum(axis=1).max())
+    n = max(128, int(math.ceil(tau * m_edge)))
+    rungs, prev = [], None
+    for _ in range(max_doublings + 1):
+        rho, _ = _dense_lindblad_reference(h, lm, tau, rho0, n)
+        rungs.append(n)
+        if prev is not None and np.abs(rho - prev).max() < tol:
+            return rho, rungs
+        prev = rho
+        n *= 2
+    raise AssertionError("reference ladder did not converge")
+
+
+def _rel_max(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestMergedSparseIntegrator:
+    n = 40
+
+    def _generators(self, kind):
+        cfg = make_cfg(n_fock=self.n, kappa=0.5, lam=1.6, alpha=2.0)
+        h, l_op, _ = dyn.effective_generators(cfg)
+        if kind == "random":
+            rng = np.random.default_rng(7)
+            lm = rng.normal(size=(self.n, self.n)) + 1j * rng.normal(size=(self.n, self.n))
+            l_op = fk.Operator(0.05 * lm)
+        return h.matrix, l_op.matrix, cfg.tau * 50
+
+    @pytest.mark.parametrize("kind", ["bogoliubov", "random"])
+    def test_fixed_steps_match_dense_reference(self, kind):
+        hm, lm, tau = self._generators(kind)
+        rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
+        rho, diag = dyn.evolve_lindblad(fk.Operator(hm), fk.Operator(lm), tau, rho0,
+                                        n_steps=96)
+        ref, _ = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 96)
+        assert _rel_max(rho.matrix, ref) <= 1e-12
+        assert diag["steps"] == diag["integrated_steps"] == 96
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+
+    @pytest.mark.parametrize("kind", ["bogoliubov", "random"])
+    def test_snapshots_match_dense_reference(self, kind):
+        hm, lm, tau = self._generators(kind)
+        rho0 = fk.vacuum(self.n).density_matrix()
+        _, diag = dyn.evolve_lindblad(fk.Operator(hm), fk.Operator(lm), tau, rho0,
+                                      n_steps=64, samples=5)
+        _, ref = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 64, samples=5)
+        snaps = diag["snapshots"]
+        assert [t for t, _ in snaps] == [t for t, _ in ref]
+        for (_, got), (_, want) in zip(snaps, ref):
+            assert _rel_max(got, want) <= 1e-12
+
+    def test_lossy_photon_trace_matches_dense_reference(self):
+        cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=48, kappa=0.5, lindblad_steps=64)
+        psi = fk.vacuum(cfg.n_fock)
+        series, _ = dyn.photon_number_trace(cfg, psi, samples=4)
+        h, l_op, _ = dyn.effective_generators(cfg)
+        _, snaps = _dense_lindblad_reference(h.matrix, l_op.matrix, cfg.tau,
+                                             psi.density_matrix().matrix, 64, samples=4)
+        n_op, const = dyn.effective_number_operator(cfg)
+        ref: dict = {}
+        dyn._series_from_snapshots(snaps, n_op.matrix, const, cfg.alpha, ref)
+        ref = ref["photon_series"]
+        assert np.array_equal(series["t"], ref["t"])
+        for key in ("total", "fluctuation", "variance"):
+            np.testing.assert_allclose(series[key], ref[key], rtol=1e-12, atol=1e-12)
+
+    def test_adaptive_ladder_keeps_reference_rungs(self):
+        n = 32
+        cfg = make_cfg(n_fock=n, kappa=1.0, alpha=1.5, lam=1.4)
+        h, l_op, _ = dyn.effective_generators(cfg)
+        rho0 = fk.vacuum(n).density_matrix()
+        rho, diag = dyn.evolve_lindblad(h, l_op, 0.02, rho0)
+        ref, rungs = _dense_ladder_reference(h.matrix, l_op.matrix, 0.02, rho0.matrix)
+        assert diag["steps"] == rungs[-1]
+        assert diag["integrated_steps"] == sum(rungs)
+        assert _rel_max(rho.matrix, ref) <= 1e-12
 
 
 class TestCubicGate:

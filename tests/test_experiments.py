@@ -89,13 +89,14 @@ class TestSweeps:
         assert rows[0]["error"] == direct.error
 
     def test_row_failure_recorded_not_raised(self):
-        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=96)
-        spec = ex.SweepSpec(base=base, param="chi_over_kappa", values=(1e-3, 0.0),
+        # a cheap lossy row (kappa = 1, N = 32) next to a rejected zero ratio
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32)
+        spec = ex.SweepSpec(base=base, param="chi_over_kappa", values=(1.0, 0.0),
                             input_state="squeezed:0.5")
         rows = ex.run_sweep(spec)
         assert rows[0]["ok"]
         assert not rows[1]["ok"]
-        assert rows[1]["message"]
+        assert rows[1]["message"].startswith("ValueError: chi_over_kappa")
 
     def test_parallel_matches_serial(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)
@@ -145,6 +146,29 @@ class TestNoiseSweep:
                             input_state="squeezed:0.5", alpha_mode="cube")
         rows = ex.noise_sweep(spec, (12.5,))
         assert "0.5" in rows[0]["message"]
+
+
+class TestGaussianCorrection:
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_objective_equals_corrected_state_fidelity(self, mixed):
+        # the optimum scored as <phi|rho|phi> equals the fidelity of g rho g^dag
+        n = 48
+        target = st.ideal_cubic_target(0.1, st.squeezed_vacuum(0.5, n))
+        out = st.squeezed_vacuum(0.6, n)
+        if mixed:
+            rho = 0.9 * out.density_matrix().matrix + 0.1 * fk.vacuum(n).density_matrix().matrix
+            out = fk.MixedState(rho)
+        f, params = ex.optimize_gaussian_correction(target, out)
+        mode = fk.TruncatedMode(n)
+        x, p = mode.x, mode.p
+        gen = sum(c * b for c, b in zip(params, (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)))
+        g = fk._expm_hermitian(gen, 1j)
+        if mixed:
+            corrected = fk.MixedState(g @ out.matrix @ g.conj().T)
+        else:
+            corrected = fk.PureState(g @ out.vector, normalize=False)
+        assert abs(f - fk.fidelity(target, corrected)) < 1e-12
+        assert f > fk.fidelity(target, out)
 
 
 class TestGenerateCubicState:
