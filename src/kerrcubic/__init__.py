@@ -17,7 +17,6 @@ from .algebra import (
     cubic_parameters,
     driven_kerr,
     effective_cubic_hamiltonian,
-    multiply,
     substitute_gaussian_frame,
     to_matrix,
     to_quadrature_form,
@@ -31,7 +30,6 @@ from .dynamics import (
     cubic_gate,
     effective_generators,
     evolve_lindblad,
-    evolve_unitary,
     photon_number_trace,
     trotterized_gate,
 )
@@ -55,13 +53,12 @@ from .fock import (
     MixedState,
     Operator,
     PureState,
+    Spectrum,
     TruncatedMode,
     TruncationWarning,
     annihilation,
     check_truncation_convergence,
-    db_from_lambda,
     displacement,
-    exp_generator,
     expectation,
     fidelity,
     fock_state,
@@ -88,7 +85,6 @@ from .soliton import (
 )
 from .states import (
     GkpParams,
-    TargetSpec,
     gkp_state,
     ideal_cubic_gate,
     nlq_operator,

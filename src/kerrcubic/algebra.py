@@ -320,11 +320,6 @@ class BosonPolynomial:
         return "BosonPolynomial{" + ", ".join(bits) + "}"
 
 
-def multiply(p: BosonPolynomial, q: BosonPolynomial) -> BosonPolynomial:
-    """Normal-ordered product (rook-number contraction formula)."""
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # the Gaussian-frame substitution
 # ---------------------------------------------------------------------------
@@ -619,6 +614,4 @@ def to_matrix(p: BosonPolynomial, alpha: float, n: int) -> Operator:
         band = _ladder_diagonal(m, n)[:length] * _ladder_diagonal(nn, n)[:length]
         start = m * n + nn
         flat[start: start + length * (n + 1): n + 1] += poly(alpha) * band
-    scale = np.abs(out).max()
-    herm = scale == 0 or np.abs(out - out.conj().T).max() < 1e-12 * scale
-    return Operator(out, hermitian=bool(herm))
+    return Operator(out)

@@ -159,11 +159,6 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _collect(args: argparse.Namespace) -> RunConfig:
-    """File config merged with CLI flags; flags win; env var is the out fallback."""
-    return RunConfig.collect(args)
-
-
 def _floats(v) -> tuple[float, ...]:
     if isinstance(v, (list, tuple)):
         return tuple(float(x) for x in v)
@@ -192,10 +187,6 @@ def _gate_config(cfg: dict) -> GateConfig:
     return gc
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    return cfg.out_dir
-
-
 def _resolved(cfg: dict, gc: GateConfig | None = None) -> dict:
     doc = {k: (v if isinstance(v, (int, float, str, bool, list)) else str(v))
            for k, v in sorted(cfg.items())}
@@ -216,7 +207,7 @@ def _resolved(cfg: dict, gc: GateConfig | None = None) -> dict:
 
 
 def _cmd_heff_expand(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     chi = float(cfg.get("chi", 1.0))
     lam = lambda_from_db(float(cfg.get("lambda_db", 10.0)))
     alpha = float(cfg.get("alpha", 50.0))
@@ -234,7 +225,7 @@ def _cmd_heff_expand(args) -> int:
     for (j, k) in sorted(quad.terms, key=lambda t: (t[0] + t[1], t)):
         c = quad.quad_coefficient(j, k, alpha)
         rows.append((f"x^{j} p^{k}", c.real, c.imag))
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     write_csv(out / "heff_expand.csv", ["monomial", "coefficient-real", "coefficient-imag"], rows)
     write_sidecar(out / "heff_expand.config.json", "heff-expand", _resolved(cfg))
     print(out / "heff_expand.csv")
@@ -242,10 +233,10 @@ def _cmd_heff_expand(args) -> int:
 
 
 def _cmd_state(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     n = int(cfg.get("fock", 128))
     psi = parse_state(str(cfg.get("input", "vacuum")), n)
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     if args.wigner:
         span = float(cfg.get("wigner_span", 6.0))
         pts = int(cfg.get("wigner_points", 121))
@@ -262,11 +253,11 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
     res = cubic_gate(gc, psi)
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     doc = {
         "error": res.error, "fidelity": 1.0 - res.error,
         "tau": res.diagnostics.get("tau"),
@@ -300,7 +291,7 @@ def _rows_to_csv(rows, extra_cols=()) -> tuple[list[str], list[tuple]]:
 
 
 def _cmd_sweep_lambda(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
     spec = SweepSpec(
         base=gc, param="lam_db", values=_floats(cfg.get("values", "5,7.5,10,12.5,15")),
@@ -310,7 +301,7 @@ def _cmd_sweep_lambda(args) -> int:
         workers=int(cfg.get("workers", 1)),
     )
     rows = lambda_sweep(spec)
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     header, table = _rows_to_csv(rows)
     write_csv(out / "sweep_lambda.csv", header, table)
     write_sidecar(out / "sweep_lambda.config.json", "sweep-lambda", _resolved(cfg, gc))
@@ -319,7 +310,7 @@ def _cmd_sweep_lambda(args) -> int:
 
 
 def _cmd_optimize_alpha(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
     bracket = _floats(cfg.get("bracket", "")) or None
     if bracket is None:
@@ -329,7 +320,7 @@ def _cmd_optimize_alpha(args) -> int:
         raise ConfigError("bracket must be 'lo,hi'")
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
     opt = optimize_alpha(gc, tuple(bracket), psi)
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     emit("json", {"alpha": opt.alpha, "error": opt.error,
                   "evaluations": opt.evaluations, "unimodal": opt.unimodal},
          out / "optimize_alpha.json")
@@ -339,9 +330,10 @@ def _cmd_optimize_alpha(args) -> int:
 
 
 def _cmd_sweep_noise(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
     channel = str(cfg.get("noise", "dtheta")).replace("-", "_")
+    channel = {"dbetax_rel": "dbeta_x_rel"}.get(channel, channel)  # flag spelling
     if channel not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
         raise ConfigError(f"unknown noise channel {channel!r}")
     spec = SweepSpec(
@@ -353,7 +345,7 @@ def _cmd_sweep_noise(args) -> int:
     )
     lam_dbs = _floats(cfg.get("lambda_db_values", cfg.get("lambda_db", "10")))
     rows = noise_sweep(spec, lam_dbs)
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     header = ["param", "lam_db", "lam", "alpha", "value", "error_int",
               "error_plus", "error_minus", "excess", "ok", "message"]
     table = [tuple(r[h] for h in header) for r in rows]
@@ -364,14 +356,14 @@ def _cmd_sweep_noise(args) -> int:
 
 
 def _cmd_state_gen(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
     span = float(cfg.get("wigner_span", 6.0))
     pts = int(cfg.get("wigner_points", 121))
     xs = np.linspace(-span, span, pts)
     res = generate_cubic_state(gc, delta=float(cfg.get("delta", 0.5)), grid=(xs, xs),
                                gaussian_correction=not args.no_correction)
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     emit("json", {
         "fidelity": res.fidelity, "raw_fidelity": res.raw_fidelity,
         "nlq_variance": res.nlq_variance,
@@ -385,7 +377,7 @@ def _cmd_state_gen(args) -> int:
 
 
 def _cmd_trotter(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
     values = [int(v) for v in _floats(cfg.get("values", "1,2,4,8,16"))]
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
@@ -394,7 +386,7 @@ def _cmd_trotter(args) -> int:
     errors = [trotterized_gate(replace(gc, trotter_steps=n_t), psi).error for n_t in values]
     cont = cubic_gate(replace(gc, trotter_steps=0), psi).error
     rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(values, errors)]
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     write_csv(out / "trotter.csv", ["steps", "error", "abs_diff_vs_continuous"], rows)
     write_sidecar(out / "trotter.config.json", "trotter", _resolved(cfg, gc))
     print(out / "trotter.csv")
@@ -402,7 +394,7 @@ def _cmd_trotter(args) -> int:
 
 
 def _cmd_soliton_fom(args) -> int:
-    cfg = _collect(args)
+    cfg = RunConfig.collect(args)
     if args.builtin_table:
         mats = soliton.BUILTIN_MATERIALS
     elif args.materials:
@@ -419,7 +411,7 @@ def _cmd_soliton_fom(args) -> int:
         raise ConfigError("soliton-fom needs --builtin-table or --materials CSV")
     table = [(m.name, m.gamma_nl, m.alpha_att, m.wavelength, m.t_fwhm,
               soliton.figure_of_merit(m)) for m in mats]
-    out = _out_dir(cfg)
+    out = cfg.out_dir
     write_csv(out / "soliton_fom.csv",
               ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m",
                "t_fwhm_s", "chi_over_kappa"], table)
@@ -595,8 +587,8 @@ def _run_recipe(name: str, spec: dict, out: Path, cfg: dict) -> list[Path]:
 
 
 def _cmd_reproduce(args) -> int:
-    cfg = _collect(args)
-    out = _out_dir(cfg)
+    cfg = RunConfig.collect(args)
+    out = cfg.out_dir
     name = args.recipe
     spec = _recipe_spec(name, cfg.workers)
     resolved = _resolved(cfg)

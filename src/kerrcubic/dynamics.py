@@ -14,9 +14,9 @@ exact gauge Hamiltonian (i/2)(c* L - c L^dag) it generates
 entries.
 
 The master-equation integrator is a deterministic Strang splitting: the
-Hamiltonian half-step is exact (one spectral decomposition, reused for every
-step), the dissipator substep is a Heun stage. Adjacent half-steps are merged
-into one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
+Hamiltonian half-step is exact (one `fock.Spectrum`, reused for every step),
+the dissipator substep is a Heun stage. Adjacent half-steps are merged into
+one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
 the half-step is applied alone only at the start, the end and at snapshots.
 The dissipator is evaluated from CSR forms of L, L^dag and M = L^dag L (L is
 tridiagonal, M pentadiagonal), so each evaluation is O(N^2). Because the
@@ -39,12 +39,14 @@ from scipy import sparse
 from . import algebra
 from .algebra import AlphaPoly, BosonPolynomial, cubic_parameters, substitute_gaussian_frame
 from .fock import (
+    ContractViolationError,
     MixedState,
     Operator,
     PureState,
+    Spectrum,
     TruncationWarning,
     _annihilation_matrix,
-    ContractViolationError,
+    displacement,
     fidelity,
     lambda_from_db,
 )
@@ -212,9 +214,7 @@ def _gauge_hamiltonian(l_fluct: Operator, drift: complex) -> np.ndarray:
 def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
     """exp(-i dtheta n_eff) with the alpha^2 constant dropped (global phase)."""
     n_eff = _frame_number_operator(float(cfg.lam)).drop_constant()
-    m = algebra.to_matrix(n_eff, cfg.alpha, cfg.n_fock)
-    w, v = np.linalg.eigh(m.matrix)
-    return (v * np.exp(-1j * cfg.noise.dtheta * w)) @ v.conj().T
+    return Spectrum(algebra.to_matrix(n_eff, cfg.alpha, cfg.n_fock)).unitary(cfg.noise.dtheta)
 
 
 def effective_number_operator(cfg: GateConfig) -> tuple[Operator, float]:
@@ -229,33 +229,7 @@ def effective_number_operator(cfg: GateConfig) -> tuple[Operator, float]:
 # ---------------------------------------------------------------------------
 
 
-class _SpectralPropagator:
-    """Reusable exp(-i H t) from one Hermitian eigendecomposition."""
-
-    def __init__(self, h: np.ndarray):
-        scale = np.abs(h).max()
-        if scale > 0 and np.abs(h - h.conj().T).max() > 1e-10 * scale:
-            raise ContractViolationError("propagator requires a hermitian generator")
-        self.w, self.v = np.linalg.eigh(h)
-
-    def unitary(self, t: float) -> np.ndarray:
-        return (self.v * np.exp(-1j * self.w * t)) @ self.v.conj().T
-
-    def advance(self, psi: np.ndarray, t: float) -> np.ndarray:
-        return self.v @ (np.exp(-1j * self.w * t) * (self.v.conj().T @ psi))
-
-
-def evolve_unitary(h: Operator, tau: float, psi: PureState) -> PureState:
-    """exp(-i H tau)|psi>; norm preserved to eigensolver tolerance."""
-    prop = _SpectralPropagator(h.matrix if isinstance(h, Operator) else h)
-    out = prop.advance(psi.vector, tau)
-    nrm = np.linalg.norm(out)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ContractViolationError(f"unitary evolution drifted norm to {nrm}")
-    return PureState(out, normalize=False)
-
-
-def _lindblad_fixed(prop, lindblad, tau, rho0, n_steps, samples=0):
+def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps, samples=0):
     """Strang splitting with exact Hamiltonian steps; returns (rho, trace_drift, snaps).
 
     Adjacent Hamiltonian half-steps are merged: the loop carries the mid-step
@@ -265,7 +239,7 @@ def _lindblad_fixed(prop, lindblad, tau, rho0, n_steps, samples=0):
     """
     l_op, l_dag, m_op = lindblad
     dt = tau / n_steps
-    u_half = prop.unitary(0.5 * dt)
+    u_half = spectrum.unitary(0.5 * dt)
     u_step = u_half @ u_half
     snap_every = max(1, n_steps // samples) if samples else 0
 
@@ -323,14 +297,14 @@ def evolve_lindblad(
         return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0,
                       "snapshots": []}
 
-    prop = _SpectralPropagator(hm)
+    spectrum = Spectrum(hm)
     l_sp = sparse.csr_matrix(lm)
     l_dag = sparse.csr_matrix(lm.conj().T)
     m_op = l_dag @ l_sp
     lindblad = (l_sp, l_dag, m_op)
     diagnostics: dict = {}
     if n_steps is not None:
-        rho, drift, snaps = _lindblad_fixed(prop, lindblad, tau, rho0.matrix, n_steps, samples)
+        rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps, samples)
         diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift,
                            snapshots=snaps)
     else:
@@ -343,7 +317,7 @@ def evolve_lindblad(
         rho_prev = None
         delta = math.inf
         for _ in range(max_doublings + 1):
-            rho, drift, snaps = _lindblad_fixed(prop, lindblad, tau, rho0.matrix, n, samples)
+            rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n, samples)
             integrated += n
             if np.all(np.isfinite(rho)):
                 if rho_prev is not None:
@@ -402,17 +376,22 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
     h, l_fluct, drift = effective_generators(cfg)
     diagnostics: dict = {"tau": tau}
 
-    n_obs = const = None
     if samples:
         n_obs, const = effective_number_operator(cfg)
+        n_mat = n_obs.matrix
+        n2 = n_mat @ n_mat
 
     if cfg.kappa == 0.0:
-        prop = _SpectralPropagator(h.matrix)
+        spectrum = Spectrum(h.matrix)
         if samples:
-            _record_pure_series(prop, psi_in.vector, tau, samples, n_obs.matrix,
-                                const, cfg.alpha, diagnostics)
+            moments = []
+            for t in np.linspace(0.0, tau, max(2, samples)):
+                psi = spectrum.advance(psi_in.vector, t)
+                moments.append((t, np.vdot(psi, n_mat @ psi).real,
+                                np.vdot(psi, n2 @ psi).real))
+            diagnostics["photon_series"] = _photon_series(moments, const, cfg.alpha)
         out: PureState | MixedState = PureState(
-            prop.advance(psi_in.vector, tau), normalize=False
+            spectrum.advance(psi_in.vector, tau), normalize=False
         )
     else:
         hm = h.matrix
@@ -423,11 +402,11 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
             n_steps=cfg.lindblad_steps, tol=cfg.lindblad_tol,
             max_doublings=cfg.max_step_doublings, samples=samples,
         )
+        snaps = lb_diag.pop("snapshots", [])
         if samples:
-            _series_from_snapshots(lb_diag.pop("snapshots"), n_obs.matrix, const,
-                                   cfg.alpha, diagnostics)
-        else:
-            lb_diag.pop("snapshots", None)
+            moments = [(t, np.trace(n_mat @ r).real, np.trace(n2 @ r).real)
+                       for t, r in snaps]
+            diagnostics["photon_series"] = _photon_series(moments, const, cfg.alpha)
         diagnostics.update(lb_diag)
         out = rho
 
@@ -442,37 +421,15 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
     return EvolutionResult(out, err, target, diagnostics)
 
 
-def _record_pure_series(prop, psi0, tau, samples, n_mat, const, alpha, diagnostics):
-    times = np.linspace(0.0, tau, max(2, samples))
-    tot, fluct, var = [], [], []
-    n2 = n_mat @ n_mat
-    for t in times:
-        psi = prop.advance(psi0, t)
-        mean = float(np.real(np.vdot(psi, n_mat @ psi)))
-        second = float(np.real(np.vdot(psi, n2 @ psi)))
-        tot.append(mean + const)
-        fluct.append(mean + const - alpha**2)
-        var.append(second - mean * mean)
-    diagnostics["photon_series"] = {
-        "t": times, "total": np.array(tot), "fluctuation": np.array(fluct),
-        "variance": np.array(var),
-    }
+def _photon_series(moments, const: float, alpha: float) -> dict:
+    """Photon-number series from (t, <n>, <n^2>) triples of n_eff, constant dropped.
 
-
-def _series_from_snapshots(snaps, n_mat, const, alpha, diagnostics):
-    n2 = n_mat @ n_mat
-    times, tot, fluct, var = [], [], [], []
-    for t, rho in snaps:
-        mean = float(np.real(np.trace(n_mat @ rho)))
-        second = float(np.real(np.trace(n2 @ rho)))
-        times.append(t)
-        tot.append(mean + const)
-        fluct.append(mean + const - alpha**2)
-        var.append(second - mean * mean)
-    diagnostics["photon_series"] = {
-        "t": np.array(times), "total": np.array(tot),
-        "fluctuation": np.array(fluct), "variance": np.array(var),
-    }
+    `const` restores the dropped constant in the total; the fluctuation part
+    also removes the coherent alpha^2.
+    """
+    t, mean, second = np.array(moments, dtype=float).reshape(-1, 3).T
+    return {"t": t, "total": mean + const, "fluctuation": mean + const - alpha**2,
+            "variance": second - mean * mean}
 
 
 def photon_number_trace(cfg: GateConfig, psi_in: PureState, samples: int):
@@ -536,8 +493,7 @@ def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     psi = psi_in.vector
     dt = tau / cfg.trotter_steps
     for h_k in h_steps:
-        psi = _SpectralPropagator(h_k.matrix).advance(psi, dt)
-    from .fock import displacement  # local import avoids cycle at module load
+        psi = Spectrum(h_k.matrix).advance(psi, dt)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

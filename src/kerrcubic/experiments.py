@@ -12,6 +12,7 @@ contaminates the scaling fits near the crossover.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import warnings
@@ -26,6 +27,7 @@ from .dynamics import EvolutionResult, GateConfig, cubic_gate, kappa_from_ratio
 from .fock import (
     MixedState,
     PureState,
+    Spectrum,
     TruncatedMode,
     lambda_from_db,
     wigner,
@@ -215,23 +217,23 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
     return row
 
 
-def _sweep_point_star(args):
-    return _sweep_point(*args)
+def _map_points(fn, jobs: list[tuple], workers: int) -> list:
+    """[fn(*job) for job in jobs] in order, over a process pool when workers > 1.
+
+    Warnings are ignored in this process; the pool's workers are started
+    before the filter is set.
+    """
+    parallel = workers > 1 and len(jobs) > 1
+    pool = (multiprocessing.Pool(min(workers, len(jobs))) if parallel
+            else contextlib.nullcontext())
+    with pool, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return pool.starmap(fn, jobs) if parallel else [fn(*job) for job in jobs]
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate every sweep point; per-point failures are recorded, not raised."""
-    jobs = [(spec, v) for v in spec.values]
-    if spec.workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(spec.workers, len(jobs))) as pool:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rows = pool.map(_sweep_point_star, jobs)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = [_sweep_point_star(j) for j in jobs]
-    return rows
+    return _map_points(_sweep_point, [(spec, v) for v in spec.values], spec.workers)
 
 
 def lambda_sweep(spec: SweepSpec) -> list[dict]:
@@ -271,10 +273,6 @@ def _with_signed(spec: SweepSpec, cfg: GateConfig, value: float) -> GateConfig:
     return cfg  # relative offsets handled by _resolve_relative_noise
 
 
-def _noise_point_star(args):
-    return _noise_point(*args)
-
-
 def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     """Noise response over (noise value x squeezing); spec.param picks the channel.
 
@@ -283,16 +281,7 @@ def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     if spec.param not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
         raise ValueError(f"noise_sweep cannot sweep {spec.param!r}")
     jobs = [(spec, db, v) for db in lam_db_values for v in spec.values]
-    if spec.workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(spec.workers, len(jobs))) as pool:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rows = pool.map(_noise_point_star, jobs)
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = [_noise_point_star(j) for j in jobs]
-    return rows
+    return _map_points(_noise_point, jobs, spec.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +312,22 @@ def _correction_basis(n: int) -> tuple[np.ndarray, ...]:
     return basis
 
 
-def _correction_spectrum(params, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) with the correction exp(i sum_k params_k G_k) = v diag(e^{iw}) v^dag."""
-    gen = sum(c * b for c, b in zip(params, _correction_basis(n)))
-    return np.linalg.eigh(gen)
-
-
 def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndarray]:
     """Maximize fidelity over a single-mode Gaussian unitary applied to the output.
 
     The correction group is exp(i(u x^2 + v p^2 + w {x,p}/2 + dx x + dp p));
     state preparation allows this freedom because the input is fixed, unlike a
-    gate acting on unknown states. Each trial g is scored as <phi|rho|phi> with
-    phi = g^dag|target>, so no N x N product is formed besides the eigh.
+    gate acting on unknown states. With G = sum_k params_k G_k, each trial
+    g = exp(iG) is scored as <phi|rho|phi> with phi = g^dag|target>, so no
+    N x N product is formed besides the eigh.
     """
-    n = target.dim
+    basis = _correction_basis(target.dim)
     mixed = isinstance(out, MixedState)
     tv = target.vector
 
     def neg_fid(params: np.ndarray) -> float:
-        w, v = _correction_spectrum(params, n)
-        phi = v @ (np.exp(-1j * w) * (v.conj().T @ tv))
+        gen = sum(c * b for c, b in zip(params, basis))
+        phi = Spectrum(gen).advance(tv, 1.0)
         if mixed:
             f = float(np.real(np.vdot(phi, out.matrix @ phi)))
         else:
@@ -375,8 +359,8 @@ def generate_cubic_state(
     params = np.zeros(5)
     if gaussian_correction:
         f, params = optimize_gaussian_correction(res.target, out)
-        w, v = _correction_spectrum(params, cfg.n_fock)
-        g = (v * np.exp(1j * w)) @ v.conj().T
+        gen = sum(c * b for c, b in zip(params, _correction_basis(cfg.n_fock)))
+        g = Spectrum(gen).unitary(-1.0)
         if isinstance(out, MixedState):
             out = MixedState(g @ out.matrix @ g.conj().T)
         else:

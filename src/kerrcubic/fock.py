@@ -10,9 +10,12 @@ Squeezing magnitudes are quoted in dB of in-phase quadrature power gain,
 lambda_dB = 10*log10(lambda^2); internal computations use the field gain
 lambda = e^z.
 
-All matrix exponentials go through Hermitian spectral decomposition: every
-generator in scope is (anti-)Hermitian, so this is unconditionally stable and
-unitary up to eigensolver tolerance.
+Every matrix exponential in the package goes through one path, `Spectrum`:
+it checks once that the generator H is Hermitian (to HERMITICITY_RTOL relative
+to its largest entry), diagonalizes it once with `numpy.linalg.eigh`, and
+returns exp(-i H t) or exp(-i H t)|psi> for any t from that decomposition.
+Every generator in scope is (anti-)Hermitian, so this is unconditionally
+stable and unitary up to eigensolver tolerance.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ def lambda_from_db(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
-def db_from_lambda(lam: float) -> float:
-    return 20.0 * math.log10(lam)
-
-
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
@@ -67,24 +66,19 @@ class Operator:
     """Dense complex matrix on an N-dimensional Fock space."""
 
     matrix: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidDimensionError(f"operator matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)
-        if self.hermitian:
-            scale = np.abs(m).max()
-            if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
-                raise ContractViolationError("matrix declared hermitian is not")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
+        return Operator(self.matrix.conj().T)
 
     def __matmul__(self, other):
         if isinstance(other, Operator):
@@ -98,24 +92,48 @@ class Operator:
     def __add__(self, other):
         if isinstance(other, Operator):
             _check_dims(self.dim, other.dim)
-            return Operator(self.matrix + other.matrix,
-                            hermitian=self.hermitian and other.hermitian)
+            return Operator(self.matrix + other.matrix)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Operator):
             _check_dims(self.dim, other.dim)
-            return Operator(self.matrix - other.matrix,
-                            hermitian=self.hermitian and other.hermitian)
+            return Operator(self.matrix - other.matrix)
         return NotImplemented
 
     def __mul__(self, c):
         if isinstance(c, (int, float, complex)):
-            herm = self.hermitian and (np.imag(c) == 0)
-            return Operator(self.matrix * c, hermitian=bool(herm))
+            return Operator(self.matrix * c)
         return NotImplemented
 
     __rmul__ = __mul__
+
+
+class Spectrum:
+    """Eigendecomposition H = v diag(w) v^dag of a Hermitian generator.
+
+    The one spectral-exponential path: the generator is checked to be
+    Hermitian to HERMITICITY_RTOL (relative to its largest entry), else
+    ContractViolationError; then `numpy.linalg.eigh` runs once, and every
+    exp(-i H t) is formed from (w, v).
+    """
+
+    def __init__(self, h: Operator | np.ndarray):
+        m = h.matrix if isinstance(h, Operator) else np.asarray(h)
+        scale = np.abs(m).max()
+        if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
+            raise ContractViolationError(
+                f"generator is not hermitian to {HERMITICITY_RTOL:.0e} relative"
+            )
+        self.w, self.v = np.linalg.eigh(m)
+
+    def unitary(self, t: float) -> np.ndarray:
+        """exp(-i H t) as a dense matrix."""
+        return (self.v * np.exp(-1j * t * self.w)) @ self.v.conj().T
+
+    def advance(self, psi: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t)|psi> without forming the matrix; O(N^2) per call."""
+        return self.v @ (np.exp(-1j * t * self.w) * (self.v.conj().T @ psi))
 
 
 @dataclass(frozen=True)
@@ -234,15 +252,15 @@ def annihilation(n: int) -> Operator:
 
 
 def position(n: int) -> Operator:
-    return Operator(TruncatedMode(n).x, hermitian=True)
+    return Operator(TruncatedMode(n).x)
 
 
 def momentum(n: int) -> Operator:
-    return Operator(TruncatedMode(n).p, hermitian=True)
+    return Operator(TruncatedMode(n).p)
 
 
 def number(n: int) -> Operator:
-    return Operator(TruncatedMode(n).n, hermitian=True)
+    return Operator(TruncatedMode(n).n)
 
 
 def vacuum(n: int) -> PureState:
@@ -259,21 +277,6 @@ def fock_state(n: int, k: int) -> PureState:
     return PureState(v)
 
 
-def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale * H) for Hermitian H via spectral decomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
-
-
-def exp_generator(g: Operator | np.ndarray, t: float) -> Operator:
-    """Unitary exp(-i*G*t) for a Hermitian generator G."""
-    m = g.matrix if isinstance(g, Operator) else np.asarray(g, dtype=complex)
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.conj().T).max() > 1e-10 * scale:
-        raise ContractViolationError("exp_generator requires a hermitian generator")
-    return Operator(_expm_hermitian(m, -1j * t))
-
-
 def displacement(s: complex, n: int) -> Operator:
     """Unitary D(s) = exp(s*a^dag - conj(s)*a)."""
     if n < 2:
@@ -287,7 +290,7 @@ def displacement(s: complex, n: int) -> Operator:
     a = _annihilation_matrix(n)
     gen = s * a.conj().T - np.conj(s) * a
     # gen is anti-hermitian: exp(gen) = exp(-i * (i*gen)) with i*gen hermitian
-    return Operator(_expm_hermitian(1j * gen, -1j))
+    return Operator(Spectrum(1j * gen).unitary(1.0))
 
 
 def squeeze(z: float, n: int) -> Operator:
@@ -303,7 +306,7 @@ def squeeze(z: float, n: int) -> Operator:
     a = _annihilation_matrix(n)
     ad = a.conj().T
     gen = 0.5 * z * (ad @ ad - a @ a)
-    return Operator(_expm_hermitian(1j * gen, -1j))
+    return Operator(Spectrum(1j * gen).unitary(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .fock import (
     PureState,
     MixedState,
     TruncatedMode,
+    Spectrum,
     TruncationWarning,
-    _expm_hermitian,
     displacement,
     squeeze,
     vacuum,
@@ -55,18 +55,6 @@ class GkpParams:
             raise ValueError(f"peak cutoff eps_k must lie in (0, 1), got {self.eps_k}")
         if self.convention not in _CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
-
-
-@dataclass(frozen=True)
-class TargetSpec:
-    """An input state together with the gate angle defining its ideal image."""
-
-    input: PureState
-    gamma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise ValueError("gate angle must be finite")
 
 
 def squeezed_vacuum(delta: float, n: int) -> PureState:
@@ -166,7 +154,7 @@ def ideal_cubic_gate(gamma: float, n: int) -> Operator:
     _warn_winding(gamma, n)
     x = TruncatedMode(n).x
     x3 = x @ x @ x
-    return Operator(_expm_hermitian(x3, 1j * gamma))
+    return Operator(Spectrum(x3).unitary(-gamma))
 
 
 def ideal_cubic_target(gamma: float, psi_in: PureState) -> PureState:
@@ -192,7 +180,7 @@ def _cached_target(gamma: float, amplitudes: bytes) -> PureState:
 def nlq_operator(gamma: float, n: int) -> Operator:
     """The nonlinear quadrature p - 3*gamma*x^2."""
     mode = TruncatedMode(n)
-    return Operator(mode.p - 3.0 * gamma * (mode.x @ mode.x), hermitian=True)
+    return Operator(mode.p - 3.0 * gamma * (mode.x @ mode.x))
 
 
 def nlq_variance(state: PureState | MixedState, gamma: float) -> float:

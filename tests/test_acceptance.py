@@ -130,7 +130,7 @@ def test_criterion_02_frame_equivalence():
                 + params.beta_cubic(alpha).real * (a + ad))
     s = fk.squeeze(math.log(lam), n).matrix
     d = fk.displacement(alpha, n).matrix
-    u_oracle = s.conj().T @ d.conj().T @ fk._expm_hermitian(h_native, -1j * params.tau) @ d @ s
+    u_oracle = s.conj().T @ d.conj().T @ fk.Spectrum(h_native).unitary(params.tau) @ d @ s
     f = fk.fidelity(fk.PureState(u_oracle @ psi.vector), res.state)
     report(2, "frame equivalence", f > 1 - 1e-6,
            f"1-F = {1-f:.2e} (need < 1e-6); {time.perf_counter()-t0:.1f}s")

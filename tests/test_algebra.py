@@ -138,11 +138,11 @@ class TestSubstitution:
         lam, alpha, n, t = 1.4, 1.2, 170, 0.07
         p = alg.driven_kerr(1.0, 0.5, 0.3)
         h_eff = alg.to_matrix(alg.substitute_gaussian_frame(p, lam), alpha, n)
-        u_eff = fk.exp_generator(h_eff, t).matrix
+        u_eff = fk.Spectrum(h_eff).unitary(t)
         s = fk.squeeze(math.log(lam), n).matrix
         dmat = fk.displacement(alpha, n).matrix
         h_native = alg.to_matrix(p, 0.0, n)
-        u_native = fk.exp_generator(h_native, t).matrix
+        u_native = fk.Spectrum(h_native).unitary(t)
         u_conj = s.conj().T @ dmat.conj().T @ u_native @ dmat @ s
         d = 24
         assert np.abs((u_eff - u_conj)[:d, :d]).max() < 1e-5
@@ -297,7 +297,6 @@ class TestEffectiveCubicHamiltonian:
     def test_matrix_hermiticity(self):
         h = alg.effective_cubic_hamiltonian(1.0, 2.0, 8.0, 0.1)
         m = alg.to_matrix(h, 8.0, 48)
-        assert m.hermitian
         assert np.abs(m.matrix - m.matrix.conj().T).max() < 1e-12 * np.abs(m.matrix).max()
 
     def test_number_matrix_diagonal(self):
@@ -331,5 +330,5 @@ class TestEffectiveCubicHamiltonian:
             alg.driven_kerr(1.0, delta + AlphaPoly(ddelta), beta), lam
         ).drop_constant()
         m = alg.to_matrix(h, alpha, n)
-        assert m.hermitian
+        fk.Spectrum(m)  # hermitian to fk.HERMITICITY_RTOL
         assert np.array_equal(m.matrix, power_tower_matrix(h, alpha, n))

@@ -173,6 +173,16 @@ class TestStateAndGate:
         header, rows = cli.read_csv(tmp_path / "sweep_noise.csv")
         assert "excess" in header
 
+    def test_sweep_noise_drive_channel(self, tmp_path):
+        # the flag spelling dbetax-rel names the dbeta_x_rel channel
+        assert run(["sweep-noise", "--noise", "dbetax-rel", "--values", "1e-6",
+                    "--lambda-db-values", "8", "--gamma", "0.1", "--fock", "48",
+                    "--input", "squeezed:0.5", "--out", str(tmp_path)]) == 0
+        header, rows = cli.read_csv(tmp_path / "sweep_noise.csv")
+        assert len(rows) == 1
+        assert rows[0][header.index("param")] == "dbeta_x_rel"
+        assert rows[0][header.index("ok")] == "true"
+
     def test_trotter_csv(self, tmp_path):
         assert run(["trotter", "--lambda-db", "6", "--alpha", "3", "--gamma", "0.05",
                     "--fock", "96", "--values", "1,2", "--input", "vacuum",

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ class TestSweeps:
         serial = ex.run_sweep(ex.SweepSpec(workers=1, **kw))
         parallel = ex.run_sweep(ex.SweepSpec(workers=2, **kw))
         assert serial == parallel
+        kw.update(base=replace(base, n_fock=48), param="dtheta", values=(1e-4, 3e-4))
+        serial = ex.noise_sweep(ex.SweepSpec(workers=1, **kw), (8.0, 10.0))
+        parallel = ex.noise_sweep(ex.SweepSpec(workers=2, **kw), (8.0, 10.0))
+        assert len(serial) == 4 and all(r["ok"] for r in serial)
+        assert serial == parallel
 
     def test_rerun_is_identical(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)
@@ -162,7 +168,7 @@ class TestGaussianCorrection:
         mode = fk.TruncatedMode(n)
         x, p = mode.x, mode.p
         gen = sum(c * b for c, b in zip(params, (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)))
-        g = fk._expm_hermitian(gen, 1j)
+        g = fk.Spectrum(gen).unitary(-1.0)
         if mixed:
             corrected = fk.MixedState(g @ out.matrix @ g.conj().T)
         else:

@@ -1,10 +1,15 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerrcubic import dynamics as dyn
+from kerrcubic import experiments as ex
 from kerrcubic import fock as fk
+from kerrcubic import states as st
 
 
 def interior(m, n=None):
@@ -114,27 +119,37 @@ class TestSqueeze:
 
 
 class TestExpGenerator:
+    """exp(-i G t) of a Hermitian generator G, through fock.Spectrum."""
+
     def test_zero_time_identity(self):
-        g = fk.number(16)
-        u = fk.exp_generator(g, 0.0).matrix
+        u = fk.Spectrum(fk.number(16)).unitary(0.0)
         assert np.abs(u - np.eye(16)).max() < 1e-12
 
     def test_number_full_period(self):
-        u = fk.exp_generator(fk.number(32), 2 * math.pi).matrix
+        u = fk.Spectrum(fk.number(32)).unitary(2 * math.pi)
         assert np.abs(u - np.eye(32)).max() < 1e-10
 
     def test_group_property(self):
         n = 24
         mode = fk.TruncatedMode(n)
-        g = fk.Operator(mode.x @ mode.x + mode.p, hermitian=True)
-        u1 = fk.exp_generator(g, 0.3).matrix
-        u2 = fk.exp_generator(g, 0.45).matrix
-        u12 = fk.exp_generator(g, 0.75).matrix
+        g = mode.x @ mode.x + mode.p
+        u1 = fk.Spectrum(g).unitary(0.3)
+        u2 = fk.Spectrum(g).unitary(0.45)
+        u12 = fk.Spectrum(g).unitary(0.75)
         assert np.abs(u1 @ u2 - u12).max() < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(fk.ContractViolationError):
-            fk.exp_generator(fk.annihilation(8), 1.0)
+            fk.Spectrum(fk.annihilation(8))
+
+    def test_hermiticity_tolerance_is_relative(self):
+        # the check is 1e-12 of the largest entry, independent of the scale
+        for scale in (1.0, 1e17):
+            h = scale * fk.number(8).matrix
+            fk.Spectrum(h + 1e-13 * scale * fk.annihilation(8).matrix)
+            with pytest.raises(fk.ContractViolationError):
+                fk.Spectrum(h + 1e-11 * scale * fk.annihilation(8).matrix)
+        fk.Spectrum(np.zeros((4, 4), complex))  # the zero generator is allowed
 
 
 class TestFidelity:
@@ -264,10 +279,6 @@ class TestValueTypes:
         with pytest.raises(fk.ContractViolationError):
             fk.MixedState(m)
 
-    def test_operator_hermitian_flag_check(self):
-        with pytest.raises(fk.ContractViolationError):
-            fk.Operator(fk.annihilation(8).matrix, hermitian=True)
-
     def test_truncation_convergence_contract(self):
         def mean_n(n):
             psi = fk.displacement(1.0, n) @ fk.vacuum(n)
@@ -300,3 +311,65 @@ class TestGaussianUnitarityInvariant:
         for u in mats:
             g = u.matrix.conj().T @ u.matrix - np.eye(n)
             assert np.abs(g[:d, :d]).max() < 1e-8
+
+
+def _former_expm_hermitian(h, scale):
+    # the eigh+exp formula the package used before fock.Spectrum
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(scale * w)) @ v.conj().T
+
+
+class TestOneSpectralPath:
+    """Every exponential goes through fock.Spectrum, bit-for-bit as before."""
+
+    def test_gaussian_unitaries_match_former_formula(self):
+        a = fk.annihilation(128).matrix
+        s = 1.3 - 0.7j
+        gen = s * a.conj().T - np.conj(s) * a
+        assert np.array_equal(fk.displacement(s, 128).matrix,
+                              _former_expm_hermitian(1j * gen, -1j))
+        gen = 0.5 * 0.6 * (a.conj().T @ a.conj().T - a @ a)
+        assert np.array_equal(fk.squeeze(0.6, 128).matrix,
+                              _former_expm_hermitian(1j * gen, -1j))
+
+    def test_ideal_cubic_gate_matches_former_formula(self):
+        x = fk.TruncatedMode(256).x
+        assert np.array_equal(st.ideal_cubic_gate(0.1, 256).matrix,
+                              _former_expm_hermitian(x @ x @ x, 1j * 0.1))
+
+    def test_lossless_gate_matches_former_propagator(self):
+        lam = fk.lambda_from_db(10.0)
+        cfg = dyn.GateConfig(lam=lam, alpha=1.85 * lam**3, gamma=0.1, n_fock=96)
+        psi = st.squeezed_vacuum(0.5, 96)
+        w, v = np.linalg.eigh(dyn.effective_generators(cfg)[0].matrix)
+        ref = v @ (np.exp(-1j * w * cfg.tau) * (v.conj().T @ psi.vector))
+        assert np.array_equal(dyn.cubic_gate(cfg, psi).state.vector, ref)
+
+    def test_correction_matches_former_formula(self):
+        lam = fk.lambda_from_db(7.5)
+        cfg = dyn.GateConfig(lam=lam, alpha=1.85 * lam**3, gamma=0.1, n_fock=48)
+        grid = (np.linspace(-3.0, 3.0, 7),) * 2
+        res = ex.generate_cubic_state(cfg, grid=grid)
+        gen = sum(c * b for c, b in zip(res.correction, ex._correction_basis(48)))
+        w, v = np.linalg.eigh(gen)
+        g = (v * np.exp(1j * w)) @ v.conj().T
+        assert np.array_equal(fk.Spectrum(gen).unitary(-1.0), g)
+        tv = res.evolution.target.vector
+        assert np.array_equal(fk.Spectrum(gen).advance(tv, 1.0),
+                              v @ (np.exp(-1j * w) * (v.conj().T @ tv)))
+        corrected = fk.PureState(g @ res.evolution.state.vector, normalize=False)
+        assert np.array_equal(fk.wigner(corrected, *grid), res.wigner)
+        assert st.nlq_variance(corrected, cfg.gamma) == res.nlq_variance
+
+    def test_eigh_is_called_only_inside_spectrum(self):
+        sites = []
+        for path in sorted(Path(fk.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            spectrum = [node for node in ast.walk(tree)
+                        if isinstance(node, ast.ClassDef) and node.name == "Spectrum"]
+            for node in ast.walk(tree):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if name in ("eigh", "expm"):
+                    inside = any(c.lineno <= node.lineno <= c.end_lineno for c in spectrum)
+                    sites.append((path.name, node.lineno, inside))
+        assert len(sites) == 1 and sites[0][0] == "fock.py" and sites[0][2], sites

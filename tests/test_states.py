@@ -208,17 +208,6 @@ class TestNlqVariance:
         assert st.nlq_variance(fk.fock_state(32, 2), 0.3) >= 0.0
 
 
-class TestTargetSpec:
-    def test_bundles_input_and_angle(self):
-        psi = fk.vacuum(32)
-        spec = st.TargetSpec(psi, 0.1)
-        assert spec.input is psi and spec.gamma == 0.1
-
-    def test_rejects_nonfinite_angle(self):
-        with pytest.raises(ValueError):
-            st.TargetSpec(fk.vacuum(8), math.inf)
-
-
 class TestRepresentablePeakCutoff:
     def test_passthrough_when_everything_fits(self):
         params = st.GkpParams("z+", 0.5, eps_k=1e-3)
