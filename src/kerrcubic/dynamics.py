@@ -189,14 +189,18 @@ def _frame_number_operator(lam: float) -> BosonPolynomial:
     return substitute_gaussian_frame(BosonPolynomial({(1, 1): 1}), lam)
 
 
-def effective_generators(cfg: GateConfig) -> tuple[Operator, Operator, complex]:
-    """Effective Hamiltonian, fluctuation Lindblad operator, and drift rate."""
+def _frame_matrix(cfg: GateConfig) -> Operator:
+    """The effective Hamiltonian H(alpha) of `cfg` on its Fock space."""
     h_poly = _frame_hamiltonian(
         float(cfg.chi), float(cfg.lam), float(cfg.noise.ddelta),
         complex(cfg.noise.dbeta_x, cfg.noise.dbeta_p),
     )
-    h = algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
+    return algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
+
+def effective_generators(cfg: GateConfig) -> tuple[Operator, Operator, complex]:
+    """Effective Hamiltonian, fluctuation Lindblad operator, and drift rate."""
+    h = _frame_matrix(cfg)
     c, s = _cosh_sinh(cfg.lam)
     a = _annihilation_matrix(cfg.n_fock)
     root_kappa = math.sqrt(cfg.kappa)
@@ -373,7 +377,6 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
 
     target = ideal_cubic_target(cfg.gamma, psi_in)
     tau = cfg.tau
-    h, l_fluct, drift = effective_generators(cfg)
     diagnostics: dict = {"tau": tau}
 
     if samples:
@@ -382,7 +385,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
         n2 = n_mat @ n_mat
 
     if cfg.kappa == 0.0:
-        spectrum = Spectrum(h.matrix)
+        spectrum = Spectrum(_frame_matrix(cfg))
         if samples:
             moments = []
             for t in np.linspace(0.0, tau, max(2, samples)):
@@ -394,6 +397,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
             spectrum.advance(psi_in.vector, tau), normalize=False
         )
     else:
+        h, l_fluct, drift = effective_generators(cfg)
         hm = h.matrix
         if cfg.loss_frame == "displaced":
             hm = hm + _gauge_hamiltonian(l_fluct, drift)

@@ -12,7 +12,6 @@ contaminates the scaling fits near the crossover.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import warnings
@@ -220,15 +219,15 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
 def _map_points(fn, jobs: list[tuple], workers: int) -> list:
     """[fn(*job) for job in jobs] in order, over a process pool when workers > 1.
 
-    Warnings are ignored in this process; the pool's workers are started
-    before the filter is set.
+    Warnings are ignored; the pool's workers are started after the filter is
+    set, so they ignore them too and both modes write the same stderr.
     """
-    parallel = workers > 1 and len(jobs) > 1
-    pool = (multiprocessing.Pool(min(workers, len(jobs))) if parallel
-            else contextlib.nullcontext())
-    with pool, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return pool.starmap(fn, jobs) if parallel else [fn(*job) for job in jobs]
+        if workers < 2 or len(jobs) < 2:
+            return [fn(*job) for job in jobs]
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+            return pool.starmap(fn, jobs)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:

@@ -15,7 +15,10 @@ it checks once that the generator H is Hermitian (to HERMITICITY_RTOL relative
 to its largest entry), diagonalizes it once with `numpy.linalg.eigh`, and
 returns exp(-i H t) or exp(-i H t)|psi> for any t from that decomposition.
 Every generator in scope is (anti-)Hermitian, so this is unconditionally
-stable and unitary up to eigensolver tolerance.
+stable and unitary up to eigensolver tolerance. A generator whose imaginary
+part is exactly zero (the frame Hamiltonian H(alpha), n_eff, x^3) is
+diagonalized as a real symmetric matrix, which costs about a third of the
+complex Hermitian solve.
 """
 
 from __future__ import annotations
@@ -115,11 +118,15 @@ class Spectrum:
     The one spectral-exponential path: the generator is checked to be
     Hermitian to HERMITICITY_RTOL (relative to its largest entry), else
     ContractViolationError; then `numpy.linalg.eigh` runs once, and every
-    exp(-i H t) is formed from (w, v).
+    exp(-i H t) is formed from (w, v). A generator with an exactly zero
+    imaginary part is taken as its real part, so the check is a symmetry
+    check, the real symmetric solver runs and v is float64.
     """
 
     def __init__(self, h: Operator | np.ndarray):
         m = h.matrix if isinstance(h, Operator) else np.asarray(h)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
         scale = np.abs(m).max()
         if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
             raise ContractViolationError(

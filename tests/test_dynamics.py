@@ -376,6 +376,18 @@ class TestCubicGate:
             assert res.state.vector.tobytes() == cold.state.vector.tobytes()
             assert res.target.vector.tobytes() == cold.target.vector.tobytes()
 
+    def test_lossless_gate_builds_no_lindblad_operator(self, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("lossless gate built the Lindblad operator")
+
+        psi = st.squeezed_vacuum(0.5, 48)
+        ref = dyn.cubic_gate(make_cfg(n_fock=48), psi)
+        monkeypatch.setattr(dyn, "_annihilation_matrix", forbidden)
+        res = dyn.cubic_gate(make_cfg(n_fock=48), psi)
+        assert np.array_equal(res.state.vector, ref.state.vector)
+        with pytest.raises(AssertionError, match="Lindblad"):
+            dyn.cubic_gate(make_cfg(n_fock=48, kappa=0.01), psi)
+
     def test_generator_cache_distinguishes_noise(self):
         h0, _, _ = dyn.effective_generators(make_cfg())
         cfg = make_cfg(noise=NoiseParams(ddelta=0.5))

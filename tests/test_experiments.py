@@ -1,3 +1,4 @@
+import os
 import warnings
 from dataclasses import replace
 
@@ -111,6 +112,26 @@ class TestSweeps:
         parallel = ex.noise_sweep(ex.SweepSpec(workers=2, **kw), (8.0, 10.0))
         assert len(serial) == 4 and all(r["ok"] for r in serial)
         assert serial == parallel
+
+    def test_parallel_stderr_matches_serial(self, capfd, monkeypatch):
+        # squeezed:0.3 strains N = 32, so each point raises a TruncationWarning.
+        # pytest records warnings instead of printing them; print them to fd 2
+        # as a plain run would, so a pool worker that does not ignore them shows.
+        def show(message, category, filename, lineno, file=None, line=None):
+            os.write(2, warnings.formatwarning(message, category, filename, lineno,
+                                               line).encode())
+
+        monkeypatch.setattr(warnings, "showwarning", show)
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32)
+        kw = dict(base=base, param="lam_db", values=(8.0, 15.0),
+                  input_state="squeezed:0.3", alpha_mode="cube")
+        capfd.readouterr()
+        serial = ex.run_sweep(ex.SweepSpec(workers=1, **kw))
+        serial_err = capfd.readouterr().err
+        parallel = ex.run_sweep(ex.SweepSpec(workers=2, **kw))
+        parallel_err = capfd.readouterr().err
+        assert serial == parallel
+        assert serial_err == parallel_err == ""
 
     def test_rerun_is_identical(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)

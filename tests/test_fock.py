@@ -143,13 +143,37 @@ class TestExpGenerator:
             fk.Spectrum(fk.annihilation(8))
 
     def test_hermiticity_tolerance_is_relative(self):
-        # the check is 1e-12 of the largest entry, independent of the scale
+        # the check is 1e-12 of the largest entry, independent of the scale;
+        # a real matrix (float64, or complex128 with a zero imaginary part)
+        # gets it as a symmetry check before the real solver
+        a = fk.annihilation(8).matrix
         for scale in (1.0, 1e17):
             h = scale * fk.number(8).matrix
-            fk.Spectrum(h + 1e-13 * scale * fk.annihilation(8).matrix)
-            with pytest.raises(fk.ContractViolationError):
-                fk.Spectrum(h + 1e-11 * scale * fk.annihilation(8).matrix)
+            for real in (np.real, np.asarray):
+                assert fk.Spectrum(real(h + 1e-13 * scale * a)).v.dtype == np.float64
+                with pytest.raises(fk.ContractViolationError):
+                    fk.Spectrum(real(h + 1e-11 * scale * a))
         fk.Spectrum(np.zeros((4, 4), complex))  # the zero generator is allowed
+
+
+class TestRealSymmetricPath:
+    """A generator with an exactly zero imaginary part is diagonalized as real."""
+
+    def test_zero_imaginary_part_gives_real_decomposition(self):
+        h = fk.number(8).matrix + fk.position(8).matrix
+        assert h.dtype == complex and not h.imag.any()
+        spec = fk.Spectrum(h)
+        assert spec.w.dtype == np.float64 and spec.v.dtype == np.float64
+        u = spec.unitary(0.7)
+        assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-12
+
+    def test_one_imaginary_entry_stays_complex(self):
+        h = fk.number(8).matrix.copy()
+        h[2, 5], h[5, 2] = 0.5j, -0.5j
+        spec = fk.Spectrum(h)
+        assert spec.v.dtype == np.complex128
+        w, v = np.linalg.eigh(h)
+        assert np.array_equal(spec.w, w) and np.array_equal(spec.v, v)
 
 
 class TestFidelity:
@@ -319,6 +343,10 @@ def _former_expm_hermitian(h, scale):
     return (v * np.exp(scale * w)) @ v.conj().T
 
 
+def _max_rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
 class TestOneSpectralPath:
     """Every exponential goes through fock.Spectrum, bit-for-bit as before."""
 
@@ -333,17 +361,27 @@ class TestOneSpectralPath:
                               _former_expm_hermitian(1j * gen, -1j))
 
     def test_ideal_cubic_gate_matches_former_formula(self):
+        # x^3 is real: bit-identical to the formula on its real part, and
+        # within roundoff of the former complex Hermitian solve
         x = fk.TruncatedMode(256).x
-        assert np.array_equal(st.ideal_cubic_gate(0.1, 256).matrix,
-                              _former_expm_hermitian(x @ x @ x, 1j * 0.1))
+        x3 = x @ x @ x
+        u = st.ideal_cubic_gate(0.1, 256).matrix
+        assert np.array_equal(u, _former_expm_hermitian(x3.real, 1j * 0.1))
+        assert _max_rel(u, _former_expm_hermitian(x3, 1j * 0.1)) < 1e-12
 
     def test_lossless_gate_matches_former_propagator(self):
         lam = fk.lambda_from_db(10.0)
         cfg = dyn.GateConfig(lam=lam, alpha=1.85 * lam**3, gamma=0.1, n_fock=96)
         psi = st.squeezed_vacuum(0.5, 96)
-        w, v = np.linalg.eigh(dyn.effective_generators(cfg)[0].matrix)
-        ref = v @ (np.exp(-1j * w * cfg.tau) * (v.conj().T @ psi.vector))
-        assert np.array_equal(dyn.cubic_gate(cfg, psi).state.vector, ref)
+        h = dyn.effective_generators(cfg)[0].matrix
+
+        def propagate(m):
+            w, v = np.linalg.eigh(m)
+            return v @ (np.exp(-1j * w * cfg.tau) * (v.conj().T @ psi.vector))
+
+        out = dyn.cubic_gate(cfg, psi).state.vector
+        assert np.array_equal(out, propagate(h.real))
+        assert _max_rel(out, propagate(h)) < 1e-12
 
     def test_correction_matches_former_formula(self):
         lam = fk.lambda_from_db(7.5)
