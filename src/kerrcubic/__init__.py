@@ -40,7 +40,6 @@ from .experiments import (
     SweepSpec,
     fit_power_law,
     generate_cubic_state,
-    lambda_sweep,
     noise_sweep,
     optimize_alpha,
     optimize_gaussian_correction,

@@ -1,4 +1,4 @@
-"""Exact symbolic algebra for normal-ordered bosonic polynomials.
+"""Exact symbolic algebra for ordered bosonic polynomials.
 
 The engine that turns a driven Kerr Hamiltonian
 
@@ -21,10 +21,16 @@ That distinction matters: at alpha ~ 1e4 the cancelling terms are ~chi*alpha^4
 Floats convert exactly to rationals, so cosh/sinh(ln lam) = (lam ± 1/lam)/2
 are exact and the Bogoliubov identity cosh^2 - sinh^2 = 1 holds exactly too.
 
-Quadrature-form output uses the scaled operators X = sqrt(2) x, P = sqrt(2) p
-(i.e. X = a + a^dag, P = i(a^dag - a), [X, P] = 2i), in which every expansion
-coefficient stays rational; the sqrt(2) powers enter only when a coefficient
-is reported in x/p units.
+One ordered-polynomial core, `OrderedPolynomial`, does all of the operator
+algebra: a polynomial in two generators whose monomials are kept in one fixed
+order, multiplied by Wick reordering with a constant commutator, and rewritten
+in other generators by one `substitute` routine. Its two orderings differ only
+in that constant. `BosonPolynomial` orders (a^dag)^m a^n with [a, a^dag] = 1;
+the frame substitution maps it to itself. `QuadraturePolynomial` orders X^j P^k
+with [P, X] = -2i, for the scaled operators X = sqrt(2) x, P = sqrt(2) p (i.e.
+X = a + a^dag, P = i(a^dag - a)), in which every expansion coefficient stays
+rational; the sqrt(2) powers enter only when a coefficient is reported in x/p
+units.
 """
 
 from __future__ import annotations
@@ -97,8 +103,6 @@ class ExactComplex:
 
 
 _EC_ZERO = ExactComplex(Fraction(0), Fraction(0))
-_EC_ONE = ExactComplex(Fraction(1), Fraction(0))
-_EC_I = ExactComplex(Fraction(0), Fraction(1))
 
 Scalar = Union[int, float, complex, ExactComplex]
 
@@ -147,11 +151,7 @@ class AlphaPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_alpha_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return AlphaPoly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
+        return self + -_as_alpha_poly(other)
 
     def __neg__(self):
         return AlphaPoly([-c for c in self.coeffs])
@@ -205,20 +205,36 @@ def _as_alpha_poly(v) -> AlphaPoly:
 
 
 # ---------------------------------------------------------------------------
-# normal-ordered polynomials in a, a^dag
+# ordered polynomials in two generators
 # ---------------------------------------------------------------------------
+
+_SCALARS = (int, float, complex, ExactComplex, AlphaPoly)
 
 
 @lru_cache(maxsize=None)
-def _contraction_factor(n1: int, m2: int, k: int) -> int:
-    # a^n (a^dag)^m = sum_k k! C(n,k) C(m,k) (a^dag)^(m-k) a^(n-k)
-    return math.factorial(k) * math.comb(n1, k) * math.comb(m2, k)
+def _wick_weight(n: int, m: int, k: int, comm) -> int | ExactComplex:
+    """Weight k! C(n,k) C(m,k) comm^k of one contraction term.
+
+    second^n first^m = sum_k weight(n, m, k) first^(m-k) second^(n-k) when
+    [second, first] = comm. With comm = 1 the weight stays an int.
+    """
+    w = math.factorial(k) * math.comb(n, k) * math.comb(m, k)
+    for _ in range(k):
+        w = w * comm
+    return w
 
 
-class BosonPolynomial:
-    """Normal-ordered polynomial: map (m, n) -> AlphaPoly for (a^dag)^m a^n."""
+class OrderedPolynomial:
+    """Polynomial in two generators, every monomial ordered first^i second^j.
+
+    Stored as a map (i, j) -> AlphaPoly. The commutator [second, first] is
+    the constant `COMMUTATOR`, so a product is reordered exactly by Wick's
+    theorem; subclasses fix the generators and their commutator.
+    """
 
     __slots__ = ("terms",)
+    COMMUTATOR: int | ExactComplex
+    LABELS: tuple[str, str]
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
         clean = {}
@@ -229,11 +245,90 @@ class BosonPolynomial:
                     clean[(int(key[0]), int(key[1]))] = poly
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def constant(cls, c):
+        return cls({(0, 0): c})
 
-    @staticmethod
-    def zero() -> "BosonPolynomial":
-        return BosonPolynomial()
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, poly in other.terms.items():
+            out[key] = out[key] + poly if key in out else poly
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            scale = _as_alpha_poly(other)
+            return type(self)({k: v * scale for k, v in self.terms.items()})
+        comm = self.COMMUTATOR
+        out: dict = {}
+        for (i1, j1), p in self.terms.items():
+            for (i2, j2), q in other.terms.items():
+                pq = p * q
+                for k in range(min(j1, i2) + 1):
+                    key = (i1 + i2 - k, j1 + j2 - k)
+                    contrib = pq * _wick_weight(j1, i2, k, comm)
+                    out[key] = out[key] + contrib if key in out else contrib
+        return type(self)(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def substitute(self, image_first, image_second):
+        """Replace the two generators by polynomials of one class; exact."""
+        cls = type(image_first)
+        out = cls()
+        for (i, j), poly in self.terms.items():
+            term = cls.constant(poly)
+            for _ in range(i):
+                term = term * image_first
+            for _ in range(j):
+                term = term * image_second
+            out = out + term
+        return out
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        return max((i + j for (i, j) in self.terms), default=0)
+
+    def coefficient(self, i: int, j: int) -> AlphaPoly:
+        """Exact coefficient of the ordered monomial first^i second^j."""
+        return self.terms.get((i, j), AlphaPoly())
+
+    def drop_constant(self):
+        out = dict(self.terms)
+        out.pop((0, 0), None)
+        return type(self)(out)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0)"
+        first, second = self.LABELS
+        bits = [
+            f"({first}^{i} {second}^{j}): {poly!r}"
+            for (i, j), poly in sorted(self.terms.items())
+        ]
+        return name + "{" + ", ".join(bits) + "}"
+
+
+class BosonPolynomial(OrderedPolynomial):
+    """Normal-ordered polynomial: (m, n) -> AlphaPoly for (a^dag)^m a^n."""
+
+    __slots__ = ()
+    COMMUTATOR = 1  # [a, a^dag]
+    LABELS = ("ad", "a")
 
     @staticmethod
     def lowering() -> "BosonPolynomial":
@@ -243,59 +338,10 @@ class BosonPolynomial:
     def raising() -> "BosonPolynomial":
         return BosonPolynomial({(1, 0): 1})
 
-    @staticmethod
-    def constant(c) -> "BosonPolynomial":
-        return BosonPolynomial({(0, 0): c})
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            out[key] = out[key] + poly if key in out else poly
-        return BosonPolynomial(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, ExactComplex, AlphaPoly)):
-            scale = _as_alpha_poly(other)
-            return BosonPolynomial({k: v * scale for k, v in self.terms.items()})
-        out: dict = {}
-        for (m1, n1), p in self.terms.items():
-            for (m2, n2), q in other.terms.items():
-                pq = p * q
-                for k in range(min(n1, m2) + 1):
-                    c = _contraction_factor(n1, m2, k)
-                    key = (m1 + m2 - k, n1 + n2 - k)
-                    contrib = pq * c
-                    out[key] = out[key] + contrib if key in out else contrib
-        return BosonPolynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, ExactComplex, AlphaPoly)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def dagger(self) -> "BosonPolynomial":
         return BosonPolynomial(
             {(n, m): poly.conjugate() for (m, n), poly in self.terms.items()}
         )
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max((m + n for (m, n) in self.terms), default=0)
-
-    def coefficient(self, m: int, n: int) -> AlphaPoly:
-        return self.terms.get((m, n), AlphaPoly())
-
-    def drop_constant(self) -> "BosonPolynomial":
-        out = dict(self.terms)
-        out.pop((0, 0), None)
-        return BosonPolynomial(out)
 
     def is_hermitian_symbolic(self) -> bool:
         """Exact check of coefficient(m,n) == conj(coefficient(n,m)) (alpha real)."""
@@ -303,21 +349,6 @@ class BosonPolynomial:
             if not (self.coefficient(n, m).conjugate() - poly).is_zero:
                 return False
         return True
-
-    def evaluated(self, alpha: float) -> dict:
-        return {key: poly(alpha) for key, poly in self.terms.items()}
-
-    def __eq__(self, other):
-        return isinstance(other, BosonPolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "BosonPolynomial(0)"
-        bits = [
-            f"(ad^{m} a^{n}): {poly!r}"
-            for (m, n), poly in sorted(self.terms.items())
-        ]
-        return "BosonPolynomial{" + ", ".join(bits) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +380,7 @@ def substitute_gaussian_frame(
 
     image_a = BosonPolynomial({(0, 1): c, (1, 0): s, (0, 0): shift})
     image_adag = BosonPolynomial({(1, 0): c, (0, 1): s, (0, 0): shift.conjugate()})
-
-    out = BosonPolynomial()
-    for (m, n), poly in p.terms.items():
-        term = BosonPolynomial.constant(poly)
-        for _ in range(m):
-            term = term * image_adag
-        for _ in range(n):
-            term = term * image_a
-        out = out + term
-    return out
+    return p.substitute(image_adag, image_a)
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +388,16 @@ def substitute_gaussian_frame(
 # ---------------------------------------------------------------------------
 
 
-class QuadraturePolynomial:
+class QuadraturePolynomial(OrderedPolynomial):
     """Polynomial in X = sqrt(2) x, P = sqrt(2) p, canonical order X^j P^k.
 
     [X, P] = 2i. Coefficients are AlphaPoly (exact). The x^j p^k coefficient
     in physical units is coeffs[(j,k)] * 2^((j+k)/2).
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple, object] | None = None):
-        clean = {}
-        if terms:
-            for key, val in terms.items():
-                poly = _as_alpha_poly(val)
-                if not poly.is_zero:
-                    clean[(int(key[0]), int(key[1]))] = poly
-        self.terms = clean
+    __slots__ = ()
+    COMMUTATOR = ExactComplex(Fraction(0), Fraction(-2))  # [P, X]
+    LABELS = ("X", "P")
 
     @staticmethod
     def big_x() -> "QuadraturePolynomial":
@@ -392,61 +407,9 @@ class QuadraturePolynomial:
     def big_p() -> "QuadraturePolynomial":
         return QuadraturePolynomial({(0, 1): 1})
 
-    @staticmethod
-    def constant(c) -> "QuadraturePolynomial":
-        return QuadraturePolynomial({(0, 0): c})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            out[key] = out[key] + poly if key in out else poly
-        return QuadraturePolynomial(out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex, ExactComplex, AlphaPoly)):
-            scale = _as_alpha_poly(other)
-            return QuadraturePolynomial({k: v * scale for k, v in self.terms.items()})
-        out: dict = {}
-        minus_2i = ExactComplex(Fraction(0), Fraction(-2))
-        for (j1, k1), p in self.terms.items():
-            for (j2, k2), q in other.terms.items():
-                pq = p * q
-                # P^k1 X^j2 = sum_t t! C(k1,t) C(j2,t) (-2i)^t X^(j2-t) P^(k1-t)
-                comm = _EC_ONE
-                for t in range(min(k1, j2) + 1):
-                    c = _contraction_factor(k1, j2, t)
-                    key = (j1 + j2 - t, k1 + k2 - t)
-                    contrib = pq * (c * comm)
-                    out[key] = out[key] + contrib if key in out else contrib
-                    comm = comm * minus_2i
-        return QuadraturePolynomial(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, ExactComplex, AlphaPoly)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def coefficient(self, j: int, k: int) -> AlphaPoly:
-        """Exact coefficient of the canonical monomial X^j P^k."""
-        return self.terms.get((j, k), AlphaPoly())
-
     def quad_coefficient(self, j: int, k: int, alpha: float) -> complex:
         """Coefficient of x^j p^k in physical quadrature units, evaluated."""
         return self.coefficient(j, k)(alpha) * 2.0 ** (0.5 * (j + k))
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraturePolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "QuadraturePolynomial(0)"
-        bits = [
-            f"(X^{j} P^{k}): {poly!r}" for (j, k), poly in sorted(self.terms.items())
-        ]
-        return "QuadraturePolynomial{" + ", ".join(bits) + "}"
 
 
 def to_quadrature_form(p: BosonPolynomial) -> QuadraturePolynomial:
@@ -458,15 +421,7 @@ def to_quadrature_form(p: BosonPolynomial) -> QuadraturePolynomial:
     half_i = ExactComplex(Fraction(0), Fraction(1, 2))
     img_a = QuadraturePolynomial({(1, 0): half, (0, 1): half_i})
     img_ad = QuadraturePolynomial({(1, 0): half, (0, 1): -half_i})
-    out = QuadraturePolynomial()
-    for (m, n), poly in p.terms.items():
-        term = QuadraturePolynomial.constant(poly)
-        for _ in range(m):
-            term = term * img_ad
-        for _ in range(n):
-            term = term * img_a
-        out = out + term
-    return out
+    return p.substitute(img_ad, img_a)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +455,7 @@ def cubic_counterterms(chi: float) -> tuple[AlphaPoly, AlphaPoly]:
     delta = 3 chi alpha^2 - chi, beta = -2 chi alpha^3 (alpha symbolic).
     """
     c = Fraction(float(chi))
-    delta = AlphaPoly([ExactComplex(-c, Fraction(0)), _EC_ZERO,
-                       ExactComplex(3 * c, Fraction(0))])
-    beta = AlphaPoly([_EC_ZERO, _EC_ZERO, _EC_ZERO,
-                      ExactComplex(-2 * c, Fraction(0))])
-    return delta, beta
+    return AlphaPoly([-c, 0, 3 * c]), AlphaPoly([0, 0, 0, -2 * c])
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .dynamics import (
 )
 from .experiments import (
     SweepSpec,
+    _resolve_relative_noise,
     generate_cubic_state,
-    lambda_sweep,
     noise_sweep,
     optimize_alpha,
     run_sweep,
@@ -88,6 +88,11 @@ class RunConfig(dict):
     def workers(self) -> int:
         return int(self.get("workers", 1))
 
+    @property
+    def wigner_axis(self) -> np.ndarray:
+        span = float(self.get("wigner_span", 6.0))
+        return np.linspace(-span, span, int(self.get("wigner_points", 121)))
+
 
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -120,22 +125,19 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
+def emit(payload, path: Path) -> None:
+    """Write a JSON document, keys sorted."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_sidecar(path: Path, command: str, resolved: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "resolved_config": resolved}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    emit({"schema_version": SCHEMA_VERSION, "command": command,
+          "resolved_config": resolved}, path)
 
 
-def emit(kind: str, payload, path: Path) -> None:
-    """Write a table ({'header','rows'}), grid ({'xs','ps','w'}) or JSON doc."""
-    if kind == "table":
-        write_csv(path, payload["header"], payload["rows"])
-    elif kind == "grid":
-        write_wigner_csv(path, payload["xs"], payload["ps"], payload["w"])
-    elif kind == "json":
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        raise ValueError(f"unknown emit kind {kind!r}")
+def _row_table(rows, header: list[str]) -> tuple[list[str], list[tuple]]:
+    """The `header` keys of each sweep-row dict, as a CSV table."""
+    return header, [tuple(r[h] for h in header) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +181,9 @@ def _gate_config(cfg: dict) -> GateConfig:
         trotter_steps=int(cfg.get("trotter", 0)),
         noise=noise,
     )
-    for rel_key, field in (("ddelta_rel", "ddelta"), ("dbetax_rel", "dbeta_x")):
-        if rel_key in cfg and float(cfg[rel_key]) != 0.0:
-            dc, bc = algebra.cubic_counterterms(gc.chi)
-            ref = dc(gc.alpha).real if field == "ddelta" else bc(gc.alpha).real
-            gc = replace(gc, noise=replace(gc.noise, **{field: float(cfg[rel_key]) * ref}))
+    for key, param in (("ddelta_rel", "ddelta_rel"), ("dbetax_rel", "dbeta_x_rel")):
+        if float(cfg.get(key, 0.0)) != 0.0:
+            gc = _resolve_relative_noise(param, gc, float(cfg[key]))
     return gc
 
 
@@ -211,12 +211,9 @@ def _cmd_heff_expand(args) -> int:
     chi = float(cfg.get("chi", 1.0))
     lam = lambda_from_db(float(cfg.get("lambda_db", 10.0)))
     alpha = float(cfg.get("alpha", 50.0))
-    if args.delta is None or args.beta is None:
-        dc, bc = algebra.cubic_counterterms(chi)
-        delta = dc if args.delta is None else algebra.AlphaPoly(args.delta)
-        beta = bc if args.beta is None else algebra.AlphaPoly(args.beta)
-    else:
-        delta, beta = algebra.AlphaPoly(args.delta), algebra.AlphaPoly(args.beta)
+    dc, bc = algebra.cubic_counterterms(chi)
+    delta = dc if args.delta is None else algebra.AlphaPoly(args.delta)
+    beta = bc if args.beta is None else algebra.AlphaPoly(args.beta)
     h = algebra.substitute_gaussian_frame(
         algebra.driven_kerr(chi, delta, beta), lam
     ).drop_constant()
@@ -238,11 +235,8 @@ def _cmd_state(args) -> int:
     psi = parse_state(str(cfg.get("input", "vacuum")), n)
     out = cfg.out_dir
     if args.wigner:
-        span = float(cfg.get("wigner_span", 6.0))
-        pts = int(cfg.get("wigner_points", 121))
-        xs = np.linspace(-span, span, pts)
-        w = wigner(psi, xs, xs)
-        write_wigner_csv(out / "state_wigner.csv", xs, xs, w)
+        xs = cfg.wigner_axis
+        write_wigner_csv(out / "state_wigner.csv", xs, xs, wigner(psi, xs, xs))
         print(out / "state_wigner.csv")
     else:
         rows = [(k, a.real, a.imag) for k, a in enumerate(psi.vector)]
@@ -264,11 +258,9 @@ def _cmd_gate(args) -> int:
         "steps": res.diagnostics.get("steps"),
         "trace_drift": res.diagnostics.get("trace_drift"),
     }
-    emit("json", doc, out / "gate_result.json")
+    emit(doc, out / "gate_result.json")
     if args.wigner:
-        span = float(cfg.get("wigner_span", 6.0))
-        pts = int(cfg.get("wigner_points", 121))
-        xs = np.linspace(-span, span, pts)
+        xs = cfg.wigner_axis
         write_wigner_csv(out / "gate_wigner.csv", xs, xs, wigner(res.state, xs, xs))
     write_sidecar(out / "gate_result.config.json", "gate", _resolved(cfg, gc))
     print(out / "gate_result.json")
@@ -276,34 +268,27 @@ def _cmd_gate(args) -> int:
 
 
 _SWEEP_HEADER = ["value", "lam_db", "lam", "alpha", "error", "tau", "ok", "message"]
+_NOISE_HEADER = ["param", "lam_db", "lam", "alpha", "value", "error_int",
+                 "error_plus", "error_minus", "excess", "ok", "message"]
+_FOM_HEADER = ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m",
+               "t_fwhm_s", "chi_over_kappa"]
 
 
-def _rows_to_csv(rows, extra_cols=()) -> tuple[list[str], list[tuple]]:
-    header = list(_SWEEP_HEADER[:-2]) + list(extra_cols) + ["ok", "message"]
-    out = []
-    for r in rows:
-        cells = [r["value"], r["lam_db"], r["lam"], r["alpha"],
-                 r.get("error", np.nan), r.get("tau", np.nan)]
-        cells += [r.get(c, np.nan) for c in extra_cols]
-        cells += [r["ok"], r["message"]]
-        out.append(tuple(cells))
-    return header, out
+def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: str,
+                alpha_mode: str) -> SweepSpec:
+    """The sweep the sweep subcommands read from `cfg`, with their own defaults."""
+    return SweepSpec(base=gc, param=param, values=_floats(cfg.get("values", values)),
+                     input_state=str(cfg.get("input", "gkp:z+:0.5")),
+                     alpha_mode=str(cfg.get("alpha_mode", alpha_mode)),
+                     alpha_coeff=float(cfg.get("alpha_coeff", 1.85)), workers=cfg.workers)
 
 
 def _cmd_sweep_lambda(args) -> int:
     cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
-    spec = SweepSpec(
-        base=gc, param="lam_db", values=_floats(cfg.get("values", "5,7.5,10,12.5,15")),
-        input_state=str(cfg.get("input", "gkp:z+:0.5")),
-        alpha_mode=str(cfg.get("alpha_mode", "optimize")),
-        alpha_coeff=float(cfg.get("alpha_coeff", 1.85)),
-        workers=int(cfg.get("workers", 1)),
-    )
-    rows = lambda_sweep(spec)
+    spec = _sweep_spec(cfg, gc, "lam_db", "5,7.5,10,12.5,15", "optimize")
     out = cfg.out_dir
-    header, table = _rows_to_csv(rows)
-    write_csv(out / "sweep_lambda.csv", header, table)
+    write_csv(out / "sweep_lambda.csv", *_row_table(run_sweep(spec), _SWEEP_HEADER))
     write_sidecar(out / "sweep_lambda.config.json", "sweep-lambda", _resolved(cfg, gc))
     print(out / "sweep_lambda.csv")
     return 0
@@ -321,8 +306,8 @@ def _cmd_optimize_alpha(args) -> int:
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
     opt = optimize_alpha(gc, tuple(bracket), psi)
     out = cfg.out_dir
-    emit("json", {"alpha": opt.alpha, "error": opt.error,
-                  "evaluations": opt.evaluations, "unimodal": opt.unimodal},
+    emit({"alpha": opt.alpha, "error": opt.error,
+          "evaluations": opt.evaluations, "unimodal": opt.unimodal},
          out / "optimize_alpha.json")
     write_sidecar(out / "optimize_alpha.config.json", "optimize-alpha", _resolved(cfg, gc))
     print(out / "optimize_alpha.json")
@@ -336,20 +321,10 @@ def _cmd_sweep_noise(args) -> int:
     channel = {"dbetax_rel": "dbeta_x_rel"}.get(channel, channel)  # flag spelling
     if channel not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
         raise ConfigError(f"unknown noise channel {channel!r}")
-    spec = SweepSpec(
-        base=gc, param=channel, values=_floats(cfg.get("values", "1e-4")),
-        input_state=str(cfg.get("input", "gkp:z+:0.5")),
-        alpha_mode=str(cfg.get("alpha_mode", "cube")),
-        alpha_coeff=float(cfg.get("alpha_coeff", 1.85)),
-        workers=int(cfg.get("workers", 1)),
-    )
+    spec = _sweep_spec(cfg, gc, channel, "1e-4", "cube")
     lam_dbs = _floats(cfg.get("lambda_db_values", cfg.get("lambda_db", "10")))
-    rows = noise_sweep(spec, lam_dbs)
     out = cfg.out_dir
-    header = ["param", "lam_db", "lam", "alpha", "value", "error_int",
-              "error_plus", "error_minus", "excess", "ok", "message"]
-    table = [tuple(r[h] for h in header) for r in rows]
-    write_csv(out / "sweep_noise.csv", header, table)
+    write_csv(out / "sweep_noise.csv", *_row_table(noise_sweep(spec, lam_dbs), _NOISE_HEADER))
     write_sidecar(out / "sweep_noise.config.json", "sweep-noise", _resolved(cfg, gc))
     print(out / "sweep_noise.csv")
     return 0
@@ -358,22 +333,25 @@ def _cmd_sweep_noise(args) -> int:
 def _cmd_state_gen(args) -> int:
     cfg = RunConfig.collect(args)
     gc = _gate_config(cfg)
-    span = float(cfg.get("wigner_span", 6.0))
-    pts = int(cfg.get("wigner_points", 121))
-    xs = np.linspace(-span, span, pts)
+    xs = cfg.wigner_axis
     res = generate_cubic_state(gc, delta=float(cfg.get("delta", 0.5)), grid=(xs, xs),
                                gaussian_correction=not args.no_correction)
     out = cfg.out_dir
-    emit("json", {
-        "fidelity": res.fidelity, "raw_fidelity": res.raw_fidelity,
-        "nlq_variance": res.nlq_variance,
-        "wigner_min": float(res.wigner.min()),
-        "correction": [float(c) for c in res.correction],
-    }, out / "state_gen.json")
-    write_wigner_csv(out / "state_gen_wigner.csv", res.xs, res.ps, res.wigner)
+    _write_state_gen(res, out, "state_gen",
+                     correction=[float(c) for c in res.correction])
     write_sidecar(out / "state_gen.config.json", "state-gen", _resolved(cfg, gc))
     print(out / "state_gen.json")
     return 0
+
+
+def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
+    """Trotterized gate errors for each step count, and the continuous gate's error.
+
+    Trotter runs first: a lossy configuration is rejected before the
+    continuous gate integrates the master equation.
+    """
+    errors = [trotterized_gate(replace(gc, trotter_steps=n_t), psi).error for n_t in steps]
+    return errors, cubic_gate(replace(gc, trotter_steps=0), psi).error
 
 
 def _cmd_trotter(args) -> int:
@@ -381,10 +359,7 @@ def _cmd_trotter(args) -> int:
     gc = _gate_config(cfg)
     values = [int(v) for v in _floats(cfg.get("values", "1,2,4,8,16"))]
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
-    # Trotter runs first: a lossy configuration is rejected before the
-    # continuous gate integrates the master equation
-    errors = [trotterized_gate(replace(gc, trotter_steps=n_t), psi).error for n_t in values]
-    cont = cubic_gate(replace(gc, trotter_steps=0), psi).error
+    errors, cont = _trotter_errors(gc, psi, values)
     rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(values, errors)]
     out = cfg.out_dir
     write_csv(out / "trotter.csv", ["steps", "error", "abs_diff_vs_continuous"], rows)
@@ -399,7 +374,7 @@ def _cmd_soliton_fom(args) -> int:
         mats = soliton.BUILTIN_MATERIALS
     elif args.materials:
         header, rows = read_csv(Path(args.materials))
-        want = ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m", "t_fwhm_s"]
+        want = _FOM_HEADER[:-1]
         if header != want:
             raise ConfigError(f"materials CSV must have columns {want}, got {header}")
         mats = tuple(
@@ -409,12 +384,8 @@ def _cmd_soliton_fom(args) -> int:
         )
     else:
         raise ConfigError("soliton-fom needs --builtin-table or --materials CSV")
-    table = [(m.name, m.gamma_nl, m.alpha_att, m.wavelength, m.t_fwhm,
-              soliton.figure_of_merit(m)) for m in mats]
     out = cfg.out_dir
-    write_csv(out / "soliton_fom.csv",
-              ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m",
-               "t_fwhm_s", "chi_over_kappa"], table)
+    write_csv(out / "soliton_fom.csv", _FOM_HEADER, _fom_rows(mats))
     write_sidecar(out / "soliton_fom.config.json", "soliton-fom", _resolved(cfg))
     print(out / "soliton_fom.csv")
     return 0
@@ -483,107 +454,117 @@ def _recipe_spec(name: str, workers: int) -> dict:
     raise ConfigError(f"unknown recipe {name!r}; choose from {RECIPES}")
 
 
-def _run_recipe(name: str, spec: dict, out: Path, cfg: dict) -> list[Path]:
-    written: list[Path] = []
-    kind = spec["kind"]
-    if kind == "table1":
-        table = [(m.name, soliton.figure_of_merit(m)) for m in soliton.BUILTIN_MATERIALS]
-        p = out / "table1.csv"
-        write_csv(p, ["name", "chi_over_kappa"], table)
-        written.append(p)
-    elif kind == "lambda-sweeps":
-        all_rows = []
-        for state in spec["states"]:
-            sw = SweepSpec(base=spec["base"], param="lam_db", values=spec["values"],
-                           input_state=state, alpha_mode=spec["alpha_mode"],
-                           workers=spec["workers"])
-            for r in lambda_sweep(sw):
-                all_rows.append((state, r["value"], r["lam"], r["alpha"],
-                                 r["error"], r["ok"], r["message"]))
-        p = out / f"{name}.csv"
-        write_csv(p, ["state", "lam_db", "lam", "alpha", "error", "ok", "message"], all_rows)
-        written.append(p)
-    elif kind == "lossy-sweeps":
-        all_rows = []
-        for cok, lam_dbs in spec["grids"].items():
-            sw = SweepSpec(base=replace(spec["base"], kappa=spec["base"].chi / cok),
-                           param="lam_db", values=lam_dbs, alpha_mode="optimize",
-                           bracket_scale=(0.8, 12.0), workers=spec["workers"])
-            for r in run_sweep(sw):
-                all_rows.append((cok, r["value"], r["lam"], r["alpha"],
-                                 r["error"], r["ok"], r["message"]))
-        p = out / f"{name}.csv"
-        write_csv(p, ["chi_over_kappa", "lam_db", "lam", "alpha", "error",
-                      "ok", "message"], all_rows)
-        written.append(p)
-    elif kind == "alpha-grids":
-        all_rows = []
-        for cok in spec["chi_over_kappa"]:
-            for db in spec["lam_db"]:
-                lam = lambda_from_db(db)
-                sw = SweepSpec(
-                    base=replace(spec["base"], kappa=spec["base"].chi / cok,
-                                 lam=lam),
-                    param="alpha",
-                    values=tuple(f * 1.85 * lam**3 for f in spec["alpha_factors"]),
-                    workers=spec["workers"],
-                )
-                for r in run_sweep(sw):
-                    all_rows.append((cok, db, r["value"], r["error"], r["ok"], r["message"]))
-        p = out / f"{name}.csv"
-        write_csv(p, ["chi_over_kappa", "lam_db", "alpha", "error", "ok", "message"], all_rows)
-        written.append(p)
-    elif kind == "noise":
-        sw = SweepSpec(base=spec["base"], param=spec["channel"],
-                       values=spec["values"], alpha_mode="cube",
-                       workers=spec["workers"])
-        rows = noise_sweep(sw, spec["lam_db"])
-        header = ["param", "lam_db", "lam", "alpha", "value", "error_int",
-                  "error_plus", "error_minus", "excess", "ok", "message"]
-        p = out / f"{name}.csv"
-        write_csv(p, header, [tuple(r[h] for h in header) for r in rows])
-        written.append(p)
-    elif kind == "trotter-curves":
-        rows = []
-        for db, alphas in spec["grids"].items():
-            lam = lambda_from_db(db)
-            for alpha in alphas:
-                gc = GateConfig(lam=lam, alpha=alpha, gamma=0.1, n_fock=spec["n_fock"])
-                psi = parse_state("gkp:z+:0.5", gc.n_fock)
-                e_cont = cubic_gate(gc, psi).error
-                for n_t in spec["trotter"]:
-                    res = trotterized_gate(replace(gc, trotter_steps=n_t), psi)
-                    rows.append((db, alpha, n_t, res.error, e_cont))
-        p = out / f"{name}.csv"
-        write_csv(p, ["lam_db", "alpha", "trotter_steps", "error", "error_continuous"], rows)
-        written.append(p)
-    elif kind == "state-gen":
-        res = generate_cubic_state(spec["base"])
-        p = out / f"{name}.json"
-        emit("json", {"fidelity": res.fidelity, "raw_fidelity": res.raw_fidelity,
-                      "nlq_variance": res.nlq_variance,
-                      "wigner_min": float(res.wigner.min())}, p)
-        wp = out / f"{name}_wigner.csv"
-        write_wigner_csv(wp, res.xs, res.ps, res.wigner)
-        written.extend([p, wp])
-    elif kind == "photon-trace":
-        rows = []
+def _write_state_gen(res, out: Path, stem: str, **extra) -> list[Path]:
+    """The state-generation result document (plus `extra` keys) and its Wigner grid."""
+    doc, grid = out / f"{stem}.json", out / f"{stem}_wigner.csv"
+    emit({"fidelity": res.fidelity, "raw_fidelity": res.raw_fidelity,
+          "nlq_variance": res.nlq_variance, "wigner_min": float(res.wigner.min()),
+          **extra}, doc)
+    write_wigner_csv(grid, res.xs, res.ps, res.wigner)
+    return [doc, grid]
+
+
+def _fom_rows(mats) -> list[tuple]:
+    return [(m.name, m.gamma_nl, m.alpha_att, m.wavelength, m.t_fwhm,
+             soliton.figure_of_merit(m)) for m in mats]
+
+
+def _table1(spec: dict) -> tuple[list, list]:
+    return ([_FOM_HEADER[0], _FOM_HEADER[-1]],
+            [(r[0], r[-1]) for r in _fom_rows(soliton.BUILTIN_MATERIALS)])
+
+
+_SWEEP_CELLS = ("value", "lam", "alpha", "error", "ok", "message")
+
+
+def _sweep_table(jobs, header: list[str], cells=_SWEEP_CELLS) -> tuple[list, list]:
+    """Run each (leading cells, SweepSpec) job; a row is its leading cells + `cells`."""
+    return header, [lead + tuple(r[c] for c in cells)
+                    for lead, sweep in jobs for r in run_sweep(sweep)]
+
+
+def _lambda_sweeps(spec: dict) -> tuple[list, list]:
+    jobs = [((state,), SweepSpec(base=spec["base"], param="lam_db", values=spec["values"],
+                                 input_state=state, alpha_mode=spec["alpha_mode"],
+                                 workers=spec["workers"]))
+            for state in spec["states"]]
+    return _sweep_table(jobs, ["state", "lam_db", "lam", "alpha", "error", "ok", "message"])
+
+
+def _lossy_sweeps(spec: dict) -> tuple[list, list]:
+    base = spec["base"]
+    jobs = [((cok,), SweepSpec(base=replace(base, kappa=base.chi / cok), param="lam_db",
+                               values=lam_dbs, alpha_mode="optimize",
+                               bracket_scale=(0.8, 12.0), workers=spec["workers"]))
+            for cok, lam_dbs in spec["grids"].items()]
+    return _sweep_table(jobs, ["chi_over_kappa", "lam_db", "lam", "alpha", "error",
+                               "ok", "message"])
+
+
+def _alpha_grids(spec: dict) -> tuple[list, list]:
+    base, jobs = spec["base"], []
+    for cok in spec["chi_over_kappa"]:
         for db in spec["lam_db"]:
             lam = lambda_from_db(db)
-            gc = replace(spec["base"], lam=lam)
+            values = tuple(f * 1.85 * lam**3 for f in spec["alpha_factors"])
+            jobs.append(((cok, db), SweepSpec(base=replace(base, kappa=base.chi / cok, lam=lam),
+                                              param="alpha", values=values,
+                                              workers=spec["workers"])))
+    return _sweep_table(jobs, ["chi_over_kappa", "lam_db", "alpha", "error", "ok", "message"],
+                        ("value", "error", "ok", "message"))
+
+
+def _noise_table(spec: dict) -> tuple[list, list]:
+    sw = SweepSpec(base=spec["base"], param=spec["channel"], values=spec["values"],
+                   alpha_mode="cube", workers=spec["workers"])
+    return _row_table(noise_sweep(sw, spec["lam_db"]), _NOISE_HEADER)
+
+
+def _trotter_curves(spec: dict) -> tuple[list, list]:
+    rows = []
+    for db, alphas in spec["grids"].items():
+        lam = lambda_from_db(db)
+        for alpha in alphas:
+            gc = GateConfig(lam=lam, alpha=alpha, gamma=0.1, n_fock=spec["n_fock"])
             psi = parse_state("gkp:z+:0.5", gc.n_fock)
-            center = 1.85 * lam**3
-            opt = optimize_alpha(gc, (0.45 * center, 3.5 * center), psi)
-            series, _ = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
-            for t, tot, fl, var in zip(series["t"], series["total"],
-                                       series["fluctuation"], series["variance"]):
-                rows.append((db, opt.alpha, t, tot, fl, var))
-        p = out / f"{name}.csv"
-        write_csv(p, ["lam_db", "alpha", "t", "n_total", "n_fluctuation", "variance"], rows)
-        written.append(p)
-    else:
-        raise ConfigError(f"recipe kind {kind!r} not implemented")
-    return written
+            errors, e_cont = _trotter_errors(gc, psi, spec["trotter"])
+            rows += [(db, alpha, n_t, err, e_cont) for n_t, err in zip(spec["trotter"], errors)]
+    return ["lam_db", "alpha", "trotter_steps", "error", "error_continuous"], rows
+
+
+def _photon_trace(spec: dict) -> tuple[list, list]:
+    rows = []
+    for db in spec["lam_db"]:
+        lam = lambda_from_db(db)
+        gc = replace(spec["base"], lam=lam)
+        psi = parse_state("gkp:z+:0.5", gc.n_fock)
+        center = 1.85 * lam**3
+        opt = optimize_alpha(gc, (0.45 * center, 3.5 * center), psi)
+        series, _ = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
+        for t, tot, fl, var in zip(series["t"], series["total"],
+                                   series["fluctuation"], series["variance"]):
+            rows.append((db, opt.alpha, t, tot, fl, var))
+    return ["lam_db", "alpha", "t", "n_total", "n_fluctuation", "variance"], rows
+
+
+# recipe kind -> (header, rows) of its CSV table
+_RECIPE_TABLES = {
+    "table1": _table1,
+    "lambda-sweeps": _lambda_sweeps,
+    "lossy-sweeps": _lossy_sweeps,
+    "alpha-grids": _alpha_grids,
+    "noise": _noise_table,
+    "trotter-curves": _trotter_curves,
+    "photon-trace": _photon_trace,
+}
+
+
+def _run_recipe(name: str, spec: dict, out: Path) -> list[Path]:
+    if spec["kind"] == "state-gen":
+        return _write_state_gen(generate_cubic_state(spec["base"]), out, name)
+    p = out / f"{name}.csv"
+    write_csv(p, *_RECIPE_TABLES[spec["kind"]](spec))
+    return [p]
 
 
 def _cmd_reproduce(args) -> int:
@@ -598,7 +579,7 @@ def _cmd_reproduce(args) -> int:
     if args.dry_run:
         print(out / f"{name}.config.json")
         return 0
-    for p in _run_recipe(name, spec, out, cfg):
+    for p in _run_recipe(name, spec, out):
         print(p)
     return 0
 
@@ -613,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Kerr-based cubic phase gate toolkit")
     sub = ap.add_subparsers(dest="command")
 
-    def add_common(p):
+    cmd = {name: sub.add_parser(name) for name in _HANDLERS}
+    for p in cmd.values():
         p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--workers", type=int, default=None)
@@ -633,52 +615,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--values", default=None)
         p.add_argument("--delta", type=float, default=None)
 
-    p = sub.add_parser("heff-expand")
-    add_common(p)
-    p.add_argument("--beta", type=float, default=None)
-
-    p = sub.add_parser("state")
-    add_common(p)
-    p.add_argument("--wigner", action="store_true")
-
-    p = sub.add_parser("gate")
-    add_common(p)
-    p.add_argument("--wigner", action="store_true")
-
-    p = sub.add_parser("sweep-lambda")
-    add_common(p)
-    p.add_argument("--alpha-mode", dest="alpha_mode",
-                   choices=["fixed", "cube", "optimize"], default=None)
-    p.add_argument("--alpha-coeff", dest="alpha_coeff", type=float, default=None)
-
-    p = sub.add_parser("optimize-alpha")
-    add_common(p)
-    p.add_argument("--bracket", default=None)
-
-    p = sub.add_parser("sweep-noise")
-    add_common(p)
+    cmd["heff-expand"].add_argument("--beta", type=float, default=None)
+    cmd["state"].add_argument("--wigner", action="store_true")
+    cmd["gate"].add_argument("--wigner", action="store_true")
+    cmd["sweep-lambda"].add_argument("--alpha-mode", dest="alpha_mode",
+                                     choices=["fixed", "cube", "optimize"], default=None)
+    cmd["sweep-lambda"].add_argument("--alpha-coeff", dest="alpha_coeff", type=float,
+                                     default=None)
+    cmd["optimize-alpha"].add_argument("--bracket", default=None)
+    p = cmd["sweep-noise"]
     p.add_argument("--noise", choices=["dtheta", "ddelta-rel", "dbetax-rel"], default=None)
     p.add_argument("--lambda-db-values", dest="lambda_db_values", default=None)
-    p.add_argument("--alpha-mode", dest="alpha_mode",
-                   choices=["fixed", "cube"], default=None)
+    p.add_argument("--alpha-mode", dest="alpha_mode", choices=["fixed", "cube"], default=None)
     p.add_argument("--alpha-coeff", dest="alpha_coeff", type=float, default=None)
-
-    p = sub.add_parser("state-gen")
-    add_common(p)
-    p.add_argument("--no-correction", action="store_true")
-
-    p = sub.add_parser("trotter")
-    add_common(p)
-
-    p = sub.add_parser("soliton-fom")
-    add_common(p)
-    p.add_argument("--builtin-table", action="store_true")
-    p.add_argument("--materials", default=None)
-
-    p = sub.add_parser("reproduce")
-    add_common(p)
-    p.add_argument("recipe", choices=list(RECIPES))
-    p.add_argument("--dry-run", action="store_true")
+    cmd["state-gen"].add_argument("--no-correction", action="store_true")
+    cmd["soliton-fom"].add_argument("--builtin-table", action="store_true")
+    cmd["soliton-fom"].add_argument("--materials", default=None)
+    cmd["reproduce"].add_argument("recipe", choices=list(RECIPES))
+    cmd["reproduce"].add_argument("--dry-run", action="store_true")
     return ap
 
 

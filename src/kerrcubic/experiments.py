@@ -183,11 +183,12 @@ def _configure_point(spec: SweepSpec, value: float) -> GateConfig:
     return cfg
 
 
-def _resolve_relative_noise(spec: SweepSpec, cfg: GateConfig, value: float) -> GateConfig:
-    if spec.param == "ddelta_rel":
+def _resolve_relative_noise(param: str, cfg: GateConfig, value: float) -> GateConfig:
+    """Set a detuning or drive offset of `value` times its counter-term at cfg.alpha."""
+    if param == "ddelta_rel":
         dc = algebra.cubic_counterterms(cfg.chi)[0](cfg.alpha).real
         return replace(cfg, noise=replace(cfg.noise, ddelta=value * dc))
-    if spec.param == "dbeta_x_rel":
+    if param == "dbeta_x_rel":
         bc = algebra.cubic_counterterms(cfg.chi)[1](cfg.alpha).real
         return replace(cfg, noise=replace(cfg.noise, dbeta_x=value * bc))
     return cfg
@@ -204,7 +205,7 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
                 cfg, (center * spec.bracket_scale[0], center * spec.bracket_scale[1]), psi
             )
             cfg = replace(cfg, alpha=opt.alpha)
-        cfg = _resolve_relative_noise(spec, cfg, value)
+        cfg = _resolve_relative_noise(spec.param, cfg, value)
         res = cubic_gate(cfg, psi)
         row.update(
             lam=cfg.lam, lam_db=cfg.lam_db, alpha=cfg.alpha, error=res.error,
@@ -235,27 +236,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return _map_points(_sweep_point, [(spec, v) for v in spec.values], spec.workers)
 
 
-def lambda_sweep(spec: SweepSpec) -> list[dict]:
-    """Gate error versus squeezing; spec.param must be 'lam_db'."""
-    if spec.param != "lam_db":
-        raise ValueError("lambda_sweep requires spec.param == 'lam_db'")
-    return run_sweep(spec)
-
-
 def _noise_point(spec: SweepSpec, lam_db: float, value: float) -> dict:
-    base = replace(spec.base, lam=lambda_from_db(lam_db))
-    if spec.alpha_mode == "cube":
-        base = replace(base, alpha=spec.alpha_coeff * base.lam**3)
+    base = _configure_point(replace(spec, param="lam_db"), lam_db)
     psi = parse_state(spec.input_state, base.n_fock)
     row = {"param": spec.param, "lam_db": lam_db, "lam": base.lam,
            "alpha": base.alpha, "value": value, "ok": True, "message": ""}
     try:
         noise_spec = replace(spec, base=base, alpha_mode="fixed")
+
+        def noisy_error(v: float) -> float:
+            cfg = _resolve_relative_noise(spec.param, _configure_point(noise_spec, v), v)
+            return cubic_gate(cfg, psi).error
+
         e_int = cubic_gate(base, psi).error
-        cfg_p = _resolve_relative_noise(noise_spec, _with_signed(noise_spec, base, +value), +value)
-        cfg_m = _resolve_relative_noise(noise_spec, _with_signed(noise_spec, base, -value), -value)
-        e_plus = cubic_gate(cfg_p, psi).error
-        e_minus = cubic_gate(cfg_m, psi).error
+        e_plus, e_minus = noisy_error(value), noisy_error(-value)
         row.update(error_int=e_int, error_plus=e_plus, error_minus=e_minus,
                    excess=0.5 * (e_plus + e_minus) - e_int)
         if max(e_plus, e_minus) > 0.5:
@@ -264,12 +258,6 @@ def _noise_point(spec: SweepSpec, lam_db: float, value: float) -> dict:
         row.update(ok=False, message=f"{type(exc).__name__}: {exc}", error_int=np.nan,
                    error_plus=np.nan, error_minus=np.nan, excess=np.nan)
     return row
-
-
-def _with_signed(spec: SweepSpec, cfg: GateConfig, value: float) -> GateConfig:
-    if spec.param == "dtheta":
-        return replace(cfg, noise=replace(cfg.noise, dtheta=value))
-    return cfg  # relative offsets handled by _resolve_relative_noise
 
 
 def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:

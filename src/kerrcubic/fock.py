@@ -42,8 +42,8 @@ class DimensionMismatchError(ValueError):
     """Operands live in different truncated spaces."""
 
 
-class ContractViolationError(ValueError):
-    """An input violates a declared pre-condition (e.g. non-Hermitian generator)."""
+class ContractViolationError(ArithmeticError):
+    """A numerical invariant fails (norm, trace, hermiticity or gate-error range)."""
 
 
 HERMITICITY_RTOL = 1e-12
@@ -197,9 +197,6 @@ class MixedState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from kerrcubic import cli
+from kerrcubic import fock as fk
 
 
 def run(args):
@@ -33,6 +33,17 @@ class TestDispatchBasics:
         assert code == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "UnsupportedConfigurationError"
+
+    def test_contract_violation_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def violate(cfg, psi):
+            raise fk.ContractViolationError("state norm 1.1 deviates from 1 beyond 1e-10")
+
+        monkeypatch.setattr(cli, "cubic_gate", violate)
+        code = run(["gate", "--out", str(tmp_path), "--lambda-db", "6", "--alpha", "3",
+                    "--fock", "32", "--input", "vacuum"])
+        assert code == 3
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ContractViolationError"
 
     def test_zero_chi_over_kappa_is_configuration_error(self, tmp_path, capsys):
         code = run(["gate", "--out", str(tmp_path), "--lambda-db", "6", "--alpha", "3",
@@ -212,14 +223,9 @@ class TestEmitDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "gate_result.json").read_bytes() == (b / "gate_result.json").read_bytes()
 
-    def test_emit_kinds(self, tmp_path):
-        cli.emit("json", {"x": 1.5}, tmp_path / "d.json")
+    def test_emit_json(self, tmp_path):
+        cli.emit({"x": 1.5}, tmp_path / "d.json")
         assert json.loads((tmp_path / "d.json").read_text()) == {"x": 1.5}
-        cli.emit("grid", {"xs": np.array([0.0]), "ps": np.array([1.0]),
-                          "w": np.array([[0.25]])}, tmp_path / "g.csv")
-        assert cli.read_csv(tmp_path / "g.csv")[1] == [["0", "1", "0.25"]]
-        with pytest.raises(ValueError):
-            cli.emit("blob", {}, tmp_path / "x")
 
     def test_empty_table_is_header_only(self, tmp_path):
         p = tmp_path / "e.csv"

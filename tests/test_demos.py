@@ -1,0 +1,25 @@
+"""Smoke test: the demo scripts run to completion against the package source.
+
+demos/03 is left out; tests/test_cli.py::TestReproduce::test_fig4_runs covers
+the same state-generation path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_effective_hamiltonian.py", "02_gate_error_scaling.py",
+                                  "04_soliton_platforms.py"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -81,7 +81,7 @@ class TestSweeps:
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=96)
         spec = ex.SweepSpec(base=base, param="lam_db", values=(10.0,),
                             input_state="squeezed:0.5", alpha_mode="fixed")
-        rows = ex.lambda_sweep(spec)
+        rows = ex.run_sweep(spec)
         psi = st.squeezed_vacuum(0.5, 96)
         direct = dyn.cubic_gate(
             GateConfig(lam=fk.lambda_from_db(10.0), alpha=30.0, gamma=0.1, n_fock=96), psi

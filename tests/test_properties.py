@@ -1,5 +1,7 @@
 """Property tests of the algebraic laws the exact engine relies on."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -33,6 +35,22 @@ class TestAlgebraProperties:
     @given(boson_polys, boson_polys)
     def test_dagger_reverses_products(self, p, q):
         assert (p * q).dagger() == q.dagger() * p.dagger()
+
+    @FAST
+    @given(boson_polys, boson_polys)
+    def test_quadrature_form_is_multiplicative(self, p, q):
+        # a = (X + iP)/2, a^dag = (X - iP)/2 keeps [a, a^dag] = 1 only if [P, X] = -2i
+        quad = alg.to_quadrature_form
+        assert quad(p * q) == quad(p) * quad(q)
+
+    @FAST
+    @given(chi=hs.floats(0.01, 5.0, exclude_min=True, exclude_max=True),
+           lam=hs.floats(1.0, 12.0))
+    def test_counterterms_cancel_exactly_at_any_operating_point(self, chi, lam):
+        quad = alg.to_quadrature_form(alg.effective_cubic_hamiltonian(chi, lam, 1.0, 0.1))
+        assert quad.coefficient(1, 0).is_zero
+        assert quad.coefficient(2, 0).is_zero
+        assert quad.coefficient(3, 0) == AlphaPoly([0, -Fraction(chi) * Fraction(lam) ** 3 / 4])
 
     @settings(max_examples=25, deadline=None)
     @given(
