@@ -4,7 +4,7 @@ Drives the gate on a finitely squeezed vacuum at the reference operating
 point (15 dB squeezing, alpha = 1.4e4, chi/kappa = 1e-4), applies the free
 Gaussian state-preparation correction, and reports the fidelity against the
 ideal cubic-phase image together with the Wigner-function negativity.
-Takes ~20 s.
+Takes ~3 s.
 """
 
 import warnings

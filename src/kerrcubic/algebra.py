@@ -157,6 +157,8 @@ class AlphaPoly:
         return AlphaPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented  # lets OrderedPolynomial.__rmul__ scale itself
         other = _as_alpha_poly(other)
         if self.is_zero or other.is_zero:
             return AlphaPoly()

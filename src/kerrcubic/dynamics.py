@@ -18,8 +18,10 @@ Hamiltonian half-step is exact (one `fock.Spectrum`, reused for every step),
 the dissipator substep is a Heun stage. Adjacent half-steps are merged into
 one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
 the half-step is applied alone only at the start, the end and at snapshots.
-The dissipator is evaluated from CSR forms of L, L^dag and M = L^dag L (L is
-tridiagonal, M pentadiagonal), so each evaluation is O(N^2). Because the
+The dissipator is evaluated from CSR forms of L and M = L^dag L (L is
+tridiagonal, M pentadiagonal). For Hermitian rho, L rho L^dag = L (L rho)^dag
+and rho M = (M rho)^dag, so an evaluation is three sparse-times-dense products,
+O(N^2), and no dense-times-sparse product. Because the
 dissipator annihilates traces, any Runge-Kutta polynomial in it preserves the
 trace to roundoff; hermiticity is restored by symmetrization each step. The
 step count doubles deterministically until the result stops moving, so reruns
@@ -241,7 +243,7 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps, samples=0):
     full step U(dt) = U(dt/2)^2. The closing half-step is applied at the end
     and at each snapshot only.
     """
-    l_op, l_dag, m_op = lindblad
+    l_op, m_op = lindblad
     dt = tau / n_steps
     u_half = spectrum.unitary(0.5 * dt)
     u_step = u_half @ u_half
@@ -251,9 +253,12 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps, samples=0):
         r = u @ r @ u.conj().T
         return 0.5 * (r + r.conj().T)
 
-    # d(r) = L r L^dag - (M r + r M)/2 with M = L^dag L, from CSR operands
+    # d(r) = L r L^dag - (M r + r M)/2 with M = L^dag L, for Hermitian r, as
+    # L (L r)^dag - (M r + (M r)^dag)/2: three CSR-times-dense products
     def d(r):
-        return (l_op @ r) @ l_dag - 0.5 * (m_op @ r + r @ m_op)
+        lr = l_op @ r
+        mr = m_op @ r
+        return l_op @ lr.conj().T - 0.5 * (mr + mr.conj().T)
 
     rho = sandwich(u_half, rho0)
     drift = 0.0
@@ -303,9 +308,8 @@ def evolve_lindblad(
 
     spectrum = Spectrum(hm)
     l_sp = sparse.csr_matrix(lm)
-    l_dag = sparse.csr_matrix(lm.conj().T)
-    m_op = l_dag @ l_sp
-    lindblad = (l_sp, l_dag, m_op)
+    m_op = sparse.csr_matrix(lm.conj().T) @ l_sp
+    lindblad = (l_sp, m_op)
     diagnostics: dict = {}
     if n_steps is not None:
         rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps, samples)

@@ -289,14 +289,42 @@ class CubicStateResult:
 
 
 @lru_cache(maxsize=8)
-def _correction_basis(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only generators x^2, p^2, {x,p}/2, x, p of the Gaussian correction."""
+def _correction_basis(n: int) -> np.ndarray:
+    """Read-only stack of the generators x^2, p^2, {x,p}/2, x, p of the correction."""
     mode = TruncatedMode(n)
     x, p = mode.x, mode.p
-    basis = (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)
-    for b in basis:
-        b.setflags(write=False)
+    basis = np.array([x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p])
+    basis.setflags(write=False)
     return basis
+
+
+def _correction_objective(params: np.ndarray, target: PureState, out) -> tuple[float, np.ndarray]:
+    """(-F, -grad F) of the corrected fidelity F(params) = <phi|rho|phi>.
+
+    With G = sum_k params_k G_k = V diag(w) V^dag and c = V^dag|target>, the
+    trial state is phi = exp(-iG)|target> = V (e^{-iw} c). One eigendecomposition
+    also gives the exact gradient by the Daleckii-Krein formula:
+    dF/dparams_k = 2 Re sum(G_k * Z), Z = conj(V) (Gamma * conj(y) c^T) V^T with
+    y = V^dag rho phi and the divided differences of e^{-iw},
+    Gamma_jl = -i e^{-i(w_j + w_l)/2} sinc((w_j - w_l)/2pi). That form has no
+    0/0 and is exact on the diagonal, so the degenerate spectrum of
+    params = 0 needs no special case. A pure output is applied as
+    |out><out|phi>, so no N x N product is formed besides the two in Z.
+    """
+    basis = _correction_basis(target.dim)
+    s = Spectrum(sum(c * b for c, b in zip(params, basis)))
+    c = s.v.conj().T @ target.vector
+    phi = s.v @ (np.exp(-1j * s.w) * c)
+    if isinstance(out, MixedState):
+        rho_phi = out.matrix @ phi
+    else:
+        rho_phi = out.vector * np.vdot(out.vector, phi)
+    y = s.v.conj().T @ rho_phi
+    half = np.exp(-0.5j * s.w)
+    sinc = np.sinc(np.subtract.outer(s.w, s.w) / (2.0 * np.pi))
+    z = s.v.conj() @ (-1j * sinc * np.outer(half * y.conj(), half * c)) @ s.v.T
+    grad = 2.0 * np.real(np.tensordot(basis, z, axes=2))
+    return -float(np.real(np.vdot(phi, rho_phi))), -grad
 
 
 def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndarray]:
@@ -304,27 +332,14 @@ def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndar
 
     The correction group is exp(i(u x^2 + v p^2 + w {x,p}/2 + dx x + dp p));
     state preparation allows this freedom because the input is fixed, unlike a
-    gate acting on unknown states. With G = sum_k params_k G_k, each trial
-    g = exp(iG) is scored as <phi|rho|phi> with phi = g^dag|target>, so no
-    N x N product is formed besides the eigh.
+    gate acting on unknown states. Each trial g = exp(iG) is scored as
+    <phi|rho|phi> with phi = g^dag|target>. `_correction_objective` returns
+    that fidelity and its exact gradient from one eigendecomposition, and BFGS
+    at its default tolerances climbs from params = 0; at the fig4 point
+    (N = 128) it converges in about 16 evaluations.
     """
-    basis = _correction_basis(target.dim)
-    mixed = isinstance(out, MixedState)
-    tv = target.vector
-
-    def neg_fid(params: np.ndarray) -> float:
-        gen = sum(c * b for c, b in zip(params, basis))
-        phi = Spectrum(gen).advance(tv, 1.0)
-        if mixed:
-            f = float(np.real(np.vdot(phi, out.matrix @ phi)))
-        else:
-            f = float(abs(np.vdot(phi, out.vector)) ** 2)
-        return -f
-
-    best = minimize(
-        neg_fid, np.zeros(5), method="Nelder-Mead",
-        options=dict(xatol=1e-5, fatol=1e-9, maxiter=1500, maxfev=1500),
-    )
+    best = minimize(_correction_objective, np.zeros(5), args=(target, out),
+                    jac=True, method="BFGS")
     return -float(best.fun), best.x
 
 

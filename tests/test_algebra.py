@@ -53,6 +53,14 @@ class TestAlphaPoly:
         assert p(3.0) == 1j + 6.0
         assert p.conjugate()(3.0) == -1j + 6.0
 
+    def test_product_with_ordered_polynomial_commutes(self):
+        # AlphaPoly defers to the polynomial, so both orders scale its terms
+        a = AlphaPoly([0, 1])
+        assert a * BosonPolynomial.lowering() == BosonPolynomial.lowering() * a
+        assert a * 2 == 2 * a == AlphaPoly([0, 2])
+        assert a * 1.5j == AlphaPoly([0, 1.5j])
+        assert a * ExactComplex.of(3) == AlphaPoly([0, 3])
+
 
 class TestMultiply:
     def test_single_commutator(self):

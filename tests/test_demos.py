@@ -1,8 +1,4 @@
-"""Smoke test: the demo scripts run to completion against the package source.
-
-demos/03 is left out; tests/test_cli.py::TestReproduce::test_fig4_runs covers
-the same state-generation path.
-"""
+"""Smoke test: the demo scripts run to completion against the package source."""
 
 import os
 import subprocess
@@ -15,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_effective_hamiltonian.py", "02_gate_error_scaling.py",
-                                  "04_soliton_platforms.py"])
+                                  "03_cubic_phase_state.py", "04_soliton_platforms.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

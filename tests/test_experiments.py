@@ -177,15 +177,33 @@ class TestNoiseSweep:
 
 class TestGaussianCorrection:
     @pytest.mark.parametrize("mixed", [False, True])
-    def test_objective_equals_corrected_state_fidelity(self, mixed):
-        # the optimum scored as <phi|rho|phi> equals the fidelity of g rho g^dag
+    def test_objective_equals_corrected_state_fidelity(self, mixed, monkeypatch):
+        # the optimum scored as <phi|rho|phi> equals the fidelity of g rho g^dag,
+        # the objective's gradient is exact, and BFGS needs few evaluations
         n = 48
         target = st.ideal_cubic_target(0.1, st.squeezed_vacuum(0.5, n))
         out = st.squeezed_vacuum(0.6, n)
         if mixed:
             rho = 0.9 * out.density_matrix().matrix + 0.1 * fk.vacuum(n).density_matrix().matrix
             out = fk.MixedState(rho)
+        rng = np.random.default_rng(11)
+        for theta in (np.zeros(5), 0.1 * rng.normal(size=5)):  # degenerate, generic spectrum
+            _, grad = ex._correction_objective(theta, target, out)
+            h = 1e-6
+            central = np.array([
+                ex._correction_objective(theta + h * e, target, out)[0]
+                - ex._correction_objective(theta - h * e, target, out)[0]
+                for e in np.eye(5)
+            ]) / (2 * h)
+            assert np.abs(central - grad).max() <= 1e-6 * np.abs(grad).max()
+
+        evaluations = []
+        spectrum = ex.Spectrum
+        monkeypatch.setattr(ex, "Spectrum", lambda h: evaluations.append(h) or spectrum(h))
         f, params = ex.optimize_gaussian_correction(target, out)
+        monkeypatch.undo()
+        assert len(evaluations) <= 50
+
         mode = fk.TruncatedMode(n)
         x, p = mode.x, mode.p
         gen = sum(c * b for c, b in zip(params, (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)))
@@ -207,6 +225,15 @@ class TestGenerateCubicState:
         assert res.fidelity >= res.raw_fidelity - 1e-12
         assert res.wigner.min() < -1e-3  # non-classicality
         assert res.nlq_variance > 0
+
+    def test_fig4_point_in_displaced_loss_frame(self):
+        # the README's displaced-frame figure for the fig4 operating point
+        cfg = GateConfig.make(lam_db=15.0, alpha=1.4e4, gamma=0.1, chi_over_kappa=1e-4,
+                              n_fock=128, loss_frame="displaced")
+        axis = np.linspace(-4.0, 4.0, 9)
+        res = ex.generate_cubic_state(cfg, delta=0.5, grid=(axis, axis))
+        assert abs(res.fidelity - 0.9798) <= 5e-4
+        assert res.fidelity > res.raw_fidelity
 
     def test_correction_can_be_disabled(self):
         cfg = GateConfig.make(lam_db=10.0, alpha=60.0, gamma=0.1, n_fock=96)
