@@ -24,8 +24,11 @@ and rho M = (M rho)^dag, so an evaluation is three sparse-times-dense products,
 O(N^2), and no dense-times-sparse product. Because the
 dissipator annihilates traces, any Runge-Kutta polynomial in it preserves the
 trace to roundoff; hermiticity is restored by symmetrization each step. The
-step count doubles deterministically until the result stops moving, so reruns
-are bit-identical.
+step count is chosen by comparing rungs of n and 2n steps: the first pair
+starts at the stability floor max(8, ceil(tau * m_edge)), and after a failing
+pair the second-order error model of Strang splitting (the rung delta falls 4x
+per doubling) picks the pair predicted to pass. The choice is deterministic,
+so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -126,6 +129,12 @@ class GateConfig:
             raise ValueError(f"loss_frame must be one of {LOSS_FRAMES}")
         if self.trotter_steps < 0:
             raise ValueError("trotter_steps must be >= 0")
+        if not (math.isfinite(self.lindblad_tol) and self.lindblad_tol > 0):
+            raise ValueError(f"lindblad_tol must be finite and > 0, got {self.lindblad_tol}")
+        if self.lindblad_steps is not None and self.lindblad_steps < 1:
+            raise ValueError(f"lindblad_steps must be None or >= 1, got {self.lindblad_steps}")
+        if self.max_step_doublings < 0:
+            raise ValueError(f"max_step_doublings must be >= 0, got {self.max_step_doublings}")
 
     @staticmethod
     def make(lam_db: float, alpha: float, gamma: float, chi: float = 1.0,
@@ -291,13 +300,26 @@ def evolve_lindblad(
 ) -> tuple[MixedState, dict]:
     """Master-equation evolution d(rho)/dt = -i[H,rho] + L rho L^dag - {L^dag L, rho}/2.
 
-    With n_steps given the step count is fixed; otherwise it doubles from 128
-    until the final state stops moving by more than `tol` (max-entry norm),
-    raising IntegrationError past `max_doublings`. Trace is preserved to
-    roundoff by construction; positivity is eigen-spot-checked at the end.
-    Diagnostics: kept `steps`, `integrated_steps` summed over every rung,
-    `step_delta` of the accepted rung, `trace_drift`, `min_eigenvalue`.
+    With n_steps given the step count is fixed. Otherwise rungs of n and 2n
+    steps are compared until the 2n-step state moves by less than `tol`
+    (max-entry norm), and that state is returned. The first pair starts at
+    the stability floor max(8, ceil(tau * m_edge)). After a failing pair with
+    delta d, the second-order error model (d falls 4x per doubling) picks the
+    next pair: j = max(1, ceil(log4(d / tol))) doublings on. No rung exceeds
+    max(128, ceil(tau * m_edge)) * 2**max_doublings; the last pair tried is
+    the one that ends there, and IntegrationError follows if it fails. Trace
+    is preserved to roundoff by construction; positivity is eigen-spot-checked
+    at the end. Diagnostics: kept `steps`, `integrated_steps` summed over
+    every rung, `rungs` as (steps, delta) per integrated rung in order (delta
+    None where no pair was compared), `step_delta` of the accepted rung,
+    `trace_drift`, `min_eigenvalue`.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if n_steps is not None and n_steps < 1:
+        raise ValueError(f"n_steps must be None or >= 1, got {n_steps}")
+    if max_doublings < 0:
+        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
     hm = h.matrix if isinstance(h, Operator) else h
     lm = l_op.matrix if isinstance(l_op, Operator) else l_op
     if tau < 0:
@@ -309,6 +331,9 @@ def evolve_lindblad(
     spectrum = Spectrum(hm)
     l_sp = sparse.csr_matrix(lm)
     m_op = sparse.csr_matrix(lm.conj().T) @ l_sp
+    # scipy sorts the indices in place on first use (abs() below); sort them
+    # now, so that a rung's state does not depend on the branch integrating it
+    m_op.sort_indices()
     lindblad = (l_sp, m_op)
     diagnostics: dict = {}
     if n_steps is not None:
@@ -316,30 +341,43 @@ def evolve_lindblad(
         diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift,
                            snapshots=snaps)
     else:
-        # explicit dissipator stages are stable for kappa_edge * dt <~ 2;
-        # start from the stability floor, then double until the state stops
-        # moving
-        m_edge = float(abs(m_op).sum(axis=1).max())
-        n = max(128, int(math.ceil(tau * m_edge)))
-        integrated = 0
-        rho_prev = None
+        # explicit dissipator stages are stable for kappa_edge * dt <~ 2, so
+        # every rung keeps dt * m_edge <= 1
+        floor = int(math.ceil(tau * float(abs(m_op).sum(axis=1).max())))
+        n_top = max(128, floor) << max_doublings
+        p = max(8, floor)
+        rungs: list = []
+        states: dict = {}  # steps -> state of the rung, None if not finite
         delta = math.inf
-        for _ in range(max_doublings + 1):
-            rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n, samples)
-            integrated += n
-            if np.all(np.isfinite(rho)):
-                if rho_prev is not None:
-                    delta = float(np.abs(rho - rho_prev).max())
-                    if delta < tol:
-                        diagnostics.update(steps=n, integrated_steps=integrated,
-                                           trace_drift=drift, step_delta=delta,
-                                           snapshots=snaps)
-                        break
-                rho_prev = rho
-            n *= 2
-        else:
+        while 2 * p <= n_top:
+            for n in (p, 2 * p):
+                if n not in states:
+                    rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix,
+                                                        n, samples)
+                    states[n] = rho if np.all(np.isfinite(rho)) else None
+                    rungs.append((n, None))
+            lower, upper = states[p], states[2 * p]
+            states = {2 * p: upper}
+            jump = 1  # a non-finite rung means plain doubling
+            if lower is not None and upper is not None:
+                delta = float(np.abs(upper - lower).max())
+                rungs[-1] = (2 * p, delta)
+                if delta < tol:
+                    diagnostics.update(steps=2 * p, integrated_steps=sum(n for n, _ in rungs),
+                                       trace_drift=drift, step_delta=delta, snapshots=snaps,
+                                       rungs=rungs)
+                    break
+                if math.isfinite(delta):
+                    # the delta of Strang splitting falls 4x per doubling
+                    jump = max(1, math.ceil(math.log(delta / tol, 4)))
+            # the last pair tried is the one that ends at the largest rung
+            nxt = min(p << jump, n_top // 2)
+            if nxt == p:
+                break
+            p = nxt
+        if "steps" not in diagnostics:
             raise IntegrationError(
-                f"no step convergence after {n // 2} steps "
+                f"no step convergence up to {n_top} steps from the floor {floor} "
                 f"(last delta {delta:.3e}, tol {tol:.1e})"
             )
 

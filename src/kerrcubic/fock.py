@@ -372,7 +372,8 @@ def wigner(state: PureState | MixedState, xs, ps) -> np.ndarray:
     """Wigner function W(x, p) on the grid xs x ps, normalized to integral 1.
 
     Returns W with W[i, j] = W(xs[i], ps[j]). Uses the Fock-basis Laguerre
-    ladder; cost O(len(grid) * N^2).
+    ladder, run once per distinct radius x^2 + p^2 of the grid; cost
+    O(radii * N^2 + len(grid) * N).
     """
     xs = np.asarray(xs, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -388,6 +389,9 @@ def wigner(state: PureState | MixedState, xs, ps) -> np.ndarray:
     p = ps[None, :]
     b = 2.0 * (x * x + p * p)  # 4|alpha|^2 with alpha = (x + i p)/sqrt(2)
     two_alpha_conj = math.sqrt(2.0) * (x - 1j * p)
+    # the Laguerre ladder depends on the radius only: run it once per distinct b
+    radii, where = np.unique(b, return_inverse=True)
+    where = where.reshape(b.shape)
 
     w = np.zeros((xs.size, ps.size), dtype=float)
     # scaled diagonal-offset factor g_d = (2 alpha^*)^d / sqrt(d!)
@@ -397,15 +401,15 @@ def wigner(state: PureState | MixedState, xs, ps) -> np.ndarray:
         if np.any(coeffs != 0):
             # s = sum_k rho[k+d,k] (-1)^k sqrt(k!/(k+d)!) L_k^d(b) * (2 alpha^*)^d
             #   = g_d * sum_k rho[k+d,k] (-1)^k / sqrt(binom(k+d,k)) L_k^d(b)
-            lag_prev = np.zeros_like(b)
-            lag = np.ones_like(b)  # L_0^d
+            lag_prev = np.zeros_like(radii)
+            lag = np.ones_like(radii)  # L_0^d
             r = 1.0  # 1/sqrt(binom(k+d, k))
             sgn = 1.0
-            acc = np.zeros_like(two_alpha_conj)
+            acc = np.zeros(radii.shape, dtype=complex)
             for k in range(coeffs.size):
                 if k > 0:
                     lag, lag_prev = (
-                        ((2 * k - 1 + d - b) * lag - (k - 1 + d) * lag_prev) / k,
+                        ((2 * k - 1 + d - radii) * lag - (k - 1 + d) * lag_prev) / k,
                         lag,
                     )
                     r *= math.sqrt(k / (k + d))
@@ -413,7 +417,7 @@ def wigner(state: PureState | MixedState, xs, ps) -> np.ndarray:
                 c = coeffs[k]
                 if c != 0:
                     acc = acc + (sgn * r * c) * lag
-            contrib = acc * g
+            contrib = acc[where] * g
             if d == 0:
                 w += np.real(contrib)
             else:

@@ -233,18 +233,40 @@ def _dense_lindblad_reference(h, lm, tau, rho0, n_steps, samples=0):
 
 
 def _dense_ladder_reference(h, lm, tau, rho0, tol=1e-7, max_doublings=6):
-    # the former step-doubling ladder over the dense loop; returns (rho, rungs)
-    m_edge = float(np.abs(lm.conj().T @ lm).sum(axis=1).max())
-    n = max(128, int(math.ceil(tau * m_edge)))
-    rungs, prev = [], None
-    for _ in range(max_doublings + 1):
-        rho, _ = _dense_lindblad_reference(h, lm, tau, rho0, n)
-        rungs.append(n)
-        if prev is not None and np.abs(rho - prev).max() < tol:
-            return rho, rungs
-        prev = rho
-        n *= 2
+    # the adaptive ladder over the dense loop; returns (rho, rungs). Pairs
+    # (p, 2p) start at the stability floor; a failing pair with delta d jumps
+    # max(1, ceil(log4(d / tol))) doublings on, the last pair ending at the cap
+    floor = math.ceil(tau * float(np.abs(lm.conj().T @ lm).sum(axis=1).max()))
+    n_top = max(128, floor) << max_doublings
+    p, rungs, states = max(8, floor), [], {}
+    while 2 * p <= n_top:
+        for n in (p, 2 * p):
+            if n not in states:
+                states[n], _ = _dense_lindblad_reference(h, lm, tau, rho0, n)
+                rungs.append(n)
+        delta = np.abs(states[2 * p] - states[p]).max()
+        if delta < tol:
+            return states[2 * p], rungs
+        nxt = min(p << max(1, math.ceil(math.log(delta / tol, 4))), n_top // 2)
+        if nxt == p:
+            break
+        p = nxt
     raise AssertionError("reference ladder did not converge")
+
+
+def _floor_128_ladder(h, l_op, tau, rho0, tol):
+    # the former ladder: plain doubling from max(128, ceil(tau * m_edge));
+    # returns (kept steps, integrated steps, rho)
+    lm = l_op.matrix
+    n = max(128, math.ceil(tau * float(np.abs(lm.conj().T @ lm).sum(axis=1).max())))
+    integrated, prev = 0, None
+    for _ in range(7):
+        rho, _ = dyn.evolve_lindblad(h, l_op, tau, rho0, n_steps=n)
+        integrated += n
+        if prev is not None and np.abs(rho.matrix - prev).max() < tol:
+            return n, integrated, rho.matrix
+        prev, n = rho.matrix, 2 * n
+    raise AssertionError("floor-128 ladder did not converge")
 
 
 def _rel_max(a, b):
@@ -311,8 +333,89 @@ class TestMergedSparseIntegrator:
         rho, diag = dyn.evolve_lindblad(h, l_op, 0.02, rho0)
         ref, rungs = _dense_ladder_reference(h.matrix, l_op.matrix, 0.02, rho0.matrix)
         assert diag["steps"] == rungs[-1]
+        assert [steps for steps, _ in diag["rungs"]] == rungs
         assert diag["integrated_steps"] == sum(rungs)
         assert _rel_max(rho.matrix, ref) <= 1e-12
+
+
+class TestStepLadder:
+    """Rungs start at the stability floor and jump to the predicted pair."""
+
+    @staticmethod
+    def _setup(n=32, kappa=1.0):
+        cfg = make_cfg(n_fock=n, kappa=kappa, alpha=1.5, lam=1.4)
+        h, l_op, _ = dyn.effective_generators(cfg)
+        lm = l_op.matrix
+        m_edge = float(np.abs(lm.conj().T @ lm).sum(axis=1).max())
+        return h, l_op, m_edge, fk.vacuum(n).density_matrix()
+
+    def test_keeps_floor_128_rung_with_fewer_steps(self):
+        h, l_op, m_edge, rho0 = self._setup()
+        tau, tol = 0.05, 1e-9
+        assert tau * m_edge < 8  # the floor is 8, far below the former 128
+        kept, integrated, ref = _floor_128_ladder(h, l_op, tau, rho0, tol)
+        rho, diag = dyn.evolve_lindblad(h, l_op, tau, rho0, tol=tol)
+        assert kept == 1024 and integrated == 1920
+        assert diag["steps"] == kept
+        assert np.array_equal(rho.matrix, ref)
+        assert diag["integrated_steps"] == sum(n for n, _ in diag["rungs"]) < integrated
+        # (8, 16) fails, then the model jumps straight to the pair (512, 1024)
+        assert [n for n, _ in diag["rungs"]] == [8, 16, 512, 1024]
+        assert [d is None for _, d in diag["rungs"]] == [True, False, True, False]
+        assert diag["step_delta"] == diag["rungs"][-1][1] < tol
+        delta = diag["rungs"][1][1]
+        assert 4**5 <= delta / tol < 4**6
+
+    def test_every_rung_within_stability_floor(self):
+        h, l_op, m_edge, rho0 = self._setup(n=24, kappa=9.0)
+        tau = 0.1
+        floor = math.ceil(tau * m_edge)
+        assert 8 < floor < 128
+        _, diag = dyn.evolve_lindblad(h, l_op, tau, rho0, tol=1e-8)
+        steps = [n for n, _ in diag["rungs"]]
+        assert steps[0] == floor
+        assert len(steps) > 2  # the first pair failed
+        assert all(tau * m_edge / n <= 1.0 for n in steps)
+
+    def test_failing_ladder_ends_at_largest_rung(self, monkeypatch):
+        h, l_op, m_edge, rho0 = self._setup(n=24, kappa=9.0)
+        tau = 0.1
+        floor = math.ceil(tau * m_edge)
+        calls = []
+        fixed = dyn._lindblad_fixed
+
+        def spy(spectrum, lindblad, tau, rho0, n_steps, samples=0):
+            calls.append(n_steps)
+            return fixed(spectrum, lindblad, tau, rho0, n_steps, samples)
+
+        monkeypatch.setattr(dyn, "_lindblad_fixed", spy)
+        with pytest.raises(dyn.IntegrationError, match="up to 256 steps"):
+            dyn.evolve_lindblad(h, l_op, tau, rho0, tol=1e-16, max_doublings=1)
+        # the last pair tried is the former ladder's last pair, 128 and 256
+        assert calls == [floor, 2 * floor, 128, 256]
+
+    @pytest.mark.parametrize("kw", [
+        dict(lindblad_tol=0.0), dict(lindblad_tol=-1e-7), dict(lindblad_tol=math.nan),
+        dict(lindblad_tol=math.inf), dict(lindblad_steps=0), dict(lindblad_steps=-4),
+        dict(max_step_doublings=-1),
+    ])
+    def test_config_rejects_invalid_integrator_setting(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            make_cfg(kappa=1.0, **kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(tol=0.0), dict(tol=-1e-7), dict(tol=math.nan), dict(tol=math.inf),
+        dict(n_steps=0), dict(max_doublings=-1),
+    ])
+    def test_evolve_rejects_invalid_setting_before_work(self, kw, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(dyn, "Spectrum", no_work)
+        monkeypatch.setattr(dyn, "_lindblad_fixed", no_work)
+        h, l_op, _, rho0 = self._setup(n=16)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            dyn.evolve_lindblad(h, l_op, 0.05, rho0, **kw)
 
 
 class TestCubicGate:

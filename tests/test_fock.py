@@ -284,6 +284,71 @@ class TestWigner:
             fk.wigner(fk.vacuum(8), [0.0, math.inf], [0.0])
 
 
+def _per_point_wigner(state, xs, ps):
+    # the former fock.wigner: the Laguerre ladder runs on every grid point
+    xs, ps = np.asarray(xs, dtype=float), np.asarray(ps, dtype=float)
+    rho = (np.outer(state.vector, state.vector.conj()) if isinstance(state, fk.PureState)
+           else state.matrix)
+    x, p = xs[:, None], ps[None, :]
+    b = 2.0 * (x * x + p * p)
+    two_alpha_conj = math.sqrt(2.0) * (x - 1j * p)
+    w = np.zeros((xs.size, ps.size), dtype=float)
+    g = np.ones_like(two_alpha_conj)
+    for d in range(rho.shape[0]):
+        coeffs = np.diagonal(rho, offset=-d)
+        if np.any(coeffs != 0):
+            lag_prev, lag = np.zeros_like(b), np.ones_like(b)
+            r, sgn = 1.0, 1.0
+            acc = np.zeros_like(two_alpha_conj)
+            for k in range(coeffs.size):
+                if k > 0:
+                    lag, lag_prev = (
+                        ((2 * k - 1 + d - b) * lag - (k - 1 + d) * lag_prev) / k, lag,
+                    )
+                    r *= math.sqrt(k / (k + d))
+                    sgn = -sgn
+                if coeffs[k] != 0:
+                    acc = acc + (sgn * r * coeffs[k]) * lag
+            contrib = acc * g
+            w += np.real(contrib) if d == 0 else 2.0 * np.real(contrib)
+        g = g * two_alpha_conj / math.sqrt(d + 1.0)
+    return w * np.exp(-0.5 * b) / math.pi
+
+
+class TestWignerDistinctRadii:
+    """The ladder runs once per distinct radius, bit for bit the per-point one."""
+
+    n = 32
+
+    def _states(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(self.n, self.n)) + 1j * rng.normal(size=(self.n, self.n))
+        rho = a @ a.conj().T
+        mixed = fk.MixedState(rho / np.trace(rho).real)
+        vec = rng.normal(size=self.n) + 1j * rng.normal(size=self.n)
+        return {"mixed": mixed, "pure": fk.PureState(vec)}
+
+    @pytest.mark.parametrize("kind", ["mixed", "pure"])
+    @pytest.mark.parametrize("grid", ["symmetric", "asymmetric", "repeated"])
+    def test_matches_per_point_ladder(self, kind, grid):
+        rng = np.random.default_rng(5)
+        if grid == "symmetric":
+            xs = ps = np.linspace(-4.0, 4.0, 33)
+        elif grid == "asymmetric":
+            # non-uniform and xs != ps: hardly any radius repeats
+            xs = np.sort(rng.uniform(-5.0, 3.0, 17))
+            ps = np.sort(rng.uniform(-2.0, 4.5, 23))
+        else:
+            # every radius appears several times, also across x <-> p
+            xs = np.array([-3.0, -1.5, 0.0, 1.5, 3.0, 1.5, -0.5])
+            ps = np.array([1.5, -3.0, 0.0, 3.0, 0.5, -1.5])
+            assert np.unique(np.add.outer(xs * xs, ps * ps)).size < xs.size * ps.size / 3
+        state = self._states()[kind]
+        got = fk.wigner(state, xs, ps)
+        assert got.shape == (xs.size, ps.size)
+        assert np.array_equal(got, _per_point_wigner(state, xs, ps))
+
+
 class TestValueTypes:
     def test_pure_state_normalizes(self):
         psi = fk.PureState(np.array([3.0, 4.0]))
