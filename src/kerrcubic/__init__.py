@@ -53,7 +53,6 @@ from .fock import (
     Operator,
     PureState,
     Spectrum,
-    TruncatedMode,
     TruncationWarning,
     annihilation,
     check_truncation_convergence,

@@ -3,10 +3,12 @@
 Subcommands: heff-expand, state, gate, sweep-lambda, optimize-alpha,
 sweep-noise, state-gen, trotter, soliton-fom, reproduce.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/IO failure. Errors
-go to stderr as one JSON object. Every run writes a resolved-configuration
-JSON sidecar next to its outputs, from which the run is reproducible
-byte-for-byte. CSV cells carry 17 significant digits.
+Every option is declared once, in `_OPTIONS`; a `--config` file may set any
+of them, and flags override the file. `dispatch` resolves them, runs the
+subcommand's handler and writes a JSON sidecar of every option the run set,
+from which the run is reproducible byte-for-byte. Exit codes: 0 success, 2
+configuration error, 3 numerical/IO failure. Errors go to stderr as one JSON
+object. CSV cells carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -46,12 +48,34 @@ SCHEMA_VERSION = 1
 RECIPES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5",
            "fig6a", "fig6b", "fig7b", "table1")
 
-_CONFIG_KEYS = {
-    "out", "workers", "fock", "lambda_db", "alpha", "gamma", "chi",
-    "chi_over_kappa", "loss_frame", "trotter", "dtheta", "ddelta_rel",
-    "dbetax_rel", "input", "delta", "values", "lambda_db_values", "noise",
-    "alpha_mode", "alpha_coeff", "bracket", "wigner_span", "wigner_points",
+_SWITCH = {"action": "store_true", "default": None}  # unset: not recorded
+
+# config key -> (flag keywords, subcommands that take the flag --key-name):
+# None for every subcommand, () for a config-file-only key, or a mapping of
+# subcommand -> its own extra keywords. `--config`, `--dry-run` and the
+# `reproduce` recipe select how the program runs and are declared apart.
+_OPTIONS = {
+    **dict.fromkeys(["out", "input", "values"], ({}, None)),
+    **dict.fromkeys(["workers", "fock", "trotter"], ({"type": int}, None)),
+    **dict.fromkeys(["lambda_db", "alpha", "gamma", "chi", "chi_over_kappa", "dtheta",
+                     "ddelta_rel", "dbetax_rel", "delta"], ({"type": float}, None)),
+    "loss_frame": ({"choices": ["fluctuation", "displaced"]}, None),
+    "beta": ({"type": float}, ("heff-expand",)),
+    "wigner": (_SWITCH, ("state", "gate")),
+    "alpha_mode": ({}, {"sweep-lambda": {"choices": ["fixed", "cube", "optimize"]},
+                        "sweep-noise": {"choices": ["fixed", "cube"]}}),
+    "alpha_coeff": ({"type": float}, ("sweep-lambda", "sweep-noise")),
+    "bracket": ({}, ("optimize-alpha",)),
+    "noise": ({"choices": ["dtheta", "ddelta-rel", "dbetax-rel"]}, ("sweep-noise",)),
+    "lambda_db_values": ({}, ("sweep-noise",)),
+    "no_correction": (_SWITCH, ("state-gen",)),
+    "builtin_table": (_SWITCH, ("soliton-fom",)),
+    "materials": ({}, ("soliton-fom",)),
+    "wigner_span": ({}, ()),
+    "wigner_points": ({}, ()),
 }
+
+_CONFIG_KEYS = frozenset(_OPTIONS)
 
 
 class ConfigError(ValueError):
@@ -61,21 +85,25 @@ class ConfigError(ValueError):
 class RunConfig(dict):
     """Resolved run configuration: file values overridden by flags.
 
-    Plain mapping plus the two fields every run needs; construct through
-    `RunConfig.collect`.
+    Plain mapping plus the fields every run needs; construct through
+    `RunConfig.collect`. `dry_run` is an attribute, not a key: it selects how
+    the program runs, so the sidecar does not record it.
     """
 
     @classmethod
     def collect(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
-        if getattr(args, "config", None):
+        if args.config:
             cfg.update(parse_config_file(args.config))
-        for key in _CONFIG_KEYS:
+        # the recipe of `reproduce` is recorded like an option, but only the
+        # command line sets it
+        for key in (*_OPTIONS, "recipe"):
             flag = getattr(args, key, None)
             if flag is not None:
                 cfg[key] = flag
         if "out" not in cfg:
             cfg["out"] = os.environ.get("KERRCUBIC_OUT", ".")
+        cfg.dry_run = bool(getattr(args, "dry_run", False))
         return cfg
 
     @property
@@ -112,11 +140,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_wigner_csv(path: Path, xs, ps, w) -> None:
-    rows = []
-    for i, x in enumerate(xs):
-        for j, p in enumerate(ps):
-            rows.append((x, p, w[i, j]))
-    write_csv(path, ["x", "p", "w"], rows)
+    write_csv(path, ["x", "p", "w"],
+              [(x, p, w[i, j]) for i, x in enumerate(xs) for j, p in enumerate(ps)])
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -146,7 +171,10 @@ def _row_table(rows, header: list[str]) -> tuple[list[str], list[tuple]]:
 
 
 def parse_config_file(path: str) -> dict:
-    """Plain-text `key = value` lines; '#' comments; unknown keys rejected."""
+    """Plain-text `key = value` lines; '#' comments; unknown keys rejected.
+
+    Values stay strings, except that a switch reads `true` or `false`.
+    """
     out: dict = {}
     for ln_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,13 +185,15 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
+        if _OPTIONS[key][0] is _SWITCH:
+            if value not in ("true", "false"):
+                raise ConfigError(f"{path}:{ln_no}: {key} must be true or false, got {value!r}")
+            value = value == "true"
         out[key] = value
     return out
 
 
 def _floats(v) -> tuple[float, ...]:
-    if isinstance(v, (list, tuple)):
-        return tuple(float(x) for x in v)
     return tuple(float(tok) for tok in str(v).split(",") if tok.strip())
 
 
@@ -188,8 +218,7 @@ def _gate_config(cfg: dict) -> GateConfig:
 
 
 def _resolved(cfg: dict, gc: GateConfig | None = None) -> dict:
-    doc = {k: (v if isinstance(v, (int, float, str, bool, list)) else str(v))
-           for k, v in sorted(cfg.items())}
+    doc = dict(cfg)
     if gc is not None:
         doc["gate_config"] = {
             "chi": gc.chi, "lam": gc.lam, "lam_db": gc.lam_db, "alpha": gc.alpha,
@@ -202,18 +231,18 @@ def _resolved(cfg: dict, gc: GateConfig | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes and writes its artifacts and returns the paths
+# to print; `dispatch` writes the sidecar
 # ---------------------------------------------------------------------------
 
 
-def _cmd_heff_expand(args) -> int:
-    cfg = RunConfig.collect(args)
+def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
     chi = float(cfg.get("chi", 1.0))
     lam = lambda_from_db(float(cfg.get("lambda_db", 10.0)))
     alpha = float(cfg.get("alpha", 50.0))
     dc, bc = algebra.cubic_counterterms(chi)
-    delta = dc if args.delta is None else algebra.AlphaPoly(args.delta)
-    beta = bc if args.beta is None else algebra.AlphaPoly(args.beta)
+    delta = algebra.AlphaPoly(float(cfg["delta"])) if "delta" in cfg else dc
+    beta = algebra.AlphaPoly(float(cfg["beta"])) if "beta" in cfg else bc
     h = algebra.substitute_gaussian_frame(
         algebra.driven_kerr(chi, delta, beta), lam
     ).drop_constant()
@@ -222,33 +251,25 @@ def _cmd_heff_expand(args) -> int:
     for (j, k) in sorted(quad.terms, key=lambda t: (t[0] + t[1], t)):
         c = quad.quad_coefficient(j, k, alpha)
         rows.append((f"x^{j} p^{k}", c.real, c.imag))
-    out = cfg.out_dir
-    write_csv(out / "heff_expand.csv", ["monomial", "coefficient-real", "coefficient-imag"], rows)
-    write_sidecar(out / "heff_expand.config.json", "heff-expand", _resolved(cfg))
-    print(out / "heff_expand.csv")
-    return 0
+    path = cfg.out_dir / "heff_expand.csv"
+    write_csv(path, ["monomial", "coefficient-real", "coefficient-imag"], rows)
+    return [path]
 
 
-def _cmd_state(args) -> int:
-    cfg = RunConfig.collect(args)
-    n = int(cfg.get("fock", 128))
-    psi = parse_state(str(cfg.get("input", "vacuum")), n)
+def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
+    psi = parse_state(str(cfg.get("input", "vacuum")), int(cfg.get("fock", 128)))
     out = cfg.out_dir
-    if args.wigner:
+    if cfg.get("wigner"):
         xs = cfg.wigner_axis
-        write_wigner_csv(out / "state_wigner.csv", xs, xs, wigner(psi, xs, xs))
-        print(out / "state_wigner.csv")
+        path = out / "state_wigner.csv"
+        write_wigner_csv(path, xs, xs, wigner(psi, xs, xs))
     else:
-        rows = [(k, a.real, a.imag) for k, a in enumerate(psi.vector)]
-        write_csv(out / "state_amplitudes.csv", ["n", "re", "im"], rows)
-        print(out / "state_amplitudes.csv")
-    write_sidecar(out / "state.config.json", "state", _resolved(cfg))
-    return 0
+        path = out / "state_amplitudes.csv"
+        write_csv(path, ["n", "re", "im"], [(k, a.real, a.imag) for k, a in enumerate(psi.vector)])
+    return [path]
 
 
-def _cmd_gate(args) -> int:
-    cfg = RunConfig.collect(args)
-    gc = _gate_config(cfg)
+def _cmd_gate(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
     res = cubic_gate(gc, psi)
     out = cfg.out_dir
@@ -259,12 +280,10 @@ def _cmd_gate(args) -> int:
         "trace_drift": res.diagnostics.get("trace_drift"),
     }
     emit(doc, out / "gate_result.json")
-    if args.wigner:
+    if cfg.get("wigner"):
         xs = cfg.wigner_axis
         write_wigner_csv(out / "gate_wigner.csv", xs, xs, wigner(res.state, xs, xs))
-    write_sidecar(out / "gate_result.config.json", "gate", _resolved(cfg, gc))
-    print(out / "gate_result.json")
-    return 0
+    return [out / "gate_result.json"]
 
 
 _SWEEP_HEADER = ["value", "lam_db", "lam", "alpha", "error", "tau", "ok", "message"]
@@ -283,65 +302,45 @@ def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: str,
                      alpha_coeff=float(cfg.get("alpha_coeff", 1.85)), workers=cfg.workers)
 
 
-def _cmd_sweep_lambda(args) -> int:
-    cfg = RunConfig.collect(args)
-    gc = _gate_config(cfg)
+def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     spec = _sweep_spec(cfg, gc, "lam_db", "5,7.5,10,12.5,15", "optimize")
-    out = cfg.out_dir
-    write_csv(out / "sweep_lambda.csv", *_row_table(run_sweep(spec), _SWEEP_HEADER))
-    write_sidecar(out / "sweep_lambda.config.json", "sweep-lambda", _resolved(cfg, gc))
-    print(out / "sweep_lambda.csv")
-    return 0
+    path = cfg.out_dir / "sweep_lambda.csv"
+    write_csv(path, *_row_table(run_sweep(spec), _SWEEP_HEADER))
+    return [path]
 
 
-def _cmd_optimize_alpha(args) -> int:
-    cfg = RunConfig.collect(args)
-    gc = _gate_config(cfg)
-    bracket = _floats(cfg.get("bracket", "")) or None
-    if bracket is None:
-        center = 1.85 * gc.lam**3
-        bracket = (0.45 * center, 3.5 * center)
+def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+    center = 1.85 * gc.lam**3
+    bracket = _floats(cfg.get("bracket", "")) or (0.45 * center, 3.5 * center)
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
-    opt = optimize_alpha(gc, tuple(bracket), psi)
-    out = cfg.out_dir
+    opt = optimize_alpha(gc, bracket, psi)
+    path = cfg.out_dir / "optimize_alpha.json"
     emit({"alpha": opt.alpha, "error": opt.error,
-          "evaluations": opt.evaluations, "unimodal": opt.unimodal},
-         out / "optimize_alpha.json")
-    write_sidecar(out / "optimize_alpha.config.json", "optimize-alpha", _resolved(cfg, gc))
-    print(out / "optimize_alpha.json")
-    return 0
+          "evaluations": opt.evaluations, "unimodal": opt.unimodal}, path)
+    return [path]
 
 
-def _cmd_sweep_noise(args) -> int:
-    cfg = RunConfig.collect(args)
-    gc = _gate_config(cfg)
+def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     channel = str(cfg.get("noise", "dtheta")).replace("-", "_")
     channel = {"dbetax_rel": "dbeta_x_rel"}.get(channel, channel)  # flag spelling
     if channel not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
         raise ConfigError(f"unknown noise channel {channel!r}")
     spec = _sweep_spec(cfg, gc, channel, "1e-4", "cube")
     lam_dbs = _floats(cfg.get("lambda_db_values", cfg.get("lambda_db", "10")))
-    out = cfg.out_dir
-    write_csv(out / "sweep_noise.csv", *_row_table(noise_sweep(spec, lam_dbs), _NOISE_HEADER))
-    write_sidecar(out / "sweep_noise.config.json", "sweep-noise", _resolved(cfg, gc))
-    print(out / "sweep_noise.csv")
-    return 0
+    path = cfg.out_dir / "sweep_noise.csv"
+    write_csv(path, *_row_table(noise_sweep(spec, lam_dbs), _NOISE_HEADER))
+    return [path]
 
 
-def _cmd_state_gen(args) -> int:
-    cfg = RunConfig.collect(args)
-    gc = _gate_config(cfg)
+def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     xs = cfg.wigner_axis
     res = generate_cubic_state(gc, delta=float(cfg.get("delta", 0.5)), grid=(xs, xs),
-                               gaussian_correction=not args.no_correction)
-    out = cfg.out_dir
-    _write_state_gen(res, out, "state_gen",
-                     correction=[float(c) for c in res.correction])
-    write_sidecar(out / "state_gen.config.json", "state-gen", _resolved(cfg, gc))
-    print(out / "state_gen.json")
-    return 0
+                               gaussian_correction=not cfg.get("no_correction"))
+    doc, _ = _write_state_gen(res, cfg.out_dir, "state_gen",
+                              correction=[float(c) for c in res.correction])
+    return [doc]
 
 
 def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
@@ -354,26 +353,24 @@ def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
     return errors, cubic_gate(replace(gc, trotter_steps=0), psi).error
 
 
-def _cmd_trotter(args) -> int:
-    cfg = RunConfig.collect(args)
-    gc = _gate_config(cfg)
-    values = [int(v) for v in _floats(cfg.get("values", "1,2,4,8,16"))]
+def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+    values = _floats(cfg.get("values", "1,2,4,8,16"))
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"trotter step counts must be whole numbers, got {values}")
+    steps = [int(v) for v in values]
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
-    errors, cont = _trotter_errors(gc, psi, values)
-    rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(values, errors)]
-    out = cfg.out_dir
-    write_csv(out / "trotter.csv", ["steps", "error", "abs_diff_vs_continuous"], rows)
-    write_sidecar(out / "trotter.config.json", "trotter", _resolved(cfg, gc))
-    print(out / "trotter.csv")
-    return 0
+    errors, cont = _trotter_errors(gc, psi, steps)
+    rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(steps, errors)]
+    path = cfg.out_dir / "trotter.csv"
+    write_csv(path, ["steps", "error", "abs_diff_vs_continuous"], rows)
+    return [path]
 
 
-def _cmd_soliton_fom(args) -> int:
-    cfg = RunConfig.collect(args)
-    if args.builtin_table:
+def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
+    if cfg.get("builtin_table"):
         mats = soliton.BUILTIN_MATERIALS
-    elif args.materials:
-        header, rows = read_csv(Path(args.materials))
+    elif cfg.get("materials"):
+        header, rows = read_csv(Path(cfg["materials"]))
         want = _FOM_HEADER[:-1]
         if header != want:
             raise ConfigError(f"materials CSV must have columns {want}, got {header}")
@@ -384,11 +381,9 @@ def _cmd_soliton_fom(args) -> int:
         )
     else:
         raise ConfigError("soliton-fom needs --builtin-table or --materials CSV")
-    out = cfg.out_dir
-    write_csv(out / "soliton_fom.csv", _FOM_HEADER, _fom_rows(mats))
-    write_sidecar(out / "soliton_fom.config.json", "soliton-fom", _resolved(cfg))
-    print(out / "soliton_fom.csv")
-    return 0
+    path = cfg.out_dir / "soliton_fom.csv"
+    write_csv(path, _FOM_HEADER, _fom_rows(mats))
+    return [path]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +394,13 @@ def _cmd_soliton_fom(args) -> int:
 def _recipe_spec(name: str, workers: int) -> dict:
     """Parameter sets of the named dataset recipes."""
     base = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=128)
-    if name == "fig2":
-        return {
+
+    def noise(channel, values):
+        return {"kind": "noise", "channel": channel, "values": values,
+                "lam_db": (10.0, 12.5, 15.0, 17.5), "base": base, "workers": workers}
+
+    specs = {
+        "fig2": {
             "kind": "lambda-sweeps",
             "states": [f"gkp:{lbl}:{d}" for lbl in ("z+", "z-", "x+", "x-", "y+", "y-")
                        for d in (0.3, 0.4, 0.5)],
@@ -408,50 +408,38 @@ def _recipe_spec(name: str, workers: int) -> dict:
             "base": replace(base, n_fock=256),
             "alpha_mode": "optimize",
             "workers": workers,
-        }
-    if name == "fig3a":
-        return {
+        },
+        "fig3a": {
             "kind": "alpha-grids",
             "chi_over_kappa": (1e-3, 1e-4, 1e-5),
             "lam_db": (10.0, 12.5, 15.0, 17.5, 20.0),
             "alpha_factors": tuple(float(f) for f in np.geomspace(0.6, 30.0, 10)),
             "base": base, "workers": workers,
-        }
-    if name == "fig3b":
-        return {
+        },
+        "fig3b": {
             "kind": "lossy-sweeps",
             "grids": {1e-3: (12.5, 15.0, 17.5, 20.0),
                       1e-4: (15.0, 17.5, 20.0, 22.5),
                       1e-5: (17.5, 20.0, 22.5, 25.0)},
             "base": base, "workers": workers,
-        }
-    if name == "fig3c":
-        return {"kind": "noise", "channel": "dtheta",
-                "values": (1e-5, 3e-5, 1e-4, 3e-4),
-                "lam_db": (10.0, 12.5, 15.0, 17.5), "base": base, "workers": workers}
-    if name == "fig4":
-        return {"kind": "state-gen",
-                "base": GateConfig.make(lam_db=15.0, alpha=1.4e4, gamma=0.1,
-                                        chi_over_kappa=1e-4, n_fock=128)}
-    if name == "fig5":
+        },
+        "fig3c": noise("dtheta", (1e-5, 3e-5, 1e-4, 3e-4)),
+        "fig4": {"kind": "state-gen",
+                 "base": GateConfig.make(lam_db=15.0, alpha=1.4e4, gamma=0.1,
+                                         chi_over_kappa=1e-4, n_fock=128)},
         # alpha grids per squeezing keep the discrete-drive kick representable
-        return {"kind": "trotter-curves",
-                "grids": {5.0: (5.0, 8.0, 12.0, 16.0), 10.0: (12.0, 16.0, 20.0, 25.0)},
-                "trotter": (1, 2, 4), "n_fock": 448, "workers": workers}
-    if name == "fig6a":
-        return {"kind": "noise", "channel": "ddelta_rel",
-                "values": (1e-6, 3e-6, 1e-5),
-                "lam_db": (10.0, 12.5, 15.0, 17.5), "base": base, "workers": workers}
-    if name == "fig6b":
-        return {"kind": "noise", "channel": "dbeta_x_rel",
-                "values": (1e-6, 3e-6, 1e-5),
-                "lam_db": (10.0, 12.5, 15.0, 17.5), "base": base, "workers": workers}
-    if name == "fig7b":
-        return {"kind": "photon-trace", "lam_db": (5.0, 10.0, 15.0), "samples": 41,
-                "base": base, "workers": workers}
-    if name == "table1":
-        return {"kind": "table1"}
-    raise ConfigError(f"unknown recipe {name!r}; choose from {RECIPES}")
+        "fig5": {"kind": "trotter-curves",
+                 "grids": {5.0: (5.0, 8.0, 12.0, 16.0), 10.0: (12.0, 16.0, 20.0, 25.0)},
+                 "trotter": (1, 2, 4), "n_fock": 448, "workers": workers},
+        "fig6a": noise("ddelta_rel", (1e-6, 3e-6, 1e-5)),
+        "fig6b": noise("dbeta_x_rel", (1e-6, 3e-6, 1e-5)),
+        "fig7b": {"kind": "photon-trace", "lam_db": (5.0, 10.0, 15.0), "samples": 41,
+                  "base": base, "workers": workers},
+        "table1": {"kind": "table1"},
+    }
+    if name not in specs:
+        raise ConfigError(f"unknown recipe {name!r}; choose from {RECIPES}")
+    return specs[name]
 
 
 def _write_state_gen(res, out: Path, stem: str, **extra) -> list[Path]:
@@ -567,21 +555,17 @@ def _run_recipe(name: str, spec: dict, out: Path) -> list[Path]:
     return [p]
 
 
-def _cmd_reproduce(args) -> int:
-    cfg = RunConfig.collect(args)
+def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
+    """Write the sidecar first: `--dry-run` writes only the sidecar."""
     out = cfg.out_dir
-    name = args.recipe
+    name = cfg["recipe"]
     spec = _recipe_spec(name, cfg.workers)
-    resolved = _resolved(cfg)
-    resolved["recipe"] = name
-    resolved["recipe_spec"] = json.loads(json.dumps(spec, default=str))
-    write_sidecar(out / f"{name}.config.json", f"reproduce {name}", resolved)
-    if args.dry_run:
-        print(out / f"{name}.config.json")
-        return 0
-    for p in _run_recipe(name, spec, out):
-        print(p)
-    return 0
+    sidecar = out / f"{name}.config.json"
+    write_sidecar(sidecar, f"reproduce {name}",
+                  {**_resolved(cfg), "recipe_spec": json.loads(json.dumps(spec, default=str))})
+    if cfg.dry_run:
+        return [sidecar]
+    return _run_recipe(name, spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -589,69 +573,39 @@ def _cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# subcommand -> (handler, sidecar stem, whether it runs on a GateConfig);
+# reproduce writes its own sidecar, named after the recipe
+_COMMANDS = {
+    "heff-expand": (_cmd_heff_expand, "heff_expand", False),
+    "state": (_cmd_state, "state", False),
+    "gate": (_cmd_gate, "gate_result", True),
+    "sweep-lambda": (_cmd_sweep_lambda, "sweep_lambda", True),
+    "optimize-alpha": (_cmd_optimize_alpha, "optimize_alpha", True),
+    "sweep-noise": (_cmd_sweep_noise, "sweep_noise", True),
+    "state-gen": (_cmd_state_gen, "state_gen", True),
+    "trotter": (_cmd_trotter, "trotter", True),
+    "soliton-fom": (_cmd_soliton_fom, "soliton_fom", False),
+    "reproduce": (_cmd_reproduce, None, False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kerrcubic",
                                  description="Kerr-based cubic phase gate toolkit")
     sub = ap.add_subparsers(dest="command")
-
-    cmd = {name: sub.add_parser(name) for name in _HANDLERS}
+    cmd = {name: sub.add_parser(name) for name in _COMMANDS}
     for p in cmd.values():
         p.add_argument("--config", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--fock", type=int, default=None)
-        p.add_argument("--lambda-db", dest="lambda_db", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--chi", type=float, default=None)
-        p.add_argument("--chi-over-kappa", dest="chi_over_kappa", type=float, default=None)
-        p.add_argument("--loss-frame", dest="loss_frame",
-                       choices=["fluctuation", "displaced"], default=None)
-        p.add_argument("--trotter", type=int, default=None)
-        p.add_argument("--dtheta", type=float, default=None)
-        p.add_argument("--ddelta-rel", dest="ddelta_rel", type=float, default=None)
-        p.add_argument("--dbetax-rel", dest="dbetax_rel", type=float, default=None)
-        p.add_argument("--input", default=None)
-        p.add_argument("--values", default=None)
-        p.add_argument("--delta", type=float, default=None)
-
-    cmd["heff-expand"].add_argument("--beta", type=float, default=None)
-    cmd["state"].add_argument("--wigner", action="store_true")
-    cmd["gate"].add_argument("--wigner", action="store_true")
-    cmd["sweep-lambda"].add_argument("--alpha-mode", dest="alpha_mode",
-                                     choices=["fixed", "cube", "optimize"], default=None)
-    cmd["sweep-lambda"].add_argument("--alpha-coeff", dest="alpha_coeff", type=float,
-                                     default=None)
-    cmd["optimize-alpha"].add_argument("--bracket", default=None)
-    p = cmd["sweep-noise"]
-    p.add_argument("--noise", choices=["dtheta", "ddelta-rel", "dbetax-rel"], default=None)
-    p.add_argument("--lambda-db-values", dest="lambda_db_values", default=None)
-    p.add_argument("--alpha-mode", dest="alpha_mode", choices=["fixed", "cube"], default=None)
-    p.add_argument("--alpha-coeff", dest="alpha_coeff", type=float, default=None)
-    cmd["state-gen"].add_argument("--no-correction", action="store_true")
-    cmd["soliton-fom"].add_argument("--builtin-table", action="store_true")
-    cmd["soliton-fom"].add_argument("--materials", default=None)
+    for key, (kwargs, names) in _OPTIONS.items():
+        for name in _COMMANDS if names is None else names:
+            extra = names[name] if isinstance(names, dict) else {}
+            cmd[name].add_argument("--" + key.replace("_", "-"), **kwargs, **extra)
     cmd["reproduce"].add_argument("recipe", choices=list(RECIPES))
     cmd["reproduce"].add_argument("--dry-run", action="store_true")
     return ap
 
 
-_HANDLERS = {
-    "heff-expand": _cmd_heff_expand,
-    "state": _cmd_state,
-    "gate": _cmd_gate,
-    "sweep-lambda": _cmd_sweep_lambda,
-    "optimize-alpha": _cmd_optimize_alpha,
-    "sweep-noise": _cmd_sweep_noise,
-    "state-gen": _cmd_state_gen,
-    "trotter": _cmd_trotter,
-    "soliton-fom": _cmd_soliton_fom,
-    "reproduce": _cmd_reproduce,
-}
-
-
-def _error_json(exc: Exception) -> str:
-    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
+_NUMERICAL_FAILURES = (IntegrationError, ArithmeticError, OSError, RuntimeError)
 
 
 def dispatch(argv) -> int:
@@ -664,22 +618,27 @@ def dispatch(argv) -> int:
     if args.command is None:
         ap.print_usage(sys.stderr)
         return 2
-    handler = _HANDLERS[args.command]
+    handler, stem, needs_gate = _COMMANDS[args.command]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return handler(args)
-    except (IntegrationError, ArithmeticError, OSError, RuntimeError) as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 2
+            cfg = RunConfig.collect(args)
+            gc = _gate_config(cfg) if needs_gate else None
+            paths = handler(cfg, gc)
+            if stem is not None:
+                write_sidecar(cfg.out_dir / f"{stem}.config.json", args.command,
+                              _resolved(cfg, gc))
+    except (*_NUMERICAL_FAILURES, ValueError) as exc:  # ConfigError is a ValueError
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
+              file=sys.stderr)
+        return 3 if isinstance(exc, _NUMERICAL_FAILURES) else 2
+    for p in paths:
+        print(p)
+    return 0
 
 
 def main(argv=None) -> int:
-    code = dispatch(sys.argv[1:] if argv is None else argv)
-    sys.exit(code)
+    sys.exit(dispatch(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

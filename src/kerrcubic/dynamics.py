@@ -409,31 +409,36 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
     photon-number time series (total and fluctuation-frame means, variance).
     """
     if cfg.trotter_steps > 0:
+        if samples:
+            raise UnsupportedConfigurationError(
+                "the discrete-drive scheme records no photon-number series")
         return trotterized_gate(cfg, psi_in)
     if psi_in.dim != cfg.n_fock:
         raise ValueError(f"input state dim {psi_in.dim} != n_fock {cfg.n_fock}")
 
-    if cfg.gamma == 0.0 and not cfg.noise.any:
-        # tau = 0: the medium is never entered
-        return EvolutionResult(psi_in, 0.0, psi_in, {"tau": 0.0})
-
-    target = ideal_cubic_target(cfg.gamma, psi_in)
     tau = cfg.tau
     diagnostics: dict = {"tau": tau}
-
     if samples:
         n_obs, const = effective_number_operator(cfg)
         n_mat = n_obs.matrix
         n2 = n_mat @ n_mat
 
+        def pure_moments(t, psi):
+            return t, np.vdot(psi, n_mat @ psi).real, np.vdot(psi, n2 @ psi).real
+
+    if cfg.gamma == 0.0 and not cfg.noise.any:
+        # tau = 0: the medium is never entered, and the series stays flat
+        if samples:
+            flat = [pure_moments(0.0, psi_in.vector)] * max(2, samples)
+            diagnostics["photon_series"] = _photon_series(flat, const, cfg.alpha)
+        return EvolutionResult(psi_in, 0.0, psi_in, diagnostics)
+
+    target = ideal_cubic_target(cfg.gamma, psi_in)
     if cfg.kappa == 0.0:
         spectrum = Spectrum(_frame_matrix(cfg))
         if samples:
-            moments = []
-            for t in np.linspace(0.0, tau, max(2, samples)):
-                psi = spectrum.advance(psi_in.vector, t)
-                moments.append((t, np.vdot(psi, n_mat @ psi).real,
-                                np.vdot(psi, n2 @ psi).real))
+            moments = [pure_moments(t, spectrum.advance(psi_in.vector, t))
+                       for t in np.linspace(0.0, tau, max(2, samples))]
             diagnostics["photon_series"] = _photon_series(moments, const, cfg.alpha)
         out: PureState | MixedState = PureState(
             spectrum.advance(psi_in.vector, tau), normalize=False

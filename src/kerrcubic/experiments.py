@@ -27,8 +27,9 @@ from .fock import (
     MixedState,
     PureState,
     Spectrum,
-    TruncatedMode,
     lambda_from_db,
+    momentum,
+    position,
     wigner,
 )
 from .states import nlq_variance, parse_state, squeezed_vacuum
@@ -68,6 +69,10 @@ def fit_power_law(points) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
+_COARSE_POINTS = 7   # geometric scan that checks unimodality over the bracket
+_ALPHA_REL_TOL = 1e-3  # golden-section stop: bracket width in log(alpha)
+
+
 @dataclass(frozen=True)
 class AlphaOptimum:
     alpha: float
@@ -80,8 +85,6 @@ def optimize_alpha(
     cfg: GateConfig,
     bracket: tuple[float, float],
     input_state: PureState,
-    coarse_points: int = 7,
-    rel_tol: float = 1e-3,
 ) -> AlphaOptimum:
     """Minimize the gate error over the displacement, golden section on log(alpha).
 
@@ -101,14 +104,14 @@ def optimize_alpha(
     if lo == hi:
         return AlphaOptimum(lo, err(lo), 1, True)
 
-    grid = np.geomspace(lo, hi, coarse_points)
+    grid = np.geomspace(lo, hi, _COARSE_POINTS)
     vals = [err(a) for a in grid]
     k = int(np.argmin(vals))
     interior_minima = sum(
-        1 for i in range(1, coarse_points - 1)
+        1 for i in range(1, _COARSE_POINTS - 1)
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
     )
-    unimodal = interior_minima == 1 and 0 < k < coarse_points - 1
+    unimodal = interior_minima == 1 and 0 < k < _COARSE_POINTS - 1
     if not unimodal:
         warnings.warn(
             "gate error not unimodal over the bracket; falling back to a dense scan",
@@ -124,7 +127,7 @@ def optimize_alpha(
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = err(math.exp(c)), err(math.exp(d))
-    while (b - a) > rel_tol:
+    while (b - a) > _ALPHA_REL_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -163,6 +166,8 @@ class SweepSpec:
         if self.alpha_mode not in _ALPHA_MODES:
             raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if self.param == "trotter_steps" and not all(v.is_integer() for v in self.values):
+            raise ValueError(f"trotter step counts must be whole numbers, got {self.values}")
 
 
 def _configure_point(spec: SweepSpec, value: float) -> GateConfig:
@@ -291,8 +296,7 @@ class CubicStateResult:
 @lru_cache(maxsize=8)
 def _correction_basis(n: int) -> np.ndarray:
     """Read-only stack of the generators x^2, p^2, {x,p}/2, x, p of the correction."""
-    mode = TruncatedMode(n)
-    x, p = mode.x, mode.p
+    x, p = position(n).matrix, momentum(n).matrix
     basis = np.array([x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p])
     basis.setflags(write=False)
     return basis

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,39 +199,6 @@ class MixedState:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-@dataclass(frozen=True)
-class TruncatedMode:
-    """A single bosonic mode truncated to N Fock levels, with cached operators."""
-
-    dim: int
-    _a: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidDimensionError(f"Fock dimension must be >= 2, got {self.dim}")
-        object.__setattr__(self, "_a", _annihilation_matrix(self.dim))
-
-    @property
-    def a(self) -> np.ndarray:
-        return self._a
-
-    @property
-    def adag(self) -> np.ndarray:
-        return self._a.conj().T
-
-    @property
-    def n(self) -> np.ndarray:
-        return np.diag(np.arange(self.dim, dtype=float)).astype(complex)
-
-    @property
-    def x(self) -> np.ndarray:
-        return (self._a + self.adag) / math.sqrt(2.0)
-
-    @property
-    def p(self) -> np.ndarray:
-        return (self._a - self.adag) / (1j * math.sqrt(2.0))
-
-
 def _check_dims(d1: int, d2: int):
     if d1 != d2:
         raise DimensionMismatchError(f"dimension mismatch: {d1} vs {d2}")
@@ -256,15 +223,19 @@ def annihilation(n: int) -> Operator:
 
 
 def position(n: int) -> Operator:
-    return Operator(TruncatedMode(n).x)
+    a = annihilation(n).matrix
+    return Operator((a + a.conj().T) / math.sqrt(2.0))
 
 
 def momentum(n: int) -> Operator:
-    return Operator(TruncatedMode(n).p)
+    a = annihilation(n).matrix
+    return Operator((a - a.conj().T) / (1j * math.sqrt(2.0)))
 
 
 def number(n: int) -> Operator:
-    return Operator(TruncatedMode(n).n)
+    if n < 2:
+        raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
+    return Operator(np.diag(np.arange(n, dtype=float)).astype(complex))
 
 
 def vacuum(n: int) -> PureState:

@@ -24,10 +24,11 @@ from .fock import (
     Operator,
     PureState,
     MixedState,
-    TruncatedMode,
     Spectrum,
     TruncationWarning,
     displacement,
+    momentum,
+    position,
     squeeze,
     vacuum,
     variance,
@@ -152,7 +153,7 @@ def _warn_winding(gamma: float, n: int) -> None:
 def ideal_cubic_gate(gamma: float, n: int) -> Operator:
     """The unitary exp(i*gamma*x^3) on the truncated space."""
     _warn_winding(gamma, n)
-    x = TruncatedMode(n).x
+    x = position(n).matrix
     x3 = x @ x @ x
     return Operator(Spectrum(x3).unitary(-gamma))
 
@@ -179,8 +180,8 @@ def _cached_target(gamma: float, amplitudes: bytes) -> PureState:
 
 def nlq_operator(gamma: float, n: int) -> Operator:
     """The nonlinear quadrature p - 3*gamma*x^2."""
-    mode = TruncatedMode(n)
-    return Operator(mode.p - 3.0 * gamma * (mode.x @ mode.x))
+    x = position(n).matrix
+    return Operator(momentum(n).matrix - 3.0 * gamma * (x @ x))
 
 
 def nlq_variance(state: PureState | MixedState, gamma: float) -> float:

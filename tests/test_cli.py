@@ -1,5 +1,8 @@
+import argparse
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +83,17 @@ class TestConfigFile:
         sidecar = json.loads((out / "gate_result.config.json").read_text())
         assert sidecar["resolved_config"]["gate_config"]["alpha"] == 4.0
         assert sidecar["schema_version"] == cli.SCHEMA_VERSION
+
+    def test_switch_reads_true_or_false(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("input = vacuum\nfock = 16\nwigner = yes\n")
+        assert run(["state", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        msg = json.loads(capsys.readouterr().err.strip())["error"]["message"]
+        assert ":3:" in msg and "wigner" in msg
+        cfgfile.write_text("input = vacuum\nfock = 16\nwigner = false\n")
+        assert run(["state", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "state_amplitudes.csv").exists()
+        assert not (tmp_path / "state_wigner.csv").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KERRCUBIC_OUT", str(tmp_path / "envout"))
@@ -203,6 +217,18 @@ class TestStateAndGate:
         # difference to the continuous scheme shrinks with more steps
         assert float(rows[1][2]) <= float(rows[0][2])
 
+    def test_fractional_trotter_steps_rejected(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(cli, "trotterized_gate", forbidden)
+        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        assert run(["trotter", "--values", "1.5,2.7", "--fock", "32", "--input", "vacuum",
+                    "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert "whole numbers" in doc["error"]["message"]
+
 
 class TestEmitDeterminism:
     def test_csv_roundtrip_bit_exact(self, tmp_path):
@@ -254,3 +280,75 @@ class TestReproduce:
 
     def test_unknown_recipe(self, tmp_path):
         assert run(["reproduce", "fig99", "--out", str(tmp_path)]) == 2
+
+
+class TestSinglePath:
+    """Every option comes from `cli._OPTIONS`, and only `dispatch` reads `args`."""
+
+    def test_parser_flags_equal_option_table(self):
+        ap = cli.build_parser()
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS)
+        for name, parser in sub.choices.items():
+            flags = {a.dest for a in parser._actions} - {"help", "config", "dry_run", "recipe"}
+            want = {key for key, (_, names) in cli._OPTIONS.items()
+                    if names is None or name in names}
+            assert flags == want, name
+        assert cli._CONFIG_KEYS == set(cli._OPTIONS)
+
+    def test_handlers_never_read_args(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        calls = {"write_sidecar": 0, "collect": 0}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                names |= {a.arg for a in node.args.args}
+                assert "args" not in names, node.name
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if func in calls:
+                    calls[func] += 1
+        # dispatch writes every sidecar but reproduce's, which precedes its run
+        assert calls == {"write_sidecar": 2, "collect": 1}
+
+
+# one run per subcommand (but reproduce), each with a switch or its own option
+_REPLAY = {
+    "heff-expand": ["--chi", "1", "--lambda-db", "6", "--alpha", "8",
+                    "--delta", "0.25", "--beta", "1.0"],
+    "state": ["--input", "vacuum", "--fock", "24", "--wigner"],
+    "gate": ["--lambda-db", "6", "--alpha", "3", "--gamma", "0.05", "--fock", "32",
+             "--input", "vacuum", "--wigner"],
+    "sweep-lambda": ["--values", "8,10", "--gamma", "0.1", "--fock", "48",
+                     "--input", "squeezed:0.5", "--alpha-mode", "cube", "--alpha-coeff", "1.5"],
+    "optimize-alpha": ["--lambda-db", "8", "--gamma", "0.1", "--fock", "64",
+                       "--input", "squeezed:0.5", "--bracket", "8,60"],
+    "sweep-noise": ["--noise", "dbetax-rel", "--values", "1e-6", "--lambda-db-values", "8",
+                    "--gamma", "0.1", "--fock", "48", "--input", "squeezed:0.5"],
+    "state-gen": ["--no-correction", "--fock", "32", "--lambda-db", "5", "--alpha", "3",
+                  "--gamma", "0.05"],
+    "trotter": ["--lambda-db", "6", "--alpha", "3", "--gamma", "0.05", "--fock", "48",
+                "--values", "1,2", "--input", "vacuum"],
+    "soliton-fom": ["--materials", "MATERIALS"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY))
+def test_sidecar_replays_run(tmp_path, command):
+    mats = tmp_path / "mats.csv"
+    cli.write_csv(mats, ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m", "t_fwhm_s"],
+                  [("custom", 100.0, 10.0, 1.5e-6, 1e-13)])
+    argv = [str(mats) if a == "MATERIALS" else a for a in _REPLAY[command]]
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run([command, *argv, "--out", str(first)]) == 0
+    sidecar = next(first.glob("*.config.json"))
+    resolved = json.loads(sidecar.read_text())["resolved_config"]
+    cfgfile = tmp_path / "replay.cfg"
+    cfgfile.write_text("".join(f"{k} = {cli._fmt(v)}\n" for k, v in resolved.items()
+                               if k not in ("out", "gate_config")))
+    assert run([command, "--config", str(cfgfile), "--out", str(replay)]) == 0
+    artifacts = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in replay.iterdir()) == artifacts
+    for name in artifacts:
+        if name != sidecar.name:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name

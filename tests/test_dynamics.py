@@ -108,7 +108,7 @@ class TestEvolveUnitary:
     def test_pure_cubic_generator_matches_ideal_gate(self):
         n, gamma, mu = 128, 0.1, 0.7
         tau = gamma / mu
-        x = fk.TruncatedMode(n).x
+        x = fk.position(n).matrix
         psi = st.squeezed_vacuum(0.5, n)
         out = evolve(-mu * (x @ x @ x), tau, psi)
         ref = st.ideal_cubic_gate(gamma, n) @ psi
@@ -624,6 +624,27 @@ class TestPhotonTrace:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             dyn.photon_number_trace(make_cfg(), fk.vacuum(96), samples=1)
+
+    def test_zero_angle_trace_is_flat(self):
+        # gamma = 0 never enters the medium: the series is the input's moments
+        cfg = make_cfg(lam=1.5, alpha=2.0, gamma=0.0)
+        psi = st.squeezed_vacuum(0.5, cfg.n_fock)
+        series, res = dyn.photon_number_trace(cfg, psi, samples=5)
+        n_op, const = dyn.effective_number_operator(cfg)
+        want = fk.expectation(n_op, psi).real + const
+        assert res.error == 0.0
+        assert len(series["t"]) == 5 and not series["t"].any()
+        assert np.all(series["total"] == series["total"][0])
+        assert abs(series["total"][0] - want) < 1e-10
+
+    def test_trotterized_trace_rejected_before_gate_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the discrete-drive gate ran")
+
+        monkeypatch.setattr(dyn, "trotterized_gate", forbidden)
+        cfg = make_cfg(lam=1.5, alpha=2.0, trotter_steps=2)
+        with pytest.raises(dyn.UnsupportedConfigurationError):
+            dyn.photon_number_trace(cfg, fk.vacuum(cfg.n_fock), samples=5)
 
     def test_lossy_trace_runs(self):
         cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=48, kappa=0.5, lindblad_steps=64)

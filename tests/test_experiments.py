@@ -148,6 +148,13 @@ class TestSweeps:
         with pytest.raises(ValueError):
             ex.SweepSpec(base=base, param="lam_db", values=(1.0,), alpha_mode="x")
 
+    def test_fractional_trotter_steps_rejected(self):
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
+        with pytest.raises(ValueError, match="whole numbers"):
+            ex.SweepSpec(base=base, param="trotter_steps", values=(1.0, 2.5))
+        spec = ex.SweepSpec(base=base, param="trotter_steps", values=(1, 2.0))
+        assert spec.values == (1.0, 2.0)
+
 
 class TestNoiseSweep:
     def test_rows_and_symmetrized_excess(self):
@@ -204,8 +211,7 @@ class TestGaussianCorrection:
         monkeypatch.undo()
         assert len(evaluations) <= 50
 
-        mode = fk.TruncatedMode(n)
-        x, p = mode.x, mode.p
+        x, p = fk.position(n).matrix, fk.momentum(n).matrix
         gen = sum(c * b for c, b in zip(params, (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)))
         g = fk.Spectrum(gen).unitary(-1.0)
         if mixed:

@@ -37,8 +37,8 @@ class TestAnnihilation:
 
     def test_xp_commutator_interior(self):
         n = 32
-        mode = fk.TruncatedMode(n)
-        comm = mode.x @ mode.p - mode.p @ mode.x
+        x, p = fk.position(n).matrix, fk.momentum(n).matrix
+        comm = x @ p - p @ x
         assert np.abs(comm[: n - 1, : n - 1] - 1j * np.eye(n - 1)).max() < 1e-13
 
     def test_bad_dimension(self):
@@ -131,8 +131,8 @@ class TestExpGenerator:
 
     def test_group_property(self):
         n = 24
-        mode = fk.TruncatedMode(n)
-        g = mode.x @ mode.x + mode.p
+        x = fk.position(n).matrix
+        g = x @ x + fk.momentum(n).matrix
         u1 = fk.Spectrum(g).unitary(0.3)
         u2 = fk.Spectrum(g).unitary(0.45)
         u12 = fk.Spectrum(g).unitary(0.75)
@@ -428,7 +428,7 @@ class TestOneSpectralPath:
     def test_ideal_cubic_gate_matches_former_formula(self):
         # x^3 is real: bit-identical to the formula on its real part, and
         # within roundoff of the former complex Hermitian solve
-        x = fk.TruncatedMode(256).x
+        x = fk.position(256).matrix
         x3 = x @ x @ x
         u = st.ideal_cubic_gate(0.1, 256).matrix
         assert np.array_equal(u, _former_expm_hermitian(x3.real, 1j * 0.1))
