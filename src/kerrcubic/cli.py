@@ -3,8 +3,9 @@
 Subcommands: heff-expand, state, gate, sweep-lambda, optimize-alpha,
 sweep-noise, state-gen, trotter, soliton-fom, reproduce.
 
-Every option is declared once, in `_OPTIONS`; a `--config` file may set any
-of them, and flags override the file. `dispatch` resolves them, runs the
+Every option is declared once, in `_OPTIONS`, with the subcommands that read
+it; a `--config` file may set any option its subcommand reads, and flags
+override the file. `dispatch` resolves them, runs the
 subcommand's handler and writes a JSON sidecar of every option the run set,
 from which the run is reproducible byte-for-byte. Exit codes: 0 success, 2
 configuration error, 3 numerical/IO failure. Errors go to stderr as one JSON
@@ -50,16 +51,28 @@ RECIPES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5",
 
 _SWITCH = {"action": "store_true", "default": None}  # unset: not recorded
 
-# config key -> (flag keywords, subcommands that take the flag --key-name):
-# None for every subcommand, () for a config-file-only key, or a mapping of
-# subcommand -> its own extra keywords. `--config`, `--dry-run` and the
-# `reproduce` recipe select how the program runs and are declared apart.
+# subcommands that run on a GateConfig, built from the gate options
+_GATE_COMMANDS = ("gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "state-gen", "trotter")
+
+# config key -> (flag keywords, subcommands that read it): None for every
+# subcommand, or a mapping of subcommand -> its own extra flag keywords. A
+# subcommand takes the flag --key-name unless the keywords are None (a
+# config-file-only key); neither a flag nor a config file may set a key the
+# subcommand does not read. `--config`, `--dry-run` and the `reproduce`
+# recipe select how the program runs and are declared apart.
 _OPTIONS = {
-    **dict.fromkeys(["out", "input", "values"], ({}, None)),
-    **dict.fromkeys(["workers", "fock", "trotter"], ({"type": int}, None)),
-    **dict.fromkeys(["lambda_db", "alpha", "gamma", "chi", "chi_over_kappa", "dtheta",
-                     "ddelta_rel", "dbetax_rel", "delta"], ({"type": float}, None)),
-    "loss_frame": ({"choices": ["fluctuation", "displaced"]}, None),
+    "out": ({}, None),
+    "input": ({}, ("state", "gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "trotter")),
+    "values": ({}, ("sweep-lambda", "sweep-noise", "trotter")),
+    "workers": ({"type": int}, ("sweep-lambda", "sweep-noise", "reproduce")),
+    "fock": ({"type": int}, ("state", *_GATE_COMMANDS)),
+    "trotter": ({"type": int}, _GATE_COMMANDS),
+    **dict.fromkeys(["lambda_db", "alpha", "chi"], ({"type": float},
+                                                   ("heff-expand", *_GATE_COMMANDS))),
+    **dict.fromkeys(["gamma", "chi_over_kappa", "dtheta", "ddelta_rel", "dbetax_rel"],
+                    ({"type": float}, _GATE_COMMANDS)),
+    "delta": ({"type": float}, ("heff-expand", "state-gen")),
+    "loss_frame": ({"choices": ["fluctuation", "displaced"]}, _GATE_COMMANDS),
     "beta": ({"type": float}, ("heff-expand",)),
     "wigner": (_SWITCH, ("state", "gate")),
     "alpha_mode": ({}, {"sweep-lambda": {"choices": ["fixed", "cube", "optimize"]},
@@ -71,11 +84,15 @@ _OPTIONS = {
     "no_correction": (_SWITCH, ("state-gen",)),
     "builtin_table": (_SWITCH, ("soliton-fom",)),
     "materials": ({}, ("soliton-fom",)),
-    "wigner_span": ({}, ()),
-    "wigner_points": ({}, ()),
+    **dict.fromkeys(["wigner_span", "wigner_points"], (None, ("state", "gate", "state-gen"))),
 }
 
 _CONFIG_KEYS = frozenset(_OPTIONS)
+
+
+def _reads(command: str, key: str) -> bool:
+    names = _OPTIONS[key][1]
+    return names is None or command in names
 
 
 class ConfigError(ValueError):
@@ -94,7 +111,7 @@ class RunConfig(dict):
     def collect(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if args.config:
-            cfg.update(parse_config_file(args.config))
+            cfg.update(parse_config_file(args.config, args.command))
         # the recipe of `reproduce` is recorded like an option, but only the
         # command line sets it
         for key in (*_OPTIONS, "recipe"):
@@ -170,8 +187,9 @@ def _row_table(rows, header: list[str]) -> tuple[list[str], list[tuple]]:
 # ---------------------------------------------------------------------------
 
 
-def parse_config_file(path: str) -> dict:
-    """Plain-text `key = value` lines; '#' comments; unknown keys rejected.
+def parse_config_file(path: str, command: str) -> dict:
+    """Plain-text `key = value` lines; '#' comments; unknown keys, and keys
+    the subcommand `command` does not read, rejected.
 
     Values stay strings, except that a switch reads `true` or `false`.
     """
@@ -185,6 +203,8 @@ def parse_config_file(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
+        if not _reads(command, key):
+            raise ConfigError(f"{path}:{ln_no}: {command} does not read key {key!r}")
         if _OPTIONS[key][0] is _SWITCH:
             if value not in ("true", "false"):
                 raise ConfigError(f"{path}:{ln_no}: {key} must be true or false, got {value!r}")
@@ -573,19 +593,19 @@ def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-# subcommand -> (handler, sidecar stem, whether it runs on a GateConfig);
-# reproduce writes its own sidecar, named after the recipe
+# subcommand -> (handler, sidecar stem); reproduce writes its own sidecar,
+# named after the recipe
 _COMMANDS = {
-    "heff-expand": (_cmd_heff_expand, "heff_expand", False),
-    "state": (_cmd_state, "state", False),
-    "gate": (_cmd_gate, "gate_result", True),
-    "sweep-lambda": (_cmd_sweep_lambda, "sweep_lambda", True),
-    "optimize-alpha": (_cmd_optimize_alpha, "optimize_alpha", True),
-    "sweep-noise": (_cmd_sweep_noise, "sweep_noise", True),
-    "state-gen": (_cmd_state_gen, "state_gen", True),
-    "trotter": (_cmd_trotter, "trotter", True),
-    "soliton-fom": (_cmd_soliton_fom, "soliton_fom", False),
-    "reproduce": (_cmd_reproduce, None, False),
+    "heff-expand": (_cmd_heff_expand, "heff_expand"),
+    "state": (_cmd_state, "state"),
+    "gate": (_cmd_gate, "gate_result"),
+    "sweep-lambda": (_cmd_sweep_lambda, "sweep_lambda"),
+    "optimize-alpha": (_cmd_optimize_alpha, "optimize_alpha"),
+    "sweep-noise": (_cmd_sweep_noise, "sweep_noise"),
+    "state-gen": (_cmd_state_gen, "state_gen"),
+    "trotter": (_cmd_trotter, "trotter"),
+    "soliton-fom": (_cmd_soliton_fom, "soliton_fom"),
+    "reproduce": (_cmd_reproduce, None),
 }
 
 
@@ -597,6 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in cmd.values():
         p.add_argument("--config", default=None)
     for key, (kwargs, names) in _OPTIONS.items():
+        if kwargs is None:  # config-file-only
+            continue
         for name in _COMMANDS if names is None else names:
             extra = names[name] if isinstance(names, dict) else {}
             cmd[name].add_argument("--" + key.replace("_", "-"), **kwargs, **extra)
@@ -618,12 +640,12 @@ def dispatch(argv) -> int:
     if args.command is None:
         ap.print_usage(sys.stderr)
         return 2
-    handler, stem, needs_gate = _COMMANDS[args.command]
+    handler, stem = _COMMANDS[args.command]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = RunConfig.collect(args)
-            gc = _gate_config(cfg) if needs_gate else None
+            gc = _gate_config(cfg) if args.command in _GATE_COMMANDS else None
             paths = handler(cfg, gc)
             if stem is not None:
                 write_sidecar(cfg.out_dir / f"{stem}.config.json", args.command,

@@ -51,7 +51,8 @@ from .fock import (
     Spectrum,
     TruncationWarning,
     _annihilation_matrix,
-    displacement,
+    displace_vector,
+    displacement_spectrum,
     fidelity,
     lambda_from_db,
 )
@@ -546,10 +547,7 @@ def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     for h_k in h_steps:
         psi = Spectrum(h_k.matrix).advance(psi, dt)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        d = displacement(xi, cfg.n_fock)
-    psi = d.matrix @ psi
+    psi = displace_vector(displacement_spectrum(cfg.n_fock), xi, psi)
     out = PureState(psi, normalize=False)
     err = 1.0 - fidelity(target, out)
     return EvolutionResult(out, err, target, {"tau": tau, "kick": kick})

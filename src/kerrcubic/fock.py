@@ -19,10 +19,31 @@ stable and unitary up to eigensolver tolerance. A generator whose imaginary
 part is exactly zero (the frame Hamiltonian H(alpha), n_eff, x^3) is
 diagonalized as a real symmetric matrix, which costs about a third of the
 complex Hermitian solve.
+
+Displacement and squeezing are phase rotations of real generators. With
+R(theta) = diag(e^{i k theta}) = exp(i theta a^dag a), R a R^dag = e^{-i theta} a
+holds entry by entry in the truncated space (a only links |k> to |k-1>, so
+each entry picks up e^{i(k-1) theta} e^{-i k theta}), and R exp(G) R^dag =
+exp(R G R^dag) for the unitary R; hence, exactly,
+
+    D(s) = R(arg s + pi/2) exp(-i |s| (a + a^dag)) R(arg s + pi/2)^dag
+    S(z) = R(pi/4) exp(-i z (a^2 + a^dag^2)/2) R(pi/4)^dag
+
+and both generators take the real symmetric solve. `displacement_spectrum`
+and `squeeze_spectrum` return those two spectra; `displace_vector` and
+`squeeze_vector` apply D(s) and S(z) to a vector from them in O(N^2), so one
+spectrum serves any number of amplitudes. Best of three on a 2-core host
+(numpy 2.4.6), against one complex eigh per Gaussian factor:
+
+    N                        128              256             448
+    gkp:z+:0.5 input     37 -> 6.2 ms    211 -> 25 ms    680 -> 85 ms
+    gkp:x+:0.5 input     73 -> 7.0 ms    364 -> 28 ms   1295 -> 95 ms
+    displacement(s, N)  6.4 -> 3.3 ms     23 -> 15 ms     87 -> 52 ms
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -152,6 +173,8 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).ravel()
+        if not np.isfinite(v).all():
+            raise ContractViolationError("state amplitudes are not finite")
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise ValueError("cannot construct a state from the zero vector")
@@ -252,6 +275,52 @@ def fock_state(n: int, k: int) -> PureState:
     return PureState(v)
 
 
+def _rotation(theta: float, n: int) -> np.ndarray:
+    """Diagonal of the phase rotation R(theta) = exp(i*theta*a^dag*a)."""
+    return np.exp(1j * theta * np.arange(n))
+
+
+def _rotated(spectrum: Spectrum, theta: float, t: float, psi: np.ndarray) -> np.ndarray:
+    """R(theta) exp(-i H t) R(theta)^dag |psi> from the spectrum of H; O(N^2)."""
+    r = _rotation(theta, psi.shape[0])
+    return r * spectrum.advance(r.conj() * psi, t)
+
+
+def displacement_spectrum(n: int) -> Spectrum:
+    """Spectrum of a + a^dag: D(s) = R(arg s + pi/2) exp(-i|s|(a + a^dag)) R^dag."""
+    a = _annihilation_matrix(n).real
+    return Spectrum(a + a.T)
+
+
+def squeeze_spectrum(n: int) -> Spectrum:
+    """Spectrum of (a^2 + a^dag^2)/2: S(z) = R(pi/4) exp(-iz(a^2 + a^dag^2)/2) R^dag."""
+    a = _annihilation_matrix(n).real
+    a2 = a @ a
+    return Spectrum(0.5 * (a2 + a2.T))
+
+
+def _displacement_angle(s: complex) -> float:
+    return cmath.phase(s) + 0.5 * math.pi
+
+
+_SQUEEZE_ANGLE = 0.25 * math.pi
+
+
+def displace_vector(spectrum: Spectrum, s: complex, psi: np.ndarray) -> np.ndarray:
+    """D(s)|psi> from `displacement_spectrum(N)`, without forming D(s); no cutoff warning."""
+    return _rotated(spectrum, _displacement_angle(s), abs(s), psi)
+
+
+def squeeze_vector(spectrum: Spectrum, z: float, psi: np.ndarray) -> np.ndarray:
+    """S(z)|psi> from `squeeze_spectrum(N)`, without forming S(z); no cutoff warning."""
+    return _rotated(spectrum, _SQUEEZE_ANGLE, z, psi)
+
+
+def _rotated_unitary(spectrum: Spectrum, theta: float, t: float) -> Operator:
+    r = _rotation(theta, spectrum.w.shape[0])
+    return Operator(r[:, None] * spectrum.unitary(t) * r.conj())
+
+
 def displacement(s: complex, n: int) -> Operator:
     """Unitary D(s) = exp(s*a^dag - conj(s)*a)."""
     if n < 2:
@@ -262,10 +331,7 @@ def displacement(s: complex, n: int) -> Operator:
             TruncationWarning,
             stacklevel=2,
         )
-    a = _annihilation_matrix(n)
-    gen = s * a.conj().T - np.conj(s) * a
-    # gen is anti-hermitian: exp(gen) = exp(-i * (i*gen)) with i*gen hermitian
-    return Operator(Spectrum(1j * gen).unitary(1.0))
+    return _rotated_unitary(displacement_spectrum(n), _displacement_angle(s), abs(s))
 
 
 def squeeze(z: float, n: int) -> Operator:
@@ -278,10 +344,7 @@ def squeeze(z: float, n: int) -> Operator:
             TruncationWarning,
             stacklevel=2,
         )
-    a = _annihilation_matrix(n)
-    ad = a.conj().T
-    gen = 0.5 * z * (ad @ ad - a @ a)
-    return Operator(Spectrum(1j * gen).unitary(1.0))
+    return _rotated_unitary(squeeze_spectrum(n), _SQUEEZE_ANGLE, z)
 
 
 # ---------------------------------------------------------------------------

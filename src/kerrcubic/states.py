@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,10 +26,12 @@ from .fock import (
     MixedState,
     Spectrum,
     TruncationWarning,
-    displacement,
+    displace_vector,
+    displacement_spectrum,
     momentum,
     position,
-    squeeze,
+    squeeze_spectrum,
+    squeeze_vector,
     vacuum,
     variance,
 )
@@ -50,8 +52,8 @@ class GkpParams:
     def __post_init__(self):
         if self.label not in _GKP_LABELS:
             raise ValueError(f"unknown GKP label {self.label!r}, expected one of {_GKP_LABELS}")
-        if not self.delta > 0:
-            raise ValueError(f"envelope width delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"envelope width delta must be finite and positive, got {self.delta}")
         if not 0 < self.eps_k < 1:
             raise ValueError(f"peak cutoff eps_k must lie in (0, 1), got {self.eps_k}")
         if self.convention not in _CONVENTIONS:
@@ -60,8 +62,8 @@ class GkpParams:
 
 def squeezed_vacuum(delta: float, n: int) -> PureState:
     """Squeezed vacuum |Delta> with <p^2> = Delta^2/2 (and <x^2> = 1/(2 Delta^2))."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     if delta > 1:
         warnings.warn(f"delta = {delta} > 1 is outside the intended regime", stacklevel=2)
     z = -math.log(delta)
@@ -69,36 +71,60 @@ def squeezed_vacuum(delta: float, n: int) -> PureState:
         warnings.warn(
             f"delta = {delta} strains Fock cutoff N = {n}", TruncationWarning, stacklevel=2
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)  # already warned above
-        s = squeeze(z, n)
-    return s @ vacuum(n)
+    vec = squeeze_vector(squeeze_spectrum(n), z, vacuum(n).vector)
+    return PureState(vec, normalize=False)
 
 
-def _gkp_displacements(params: GkpParams):
-    """Displacement amplitudes and envelope weights of the retained peaks."""
+def _gkp_displacements(params: GkpParams, n: int):
+    """Displacement amplitudes and envelope weights of the retained peaks, by amplitude.
+
+    A peak at amplitude s is kept when its weight exp(-(s delta)^2/2) reaches
+    eps_k, i.e. |s| <= sqrt(-2 ln eps_k)/delta. The count follows in closed
+    form; more peaks than the Fock dimension n, or none, is refused before any
+    is enumerated.
+    """
     if params.convention == "literal":
         period = 2.0 * math.sqrt(math.pi)  # in D-amplitude units
     else:
         period = math.sqrt(2.0 * math.pi)
-    if params.label in ("z+",):
-        amps = lambda k: k * period  # noqa: E731
-    else:  # z- lattice, offset by half a period
-        amps = lambda k: (k + 0.5) * period  # noqa: E731
+    offset = 0.0 if params.label == "z+" else 0.5  # z- lattice: half a period over
+    reach = math.sqrt(-2.0 * math.log(params.eps_k)) / (params.delta * period)
+    # peaks at (k + offset)*period for k_min <= k <= k_max, mirror images
+    k_max = math.floor(reach - offset)
+    k_min = -k_max - round(2 * offset)
+    count = k_max - k_min + 1
+    if count > n:
+        raise ValueError(f"delta = {params.delta} keeps {count} grid peaks, more than the "
+                         f"Fock dimension N = {n}")
+    if count < 1:
+        raise ValueError(f"delta = {params.delta} keeps no {params.label} grid peak")
     out = []
-    k = 0
-    while True:
-        added = False
-        for kk in ({0} if k == 0 else {k, -k}):
-            s = amps(kk)
-            w = math.exp(-0.5 * (s * params.delta) ** 2)
-            if w >= params.eps_k:
-                out.append((s, w))
-                added = True
-        if not added and k > 0:
-            break
-        k += 1
-    return sorted(out)
+    for k in range(k_min - 1, k_max + 2):  # one beyond each end: the weight decides the edge
+        s = (k + offset) * period
+        w = math.exp(-0.5 * (s * params.delta) ** 2)
+        if w >= params.eps_k:
+            out.append((s, w))
+    return out
+
+
+def _gkp_sublattice(peaks, delta: float, n: int, base: np.ndarray,
+                    displacements: Spectrum) -> PureState:
+    """One sub-lattice from its peaks, the squeezed core and the displacement spectrum."""
+    if math.exp(2 * abs(math.log(delta))) > n / 4.0:
+        warnings.warn(
+            f"delta = {delta} strains Fock cutoff N = {n}", TruncationWarning, stacklevel=3
+        )
+    xmax_needed = math.sqrt(2.0) * max(abs(s) for s, _ in peaks)
+    if xmax_needed > math.sqrt(2.0 * n) - 3.0:
+        warnings.warn(
+            f"outermost grid peak at x = {xmax_needed:.1f} strains Fock cutoff N = {n}",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    vec = np.zeros(n, dtype=complex)
+    for s, w in peaks:
+        vec += w * displace_vector(displacements, s, base)
+    return PureState(vec)
 
 
 def gkp_state(params: GkpParams, n: int) -> PureState:
@@ -107,36 +133,18 @@ def gkp_state(params: GkpParams, n: int) -> PureState:
     The comb runs along x with x-squeezed cores (<x^2> = delta^2/2), the
     orientation in which the even/odd sub-lattices are near-orthogonal qubit
     states; the envelope weight exp(-(s_k delta)^2/2) uses the displacement
-    amplitude s_k of each peak.
+    amplitude s_k of each peak. One squeeze and one displacement spectrum
+    serve every peak of both sub-lattices.
     """
-    if params.label in ("z+", "z-"):
-        z = math.log(params.delta)
-        if math.exp(2 * abs(z)) > n / 4.0:
-            warnings.warn(
-                f"delta = {params.delta} strains Fock cutoff N = {n}",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            base = squeeze(z, n) @ vacuum(n)
-        peaks = _gkp_displacements(params)
-        xmax_needed = math.sqrt(2.0) * max(abs(s) for s, _ in peaks)
-        if xmax_needed > math.sqrt(2.0 * n) - 3.0:
-            warnings.warn(
-                f"outermost grid peak at x = {xmax_needed:.1f} strains Fock cutoff N = {n}",
-                TruncationWarning,
-                stacklevel=2,
-            )
-        vec = np.zeros(n, dtype=complex)
-        for s, w in peaks:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TruncationWarning)
-                d = displacement(s, n)
-            vec += w * (d.matrix @ base.vector)
-        return PureState(vec)
-    zp = gkp_state(GkpParams("z+", params.delta, params.eps_k, params.convention), n)
-    zm = gkp_state(GkpParams("z-", params.delta, params.eps_k, params.convention), n)
+    labels = (params.label,) if params.label in ("z+", "z-") else ("z+", "z-")
+    # every lattice is checked before any eigh
+    lattices = [_gkp_displacements(replace(params, label=label), n) for label in labels]
+    base = squeeze_vector(squeeze_spectrum(n), math.log(params.delta), vacuum(n).vector)
+    displacements = displacement_spectrum(n)
+    zp = _gkp_sublattice(lattices[0], params.delta, n, base, displacements)
+    if len(lattices) == 1:
+        return zp
+    zm = _gkp_sublattice(lattices[1], params.delta, n, base, displacements)
     phase = {"x+": 1.0, "x-": -1.0, "y+": 1j, "y-": -1j}[params.label]
     return PureState(zp.vector + phase * zm.vector)
 
@@ -208,8 +216,7 @@ def representable_peak_cutoff(params: GkpParams, gamma: float, n: int) -> float:
     labels = (params.label,) if params.label in ("z+", "z-") else ("z+", "z-")
     eps = params.eps_k
     for label in labels:
-        sub = GkpParams(label, params.delta, params.eps_k, params.convention)
-        for s, w in _gkp_displacements(sub):
+        for s, w in _gkp_displacements(replace(params, label=label), n):
             if math.sqrt(2.0) * abs(s) > x_allow:
                 eps = max(eps, w * (1.0 + 1e-12))
     return min(eps, 0.999)
@@ -235,6 +242,6 @@ def parse_state(selector: str, n: int) -> PureState:
         if kind == "gkp" and len(parts) in (3, 4):
             convention = parts[3] if len(parts) == 4 else "literal"
             return gkp_state(GkpParams(parts[1], float(parts[2]), convention=convention), n)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad state selector {selector!r}: {exc}") from exc
     raise ValueError(f"unrecognized state selector {selector!r}")

@@ -57,6 +57,35 @@ class TestDispatchBasics:
         assert "chi_over_kappa" in doc["error"]["message"]
 
 
+class TestFailFast:
+    @pytest.mark.parametrize("argv", [
+        ["state", "--input", "squeezed:inf", "--fock", "32"],
+        ["gate", "--input", "squeezed:inf", "--lambda-db", "6", "--alpha", "3", "--fock", "32"],
+        ["state", "--input", "gkp:z+:1e300", "--fock", "32"],
+        ["state", "--input", "gkp:z+:1e-9", "--fock", "32"],
+    ])
+    def test_bad_state_parameters_are_configuration_errors(self, tmp_path, capsys, argv):
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ValueError"
+        assert "bad state selector" in doc["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_unread_flag_rejected(self, tmp_path, capsys):
+        assert run(["soliton-fom", "--builtin-table", "--gamma", "5",
+                    "--out", str(tmp_path)]) == 2
+        assert "--gamma" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unread_config_key_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha = 3\nbracket = 8,60\n")
+        assert run(["gate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert ":2:" in doc["error"]["message"] and "'bracket'" in doc["error"]["message"]
+
+
 class TestConfigFile:
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -291,8 +320,8 @@ class TestSinglePath:
         assert set(sub.choices) == set(cli._COMMANDS)
         for name, parser in sub.choices.items():
             flags = {a.dest for a in parser._actions} - {"help", "config", "dry_run", "recipe"}
-            want = {key for key, (_, names) in cli._OPTIONS.items()
-                    if names is None or name in names}
+            want = {key for key, (kwargs, names) in cli._OPTIONS.items()
+                    if kwargs is not None and (names is None or name in names)}
             assert flags == want, name
         assert cli._CONFIG_KEYS == set(cli._OPTIONS)
 

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import math
 import warnings
 from pathlib import Path
@@ -416,14 +417,31 @@ class TestOneSpectralPath:
     """Every exponential goes through fock.Spectrum, bit-for-bit as before."""
 
     def test_gaussian_unitaries_match_former_formula(self):
-        a = fk.annihilation(128).matrix
-        s = 1.3 - 0.7j
-        gen = s * a.conj().T - np.conj(s) * a
-        assert np.array_equal(fk.displacement(s, 128).matrix,
-                              _former_expm_hermitian(1j * gen, -1j))
-        gen = 0.5 * 0.6 * (a.conj().T @ a.conj().T - a @ a)
-        assert np.array_equal(fk.squeeze(0.6, 128).matrix,
-                              _former_expm_hermitian(1j * gen, -1j))
+        # D(s) = R(arg s + pi/2) exp(-i|s|(a + a^dag)) R^dag and
+        # S(z) = R(pi/4) exp(-iz(a^2 + a^dag^2)/2) R^dag, R(t) = diag(e^{ikt}):
+        # bit-identical to that rotated real-spectrum formula, and within
+        # roundoff of the former complex Hermitian solve
+        for n in (2, 17, 128):
+            a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+            a2 = a @ a
+
+            def rotated(h, theta, t):
+                r = np.exp(1j * theta * np.arange(n))
+                return r[:, None] * _former_expm_hermitian(h, -1j * t) * r.conj()
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", fk.TruncationWarning)
+                for s in (1.3 - 0.7j, -0.4 + 1.1j, -0.9 - 0.2j, 0.6 + 0.8j, -2.0, 1.5j, 0.0):
+                    u = fk.displacement(s, n).matrix
+                    assert np.array_equal(u, rotated(a + a.T, cmath.phase(s) + math.pi / 2,
+                                                     abs(s)))
+                    gen = s * a.T - np.conj(s) * a
+                    assert _max_rel(u, _former_expm_hermitian(1j * gen, -1j)) < 1e-12, (n, s)
+                for z in (0.6, -0.45):
+                    u = fk.squeeze(z, n).matrix
+                    assert np.array_equal(u, rotated(0.5 * (a2 + a2.T), math.pi / 4, z))
+                    gen = 0.5 * z * (a2.T - a2)
+                    assert _max_rel(u, _former_expm_hermitian(1j * gen, -1j)) < 1e-12, (n, z)
 
     def test_ideal_cubic_gate_matches_former_formula(self):
         # x^3 is real: bit-identical to the formula on its real part, and
@@ -476,3 +494,41 @@ class TestOneSpectralPath:
                     inside = any(c.lineno <= node.lineno <= c.end_lineno for c in spectrum)
                     sites.append((path.name, node.lineno, inside))
         assert len(sites) == 1 and sites[0][0] == "fock.py" and sites[0][2], sites
+
+
+class TestOneRealSpectrumPerInput:
+    """Grid inputs and the Trotter kick take real spectra, not one complex eigh per peak."""
+
+    @staticmethod
+    def _count_spectra(monkeypatch):
+        built = []
+        init = fk.Spectrum.__init__
+
+        def counting(self, h):
+            built.append(np.iscomplexobj(h.matrix if isinstance(h, fk.Operator) else h))
+            init(self, h)
+
+        monkeypatch.setattr(fk.Spectrum, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("selector", ["gkp:x+:0.5", "gkp:z+:0.5"])
+    def test_grid_state_builds_two_real_spectra(self, monkeypatch, selector):
+        built = self._count_spectra(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fk.TruncationWarning)
+            st.parse_state(selector, 64)
+        assert built == [False, False]
+
+    def test_trotterized_gate_forms_no_displacement_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an N x N displacement matrix was formed")
+
+        monkeypatch.setattr(fk, "displacement", forbidden)
+        monkeypatch.setattr(dyn, "displacement", forbidden, raising=False)
+        lam = fk.lambda_from_db(5.0)
+        cfg = dyn.GateConfig(lam=lam, alpha=5.0, gamma=0.1, n_fock=48, trotter_steps=2)
+        psi = st.squeezed_vacuum(0.5, 48)
+        st.ideal_cubic_target(cfg.gamma, psi)  # cached: the gate reuses it
+        built = self._count_spectra(monkeypatch)
+        assert 0.0 <= dyn.trotterized_gate(cfg, psi).error <= 1.0
+        assert len(built) == cfg.trotter_steps + 1  # one per segment, one for the kick

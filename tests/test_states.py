@@ -1,5 +1,7 @@
 import math
+import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ class TestGkpState:
             base = fk.squeeze(math.log(0.3), n) @ fk.vacuum(n)
             vec = sum(
                 w * (fk.displacement(s, n).matrix @ base.vector)
-                for s, w in st._gkp_displacements(params)
+                for s, w in st._gkp_displacements(params, n)
             )
         assert abs(np.linalg.norm(vec) - 1.0) > 0.05
 
@@ -126,6 +128,125 @@ class TestGkpState:
             st.GkpParams("z+", 0.5, eps_k=2.0)
         with pytest.raises(ValueError):
             st.GkpParams("z+", 0.5, convention="hex")
+
+
+def _former_gaussian(gen):
+    # exp(gen) for an anti-Hermitian gen by one complex Hermitian eigh, as
+    # displacement and squeeze were built before the rotated real spectra
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+class TestGkpMatchesPerPeakBuild:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("label", ["z+", "z-", "x+", "y+"])
+    def test_matches_former_formula(self, label, n):
+        params = st.GkpParams(label, 0.5)
+        a = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+        z = math.log(params.delta)
+        base = _former_gaussian(0.5 * z * (a.T @ a.T - a @ a))[:, 0]
+
+        def sublattice(lbl):
+            vec = sum(w * (_former_gaussian(s * a.T - s * a) @ base)
+                      for s, w in st._gkp_displacements(replace(params, label=lbl), n))
+            return vec / np.linalg.norm(vec)
+
+        if label in ("z+", "z-"):
+            want = sublattice(label)
+        else:
+            want = sublattice("z+") + {"x+": 1.0, "y+": 1j}[label] * sublattice("z-")
+            want /= np.linalg.norm(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fk.TruncationWarning)
+            got = st.gkp_state(params, n).vector
+        assert np.abs(got - want).max() < 1e-13
+
+
+# (category, message) of every warning each builder raised before the
+# rotated real spectra replaced the complex ones
+_FORMER_WARNINGS = [
+    (lambda: fk.displacement(3.0, 16),
+     [("TruncationWarning", "displacement |s|^2 = 9 strains Fock cutoff N = 16")]),
+    (lambda: fk.displacement(-1.0 + 0.5j, 64), []),
+    (lambda: fk.squeeze(-1.2, 16),
+     [("TruncationWarning", "squeeze gain e^(2|z|) = 11 strains Fock cutoff N = 16")]),
+    (lambda: fk.squeeze(0.3, 64), []),
+    (lambda: st.squeezed_vacuum(0.05, 32),
+     [("TruncationWarning", "delta = 0.05 strains Fock cutoff N = 32")]),
+    (lambda: st.squeezed_vacuum(1.5, 32),
+     [("UserWarning", "delta = 1.5 > 1 is outside the intended regime")]),
+    (lambda: st.squeezed_vacuum(0.5, 96), []),
+    (lambda: st.gkp_state(st.GkpParams("z+", 0.5), 64),
+     [("TruncationWarning", "outermost grid peak at x = 15.0 strains Fock cutoff N = 64")]),
+    (lambda: st.gkp_state(st.GkpParams("x+", 0.5), 64),
+     [("TruncationWarning", "outermost grid peak at x = 15.0 strains Fock cutoff N = 64"),
+      ("TruncationWarning", "outermost grid peak at x = 12.5 strains Fock cutoff N = 64")]),
+    (lambda: st.gkp_state(st.GkpParams("y-", 0.2), 32),
+     [("TruncationWarning", "delta = 0.2 strains Fock cutoff N = 32"),
+      ("TruncationWarning", "outermost grid peak at x = 40.1 strains Fock cutoff N = 32"),
+      ("TruncationWarning", "delta = 0.2 strains Fock cutoff N = 32"),
+      ("TruncationWarning", "outermost grid peak at x = 42.6 strains Fock cutoff N = 32")]),
+    (lambda: st.gkp_state(st.GkpParams("z-", 0.5), 256), []),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_FORMER_WARNINGS)))
+def test_warnings_fire_as_before(case):
+    build, want = _FORMER_WARNINGS[case]
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        build()
+    assert [(w.category.__name__, str(w.message)) for w in rec] == want
+
+
+class TestBadStateParameters:
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf, 0.0])
+    def test_nonfinite_or_nonpositive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite and positive"):
+            st.squeezed_vacuum(delta, 32)
+        with pytest.raises(ValueError, match="finite and positive"):
+            st.GkpParams("z+", delta)
+
+    @pytest.mark.parametrize("selector", ["squeezed:inf", "squeezed:nan", "gkp:z+:inf",
+                                          "gkp:z+:1e300", "squeezed:1e300", "gkp:x+:1e-300"])
+    def test_selector_errors_are_value_errors(self, selector):
+        with pytest.raises(ValueError, match="bad state selector"):
+            st.parse_state(selector, 32)
+
+    @pytest.mark.parametrize("selector", ["gkp:z+:1e-9", "gkp:y-:1e-9", "gkp:z+:1e-4"])
+    def test_too_many_peaks_rejected_before_enumeration(self, selector):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="grid peaks, more than the Fock dimension"):
+            st.parse_state(selector, 448)
+        assert time.perf_counter() - start < 1.0
+
+    def test_peak_cutoff_rejects_too_many_peaks(self):
+        with pytest.raises(ValueError, match="more than the Fock dimension"):
+            st.representable_peak_cutoff(st.GkpParams("z-", 1e-9), 0.1, 256)
+
+    def test_closed_form_count_matches_kept_peaks(self):
+        for convention, period in (("literal", 2 * math.sqrt(math.pi)),
+                                   ("standard-lattice", math.sqrt(2 * math.pi))):
+            for label, offset in (("z+", 0.0), ("z-", 0.5)):
+                for delta in (0.2, 0.3, 0.5, 0.9, 2.0):
+                    params = st.GkpParams(label, delta, convention=convention)
+                    scan = [s for s in ((k + offset) * period for k in range(-200, 200))
+                            if math.exp(-0.5 * (s * delta) ** 2) >= params.eps_k]
+                    kept = st._gkp_displacements(params, len(scan))
+                    assert [s for s, _ in kept] == scan
+                    # the guard's closed-form count is exactly the kept count
+                    with pytest.raises(ValueError, match="more than the Fock dimension"):
+                        st._gkp_displacements(params, len(scan) - 1)
+
+    def test_lattice_without_peaks_rejected(self):
+        with pytest.raises(ValueError, match="no z- grid peak"):
+            st.gkp_state(st.GkpParams("z-", 10.0), 32)
+
+    def test_nonfinite_amplitudes_violate_contract(self):
+        with pytest.raises(fk.ContractViolationError, match="not finite"):
+            fk.PureState(np.array([1.0, np.nan]))
+        with pytest.raises(fk.ContractViolationError, match="not finite"):
+            fk.PureState(np.array([np.inf, 0.0]))
 
 
 class TestIdealCubicGate:
