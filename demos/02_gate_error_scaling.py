@@ -2,7 +2,7 @@
 
 Runs the lossless gate on a grid-qubit input over a range of squeezing
 levels, optimizing the displacement at each point, then fits the power law.
-Expected: E ~ lam^-4 and alpha* ~ lam^3. Takes ~10 s.
+Expected: E ~ lam^-4 and alpha* ~ lam^3. Takes about a second.
 """
 
 import warnings

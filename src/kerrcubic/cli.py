@@ -34,6 +34,8 @@ from .dynamics import (
     trotterized_gate,
 )
 from .experiments import (
+    ALPHA_BRACKET_SCALE,
+    ALPHA_COEFF,
     SweepSpec,
     _resolve_relative_noise,
     generate_cubic_state,
@@ -319,7 +321,7 @@ def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: str,
     return SweepSpec(base=gc, param=param, values=_floats(cfg.get("values", values)),
                      input_state=str(cfg.get("input", "gkp:z+:0.5")),
                      alpha_mode=str(cfg.get("alpha_mode", alpha_mode)),
-                     alpha_coeff=float(cfg.get("alpha_coeff", 1.85)), workers=cfg.workers)
+                     alpha_coeff=float(cfg.get("alpha_coeff", ALPHA_COEFF)), workers=cfg.workers)
 
 
 def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
@@ -330,15 +332,15 @@ def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 
 def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    center = 1.85 * gc.lam**3
-    bracket = _floats(cfg.get("bracket", "")) or (0.45 * center, 3.5 * center)
+    center = ALPHA_COEFF * gc.lam**3
+    bracket = _floats(cfg.get("bracket", "")) or tuple(s * center for s in ALPHA_BRACKET_SCALE)
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
     opt = optimize_alpha(gc, bracket, psi)
     path = cfg.out_dir / "optimize_alpha.json"
     emit({"alpha": opt.alpha, "error": opt.error,
-          "evaluations": opt.evaluations, "unimodal": opt.unimodal}, path)
+          "evaluations": opt.evaluations, "kind": opt.kind, "unimodal": opt.unimodal}, path)
     return [path]
 
 
@@ -514,7 +516,7 @@ def _alpha_grids(spec: dict) -> tuple[list, list]:
     for cok in spec["chi_over_kappa"]:
         for db in spec["lam_db"]:
             lam = lambda_from_db(db)
-            values = tuple(f * 1.85 * lam**3 for f in spec["alpha_factors"])
+            values = tuple(f * ALPHA_COEFF * lam**3 for f in spec["alpha_factors"])
             jobs.append(((cok, db), SweepSpec(base=replace(base, kappa=base.chi / cok, lam=lam),
                                               param="alpha", values=values,
                                               workers=spec["workers"])))
@@ -546,8 +548,8 @@ def _photon_trace(spec: dict) -> tuple[list, list]:
         lam = lambda_from_db(db)
         gc = replace(spec["base"], lam=lam)
         psi = parse_state("gkp:z+:0.5", gc.n_fock)
-        center = 1.85 * lam**3
-        opt = optimize_alpha(gc, (0.45 * center, 3.5 * center), psi)
+        center = ALPHA_COEFF * lam**3
+        opt = optimize_alpha(gc, tuple(s * center for s in ALPHA_BRACKET_SCALE), psi)
         series, _ = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
         for t, tot, fl, var in zip(series["t"], series["total"],
                                    series["fluctuation"], series["variance"]):

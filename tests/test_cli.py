@@ -211,6 +211,8 @@ class TestStateAndGate:
                     "--bracket", "8,60", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "optimize_alpha.json").read_text())
         assert 8.0 <= doc["alpha"] <= 60.0
+        assert doc["kind"] == "unimodal" and doc["unimodal"] is True
+        assert 7 < doc["evaluations"] <= 16
 
     def test_sweep_lambda_csv(self, tmp_path):
         assert run(["sweep-lambda", "--values", "8,10", "--gamma", "0.1",

@@ -1,6 +1,8 @@
+import math
 import os
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +76,77 @@ class TestOptimizeAlpha:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             ex.optimize_alpha(self.cfg, (-1.0, 5.0), self.psi)
+
+
+def _fake_gate(monkeypatch, curve):
+    """Replace the gate by an error curve in log(alpha); returns the list of gated alphas."""
+    calls = []
+
+    def gate(cfg, psi):
+        calls.append(cfg.alpha)
+        return SimpleNamespace(error=curve(math.log(cfg.alpha)))
+
+    monkeypatch.setattr(ex, "cubic_gate", gate)
+    return calls
+
+
+# synthetic error curves in u = log(alpha) over the bracket (10, 1000)
+_LO, _HI = 10.0, 1000.0
+_U = np.log(np.geomspace(_LO, _HI, 7))  # the coarse grid; cells are _H wide in u
+_H = _U[1] - _U[0]
+
+
+def _double_well(u, a=_U[2] + 0.2, b=_U[4] - 0.1, s=0.3):
+    # wells of depth 0.9 and 1 next to grid[2] and grid[4]; their tails overlap by ~1e-11
+    return 1.0 - 0.9 * math.exp(-((u - a) / s) ** 2) - math.exp(-((u - b) / s) ** 2)
+
+
+# name -> (class, curve, log of the minimum in the cell Brent searches)
+_CURVES = {
+    "single-well": ("unimodal", lambda u: math.cosh(u - math.log(60.0)) - 0.9,
+                    math.log(60.0)),
+    "at-edge": ("edge", lambda u: math.exp(u - _U[0]), _U[0]),
+    "inside-edge-cell": ("edge", lambda u: math.cosh(u - _U[0] - 0.3 * _H) - 0.95,
+                         _U[0] + 0.3 * _H),
+    "double-well": ("multimodal", _double_well, _U[4] - 0.1),
+}
+
+
+class TestAlphaClassifier:
+    """optimize_alpha on synthetic error curves; no Fock space."""
+
+    CFG = GateConfig(lam=2.0, alpha=1.0, gamma=0.1, n_fock=16)
+
+    @pytest.mark.parametrize("name", sorted(_CURVES))
+    def test_class_and_convergence(self, monkeypatch, name):
+        kind, curve, u_true = _CURVES[name]
+        calls = _fake_gate(monkeypatch, curve)
+        if kind == "unimodal":
+            opt = ex.optimize_alpha(self.CFG, (_LO, _HI), None)
+        else:
+            with pytest.warns(UserWarning, match=f"unimodal.*{kind}"):
+                opt = ex.optimize_alpha(self.CFG, (_LO, _HI), None)
+        assert opt.kind == kind
+        assert opt.unimodal == (kind == "unimodal")
+        assert opt.evaluations == len(set(calls)) == len(calls)
+        # Brent reaches a bracket end by golden steps only: 18 gates across a cell of 0.77
+        assert opt.evaluations <= (25 if u_true == _U[0] else 16)
+        assert opt.error == curve(math.log(opt.alpha))
+        assert opt.error <= min(curve(u) for u in _U)
+        assert abs(math.log(opt.alpha) - u_true) <= 5e-4
+        if u_true == _U[0]:  # a minimum at the bracket end returns that end exactly
+            assert opt.alpha == _LO
+
+    @pytest.mark.parametrize("bracket", [(1.0, math.inf), (math.inf, math.inf),
+                                         (math.nan, 5.0), (1.0, math.nan), (0.0, 5.0),
+                                         (5.0, 1.0)], ids=str)
+    def test_bad_bracket_rejected_before_any_gate(self, monkeypatch, bracket):
+        calls = _fake_gate(monkeypatch, lambda u: u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy must not warn either
+            with pytest.raises(ValueError, match="bracket"):
+                ex.optimize_alpha(self.CFG, bracket, None)
+        assert calls == []
 
 
 class TestSweeps:

@@ -8,7 +8,9 @@ tests/golden/recipes/: header and text cells exactly, numbers to 1e-12
 relative.
 
 To re-record the goldens after an intended output change, run
-`PYTHONPATH=src python tests/test_recipes.py --record`.
+`PYTHONPATH=src python tests/test_recipes.py --record`. It prints every cell
+that moved beyond that tolerance (golden -> new) and rewrites only the files
+that moved.
 """
 
 import json
@@ -73,6 +75,17 @@ def _cells_match(got, want):
     return math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0)
 
 
+def _moved_cells(name: str, table: Path) -> list[str]:
+    """Each cell of `table` that the golden of `name` does not match, as 'old -> new'."""
+    header, rows = cli.read_csv(table)
+    want_header, want_rows = cli.read_csv(GOLDEN / f"{name}.csv")
+    if header != want_header or [len(r) for r in rows] != [len(r) for r in want_rows]:
+        return [f"{name}: table shape {want_header} x {len(want_rows)} -> {header} x {len(rows)}"]
+    return [f"{name} row {i} {col}: {w} -> {g}"
+            for i, (row, want) in enumerate(zip(rows, want_rows))
+            for col, g, w in zip(header, row, want) if not _cells_match(g, w)]
+
+
 @pytest.mark.parametrize("recipe", cli.RECIPES)
 def test_dry_run_recipe_spec(tmp_path, recipe):
     want = json.loads((GOLDEN / "dry_run_specs.json").read_text())[recipe]
@@ -82,23 +95,26 @@ def test_dry_run_recipe_spec(tmp_path, recipe):
 @pytest.mark.parametrize("recipe", sorted(SHRUNK))
 def test_shrunk_recipe_matches_golden(tmp_path, recipe):
     assert _run_shrunk(recipe, tmp_path) == 0
-    header, rows = cli.read_csv(tmp_path / f"{recipe}.csv")
-    want_header, want_rows = cli.read_csv(GOLDEN / f"{recipe}.csv")
-    assert header == want_header
-    assert len(rows) == len(want_rows)
-    for row, want in zip(rows, want_rows):
-        assert len(row) == len(want)
-        assert all(_cells_match(g, w) for g, w in zip(row, want)), (row, want)
+    assert _moved_cells(recipe, tmp_path / f"{recipe}.csv") == []
 
 
 def _record(scratch: Path) -> None:
+    """Rewrite each golden whose new output moved beyond `_cells_match`, printing the moves."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
     specs = {name: _dry_run_spec(name, scratch) for name in cli.RECIPES}
-    (GOLDEN / "dry_run_specs.json").write_text(
-        json.dumps(specs, indent=2, sort_keys=True) + "\n")
+    spec_file = GOLDEN / "dry_run_specs.json"
+    old_specs = json.loads(spec_file.read_text()) if spec_file.exists() else {}
+    if specs != old_specs:
+        print("dry_run_specs.json:", sorted(n for n in specs if specs[n] != old_specs.get(n)))
+        spec_file.write_text(json.dumps(specs, indent=2, sort_keys=True) + "\n")
     for name in sorted(SHRUNK):
         assert _run_shrunk(name, scratch) == 0, name
-        (GOLDEN / f"{name}.csv").write_bytes((scratch / f"{name}.csv").read_bytes())
+        table, golden = scratch / f"{name}.csv", GOLDEN / f"{name}.csv"
+        moved = _moved_cells(name, table) if golden.exists() else [f"{name}: new golden"]
+        for line in moved:
+            print(line)
+        if moved:
+            golden.write_bytes(table.read_bytes())
 
 
 if __name__ == "__main__":
