@@ -497,21 +497,65 @@ def photon_number_trace(cfg: GateConfig, psi_in: PureState, samples: int):
 # ---------------------------------------------------------------------------
 
 
+def _taylor_shift(p: BosonPolynomial, u, v) -> dict[int, BosonPolynomial]:
+    """p(a^dag + u, a + v) for scalars u, v, grouped by the order i + j of u^i v^j.
+
+    A scalar commutes with a and a^dag, so each normal-ordered monomial
+    expands binomially: (a^dag + u)^m (a + v)^n = sum over i, j of
+    C(m,i) C(n,j) u^i v^j (a^dag)^(m-i) a^(n-j). The groups sum to
+    p(a^dag + u, a + v) exactly.
+    """
+    groups: dict[int, dict] = {}
+    for (m, n), coeff in p.terms.items():
+        for i in range(m + 1):
+            for j in range(n + 1):
+                term = coeff * (math.comb(m, i) * math.comb(n, j))
+                for _ in range(i):
+                    term = term * u
+                for _ in range(j):
+                    term = term * v
+                group = groups.setdefault(i + j, {})
+                key = (m - i, n - j)
+                group[key] = group[key] + term if key in group else term
+    return {order: BosonPolynomial(group) for order, group in groups.items()}
+
+
+@lru_cache(maxsize=16)
+def _segment_expansion(chi: float, lam: float, beta: AlphaPoly) -> tuple[BosonPolynomial, ...]:
+    """(Q_0, ..., Q_4) with Kerr(F + s beta) = sum_m s^m Q_m for imaginary s.
+
+    Kerr is the undriven Kerr with the counter-term detuning, F the frame
+    substitution, and constants are dropped. For imaginary s, conj(s beta)^i
+    (s beta)^j = s^(i+j) (-conj(beta))^i beta^j, so the Taylor shift of Kerr
+    by (-conj(beta), beta), grouped by order m, carries all of the dependence
+    on s in the power s^m. Independent of alpha, tau and the step count.
+    """
+    kerr = algebra.driven_kerr(chi, algebra.cubic_counterterms(chi)[0], 0)
+    groups = _taylor_shift(kerr, -beta.conjugate(), beta)
+    return tuple(substitute_gaussian_frame(groups[m], lam).drop_constant()
+                 for m in sorted(groups))
+
+
 def _discrete_sequence(cfg: GateConfig, beta_poly: AlphaPoly, tau: float):
     """Displacement amplitude and per-step Hamiltonians of the drive-free scheme.
 
     The 2N interleaved kick displacements commute past the Kerr factors at the
     price of shifting each factor's frame; the product becomes one leftover
     displacement D(xi), xi = -i tau lam beta(alpha), times N Kerr factors whose
-    substitution offset is w_k = -i (2k-1) tau beta / (2N) (alpha-symbolic).
-    Constants picked up along the way are global phase and are dropped.
+    substitution offset is w_k = s_k beta, s_k = -i (2k-1) tau / (2N). Segment
+    k is sum_m s_k^m Q_m from the cached `_segment_expansion`: exact scalar
+    products, equal to substituting each offset on its own. Constants picked
+    up along the way are global phase and are dropped.
     """
     n_t = cfg.trotter_steps
-    kerr = algebra.driven_kerr(cfg.chi, algebra.cubic_counterterms(cfg.chi)[0], 0)
+    q = _segment_expansion(float(cfg.chi), float(cfg.lam), beta_poly)
     h_steps = []
     for k in range(1, n_t + 1):
-        w_k = beta_poly * complex(0.0, -(2 * k - 1) * tau / (2.0 * n_t))
-        h_k = substitute_gaussian_frame(kerr, cfg.lam, offset=w_k).drop_constant()
+        s_k = algebra.ExactComplex.of(complex(0.0, -(2 * k - 1) * tau / (2.0 * n_t)))
+        h_k, power = q[0], s_k
+        for q_m in q[1:]:
+            h_k = h_k + q_m * power
+            power = power * s_k
         h_steps.append(algebra.to_matrix(h_k, cfg.alpha, cfg.n_fock))
     xi = -1j * tau * cfg.lam * beta_poly(cfg.alpha)
     return xi, h_steps

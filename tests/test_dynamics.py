@@ -1,5 +1,7 @@
 import math
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -601,6 +603,88 @@ class TestTrotter:
         r1 = dyn.cubic_gate(cfg, psi)
         r2 = dyn.trotterized_gate(cfg, psi)
         assert r1.error == r2.error
+
+
+def _substituted_segments(cfg, beta, tau):
+    """Oracle: every Trotter segment from its own frame substitution."""
+    kerr = alg.driven_kerr(cfg.chi, alg.cubic_counterterms(cfg.chi)[0], 0)
+    n_t = cfg.trotter_steps
+    h_steps = []
+    for k in range(1, n_t + 1):
+        w_k = beta * complex(0.0, -(2 * k - 1) * tau / (2.0 * n_t))
+        h_k = alg.substitute_gaussian_frame(kerr, cfg.lam, offset=w_k).drop_constant()
+        h_steps.append(alg.to_matrix(h_k, cfg.alpha, cfg.n_fock))
+    return -1j * tau * cfg.lam * beta(cfg.alpha), h_steps
+
+
+class TestTrotterSegmentExpansion:
+    EXACT = alg.ExactComplex
+    SCALARS = {
+        "zero": EXACT(Fraction(0), Fraction(0)),
+        "real": EXACT(Fraction(3, 8), Fraction(0)),
+        "imaginary": EXACT(Fraction(0), Fraction(-5, 16)),
+        "segment": EXACT.of(complex(0.0, -3 * 0.0123 / 14.0)),
+        "complex": EXACT(Fraction(1, 3), Fraction(-2, 7)),
+    }
+
+    @pytest.mark.parametrize("lam", [1.5, fk.lambda_from_db(10.0)])
+    @pytest.mark.parametrize("name", sorted(SCALARS))
+    def test_shift_expansion_equals_substitution(self, lam, name):
+        s = self.SCALARS[name]
+        chi = 1.0
+        beta = alg.cubic_counterterms(chi)[1]
+        kerr = alg.driven_kerr(chi, alg.cubic_counterterms(chi)[0], 0)
+        w = beta * s
+        direct = alg.substitute_gaussian_frame(kerr, lam, offset=w)
+        # general form, any scalar: p(a^dag + conj(w), a + w), then the frame
+        shifted = alg.BosonPolynomial()
+        for group in dyn._taylor_shift(kerr, w.conjugate(), w).values():
+            shifted = shifted + group
+        assert alg.substitute_gaussian_frame(shifted, lam) == direct
+        if s.re == 0:  # the cached form: sum_m s^m Q_m for imaginary s
+            total, power = alg.BosonPolynomial(), alg.ExactComplex.of(1)
+            for q_m in dyn._segment_expansion(chi, lam, beta):
+                total = total + q_m * power
+                power = power * s
+            assert total == direct.drop_constant()
+
+    @pytest.mark.parametrize("n, steps, lam_db, alpha, selector", [
+        (48, 1, 5.0, 5.0, "squeezed:0.5"),
+        (64, 3, 10.0, 12.0, "gkp:z+:0.5"),
+        (96, 4, 10.0, 16.0, "gkp:x+:0.5"),
+    ])
+    def test_gate_bit_identical_to_per_segment_substitution(self, monkeypatch, n, steps,
+                                                            lam_db, alpha, selector):
+        cfg = GateConfig(lam=fk.lambda_from_db(lam_db), alpha=alpha, gamma=0.1, n_fock=n,
+                         trotter_steps=steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fk.TruncationWarning)
+            psi = st.parse_state(selector, n)
+            new = dyn.trotterized_gate(cfg, psi)
+            monkeypatch.setattr(dyn, "_discrete_sequence", _substituted_segments)
+            old = dyn.trotterized_gate(cfg, psi)
+        assert np.array_equal(new.state.vector, old.state.vector)
+        assert new.error == old.error
+
+    def test_substitutions_once_per_expansion(self, monkeypatch):
+        real = dyn.substitute_gaussian_frame
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        dyn._segment_expansion.cache_clear()
+        monkeypatch.setattr(dyn, "substitute_gaussian_frame", counting)
+        cfg = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
+                         trotter_steps=16)
+        psi = st.squeezed_vacuum(0.5, cfg.n_fock)
+        dyn.trotterized_gate(cfg, psi)
+        assert 1 <= len(calls) <= 5  # one per order m of the shift
+        calls.clear()
+        dyn.trotterized_gate(replace(cfg, alpha=7.0), psi)
+        dyn.trotterized_gate(replace(cfg, trotter_steps=3), psi)
+        assert calls == []
 
 
 class TestPhotonTrace:

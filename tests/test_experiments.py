@@ -67,7 +67,8 @@ class TestOptimizeAlpha:
 
     def test_non_unimodal_bracket_falls_back(self):
         # bracket entirely on the decreasing branch: coarse argmin sits on the
-        # boundary, triggering the dense-scan fallback
+        # boundary, so the scan is classified `edge` and takes the classified
+        # `edge`/`multimodal` refinement: Brent on the end cell, with a warning
         with pytest.warns(UserWarning, match="unimodal"):
             opt = ex.optimize_alpha(self.cfg, (18.0, 50.0), self.psi)
         assert not opt.unimodal
