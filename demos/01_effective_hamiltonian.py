@@ -10,23 +10,15 @@ This script prints the full quadrature-form coefficient table and shows that
 the counter-term cancellation is symbolically exact, not a small float.
 """
 
-from kerrcubic import (
-    cubic_counterterms,
-    cubic_parameters,
-    driven_kerr,
-    substitute_gaussian_frame,
-    to_quadrature_form,
-)
+from kerrcubic import cubic_parameters, effective_cubic_hamiltonian, to_quadrature_form
 
 chi, lam_db, alpha, gamma = 1.0, 10.0, 50.0, 0.1
 lam = 10.0 ** (lam_db / 20.0)
 
-delta_c, beta_c = cubic_counterterms(chi)
 print("counter-terms: delta = 3 chi a^2 - chi, beta = -2 chi a^3 (alpha symbolic)")
 print(f"operating point: lambda = {lam:.3f} ({lam_db} dB), alpha = {alpha}, gamma = {gamma}\n")
 
-h = substitute_gaussian_frame(driven_kerr(chi, delta_c, beta_c), lam).drop_constant()
-quad = to_quadrature_form(h)
+quad = to_quadrature_form(effective_cubic_hamiltonian(chi, lam, alpha, gamma))
 
 print(f"{'monomial':10s} {'coefficient':>22s}")
 for (j, k) in sorted(quad.terms, key=lambda t: (t[0] + t[1], t)):
@@ -49,9 +41,7 @@ print(f"mu * tau == gamma exactly: {params.mu * params.tau == gamma}")
 # at the reference operating point of the lossy state-generation run the
 # cancelling terms are ~chi alpha^4 ~ 4e16 while mu ~ 2e6: only the exact
 # algebra survives that gap
-big = to_quadrature_form(
-    substitute_gaussian_frame(driven_kerr(1.0, *cubic_counterterms(1.0)), 10**0.75)
-)
+big = to_quadrature_form(effective_cubic_hamiltonian(1.0, 10**0.75, 1.4e4, gamma))
 print("\nat alpha = 1.4e4 (15 dB):")
 print("  cancelled x-term magnitude would be ~", f"{2 * 1.4e4**3 * 10**0.75:.3g}")
 print("  x coefficient is_zero:", big.coefficient(1, 0).is_zero)

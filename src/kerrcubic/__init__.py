@@ -50,7 +50,6 @@ from .fock import (
     DimensionMismatchError,
     InvalidDimensionError,
     MixedState,
-    Operator,
     PureState,
     Spectrum,
     TruncationWarning,

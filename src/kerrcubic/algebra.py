@@ -43,7 +43,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .fock import Operator, InvalidDimensionError
+from .fock import InvalidDimensionError
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,6 @@ class AlphaPoly:
         for c in reversed(self.coeffs):
             out = out * alpha + complex(c)
         return out
-
-    def degree0(self) -> "AlphaPoly":
-        """The alpha-independent part."""
-        return AlphaPoly(self.coeffs[:1])
 
     def __eq__(self, other):
         return isinstance(other, AlphaPoly) and self.coeffs == other.coeffs
@@ -332,25 +328,10 @@ class BosonPolynomial(OrderedPolynomial):
     COMMUTATOR = 1  # [a, a^dag]
     LABELS = ("ad", "a")
 
-    @staticmethod
-    def lowering() -> "BosonPolynomial":
-        return BosonPolynomial({(0, 1): 1})
-
-    @staticmethod
-    def raising() -> "BosonPolynomial":
-        return BosonPolynomial({(1, 0): 1})
-
     def dagger(self) -> "BosonPolynomial":
         return BosonPolynomial(
             {(n, m): poly.conjugate() for (m, n), poly in self.terms.items()}
         )
-
-    def is_hermitian_symbolic(self) -> bool:
-        """Exact check of coefficient(m,n) == conj(coefficient(n,m)) (alpha real)."""
-        for (m, n), poly in self.terms.items():
-            if not (self.coefficient(n, m).conjugate() - poly).is_zero:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +381,6 @@ class QuadraturePolynomial(OrderedPolynomial):
     __slots__ = ()
     COMMUTATOR = ExactComplex(Fraction(0), Fraction(-2))  # [P, X]
     LABELS = ("X", "P")
-
-    @staticmethod
-    def big_x() -> "QuadraturePolynomial":
-        return QuadraturePolynomial({(1, 0): 1})
-
-    @staticmethod
-    def big_p() -> "QuadraturePolynomial":
-        return QuadraturePolynomial({(0, 1): 1})
 
     def quad_coefficient(self, j: int, k: int, alpha: float) -> complex:
         """Coefficient of x^j p^k in physical quadrature units, evaluated."""
@@ -545,7 +518,7 @@ def _ladder_diagonal(j: int, n: int) -> np.ndarray:
     return out
 
 
-def to_matrix(p: BosonPolynomial, alpha: float, n: int) -> Operator:
+def to_matrix(p: BosonPolynomial, alpha: float, n: int) -> np.ndarray:
     """Evaluate the alpha symbol and assemble the dense Fock-space matrix.
 
     The monomial (a^dag)^m a^n has one nonzero diagonal, with entry
@@ -567,4 +540,4 @@ def to_matrix(p: BosonPolynomial, alpha: float, n: int) -> Operator:
         band = _ladder_diagonal(m, n)[:length] * _ladder_diagonal(nn, n)[:length]
         start = m * n + nn
         flat[start: start + length * (n + 1): n + 1] += poly(alpha) * band
-    return Operator(out)
+    return out

@@ -46,7 +46,6 @@ from .algebra import AlphaPoly, BosonPolynomial, cubic_parameters, substitute_ga
 from .fock import (
     ContractViolationError,
     MixedState,
-    Operator,
     PureState,
     Spectrum,
     TruncationWarning,
@@ -201,7 +200,7 @@ def _frame_number_operator(lam: float) -> BosonPolynomial:
     return substitute_gaussian_frame(BosonPolynomial({(1, 1): 1}), lam)
 
 
-def _frame_matrix(cfg: GateConfig) -> Operator:
+def _frame_matrix(cfg: GateConfig) -> np.ndarray:
     """The effective Hamiltonian H(alpha) of `cfg` on its Fock space."""
     h_poly = _frame_hamiltonian(
         float(cfg.chi), float(cfg.lam), float(cfg.noise.ddelta),
@@ -210,21 +209,20 @@ def _frame_matrix(cfg: GateConfig) -> Operator:
     return algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
 
-def effective_generators(cfg: GateConfig) -> tuple[Operator, Operator, complex]:
+def effective_generators(cfg: GateConfig) -> tuple[np.ndarray, np.ndarray, complex]:
     """Effective Hamiltonian, fluctuation Lindblad operator, and drift rate."""
     h = _frame_matrix(cfg)
     c, s = _cosh_sinh(cfg.lam)
     a = _annihilation_matrix(cfg.n_fock)
     root_kappa = math.sqrt(cfg.kappa)
-    l_fluct = Operator(root_kappa * (c * a + s * a.conj().T))
+    l_fluct = root_kappa * (c * a + s * a.conj().T)
     drift = complex(root_kappa * cfg.alpha)
     return h, l_fluct, drift
 
 
-def _gauge_hamiltonian(l_fluct: Operator, drift: complex) -> np.ndarray:
+def _gauge_hamiltonian(l_fluct: np.ndarray, drift: complex) -> np.ndarray:
     """Hamiltonian equivalent of the constant part of the Lindblad operator."""
-    lm = l_fluct.matrix
-    return (0.5j) * (np.conj(drift) * lm - drift * lm.conj().T)
+    return (0.5j) * (np.conj(drift) * l_fluct - drift * l_fluct.conj().T)
 
 
 def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
@@ -233,7 +231,7 @@ def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
     return Spectrum(algebra.to_matrix(n_eff, cfg.alpha, cfg.n_fock)).unitary(cfg.noise.dtheta)
 
 
-def effective_number_operator(cfg: GateConfig) -> tuple[Operator, float]:
+def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:
     """(n_eff with its constant dropped, the dropped constant sinh^2 + alpha^2)."""
     n_eff = _frame_number_operator(float(cfg.lam))
     const = n_eff.coefficient(0, 0)(cfg.alpha).real
@@ -290,8 +288,8 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps, samples=0):
 
 
 def evolve_lindblad(
-    h: Operator,
-    l_op: Operator,
+    h: np.ndarray,
+    l_op: np.ndarray,
     tau: float,
     rho0: MixedState,
     n_steps: int | None = None,
@@ -321,17 +319,15 @@ def evolve_lindblad(
         raise ValueError(f"n_steps must be None or >= 1, got {n_steps}")
     if max_doublings < 0:
         raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
-    hm = h.matrix if isinstance(h, Operator) else h
-    lm = l_op.matrix if isinstance(l_op, Operator) else l_op
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0,
                       "snapshots": []}
 
-    spectrum = Spectrum(hm)
-    l_sp = sparse.csr_matrix(lm)
-    m_op = sparse.csr_matrix(lm.conj().T) @ l_sp
+    spectrum = Spectrum(h)
+    l_sp = sparse.csr_matrix(l_op)
+    m_op = sparse.csr_matrix(l_op.conj().T) @ l_sp
     # scipy sorts the indices in place on first use (abs() below); sort them
     # now, so that a rung's state does not depend on the branch integrating it
     m_op.sort_indices()
@@ -420,8 +416,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
     tau = cfg.tau
     diagnostics: dict = {"tau": tau}
     if samples:
-        n_obs, const = effective_number_operator(cfg)
-        n_mat = n_obs.matrix
+        n_mat, const = effective_number_operator(cfg)
         n2 = n_mat @ n_mat
 
         def pure_moments(t, psi):
@@ -446,11 +441,10 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
         )
     else:
         h, l_fluct, drift = effective_generators(cfg)
-        hm = h.matrix
         if cfg.loss_frame == "displaced":
-            hm = hm + _gauge_hamiltonian(l_fluct, drift)
+            h = h + _gauge_hamiltonian(l_fluct, drift)
         rho, lb_diag = evolve_lindblad(
-            Operator(hm), l_fluct, tau, psi_in.density_matrix(),
+            h, l_fluct, tau, psi_in.density_matrix(),
             n_steps=cfg.lindblad_steps, tol=cfg.lindblad_tol,
             max_doublings=cfg.max_step_doublings, samples=samples,
         )
@@ -589,7 +583,7 @@ def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     psi = psi_in.vector
     dt = tau / cfg.trotter_steps
     for h_k in h_steps:
-        psi = Spectrum(h_k.matrix).advance(psi, dt)
+        psi = Spectrum(h_k).advance(psi, dt)
 
     psi = displace_vector(displacement_spectrum(cfg.n_fock), xi, psi)
     out = PureState(psi, normalize=False)

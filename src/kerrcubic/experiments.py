@@ -58,8 +58,8 @@ def fit_power_law(points) -> FitResult:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError(f"power-law fit needs >= 3 points, got {len(pts)}")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("power-law fit requires positive data")
+    if not all(0 < x < math.inf and 0 < y < math.inf for x, y in pts):
+        raise ValueError("power-law fit requires positive, finite data")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -295,7 +295,7 @@ class CubicStateResult:
 @lru_cache(maxsize=8)
 def _correction_basis(n: int) -> np.ndarray:
     """Read-only stack of the generators x^2, p^2, {x,p}/2, x, p of the correction."""
-    x, p = position(n).matrix, momentum(n).matrix
+    x, p = position(n), momentum(n)
     basis = np.array([x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p])
     basis.setflags(write=False)
     return basis

@@ -87,50 +87,9 @@ def lambda_from_db(db: float) -> float:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex matrix on an N-dimensional Fock space."""
+    """D(s) from `displacement`, boxed because the benchmark workloads read `.matrix`."""
 
     matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidDimensionError(f"operator matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            _check_dims(self.dim, other.dim)
-            return Operator(self.matrix @ other.matrix)
-        if isinstance(other, PureState):
-            _check_dims(self.dim, other.dim)
-            return PureState(self.matrix @ other.vector, normalize=False)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, Operator):
-            _check_dims(self.dim, other.dim)
-            return Operator(self.matrix + other.matrix)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Operator):
-            _check_dims(self.dim, other.dim)
-            return Operator(self.matrix - other.matrix)
-        return NotImplemented
-
-    def __mul__(self, c):
-        if isinstance(c, (int, float, complex)):
-            return Operator(self.matrix * c)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 class Spectrum:
@@ -144,16 +103,15 @@ class Spectrum:
     check, the real symmetric solver runs and v is float64.
     """
 
-    def __init__(self, h: Operator | np.ndarray):
-        m = h.matrix if isinstance(h, Operator) else np.asarray(h)
-        if np.iscomplexobj(m) and not m.imag.any():
-            m = m.real
-        scale = np.abs(m).max()
-        if scale > 0 and np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
+    def __init__(self, h: np.ndarray):
+        if np.iscomplexobj(h) and not h.imag.any():
+            h = h.real
+        scale = np.abs(h).max()
+        if scale > 0 and np.abs(h - h.conj().T).max() > HERMITICITY_RTOL * scale:
             raise ContractViolationError(
                 f"generator is not hermitian to {HERMITICITY_RTOL:.0e} relative"
             )
-        self.w, self.v = np.linalg.eigh(m)
+        self.w, self.v = np.linalg.eigh(h)
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i H t) as a dense matrix."""
@@ -238,27 +196,27 @@ def _annihilation_matrix(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def annihilation(n: int) -> Operator:
+def annihilation(n: int) -> np.ndarray:
     """Mode annihilation operator a with a[k-1, k] = sqrt(k)."""
     if n < 2:
         raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
-    return Operator(_annihilation_matrix(n))
+    return _annihilation_matrix(n)
 
 
-def position(n: int) -> Operator:
-    a = annihilation(n).matrix
-    return Operator((a + a.conj().T) / math.sqrt(2.0))
+def position(n: int) -> np.ndarray:
+    a = annihilation(n)
+    return (a + a.conj().T) / math.sqrt(2.0)
 
 
-def momentum(n: int) -> Operator:
-    a = annihilation(n).matrix
-    return Operator((a - a.conj().T) / (1j * math.sqrt(2.0)))
+def momentum(n: int) -> np.ndarray:
+    a = annihilation(n)
+    return (a - a.conj().T) / (1j * math.sqrt(2.0))
 
 
-def number(n: int) -> Operator:
+def number(n: int) -> np.ndarray:
     if n < 2:
         raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
-    return Operator(np.diag(np.arange(n, dtype=float)).astype(complex))
+    return np.diag(np.arange(n, dtype=float)).astype(complex)
 
 
 def vacuum(n: int) -> PureState:
@@ -316,13 +274,13 @@ def squeeze_vector(spectrum: Spectrum, z: float, psi: np.ndarray) -> np.ndarray:
     return _rotated(spectrum, _SQUEEZE_ANGLE, z, psi)
 
 
-def _rotated_unitary(spectrum: Spectrum, theta: float, t: float) -> Operator:
+def _rotated_unitary(spectrum: Spectrum, theta: float, t: float) -> np.ndarray:
     r = _rotation(theta, spectrum.w.shape[0])
-    return Operator(r[:, None] * spectrum.unitary(t) * r.conj())
+    return r[:, None] * spectrum.unitary(t) * r.conj()
 
 
 def displacement(s: complex, n: int) -> Operator:
-    """Unitary D(s) = exp(s*a^dag - conj(s)*a)."""
+    """Unitary D(s) = exp(s*a^dag - conj(s)*a), as the `matrix` of an `Operator`."""
     if n < 2:
         raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
     if abs(s) ** 2 > n / 4.0:
@@ -331,10 +289,10 @@ def displacement(s: complex, n: int) -> Operator:
             TruncationWarning,
             stacklevel=2,
         )
-    return _rotated_unitary(displacement_spectrum(n), _displacement_angle(s), abs(s))
+    return Operator(_rotated_unitary(displacement_spectrum(n), _displacement_angle(s), abs(s)))
 
 
-def squeeze(z: float, n: int) -> Operator:
+def squeeze(z: float, n: int) -> np.ndarray:
     """Unitary S(z) = exp(z*(a^dag^2 - a^2)/2); x-variance of S(z)|0> is e^{2z}/2."""
     if n < 2:
         raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
@@ -352,20 +310,17 @@ def squeeze(z: float, n: int) -> Operator:
 # ---------------------------------------------------------------------------
 
 
-def expectation(op: Operator | np.ndarray, state: PureState | MixedState) -> complex:
-    m = op.matrix if isinstance(op, Operator) else np.asarray(op)
+def expectation(op: np.ndarray, state: PureState | MixedState) -> complex:
+    _check_dims(op.shape[0], state.dim)
     if isinstance(state, PureState):
-        _check_dims(m.shape[0], state.dim)
-        return complex(np.vdot(state.vector, m @ state.vector))
-    _check_dims(m.shape[0], state.dim)
-    return complex(np.trace(m @ state.matrix))
+        return complex(np.vdot(state.vector, op @ state.vector))
+    return complex(np.trace(op @ state.matrix))
 
 
-def variance(op: Operator | np.ndarray, state: PureState | MixedState) -> float:
+def variance(op: np.ndarray, state: PureState | MixedState) -> float:
     """<A^2> - <A>^2 for a Hermitian observable A."""
-    m = op.matrix if isinstance(op, Operator) else np.asarray(op)
-    mean = np.real(expectation(m, state))
-    second = np.real(expectation(m @ m, state))
+    mean = np.real(expectation(op, state))
+    second = np.real(expectation(op @ op, state))
     return float(second - mean * mean)
 
 

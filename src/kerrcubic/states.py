@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import (
-    Operator,
     PureState,
     MixedState,
     Spectrum,
@@ -158,12 +157,12 @@ def _warn_winding(gamma: float, n: int) -> None:
         )
 
 
-def ideal_cubic_gate(gamma: float, n: int) -> Operator:
+def ideal_cubic_gate(gamma: float, n: int) -> np.ndarray:
     """The unitary exp(i*gamma*x^3) on the truncated space."""
     _warn_winding(gamma, n)
-    x = position(n).matrix
+    x = position(n)
     x3 = x @ x @ x
-    return Operator(Spectrum(x3).unitary(-gamma))
+    return Spectrum(x3).unitary(-gamma)
 
 
 def ideal_cubic_target(gamma: float, psi_in: PureState) -> PureState:
@@ -181,15 +180,15 @@ def _cached_target(gamma: float, amplitudes: bytes) -> PureState:
     psi = PureState(np.frombuffer(amplitudes, dtype=complex).copy(), normalize=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)  # warned by the caller
-        out = ideal_cubic_gate(gamma, psi.dim) @ psi
+        out = PureState(ideal_cubic_gate(gamma, psi.dim) @ psi.vector, normalize=False)
     out.vector.setflags(write=False)
     return out
 
 
-def nlq_operator(gamma: float, n: int) -> Operator:
+def nlq_operator(gamma: float, n: int) -> np.ndarray:
     """The nonlinear quadrature p - 3*gamma*x^2."""
-    x = position(n).matrix
-    return Operator(momentum(n).matrix - 3.0 * gamma * (x @ x))
+    x = position(n)
+    return momentum(n) - 3.0 * gamma * (x @ x)
 
 
 def nlq_variance(state: PureState | MixedState, gamma: float) -> float:

@@ -65,14 +65,14 @@ class TestGateConfig:
 class TestEffectiveGenerators:
     def test_lossless_limit(self):
         h, l_op, drift = dyn.effective_generators(make_cfg(kappa=0.0))
-        assert np.abs(l_op.matrix).max() == 0.0
+        assert np.abs(l_op).max() == 0.0
         assert drift == 0.0
 
     def test_unit_gain_lindblad(self):
         cfg = make_cfg(lam=1.0, kappa=2.0)
         _, l_op, drift = dyn.effective_generators(cfg)
-        ref = math.sqrt(2.0) * fk.annihilation(cfg.n_fock).matrix
-        assert np.abs(l_op.matrix - ref).max() < 1e-12
+        ref = math.sqrt(2.0) * fk.annihilation(cfg.n_fock)
+        assert np.abs(l_op - ref).max() < 1e-12
         assert abs(drift - math.sqrt(2.0) * cfg.alpha) < 1e-12
 
     def test_cubic_coefficient_through_pipeline(self):
@@ -85,20 +85,24 @@ class TestEffectiveGenerators:
         ).drop_constant()
         got = alg.to_quadrature_form(hp).quad_coefficient(3, 0, 8.0)
         assert abs(got - (-(2.0**3) * 8.0 / math.sqrt(2.0))) < 1e-10
-        assert np.abs(h.matrix - alg.to_matrix(hp, 8.0, cfg.n_fock).matrix).max() == 0.0
+        assert np.abs(h - alg.to_matrix(hp, 8.0, cfg.n_fock)).max() == 0.0
 
     def test_gauge_term_is_momentum_generator(self):
         cfg = make_cfg(kappa=4.0)
         _, l_op, drift = dyn.effective_generators(cfg)
         g = dyn._gauge_hamiltonian(l_op, drift)
         # (i/2)(c* L - c L^dag) with real drift equals -(kappa alpha / (sqrt2 lam)) p
-        ref = -(cfg.kappa * cfg.alpha / (math.sqrt(2.0) * cfg.lam)) * fk.momentum(cfg.n_fock).matrix
+        ref = -(cfg.kappa * cfg.alpha / (math.sqrt(2.0) * cfg.lam)) * fk.momentum(cfg.n_fock)
         assert np.abs(g - ref).max() < 1e-10 * np.abs(ref).max()
 
 
 def evolve(h, tau, psi):
     """exp(-i H tau)|psi> through fock.Spectrum; PureState checks the norm to 1e-10."""
     return fk.PureState(fk.Spectrum(h).advance(psi.vector, tau), normalize=False)
+
+
+def _applied(u, psi):
+    return fk.PureState(u @ psi.vector, normalize=False)
 
 
 class TestEvolveUnitary:
@@ -110,10 +114,10 @@ class TestEvolveUnitary:
     def test_pure_cubic_generator_matches_ideal_gate(self):
         n, gamma, mu = 128, 0.1, 0.7
         tau = gamma / mu
-        x = fk.position(n).matrix
+        x = fk.position(n)
         psi = st.squeezed_vacuum(0.5, n)
         out = evolve(-mu * (x @ x @ x), tau, psi)
-        ref = st.ideal_cubic_gate(gamma, n) @ psi
+        ref = _applied(st.ideal_cubic_gate(gamma, n), psi)
         assert fk.fidelity(ref, out) > 1 - 1e-9
 
     def test_semigroup(self):
@@ -135,7 +139,7 @@ class TestEvolveLindblad:
         h, _, _ = dyn.effective_generators(make_cfg(n_fock=n, lam=1.3, alpha=1.0))
         psi = fk.vacuum(n)
         rho0 = psi.density_matrix()
-        zero_l = fk.Operator(np.zeros((n, n)))
+        zero_l = np.zeros((n, n))
         rho, diag = dyn.evolve_lindblad(h, zero_l, 0.05, rho0, n_steps=64)
         ref = evolve(h, 0.05, psi)
         assert fk.fidelity(ref, rho) > 1 - 1e-8
@@ -143,10 +147,10 @@ class TestEvolveLindblad:
     def test_amplitude_decay(self):
         n, kappa, tau = 48, 0.8, 1.1
         a = fk.annihilation(n)
-        l_op = fk.Operator(math.sqrt(kappa) * a.matrix)
-        psi = fk.displacement(1.2, n) @ fk.vacuum(n)
+        l_op = math.sqrt(kappa) * a
+        psi = _applied(fk.displacement(1.2, n).matrix, fk.vacuum(n))
         rho, _ = dyn.evolve_lindblad(
-            fk.Operator(np.zeros((n, n))), l_op, tau,
+            np.zeros((n, n)), l_op, tau,
             psi.density_matrix(), n_steps=512,
         )
         got = fk.expectation(a, rho)
@@ -155,9 +159,9 @@ class TestEvolveLindblad:
 
     def test_fock_population_decay(self):
         n, kappa = 32, 1.0
-        l_op = fk.Operator(math.sqrt(kappa) * fk.annihilation(n).matrix)
+        l_op = math.sqrt(kappa) * fk.annihilation(n)
         rho, _ = dyn.evolve_lindblad(
-            fk.Operator(np.zeros((n, n))), l_op, 1.0,
+            np.zeros((n, n)), l_op, 1.0,
             fk.fock_state(n, 1).density_matrix(), n_steps=512,
         )
         assert abs(rho.matrix[1, 1].real - math.exp(-1.0)) < 1e-6
@@ -167,11 +171,11 @@ class TestEvolveLindblad:
         n, kappa, lam = 64, 0.5, 1.8
         z = math.log(lam)
         c, s = math.cosh(z), math.sinh(z)
-        a = fk.annihilation(n).matrix
-        l_op = fk.Operator(math.sqrt(kappa) * (c * a + s * a.conj().T))
+        a = fk.annihilation(n)
+        l_op = math.sqrt(kappa) * (c * a + s * a.conj().T)
         tau = 0.6
         rho, _ = dyn.evolve_lindblad(
-            fk.Operator(np.zeros((n, n))), l_op, tau,
+            np.zeros((n, n)), l_op, tau,
             fk.vacuum(n).density_matrix(), n_steps=1024,
         )
         got = fk.expectation(fk.number(n), rho).real
@@ -199,10 +203,10 @@ class TestEvolveLindblad:
 
     def test_step_control_failure_raises(self):
         n = 24
-        l_op = fk.Operator(3.0 * fk.annihilation(n).matrix)
+        l_op = 3.0 * fk.annihilation(n)
         with pytest.raises(dyn.IntegrationError):
             dyn.evolve_lindblad(
-                fk.Operator(np.zeros((n, n))), l_op, 5.0,
+                np.zeros((n, n)), l_op, 5.0,
                 fk.fock_state(n, 6).density_matrix(), tol=1e-16, max_doublings=0,
             )
 
@@ -259,8 +263,7 @@ def _dense_ladder_reference(h, lm, tau, rho0, tol=1e-7, max_doublings=6):
 def _floor_128_ladder(h, l_op, tau, rho0, tol):
     # the former ladder: plain doubling from max(128, ceil(tau * m_edge));
     # returns (kept steps, integrated steps, rho)
-    lm = l_op.matrix
-    n = max(128, math.ceil(tau * float(np.abs(lm.conj().T @ lm).sum(axis=1).max())))
+    n = max(128, math.ceil(tau * float(np.abs(l_op.conj().T @ l_op).sum(axis=1).max())))
     integrated, prev = 0, None
     for _ in range(7):
         rho, _ = dyn.evolve_lindblad(h, l_op, tau, rho0, n_steps=n)
@@ -284,15 +287,14 @@ class TestMergedSparseIntegrator:
         if kind == "random":
             rng = np.random.default_rng(7)
             lm = rng.normal(size=(self.n, self.n)) + 1j * rng.normal(size=(self.n, self.n))
-            l_op = fk.Operator(0.05 * lm)
-        return h.matrix, l_op.matrix, cfg.tau * 50
+            l_op = 0.05 * lm
+        return h, l_op, cfg.tau * 50
 
     @pytest.mark.parametrize("kind", ["bogoliubov", "random"])
     def test_fixed_steps_match_dense_reference(self, kind):
         hm, lm, tau = self._generators(kind)
         rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
-        rho, diag = dyn.evolve_lindblad(fk.Operator(hm), fk.Operator(lm), tau, rho0,
-                                        n_steps=96)
+        rho, diag = dyn.evolve_lindblad(hm, lm, tau, rho0, n_steps=96)
         ref, _ = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 96)
         assert _rel_max(rho.matrix, ref) <= 1e-12
         assert diag["steps"] == diag["integrated_steps"] == 96
@@ -302,8 +304,7 @@ class TestMergedSparseIntegrator:
     def test_snapshots_match_dense_reference(self, kind):
         hm, lm, tau = self._generators(kind)
         rho0 = fk.vacuum(self.n).density_matrix()
-        _, diag = dyn.evolve_lindblad(fk.Operator(hm), fk.Operator(lm), tau, rho0,
-                                      n_steps=64, samples=5)
+        _, diag = dyn.evolve_lindblad(hm, lm, tau, rho0, n_steps=64, samples=5)
         _, ref = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 64, samples=5)
         snaps = diag["snapshots"]
         assert [t for t, _ in snaps] == [t for t, _ in ref]
@@ -315,10 +316,9 @@ class TestMergedSparseIntegrator:
         psi = fk.vacuum(cfg.n_fock)
         series, _ = dyn.photon_number_trace(cfg, psi, samples=4)
         h, l_op, _ = dyn.effective_generators(cfg)
-        _, snaps = _dense_lindblad_reference(h.matrix, l_op.matrix, cfg.tau,
+        _, snaps = _dense_lindblad_reference(h, l_op, cfg.tau,
                                              psi.density_matrix().matrix, 64, samples=4)
-        n_op, const = dyn.effective_number_operator(cfg)
-        n_mat = n_op.matrix
+        n_mat, const = dyn.effective_number_operator(cfg)
         mean = np.array([np.trace(n_mat @ r).real for _, r in snaps])
         second = np.array([np.trace(n_mat @ n_mat @ r).real for _, r in snaps])
         ref = {"t": np.array([t for t, _ in snaps]), "total": mean + const,
@@ -333,7 +333,7 @@ class TestMergedSparseIntegrator:
         h, l_op, _ = dyn.effective_generators(cfg)
         rho0 = fk.vacuum(n).density_matrix()
         rho, diag = dyn.evolve_lindblad(h, l_op, 0.02, rho0)
-        ref, rungs = _dense_ladder_reference(h.matrix, l_op.matrix, 0.02, rho0.matrix)
+        ref, rungs = _dense_ladder_reference(h, l_op, 0.02, rho0.matrix)
         assert diag["steps"] == rungs[-1]
         assert [steps for steps, _ in diag["rungs"]] == rungs
         assert diag["integrated_steps"] == sum(rungs)
@@ -347,8 +347,7 @@ class TestStepLadder:
     def _setup(n=32, kappa=1.0):
         cfg = make_cfg(n_fock=n, kappa=kappa, alpha=1.5, lam=1.4)
         h, l_op, _ = dyn.effective_generators(cfg)
-        lm = l_op.matrix
-        m_edge = float(np.abs(lm.conj().T @ lm).sum(axis=1).max())
+        m_edge = float(np.abs(l_op.conj().T @ l_op).sum(axis=1).max())
         return h, l_op, m_edge, fk.vacuum(n).density_matrix()
 
     def test_keeps_floor_128_rung_with_fewer_steps(self):
@@ -434,14 +433,14 @@ class TestCubicGate:
         psi = fk.vacuum(n)
         res = dyn.cubic_gate(cfg, psi)
         params = alg.cubic_parameters(1.0, lam, alpha, gamma)
-        a = fk.annihilation(n).matrix
+        a = fk.annihilation(n)
         ad = a.conj().T
         h_native = (
             -0.5 * (ad @ ad @ a @ a)
             + params.delta_cubic(alpha).real * (ad @ a)
             + params.beta_cubic(alpha).real * (a + ad)
         )
-        s = fk.squeeze(math.log(lam), n).matrix
+        s = fk.squeeze(math.log(lam), n)
         d = fk.displacement(alpha, n).matrix
         u_native = fk.Spectrum(h_native).unitary(params.tau)
         oracle = fk.PureState(s.conj().T @ d.conj().T @ u_native @ d @ s @ psi.vector)
@@ -501,8 +500,8 @@ class TestCubicGate:
         hp = alg.substitute_gaussian_frame(
             alg.driven_kerr(cfg.chi, delta + alg.AlphaPoly(0.5), beta), cfg.lam
         ).drop_constant()
-        assert np.array_equal(h1.matrix, alg.to_matrix(hp, cfg.alpha, cfg.n_fock).matrix)
-        assert not np.array_equal(h1.matrix, h0.matrix)
+        assert np.array_equal(h1, alg.to_matrix(hp, cfg.alpha, cfg.n_fock))
+        assert not np.array_equal(h1, h0)
 
 
 class TestNoiseEquivalences:

@@ -36,6 +36,15 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             ex.fit_power_law([(1.0, 1.0), (2.0, -1.0), (3.0, 2.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nonfinite_data(self, bad, axis):
+        # a failed noise row carries excess = nan
+        pts = [[1.0, 1.0], [2.0, 8.0], [3.0, 27.0]]
+        pts[1][axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ex.fit_power_law(pts)
+
 
 class TestOptimizeAlpha:
     def setup_method(self):
@@ -285,7 +294,7 @@ class TestGaussianCorrection:
         monkeypatch.undo()
         assert len(evaluations) <= 50
 
-        x, p = fk.position(n).matrix, fk.momentum(n).matrix
+        x, p = fk.position(n), fk.momentum(n)
         gen = sum(c * b for c, b in zip(params, (x @ x, p @ p, 0.5 * (x @ p + p @ x), x, p)))
         g = fk.Spectrum(gen).unitary(-1.0)
         if mixed:

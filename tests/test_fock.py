@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kerrcubic import algebra as alg
 from kerrcubic import dynamics as dyn
 from kerrcubic import experiments as ex
 from kerrcubic import fock as fk
@@ -18,9 +19,13 @@ def interior(m, n=None):
     return m[:d, :d]
 
 
+def _applied(u, psi):
+    return fk.PureState(u @ psi.vector, normalize=False)
+
+
 class TestAnnihilation:
     def test_matrix_entries_n3(self):
-        a = fk.annihilation(3).matrix
+        a = fk.annihilation(3)
         expected = np.zeros((3, 3), complex)
         expected[0, 1] = 1.0
         expected[1, 2] = math.sqrt(2.0)
@@ -28,17 +33,17 @@ class TestAnnihilation:
 
     def test_kills_vacuum(self):
         a = fk.annihilation(16)
-        assert np.linalg.norm(a.matrix @ fk.vacuum(16).vector) == 0.0
+        assert np.linalg.norm(a @ fk.vacuum(16).vector) == 0.0
 
     def test_canonical_commutator(self):
         for n in (4, 17, 64):
-            a = fk.annihilation(n).matrix
+            a = fk.annihilation(n)
             comm = a @ a.conj().T - a.conj().T @ a
             assert np.abs(comm[: n - 1, : n - 1] - np.eye(n - 1)).max() < 1e-13
 
     def test_xp_commutator_interior(self):
         n = 32
-        x, p = fk.position(n).matrix, fk.momentum(n).matrix
+        x, p = fk.position(n), fk.momentum(n)
         comm = x @ p - p @ x
         assert np.abs(comm[: n - 1, : n - 1] - 1j * np.eye(n - 1)).max() < 1e-13
 
@@ -53,7 +58,7 @@ class TestDisplacement:
         assert np.abs(d - np.eye(24)).max() < 1e-12
 
     def test_coherent_photon_number(self):
-        psi = fk.displacement(2.0, 64) @ fk.vacuum(64)
+        psi = _applied(fk.displacement(2.0, 64).matrix, fk.vacuum(64))
         n = fk.expectation(fk.number(64), psi)
         assert abs(n - 4.0) < 1e-6
 
@@ -70,7 +75,7 @@ class TestDisplacement:
 
     def test_conjugation_shifts_mode(self):
         n, s = 96, 1.2 - 0.7j
-        a = fk.annihilation(n).matrix
+        a = fk.annihilation(n)
         d = fk.displacement(s, n).matrix
         lhs = d.conj().T @ a @ d
         ref = a + s * np.eye(n)
@@ -83,33 +88,33 @@ class TestDisplacement:
 
 class TestSqueeze:
     def test_zero_is_identity(self):
-        s = fk.squeeze(0.0, 24).matrix
+        s = fk.squeeze(0.0, 24)
         assert np.abs(s - np.eye(24)).max() < 1e-12
 
     def test_x_variance(self):
         # x-variance of S(z)|0> is e^{2z}/2; at z = ln 0.5 that is 0.125
         n = 64
-        psi = fk.squeeze(math.log(0.5), n) @ fk.vacuum(n)
+        psi = _applied(fk.squeeze(math.log(0.5), n), fk.vacuum(n))
         assert abs(fk.variance(fk.position(n), psi) - 0.125) < 1e-6
         assert abs(fk.variance(fk.momentum(n), psi) - 2.0) < 1e-6
 
     def test_minimum_uncertainty(self):
         n = 96
         for z in (-0.6, 0.2, 0.8):
-            psi = fk.squeeze(z, n) @ fk.vacuum(n)
+            psi = _applied(fk.squeeze(z, n), fk.vacuum(n))
             prod = fk.variance(fk.position(n), psi) * fk.variance(fk.momentum(n), psi)
             assert abs(prod - 0.25) < 1e-6
 
     def test_unitary_interior(self):
         n = 96
-        s = fk.squeeze(0.7, n).matrix
+        s = fk.squeeze(0.7, n)
         g = s.conj().T @ s - np.eye(n)
         assert np.abs(interior(g)).max() < 1e-10
 
     def test_bogoliubov_action(self):
         n, z = 128, 0.5
-        a = fk.annihilation(n).matrix
-        s = fk.squeeze(z, n).matrix
+        a = fk.annihilation(n)
+        s = fk.squeeze(z, n)
         lhs = s.conj().T @ a @ s
         ref = math.cosh(z) * a + math.sinh(z) * a.conj().T
         assert np.abs((lhs - ref)[:24, :24]).max() < 1e-9
@@ -132,8 +137,8 @@ class TestExpGenerator:
 
     def test_group_property(self):
         n = 24
-        x = fk.position(n).matrix
-        g = x @ x + fk.momentum(n).matrix
+        x = fk.position(n)
+        g = x @ x + fk.momentum(n)
         u1 = fk.Spectrum(g).unitary(0.3)
         u2 = fk.Spectrum(g).unitary(0.45)
         u12 = fk.Spectrum(g).unitary(0.75)
@@ -147,9 +152,9 @@ class TestExpGenerator:
         # the check is 1e-12 of the largest entry, independent of the scale;
         # a real matrix (float64, or complex128 with a zero imaginary part)
         # gets it as a symmetry check before the real solver
-        a = fk.annihilation(8).matrix
+        a = fk.annihilation(8)
         for scale in (1.0, 1e17):
-            h = scale * fk.number(8).matrix
+            h = scale * fk.number(8)
             for real in (np.real, np.asarray):
                 assert fk.Spectrum(real(h + 1e-13 * scale * a)).v.dtype == np.float64
                 with pytest.raises(fk.ContractViolationError):
@@ -161,7 +166,7 @@ class TestRealSymmetricPath:
     """A generator with an exactly zero imaginary part is diagonalized as real."""
 
     def test_zero_imaginary_part_gives_real_decomposition(self):
-        h = fk.number(8).matrix + fk.position(8).matrix
+        h = fk.number(8) + fk.position(8)
         assert h.dtype == complex and not h.imag.any()
         spec = fk.Spectrum(h)
         assert spec.w.dtype == np.float64 and spec.v.dtype == np.float64
@@ -169,7 +174,7 @@ class TestRealSymmetricPath:
         assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-12
 
     def test_one_imaginary_entry_stays_complex(self):
-        h = fk.number(8).matrix.copy()
+        h = fk.number(8).copy()
         h[2, 5], h[5, 2] = 0.5j, -0.5j
         spec = fk.Spectrum(h)
         assert spec.v.dtype == np.complex128
@@ -179,7 +184,7 @@ class TestRealSymmetricPath:
 
 class TestFidelity:
     def test_self_fidelity(self):
-        psi = fk.displacement(0.8, 32) @ fk.vacuum(32)
+        psi = _applied(fk.displacement(0.8, 32).matrix, fk.vacuum(32))
         assert abs(fk.fidelity(psi, psi) - 1.0) < 1e-12
 
     def test_orthogonal(self):
@@ -190,12 +195,12 @@ class TestFidelity:
         assert abs(fk.fidelity(fk.fock_state(8, 0), rho) - 0.5) < 1e-12
 
     def test_symmetric_pure(self):
-        a = fk.displacement(0.5, 32) @ fk.vacuum(32)
-        b = fk.squeeze(0.3, 32) @ fk.vacuum(32)
+        a = _applied(fk.displacement(0.5, 32).matrix, fk.vacuum(32))
+        b = _applied(fk.squeeze(0.3, 32), fk.vacuum(32))
         assert abs(fk.fidelity(a, b) - fk.fidelity(b, a)) < 1e-12
 
     def test_global_phase_invariance(self):
-        psi = fk.squeeze(0.4, 32) @ fk.vacuum(32)
+        psi = _applied(fk.squeeze(0.4, 32), fk.vacuum(32))
         phased = fk.PureState(np.exp(0.7j) * psi.vector, normalize=False)
         assert abs(fk.fidelity(psi, phased) - 1.0) < 1e-12
 
@@ -210,12 +215,12 @@ class TestExpectation:
 
     def test_coherent_position(self):
         s = 1.3
-        psi = fk.displacement(s, 80) @ fk.vacuum(80)
+        psi = _applied(fk.displacement(s, 80).matrix, fk.vacuum(80))
         val = fk.expectation(fk.position(80), psi)
         assert abs(val - math.sqrt(2.0) * s) < 1e-8
 
     def test_hermitian_gives_real(self):
-        psi = fk.displacement(0.4 + 0.9j, 64) @ fk.vacuum(64)
+        psi = _applied(fk.displacement(0.4 + 0.9j, 64).matrix, fk.vacuum(64))
         val = fk.expectation(fk.position(64), psi)
         assert abs(val.imag) < 1e-10
 
@@ -371,7 +376,7 @@ class TestValueTypes:
 
     def test_truncation_convergence_contract(self):
         def mean_n(n):
-            psi = fk.displacement(1.0, n) @ fk.vacuum(n)
+            psi = _applied(fk.displacement(1.0, n).matrix, fk.vacuum(n))
             return fk.expectation(fk.number(n), psi).real
 
         with warnings.catch_warnings():
@@ -393,13 +398,13 @@ class TestGaussianUnitarityInvariant:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fk.TruncationWarning)
             mats = [
-                fk.displacement(1.0, n),
-                fk.displacement(-0.5 + 2.0j, n),
+                fk.displacement(1.0, n).matrix,
+                fk.displacement(-0.5 + 2.0j, n).matrix,
                 fk.squeeze(0.8, n),
                 fk.squeeze(-0.6, n),
             ]
         for u in mats:
-            g = u.matrix.conj().T @ u.matrix - np.eye(n)
+            g = u.conj().T @ u - np.eye(n)
             assert np.abs(g[:d, :d]).max() < 1e-8
 
 
@@ -438,7 +443,7 @@ class TestOneSpectralPath:
                     gen = s * a.T - np.conj(s) * a
                     assert _max_rel(u, _former_expm_hermitian(1j * gen, -1j)) < 1e-12, (n, s)
                 for z in (0.6, -0.45):
-                    u = fk.squeeze(z, n).matrix
+                    u = fk.squeeze(z, n)
                     assert np.array_equal(u, rotated(0.5 * (a2 + a2.T), math.pi / 4, z))
                     gen = 0.5 * z * (a2.T - a2)
                     assert _max_rel(u, _former_expm_hermitian(1j * gen, -1j)) < 1e-12, (n, z)
@@ -446,9 +451,9 @@ class TestOneSpectralPath:
     def test_ideal_cubic_gate_matches_former_formula(self):
         # x^3 is real: bit-identical to the formula on its real part, and
         # within roundoff of the former complex Hermitian solve
-        x = fk.position(256).matrix
+        x = fk.position(256)
         x3 = x @ x @ x
-        u = st.ideal_cubic_gate(0.1, 256).matrix
+        u = st.ideal_cubic_gate(0.1, 256)
         assert np.array_equal(u, _former_expm_hermitian(x3.real, 1j * 0.1))
         assert _max_rel(u, _former_expm_hermitian(x3, 1j * 0.1)) < 1e-12
 
@@ -456,7 +461,7 @@ class TestOneSpectralPath:
         lam = fk.lambda_from_db(10.0)
         cfg = dyn.GateConfig(lam=lam, alpha=1.85 * lam**3, gamma=0.1, n_fock=96)
         psi = st.squeezed_vacuum(0.5, 96)
-        h = dyn.effective_generators(cfg)[0].matrix
+        h = dyn.effective_generators(cfg)[0]
 
         def propagate(m):
             w, v = np.linalg.eigh(m)
@@ -496,6 +501,53 @@ class TestOneSpectralPath:
         assert len(sites) == 1 and sites[0][0] == "fock.py" and sites[0][2], sites
 
 
+_CFG = dyn.GateConfig(lam=1.5, alpha=2.0, gamma=0.1, n_fock=16, kappa=0.5)
+_ARRAY_PRODUCERS = {
+    "algebra.to_matrix": lambda: [alg.to_matrix(alg.driven_kerr(1.0, 0.3, 0.7), 2.0, 16)],
+    "dynamics.effective_generators": lambda: dyn.effective_generators(_CFG)[:2],
+    "dynamics.effective_number_operator": lambda: dyn.effective_number_operator(_CFG)[:1],
+    "states.ideal_cubic_gate": lambda: [st.ideal_cubic_gate(0.1, 16)],
+    "states.nlq_operator": lambda: [st.nlq_operator(0.1, 16)],
+    "fock.annihilation": lambda: [fk.annihilation(16)],
+    "fock.position": lambda: [fk.position(16)],
+    "fock.momentum": lambda: [fk.momentum(16)],
+    "fock.number": lambda: [fk.number(16)],
+    "fock.squeeze": lambda: [fk.squeeze(0.3, 16)],
+}
+
+
+class TestPlainArrayOperators:
+    """Operators are numpy arrays; only `displacement` boxes its matrix as `Operator`."""
+
+    @pytest.mark.parametrize("producer", sorted(_ARRAY_PRODUCERS))
+    def test_producer_returns_arrays(self, producer):
+        for m in _ARRAY_PRODUCERS[producer]():
+            assert type(m) is np.ndarray and m.dtype == complex and m.shape == (16, 16)
+
+    def test_operator_is_built_only_by_displacement(self):
+        # every reference to the name in the package: the class itself, and the
+        # annotation and construction inside `displacement`; no isinstance
+        # check, annotation or import anywhere else
+        refs = []
+        for path in sorted(Path(fk.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if "Operator" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                    owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                    refs.append((path.name, type(node).__name__, owner))
+        assert sorted(refs) == [("fock.py", "ClassDef", []),
+                                ("fock.py", "Name", ["displacement"]),
+                                ("fock.py", "Name", ["displacement"])], refs
+        # a docstring and the `matrix` field: no arithmetic
+        (box,) = [node for node in ast.walk(ast.parse(Path(fk.__file__).read_text()))
+                  if isinstance(node, ast.ClassDef) and node.name == "Operator"]
+        assert [type(node).__name__ for node in box.body] == ["Expr", "AnnAssign"]
+        with pytest.raises(TypeError):
+            fk.displacement(0.5, 8) @ fk.vacuum(8)
+
+
 class TestOneRealSpectrumPerInput:
     """Grid inputs and the Trotter kick take real spectra, not one complex eigh per peak."""
 
@@ -505,7 +557,7 @@ class TestOneRealSpectrumPerInput:
         init = fk.Spectrum.__init__
 
         def counting(self, h):
-            built.append(np.iscomplexobj(h.matrix if isinstance(h, fk.Operator) else h))
+            built.append(np.iscomplexobj(h))
             init(self, h)
 
         monkeypatch.setattr(fk.Spectrum, "__init__", counting)

@@ -15,6 +15,10 @@ def parity_reflected(psi):
     return fk.PureState(signs * psi.vector, normalize=False)
 
 
+def _applied(u, psi):
+    return fk.PureState(u @ psi.vector, normalize=False)
+
+
 class TestSqueezedVacuum:
     def test_delta_one_is_vacuum(self):
         psi = st.squeezed_vacuum(1.0, 32)
@@ -78,7 +82,7 @@ class TestGkpState:
         params = st.GkpParams("z+", 0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            base = fk.squeeze(math.log(0.3), n) @ fk.vacuum(n)
+            base = _applied(fk.squeeze(math.log(0.3), n), fk.vacuum(n))
             vec = sum(
                 w * (fk.displacement(s, n).matrix @ base.vector)
                 for s, w in st._gkp_displacements(params, n)
@@ -100,7 +104,7 @@ class TestGkpState:
             warnings.simplefilter("ignore", fk.TruncationWarning)
             zp = st.gkp_state(st.GkpParams("z+", 0.5), n)
             zm = st.gkp_state(st.GkpParams("z-", 0.5), n)
-            shifted = fk.displacement(math.sqrt(math.pi), n) @ zp
+            shifted = _applied(fk.displacement(math.sqrt(math.pi), n).matrix, zp)
         assert abs(abs(zm.overlap(shifted)) - 0.8247997594) < 1e-8
 
     def test_conventions_differ_in_lattice_scale(self):
@@ -251,27 +255,27 @@ class TestBadStateParameters:
 
 class TestIdealCubicGate:
     def test_zero_angle_identity(self):
-        u = st.ideal_cubic_gate(0.0, 32).matrix
+        u = st.ideal_cubic_gate(0.0, 32)
         assert np.abs(u - np.eye(32)).max() < 1e-12
 
     def test_commutes_with_position(self):
         n = 128
-        u = st.ideal_cubic_gate(0.1, n).matrix
-        x = fk.position(n).matrix
+        u = st.ideal_cubic_gate(0.1, n)
+        x = fk.position(n)
         d = fk.interior_dim(n)
         comm = u @ x - x @ u
         assert np.abs(comm[:d, :d]).max() < 1e-8
 
     def test_inverse_pair(self):
         n = 96
-        u = st.ideal_cubic_gate(0.1, n).matrix @ st.ideal_cubic_gate(-0.1, n).matrix
+        u = st.ideal_cubic_gate(0.1, n) @ st.ideal_cubic_gate(-0.1, n)
         assert np.abs(u - np.eye(n)).max() < 1e-9
 
     def test_composition(self):
         n = 96
         d = fk.interior_dim(n)
-        twice = st.ideal_cubic_gate(0.07, n).matrix @ st.ideal_cubic_gate(0.07, n).matrix
-        once = st.ideal_cubic_gate(0.14, n).matrix
+        twice = st.ideal_cubic_gate(0.07, n) @ st.ideal_cubic_gate(0.07, n)
+        once = st.ideal_cubic_gate(0.14, n)
         assert np.abs((twice - once)[:d, :d]).max() < 1e-9
 
 
@@ -285,7 +289,7 @@ class TestIdealCubicTarget:
     def test_equals_gate_applied_to_input(self):
         n = 96
         psi = st.squeezed_vacuum(0.5, n)
-        ref = st.ideal_cubic_gate(0.1, n) @ psi
+        ref = _applied(st.ideal_cubic_gate(0.1, n), psi)
         got = st.ideal_cubic_target(0.1, psi)
         assert got.vector.tobytes() == ref.vector.tobytes()
         assert st.ideal_cubic_target(0.1, psi) is got
@@ -307,7 +311,7 @@ class TestNlqVariance:
     def test_cubic_state_value(self):
         # the quartic operator is cutoff-sensitive; 0.1257 at N=128, converged by 256
         n = 256
-        out = st.ideal_cubic_gate(0.1, n) @ st.squeezed_vacuum(0.5, n)
+        out = _applied(st.ideal_cubic_gate(0.1, n), st.squeezed_vacuum(0.5, n))
         assert abs(st.nlq_variance(out, 0.1) - 0.125) < 1e-4
 
     def test_vacuum_zero_angle(self):
@@ -322,7 +326,7 @@ class TestNlqVariance:
         for delta in (0.5, 0.7, 1.0):
             psi = st.squeezed_vacuum(delta, n)
             before = fk.variance(fk.momentum(n), psi)
-            after = st.nlq_variance(u @ psi, gamma)
+            after = st.nlq_variance(_applied(u, psi), gamma)
             assert abs(after - before) < 1e-5
 
     def test_nonnegative(self):
