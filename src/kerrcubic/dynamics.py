@@ -227,8 +227,7 @@ def _gauge_hamiltonian(l_fluct: np.ndarray, drift: complex) -> np.ndarray:
 
 def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
     """exp(-i dtheta n_eff) with the alpha^2 constant dropped (global phase)."""
-    n_eff = _frame_number_operator(float(cfg.lam)).drop_constant()
-    return Spectrum(algebra.to_matrix(n_eff, cfg.alpha, cfg.n_fock)).unitary(cfg.noise.dtheta)
+    return Spectrum(effective_number_operator(cfg)[0]).unitary(cfg.noise.dtheta)
 
 
 def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:

@@ -12,7 +12,11 @@ class: 13-17 gates when unimodal, up to 24 when the minimum is a bracket end.
 Noise sweeps score each point three ways (noiseless, +offset, -offset). The
 symmetrized excess (E+ + E-)/2 - E_int isolates the quadratic noise response
 from the linear interference with the intrinsic error vector, which otherwise
-contaminates the scaling fits near the crossover.
+contaminates the scaling fits near the crossover. Each squeezing runs the
+noiseless gate once. A phase offset is a rotation of that gate's output, so
+one spectrum of n_eff gives E+, E- and the excess in closed form, with no
+difference of O(1) errors; a detuning or drive offset changes the
+Hamiltonian and runs two noisy gates per value.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import algebra
-from .dynamics import EvolutionResult, GateConfig, cubic_gate, kappa_from_ratio
+from .dynamics import (
+    EvolutionResult,
+    GateConfig,
+    cubic_gate,
+    effective_number_operator,
+    kappa_from_ratio,
+)
 from .fock import (
     MixedState,
     PureState,
@@ -198,11 +208,12 @@ def _resolve_relative_noise(param: str, cfg: GateConfig, value: float) -> GateCo
     return cfg
 
 
-def _sweep_point(spec: SweepSpec, value: float) -> dict:
+def _sweep_point(spec: SweepSpec, psi, value: float) -> dict:
     row = {"value": value, "param": spec.param, "ok": True, "message": ""}
     try:
         cfg = _configure_point(spec, value)
-        psi = parse_state(spec.input_state, cfg.n_fock)
+        if isinstance(psi, Exception):
+            raise psi
         if spec.alpha_mode == "optimize":
             center = spec.alpha_coeff * cfg.lam**3
             opt = optimize_alpha(
@@ -216,63 +227,142 @@ def _sweep_point(spec: SweepSpec, value: float) -> dict:
             tau=res.diagnostics.get("tau", 0.0),
         )
     except Exception as exc:  # per-row failure: record and continue
-        row.update(ok=False, message=f"{type(exc).__name__}: {exc}",
-                   lam=np.nan, lam_db=np.nan, alpha=np.nan, error=np.nan, tau=np.nan)
+        _failed(row, exc, ("lam", "lam_db", "alpha", "error", "tau"))
     return row
 
 
-def _map_points(fn, jobs: list[tuple], workers: int) -> list:
-    """[fn(*job) for job in jobs] in order, over a process pool when workers > 1.
+def _failed(row: dict, exc: Exception, cells) -> dict:
+    """Mark `row` failed by `exc`, its numeric `cells` NaN."""
+    row.update(ok=False, message=f"{type(exc).__name__}: {exc}", **dict.fromkeys(cells, np.nan))
+    return row
 
-    Warnings are ignored; the pool's workers are started after the filter is
-    set, so they ignore them too and both modes write the same stderr.
+
+def _map_points(fn, spec: SweepSpec, points) -> list:
+    """[fn(spec, psi, p) for p in points] in order, over a process pool when spec.workers > 1.
+
+    The input psi is parsed once per sweep; if parsing fails, psi is the
+    exception, which each point raises where it needs the state. Warnings are
+    ignored from the parse on; the pool's workers are started after the filter
+    is set, so they ignore them too and both modes write the same stderr.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if workers < 2 or len(jobs) < 2:
+        try:
+            psi = parse_state(spec.input_state, spec.base.n_fock)
+        except Exception as exc:
+            psi = exc
+        jobs = [(spec, psi, p) for p in points]
+        if spec.workers < 2 or len(jobs) < 2:
             return [fn(*job) for job in jobs]
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
+        with multiprocessing.Pool(min(spec.workers, len(jobs))) as pool:
             return pool.starmap(fn, jobs)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate every sweep point; per-point failures are recorded, not raised."""
-    return _map_points(_sweep_point, [(spec, v) for v in spec.values], spec.workers)
+    return _map_points(_sweep_point, spec, spec.values)
 
 
-def _noise_point(spec: SweepSpec, lam_db: float, value: float) -> dict:
+def _phase_noise_score(base: GateConfig, psi: PureState):
+    """v -> (E_int, E(+v), E(-v), excess) of the dtheta channel, without cancellation.
+
+    The offset is the closing rotation exp(-i v n_eff) of the gate (constant
+    dropped), so one noiseless gate (output rho, target t) and one spectrum
+    n_eff = V diag(w) V^dag give every value. With y = V^dag t,
+    P = V^dag rho V and d(v) = expm1(i v w) y, the fidelity moves by
+    F(v) - F(0) = 2 Re<d|P|y> + <d|P|d>; for a pure output that is
+    2 Re(conj(A_0) delta) + |delta|^2 with delta = sum_j c_j expm1(-i v w_j),
+    c_j = conj(y_j) (V^dag psi_out)_j, A_0 = sum_j c_j. The excess takes
+    d(+v) + d(-v) = -4 sin^2(v w / 2) y, so no term is a difference of O(1)
+    numbers. E_int is the error at the base offset: the gate's own error when
+    that offset is 0.
+    """
+    gate = cubic_gate(replace(base, noise=replace(base.noise, dtheta=0.0)), psi)
+    s = Spectrum(effective_number_operator(base)[0])
+    vh = s.v.conj().T
+    y = vh @ gate.target.vector
+    if isinstance(gate.state, MixedState):
+        p = vh @ gate.state.matrix @ s.v
+    else:
+        out = vh @ gate.state.vector
+        p = np.outer(out, out.conj())
+
+    def form(a, b) -> float:  # Re <a|P|b>
+        return float(np.vdot(a, p @ b).real)
+
+    def d(v: float) -> np.ndarray:
+        return np.expm1(1j * v * s.w) * y
+
+    def moved(dv: np.ndarray) -> float:  # F(v) - F(0)
+        return 2.0 * form(dv, y) + form(dv, dv)
+
+    base_move = moved(d(base.noise.dtheta))
+
+    def score(v: float):
+        plus, minus = d(v), d(-v)
+        both = -4.0 * np.sin(0.5 * v * s.w) ** 2 * y
+        excess = base_move - form(both, y) - 0.5 * (form(plus, plus) + form(minus, minus))
+        return (gate.error - base_move, gate.error - moved(plus), gate.error - moved(minus),
+                excess)
+
+    return score
+
+
+def _offset_score(spec: SweepSpec, base: GateConfig, psi: PureState):
+    """v -> (E_int, E(+v), E(-v), excess) of a detuning or drive offset: two gates per v."""
+    e_int = cubic_gate(base, psi).error
+    noise_spec = replace(spec, base=base, alpha_mode="fixed")
+
+    def noisy_error(v: float) -> float:
+        cfg = _resolve_relative_noise(spec.param, _configure_point(noise_spec, v), v)
+        return cubic_gate(cfg, psi).error
+
+    def score(v: float):
+        e_plus, e_minus = noisy_error(v), noisy_error(-v)
+        return e_int, e_plus, e_minus, 0.5 * (e_plus + e_minus) - e_int
+
+    return score
+
+
+_NOISE_CELLS = ("error_int", "error_plus", "error_minus", "excess")
+
+
+def _noise_rows(spec: SweepSpec, psi, lam_db: float) -> list[dict]:
+    """The rows of every noise value at one squeezing, from one E_int."""
     base = _configure_point(replace(spec, param="lam_db"), lam_db)
-    psi = parse_state(spec.input_state, base.n_fock)
-    row = {"param": spec.param, "lam_db": lam_db, "lam": base.lam,
-           "alpha": base.alpha, "value": value, "ok": True, "message": ""}
+    if isinstance(psi, Exception):
+        raise psi
+    rows = [{"param": spec.param, "lam_db": lam_db, "lam": base.lam, "alpha": base.alpha,
+             "value": v, "ok": True, "message": ""} for v in spec.values]
     try:
-        noise_spec = replace(spec, base=base, alpha_mode="fixed")
-
-        def noisy_error(v: float) -> float:
-            cfg = _resolve_relative_noise(spec.param, _configure_point(noise_spec, v), v)
-            return cubic_gate(cfg, psi).error
-
-        e_int = cubic_gate(base, psi).error
-        e_plus, e_minus = noisy_error(value), noisy_error(-value)
-        row.update(error_int=e_int, error_plus=e_plus, error_minus=e_minus,
-                   excess=0.5 * (e_plus + e_minus) - e_int)
-        if max(e_plus, e_minus) > 0.5:
-            row["message"] = "error exceeds 0.5; outside the small-noise regime"
+        score = (_phase_noise_score(base, psi) if spec.param == "dtheta"
+                 else _offset_score(spec, base, psi))
     except Exception as exc:
-        row.update(ok=False, message=f"{type(exc).__name__}: {exc}", error_int=np.nan,
-                   error_plus=np.nan, error_minus=np.nan, excess=np.nan)
-    return row
+        return [_failed(row, exc, _NOISE_CELLS) for row in rows]
+    for row in rows:
+        try:
+            row.update(zip(_NOISE_CELLS, score(row["value"])))
+        except Exception as exc:
+            _failed(row, exc, _NOISE_CELLS)
+            continue
+        if max(row["error_plus"], row["error_minus"]) > 0.5:
+            row["message"] = "error exceeds 0.5; outside the small-noise regime"
+    return rows
 
 
 def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     """Noise response over (noise value x squeezing); spec.param picks the channel.
 
-    Each row carries E_int, E(+v), E(-v) and the symmetrized excess.
+    Each row carries E_int, E(+v), E(-v) and the symmetrized excess
+    (E(+v) + E(-v))/2 - E_int. The input is parsed once, and each squeezing is
+    one job that computes E_int once for all of its values. A dtheta row costs
+    no gate of its own: one noiseless gate and one n_eff spectrum per
+    squeezing give every value in closed form (`_phase_noise_score`). A
+    detuning or drive row runs its two noisy gates.
     """
     if spec.param not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
         raise ValueError(f"noise_sweep cannot sweep {spec.param!r}")
-    jobs = [(spec, db, v) for db in lam_db_values for v in spec.values]
-    return _map_points(_noise_point, jobs, spec.workers)
+    return [row for rows in _map_points(_noise_rows, spec, lam_db_values) for row in rows]
 
 
 # ---------------------------------------------------------------------------

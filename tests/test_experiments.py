@@ -216,6 +216,21 @@ class TestSweeps:
         assert serial == parallel
         assert serial_err == parallel_err == ""
 
+    def test_input_parsed_once_and_bad_selector_fails_each_row(self, monkeypatch):
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32)
+        spec = ex.SweepSpec(base=base, param="lam_db", values=(8.0, 10.0, 12.0),
+                            input_state="squeezed:0.5", alpha_mode="cube")
+        parsed = []
+        parse = ex.parse_state
+        monkeypatch.setattr(ex, "parse_state", lambda *a: parsed.append(a) or parse(*a))
+        assert all(r["ok"] for r in ex.run_sweep(spec))
+        assert parsed == [("squeezed:0.5", 32)]
+        rows = ex.run_sweep(replace(spec, input_state="gkp:q+:0.5"))
+        assert [r["ok"] for r in rows] == [False] * 3
+        assert all(r["message"].startswith("ValueError: bad state selector") for r in rows)
+        with pytest.raises(ValueError, match="bad state selector"):
+            ex.noise_sweep(replace(spec, param="dtheta", input_state="gkp:q+:0.5"), (8.0,))
+
     def test_rerun_is_identical(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)
         spec = ex.SweepSpec(base=base, param="lam_db", values=(9.0, 11.0),
@@ -239,17 +254,79 @@ class TestSweeps:
         assert spec.values == (1.0, 2.0)
 
 
+def _three_gate_rows(spec, lam_dbs):
+    """(E_int, E(+v), E(-v)) of each dtheta row from three whole gates."""
+    psi = st.parse_state(spec.input_state, spec.base.n_fock)
+    out = []
+    for db in lam_dbs:
+        base = ex._configure_point(replace(spec, param="lam_db"), db)
+        for v in spec.values:
+            out.append(tuple(
+                dyn.cubic_gate(replace(base, noise=replace(base.noise, dtheta=x)), psi).error
+                for x in (base.noise.dtheta, v, -v)))
+    return out
+
+
+def _dtheta_spec(**kw):
+    base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=96)
+    return ex.SweepSpec(base=replace(base, **kw), param="dtheta", values=(1e-4, 3e-4),
+                        input_state="squeezed:0.5", alpha_mode="cube")
+
+
 class TestNoiseSweep:
     def test_rows_and_symmetrized_excess(self):
-        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=96)
-        spec = ex.SweepSpec(base=base, param="dtheta", values=(1e-4,),
-                            input_state="squeezed:0.5", alpha_mode="cube")
+        spec = _dtheta_spec()
         rows = ex.noise_sweep(spec, (10.0,))
-        assert len(rows) == 1
-        r = rows[0]
-        assert r["ok"]
-        assert r["excess"] == 0.5 * (r["error_plus"] + r["error_minus"]) - r["error_int"]
-        assert r["excess"] > 0
+        assert len(rows) == 2
+        for r, (e_int, e_plus, e_minus) in zip(rows, _three_gate_rows(spec, (10.0,))):
+            assert r["ok"]
+            assert r["error_int"] == e_int
+            assert abs(r["error_plus"] - e_plus) <= 1e-13
+            assert abs(r["error_minus"] - e_minus) <= 1e-13
+            assert r["excess"] > 0
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_fock=32, kappa=0.05, lindblad_steps=16),  # mixed output
+        dict(noise=dyn.NoiseParams(dtheta=2e-4, ddelta=1e-3)),  # offsets in the base
+    ])
+    def test_closed_form_matches_three_gates(self, kw):
+        spec = _dtheta_spec(**kw)
+        rows = ex.noise_sweep(spec, (8.0, 10.0))
+        for r, (e_int, e_plus, e_minus) in zip(rows, _three_gate_rows(spec, (8.0, 10.0))):
+            assert r["ok"]
+            for got, want in ((r["error_int"], e_int), (r["error_plus"], e_plus),
+                              (r["error_minus"], e_minus)):
+                assert abs(got - want) <= 1e-13
+            excess = 0.5 * (r["error_plus"] + r["error_minus"]) - r["error_int"]
+            assert abs(r["excess"] - excess) <= 1e-13
+
+    def test_excess_is_insensitive_to_gate_roundoff(self, monkeypatch):
+        # a 1e-15 relative change of the gate output moves the excess by the same
+        # relative order, not by the gain of a difference of O(1) errors
+        spec = _dtheta_spec()
+        (clean,) = ex.noise_sweep(replace(spec, values=(1e-5,)), (12.5,))
+        gate = ex.cubic_gate
+        kick = 1e-15 * np.random.default_rng(3).normal(size=96)
+
+        def perturbed(cfg, psi):
+            res = gate(cfg, psi)
+            out = fk.PureState(res.state.vector * (1.0 + kick), normalize=False)
+            return replace(res, state=out, error=1.0 - fk.fidelity(res.target, out))
+
+        monkeypatch.setattr(ex, "cubic_gate", perturbed)
+        (moved,) = ex.noise_sweep(replace(spec, values=(1e-5,)), (12.5,))
+        assert moved["excess"] != clean["excess"]
+        assert abs(moved["excess"] - clean["excess"]) < 1e-13 * clean["excess"]
+
+    @pytest.mark.parametrize("channel, per_lambda", [("dtheta", 1), ("ddelta_rel", 1 + 2 * 2)])
+    def test_gates_per_squeezing(self, monkeypatch, channel, per_lambda):
+        gates = []
+        gate = ex.cubic_gate
+        monkeypatch.setattr(ex, "cubic_gate", lambda cfg, psi: gates.append(cfg) or gate(cfg, psi))
+        spec = replace(_dtheta_spec(), param=channel, values=(1e-5, 3e-5))
+        rows = ex.noise_sweep(spec, (8.0, 10.0))
+        assert len(rows) == 4 and all(r["ok"] for r in rows)
+        assert len(gates) == 2 * per_lambda
 
     def test_rejects_non_noise_param(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)

@@ -565,6 +565,7 @@ class TestOneRealSpectrumPerInput:
 
     @pytest.mark.parametrize("selector", ["gkp:x+:0.5", "gkp:z+:0.5"])
     def test_grid_state_builds_two_real_spectra(self, monkeypatch, selector):
+        fk.displacement_spectrum.cache_clear()
         built = self._count_spectra(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fk.TruncationWarning)
@@ -581,6 +582,31 @@ class TestOneRealSpectrumPerInput:
         cfg = dyn.GateConfig(lam=lam, alpha=5.0, gamma=0.1, n_fock=48, trotter_steps=2)
         psi = st.squeezed_vacuum(0.5, 48)
         st.ideal_cubic_target(cfg.gamma, psi)  # cached: the gate reuses it
+        fk.displacement_spectrum.cache_clear()
         built = self._count_spectra(monkeypatch)
         assert 0.0 <= dyn.trotterized_gate(cfg, psi).error <= 1.0
         assert len(built) == cfg.trotter_steps + 1  # one per segment, one for the kick
+
+    def test_second_trotterized_gate_reuses_the_kick_spectrum(self, monkeypatch):
+        cfg = dyn.GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
+                             trotter_steps=3)
+        psi = st.squeezed_vacuum(0.5, 48)
+        first = dyn.trotterized_gate(cfg, psi)
+        built = self._count_spectra(monkeypatch)
+        second = dyn.trotterized_gate(cfg, psi)
+        assert len(built) == cfg.trotter_steps  # the segments only
+        assert np.array_equal(second.state.vector, first.state.vector)
+        assert second.error == first.error
+
+
+class TestCachedDisplacementSpectrum:
+    def test_one_read_only_spectrum_per_dimension(self):
+        s = fk.displacement_spectrum(24)
+        assert fk.displacement_spectrum(24) is s
+        assert fk.displacement_spectrum(32) is not s
+        for arr in (s.w, s.v):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        a = fk._annihilation_matrix(24).real
+        w, v = np.linalg.eigh(a + a.T)
+        assert np.array_equal(s.w, w) and np.array_equal(s.v, v)
