@@ -377,8 +377,8 @@ def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
 
 def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     values = _floats(cfg.get("values", "1,2,4,8,16"))
-    if not all(v.is_integer() for v in values):
-        raise ConfigError(f"trotter step counts must be whole numbers, got {values}")
+    if not all(v.is_integer() and v >= 1 for v in values):
+        raise ConfigError(f"trotter step counts must be whole numbers >= 1, got {values}")
     steps = [int(v) for v in values]
     psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
     errors, cont = _trotter_errors(gc, psi, steps)

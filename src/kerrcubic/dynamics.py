@@ -17,7 +17,7 @@ The master-equation integrator is a deterministic Strang splitting: the
 Hamiltonian half-step is exact (one `fock.Spectrum`, reused for every step),
 the dissipator substep is a Heun stage. Adjacent half-steps are merged into
 one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
-the half-step is applied alone only at the start, the end and at snapshots.
+the half-step is applied alone only at the start and the end.
 The dissipator is evaluated from CSR forms of L and M = L^dag L (L is
 tridiagonal, M pentadiagonal). For Hermitian rho, L rho L^dag = L (L rho)^dag
 and rho M = (M rho)^dag, so an evaluation is three sparse-times-dense products,
@@ -225,11 +225,6 @@ def _gauge_hamiltonian(l_fluct: np.ndarray, drift: complex) -> np.ndarray:
     return (0.5j) * (np.conj(drift) * l_fluct - drift * l_fluct.conj().T)
 
 
-def _phase_noise_unitary(cfg: GateConfig) -> np.ndarray:
-    """exp(-i dtheta n_eff) with the alpha^2 constant dropped (global phase)."""
-    return Spectrum(effective_number_operator(cfg)[0]).unitary(cfg.noise.dtheta)
-
-
 def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:
     """(n_eff with its constant dropped, the dropped constant sinh^2 + alpha^2)."""
     n_eff = _frame_number_operator(float(cfg.lam))
@@ -242,19 +237,18 @@ def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps, samples=0):
-    """Strang splitting with exact Hamiltonian steps; returns (rho, trace_drift, snaps).
+def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps):
+    """Strang splitting with exact Hamiltonian steps; returns (rho, trace_drift).
 
     Adjacent Hamiltonian half-steps are merged: the loop carries the mid-step
     state U(dt/2) rho U(dt/2)^dag, applies the Heun dissipator stage, then the
     full step U(dt) = U(dt/2)^2. The closing half-step is applied at the end
-    and at each snapshot only.
+    only.
     """
     l_op, m_op = lindblad
     dt = tau / n_steps
     u_half = spectrum.unitary(0.5 * dt)
     u_step = u_half @ u_half
-    snap_every = max(1, n_steps // samples) if samples else 0
 
     def sandwich(u, r):
         r = u @ r @ u.conj().T
@@ -269,21 +263,13 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps, samples=0):
 
     rho = sandwich(u_half, rho0)
     drift = 0.0
-    snaps = [(0.0, rho0.copy())] if samples else []
     for k in range(1, n_steps + 1):
         k1 = d(rho)
         k2 = d(rho + dt * k1)
         rho = rho + (0.5 * dt) * (k1 + k2)
-        if k == n_steps:
-            rho = sandwich(u_half, rho)
-            if samples:
-                snaps.append((k * dt, rho))
-        else:
-            if samples and k % snap_every == 0:
-                snaps.append((k * dt, sandwich(u_half, rho)))
-            rho = sandwich(u_step, rho)
+        rho = sandwich(u_half if k == n_steps else u_step, rho)
         drift = max(drift, abs(np.trace(rho).real - 1.0))
-    return rho, drift, snaps
+    return rho, drift
 
 
 def evolve_lindblad(
@@ -294,7 +280,6 @@ def evolve_lindblad(
     n_steps: int | None = None,
     tol: float = 1e-7,
     max_doublings: int = 6,
-    samples: int = 0,
 ) -> tuple[MixedState, dict]:
     """Master-equation evolution d(rho)/dt = -i[H,rho] + L rho L^dag - {L^dag L, rho}/2.
 
@@ -321,8 +306,7 @@ def evolve_lindblad(
     if tau < 0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
-        return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0,
-                      "snapshots": []}
+        return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0}
 
     spectrum = Spectrum(h)
     l_sp = sparse.csr_matrix(l_op)
@@ -333,9 +317,8 @@ def evolve_lindblad(
     lindblad = (l_sp, m_op)
     diagnostics: dict = {}
     if n_steps is not None:
-        rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps, samples)
-        diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift,
-                           snapshots=snaps)
+        rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps)
+        diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift)
     else:
         # explicit dissipator stages are stable for kappa_edge * dt <~ 2, so
         # every rung keeps dt * m_edge <= 1
@@ -348,8 +331,7 @@ def evolve_lindblad(
         while 2 * p <= n_top:
             for n in (p, 2 * p):
                 if n not in states:
-                    rho, drift, snaps = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix,
-                                                        n, samples)
+                    rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n)
                     states[n] = rho if np.all(np.isfinite(rho)) else None
                     rungs.append((n, None))
             lower, upper = states[p], states[2 * p]
@@ -360,8 +342,7 @@ def evolve_lindblad(
                 rungs[-1] = (2 * p, delta)
                 if delta < tol:
                     diagnostics.update(steps=2 * p, integrated_steps=sum(n for n, _ in rungs),
-                                       trace_drift=drift, step_delta=delta, snapshots=snaps,
-                                       rungs=rungs)
+                                       trace_drift=drift, step_delta=delta, rungs=rungs)
                     break
                 if math.isfinite(delta):
                     # the delta of Strang splitting falls 4x per doubling
@@ -393,70 +374,56 @@ def evolve_lindblad(
 
 
 # ---------------------------------------------------------------------------
-# the gate pipelines
+# the gate pipeline
 # ---------------------------------------------------------------------------
 
 
-def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> EvolutionResult:
+def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     """Run the full gate in the effective frame and score it against the target.
 
-    Returns the output state (pure for kappa = 0, mixed otherwise), the gate
-    error 1 - F(U_ideal psi_in, out), and diagnostics. `samples > 0` records a
-    photon-number time series (total and fluctuation-frame means, variance).
+    One pipeline for the three media. The continuous gate propagates with the
+    lossless frame spectrum (kappa = 0) or `evolve_lindblad` (kappa > 0); the
+    drive-free variant (trotter_steps >= 1, lossless only) with
+    `_trotter_propagate`. Every output then takes the closing phase rotation
+    exp(-i dtheta n_eff). Returns the output state (pure for kappa = 0, mixed
+    otherwise), the gate error 1 - F(U_ideal psi_in, out), and diagnostics.
     """
-    if cfg.trotter_steps > 0:
-        if samples:
-            raise UnsupportedConfigurationError(
-                "the discrete-drive scheme records no photon-number series")
-        return trotterized_gate(cfg, psi_in)
+    if cfg.trotter_steps > 0 and cfg.kappa != 0.0:
+        raise UnsupportedConfigurationError(
+            "the discrete-drive scheme is implemented for the lossless case only")
+    if cfg.trotter_steps > 0 and (cfg.noise.ddelta or cfg.noise.dbeta_x or cfg.noise.dbeta_p):
+        raise UnsupportedConfigurationError(
+            "the discrete-drive scheme takes the phase offset dtheta only, not detuning "
+            "or drive offsets")
     if psi_in.dim != cfg.n_fock:
         raise ValueError(f"input state dim {psi_in.dim} != n_fock {cfg.n_fock}")
-
-    tau = cfg.tau
-    diagnostics: dict = {"tau": tau}
-    if samples:
-        n_mat, const = effective_number_operator(cfg)
-        n2 = n_mat @ n_mat
-
-        def pure_moments(t, psi):
-            return t, np.vdot(psi, n_mat @ psi).real, np.vdot(psi, n2 @ psi).real
-
     if cfg.gamma == 0.0 and not cfg.noise.any:
-        # tau = 0: the medium is never entered, and the series stays flat
-        if samples:
-            flat = [pure_moments(0.0, psi_in.vector)] * max(2, samples)
-            diagnostics["photon_series"] = _photon_series(flat, const, cfg.alpha)
-        return EvolutionResult(psi_in, 0.0, psi_in, diagnostics)
+        # tau = 0: the medium is never entered
+        return EvolutionResult(psi_in, 0.0, psi_in, {"tau": 0.0})
 
     target = ideal_cubic_target(cfg.gamma, psi_in)
-    if cfg.kappa == 0.0:
-        spectrum = Spectrum(_frame_matrix(cfg))
-        if samples:
-            moments = [pure_moments(t, spectrum.advance(psi_in.vector, t))
-                       for t in np.linspace(0.0, tau, max(2, samples))]
-            diagnostics["photon_series"] = _photon_series(moments, const, cfg.alpha)
-        out: PureState | MixedState = PureState(
-            spectrum.advance(psi_in.vector, tau), normalize=False
-        )
+    tau = cfg.tau
+    diagnostics: dict = {"tau": tau}
+    if cfg.trotter_steps > 0:
+        out, prop_diag = _trotter_propagate(cfg, psi_in, tau)
+    elif cfg.kappa == 0.0:
+        out = PureState(Spectrum(_frame_matrix(cfg)).advance(psi_in.vector, tau),
+                        normalize=False)
+        prop_diag = {}
     else:
         h, l_fluct, drift = effective_generators(cfg)
         if cfg.loss_frame == "displaced":
             h = h + _gauge_hamiltonian(l_fluct, drift)
-        rho, lb_diag = evolve_lindblad(
+        out, prop_diag = evolve_lindblad(
             h, l_fluct, tau, psi_in.density_matrix(),
             n_steps=cfg.lindblad_steps, tol=cfg.lindblad_tol,
-            max_doublings=cfg.max_step_doublings, samples=samples,
+            max_doublings=cfg.max_step_doublings,
         )
-        snaps = lb_diag.pop("snapshots", [])
-        if samples:
-            moments = [(t, np.trace(n_mat @ r).real, np.trace(n2 @ r).real)
-                       for t, r in snaps]
-            diagnostics["photon_series"] = _photon_series(moments, const, cfg.alpha)
-        diagnostics.update(lb_diag)
-        out = rho
+    diagnostics.update(prop_diag)
 
     if cfg.noise.dtheta != 0.0:
-        r = _phase_noise_unitary(cfg)
+        # exp(-i dtheta n_eff); the dropped constant of n_eff is a global phase
+        r = Spectrum(effective_number_operator(cfg)[0]).unitary(cfg.noise.dtheta)
         if isinstance(out, PureState):
             out = PureState(r @ out.vector, normalize=False)
         else:
@@ -466,27 +433,44 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState, samples: int = 0) -> Evolutio
     return EvolutionResult(out, err, target, diagnostics)
 
 
-def _photon_series(moments, const: float, alpha: float) -> dict:
-    """Photon-number series from (t, <n>, <n^2>) triples of n_eff, constant dropped.
-
-    `const` restores the dropped constant in the total; the fluctuation part
-    also removes the coherent alpha^2.
-    """
-    t, mean, second = np.array(moments, dtype=float).reshape(-1, 3).T
-    return {"t": t, "total": mean + const, "fluctuation": mean + const - alpha**2,
-            "variance": second - mean * mean}
+def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
+    """Drive-free variant: discrete displacements around undriven Kerr segments."""
+    if cfg.trotter_steps < 1:
+        raise UnsupportedConfigurationError("trotterized_gate requires trotter_steps >= 1")
+    return cubic_gate(cfg, psi_in)
 
 
 def photon_number_trace(cfg: GateConfig, psi_in: PureState, samples: int):
-    """Time series of <n_eff> (total and fluctuation parts) and Var(n_eff)."""
+    """Series of <n_eff> (total and fluctuation parts) and Var(n_eff) over [0, tau], and the gate.
+
+    Lossless continuous gate only. The total restores the dropped constant
+    sinh^2 + alpha^2 of n_eff; the fluctuation part also removes the coherent
+    alpha^2. The closing phase rotation commutes with n_eff.
+    """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    res = cubic_gate(cfg, psi_in, samples=samples)
-    return res.diagnostics["photon_series"], res
+    if cfg.kappa != 0.0 or cfg.trotter_steps > 0:
+        raise UnsupportedConfigurationError(
+            "photon-number series are recorded for the lossless continuous gate only"
+        )
+    res = cubic_gate(cfg, psi_in)
+    n_mat, const = effective_number_operator(cfg)
+    n2 = n_mat @ n_mat
+    t = np.linspace(0.0, res.diagnostics["tau"], samples)
+    if cfg.gamma == 0.0 and not cfg.noise.any:  # the medium is never entered
+        states = [psi_in.vector] * samples
+    else:
+        spectrum = Spectrum(_frame_matrix(cfg))
+        states = [spectrum.advance(psi_in.vector, t_k) for t_k in t]
+    mean = np.array([np.vdot(psi, n_mat @ psi).real for psi in states])
+    second = np.array([np.vdot(psi, n2 @ psi).real for psi in states])
+    series = {"t": t, "total": mean + const, "fluctuation": mean + const - cfg.alpha**2,
+              "variance": second - mean * mean}
+    return series, res
 
 
 # ---------------------------------------------------------------------------
-# discrete-drive (Trotterized) variant
+# discrete-drive (Trotterized) propagator
 # ---------------------------------------------------------------------------
 
 
@@ -554,37 +538,24 @@ def _discrete_sequence(cfg: GateConfig, beta_poly: AlphaPoly, tau: float):
     return xi, h_steps
 
 
-def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
-    """Drive-free variant: discrete displacements around undriven Kerr segments."""
-    if cfg.trotter_steps < 1:
-        raise UnsupportedConfigurationError("trotterized_gate requires trotter_steps >= 1")
-    if cfg.kappa != 0.0:
-        raise UnsupportedConfigurationError(
-            "the discrete-drive scheme is implemented for the lossless case only"
-        )
-    if psi_in.dim != cfg.n_fock:
-        raise ValueError(f"input state dim {psi_in.dim} != n_fock {cfg.n_fock}")
+def _trotter_propagate(cfg: GateConfig, psi_in: PureState, tau: float):
+    """The drive-free scheme: N undriven Kerr segments, then the leftover D(xi).
 
-    target = ideal_cubic_target(cfg.gamma, psi_in)
-    tau = cfg.tau
-    params = cubic_parameters(cfg.chi, cfg.lam, cfg.alpha, cfg.gamma)
-    xi, h_steps = _discrete_sequence(cfg, params.beta_cubic, tau)
-
+    Returns the output state and the `kick` diagnostic sqrt(2)|xi|.
+    """
+    xi, h_steps = _discrete_sequence(cfg, algebra.cubic_counterterms(cfg.chi)[1], tau)
     kick = math.sqrt(2.0) * abs(xi)
     if kick > math.sqrt(2.0 * cfg.n_fock) - 4.0:
         warnings.warn(
             f"intermediate displaced excursion {kick:.1f} strains Fock cutoff "
             f"N = {cfg.n_fock}",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     psi = psi_in.vector
     dt = tau / cfg.trotter_steps
     for h_k in h_steps:
         psi = Spectrum(h_k).advance(psi, dt)
-
     psi = displace_vector(displacement_spectrum(cfg.n_fock), xi, psi)
-    out = PureState(psi, normalize=False)
-    err = 1.0 - fidelity(target, out)
-    return EvolutionResult(out, err, target, {"tau": tau, "kick": kick})
+    return PureState(psi, normalize=False), {"kick": kick}

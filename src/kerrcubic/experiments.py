@@ -362,6 +362,8 @@ def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     """
     if spec.param not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
         raise ValueError(f"noise_sweep cannot sweep {spec.param!r}")
+    if spec.alpha_mode == "optimize":
+        raise ValueError("noise_sweep takes alpha_mode 'fixed' or 'cube', not 'optimize'")
     return [row for rows in _map_points(_noise_rows, spec, lam_db_values) for row in rows]
 
 

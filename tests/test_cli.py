@@ -260,6 +260,26 @@ class TestStateAndGate:
         assert doc["error"]["type"] == "ConfigError"
         assert "whole numbers" in doc["error"]["message"]
 
+    def test_trotter_steps_below_one_rejected(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(cli, "trotterized_gate", forbidden)
+        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        assert run(["trotter", "--values", "4,0", "--fock", "32", "--input", "vacuum",
+                    "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert ">= 1" in doc["error"]["message"]
+
+    def test_trotterized_gate_refuses_detuning_offset(self, tmp_path, capsys):
+        assert run(["gate", "--trotter", "2", "--ddelta-rel", "1e-6", "--fock", "48",
+                    "--lambda-db", "5", "--alpha", "5", "--input", "squeezed:0.5",
+                    "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "UnsupportedConfigurationError"
+        assert not (tmp_path / "gate_result.json").exists()
+
 
 class TestEmitDeterminism:
     def test_csv_roundtrip_bit_exact(self, tmp_path):

@@ -211,7 +211,7 @@ class TestEvolveLindblad:
             )
 
 
-def _dense_lindblad_reference(h, lm, tau, rho0, n_steps, samples=0):
+def _dense_lindblad_reference(h, lm, tau, rho0, n_steps):
     # the integrator's former loop: two dense half-step sandwiches and two
     # dense dissipator evaluations per step
     u_half = fk.Spectrum(h).unitary(0.5 * tau / n_steps)
@@ -219,23 +219,19 @@ def _dense_lindblad_reference(h, lm, tau, rho0, n_steps, samples=0):
     lm_dag = lm.conj().T
     m_op = lm_dag @ lm
     dt = tau / n_steps
-    snap_every = max(1, n_steps // samples) if samples else 0
 
     def d(r):
         return lm @ r @ lm_dag - 0.5 * (m_op @ r + r @ m_op)
 
     rho = rho0.copy()
-    snaps = [(0.0, rho.copy())] if samples else []
-    for k in range(n_steps):
+    for _ in range(n_steps):
         rho = u_half @ rho @ u_half_dag
         k1 = d(rho)
         k2 = d(rho + dt * k1)
         rho = rho + (0.5 * dt) * (k1 + k2)
         rho = u_half @ rho @ u_half_dag
         rho = 0.5 * (rho + rho.conj().T)
-        if samples and ((k + 1) % snap_every == 0 or k == n_steps - 1):
-            snaps.append(((k + 1) * dt, rho.copy()))
-    return rho, snaps
+    return rho
 
 
 def _dense_ladder_reference(h, lm, tau, rho0, tol=1e-7, max_doublings=6):
@@ -248,7 +244,7 @@ def _dense_ladder_reference(h, lm, tau, rho0, tol=1e-7, max_doublings=6):
     while 2 * p <= n_top:
         for n in (p, 2 * p):
             if n not in states:
-                states[n], _ = _dense_lindblad_reference(h, lm, tau, rho0, n)
+                states[n] = _dense_lindblad_reference(h, lm, tau, rho0, n)
                 rungs.append(n)
         delta = np.abs(states[2 * p] - states[p]).max()
         if delta < tol:
@@ -295,37 +291,10 @@ class TestMergedSparseIntegrator:
         hm, lm, tau = self._generators(kind)
         rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
         rho, diag = dyn.evolve_lindblad(hm, lm, tau, rho0, n_steps=96)
-        ref, _ = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 96)
+        ref = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 96)
         assert _rel_max(rho.matrix, ref) <= 1e-12
         assert diag["steps"] == diag["integrated_steps"] == 96
         assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-
-    @pytest.mark.parametrize("kind", ["bogoliubov", "random"])
-    def test_snapshots_match_dense_reference(self, kind):
-        hm, lm, tau = self._generators(kind)
-        rho0 = fk.vacuum(self.n).density_matrix()
-        _, diag = dyn.evolve_lindblad(hm, lm, tau, rho0, n_steps=64, samples=5)
-        _, ref = _dense_lindblad_reference(hm, lm, tau, rho0.matrix, 64, samples=5)
-        snaps = diag["snapshots"]
-        assert [t for t, _ in snaps] == [t for t, _ in ref]
-        for (_, got), (_, want) in zip(snaps, ref):
-            assert _rel_max(got, want) <= 1e-12
-
-    def test_lossy_photon_trace_matches_dense_reference(self):
-        cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=48, kappa=0.5, lindblad_steps=64)
-        psi = fk.vacuum(cfg.n_fock)
-        series, _ = dyn.photon_number_trace(cfg, psi, samples=4)
-        h, l_op, _ = dyn.effective_generators(cfg)
-        _, snaps = _dense_lindblad_reference(h, l_op, cfg.tau,
-                                             psi.density_matrix().matrix, 64, samples=4)
-        n_mat, const = dyn.effective_number_operator(cfg)
-        mean = np.array([np.trace(n_mat @ r).real for _, r in snaps])
-        second = np.array([np.trace(n_mat @ n_mat @ r).real for _, r in snaps])
-        ref = {"t": np.array([t for t, _ in snaps]), "total": mean + const,
-               "fluctuation": mean + const - cfg.alpha**2, "variance": second - mean * mean}
-        assert np.array_equal(series["t"], ref["t"])
-        for key in ("total", "fluctuation", "variance"):
-            np.testing.assert_allclose(series[key], ref[key], rtol=1e-12, atol=1e-12)
 
     def test_adaptive_ladder_keeps_reference_rungs(self):
         n = 32
@@ -385,9 +354,9 @@ class TestStepLadder:
         calls = []
         fixed = dyn._lindblad_fixed
 
-        def spy(spectrum, lindblad, tau, rho0, n_steps, samples=0):
+        def spy(spectrum, lindblad, tau, rho0, n_steps):
             calls.append(n_steps)
-            return fixed(spectrum, lindblad, tau, rho0, n_steps, samples)
+            return fixed(spectrum, lindblad, tau, rho0, n_steps)
 
         monkeypatch.setattr(dyn, "_lindblad_fixed", spy)
         with pytest.raises(dyn.IntegrationError, match="up to 256 steps"):
@@ -603,6 +572,27 @@ class TestTrotter:
         r2 = dyn.trotterized_gate(cfg, psi)
         assert r1.error == r2.error
 
+    @pytest.mark.parametrize("noise", [NoiseParams(ddelta=0.1), NoiseParams(dbeta_x=0.1),
+                                       NoiseParams(dtheta=0.01, dbeta_p=-0.1)])
+    def test_detuning_and_drive_offsets_rejected_before_work(self, monkeypatch, noise):
+        # the drive-free scheme has no continuous detuning or drive to offset
+        def forbidden(*args):
+            raise AssertionError("segment expansion ran")
+
+        monkeypatch.setattr(dyn, "_segment_expansion", forbidden)
+        cfg = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
+                         trotter_steps=2, noise=noise)
+        for gate in (dyn.cubic_gate, dyn.trotterized_gate):
+            with pytest.raises(dyn.UnsupportedConfigurationError, match="dtheta only"):
+                gate(cfg, st.squeezed_vacuum(0.5, cfg.n_fock))
+
+    def test_zero_angle_is_identity(self):
+        # like the continuous gate, gamma = 0 never enters the medium
+        psi = st.squeezed_vacuum(0.5, 48)
+        cfg = GateConfig(lam=1.5, alpha=2.0, gamma=0.0, n_fock=48, trotter_steps=3)
+        res = dyn.trotterized_gate(cfg, psi)
+        assert res.error == 0.0 and res.state is psi and res.diagnostics == {"tau": 0.0}
+
 
 def _substituted_segments(cfg, beta, tau):
     """Oracle: every Trotter segment from its own frame substitution."""
@@ -720,18 +710,23 @@ class TestPhotonTrace:
         assert np.all(series["total"] == series["total"][0])
         assert abs(series["total"][0] - want) < 1e-10
 
-    def test_trotterized_trace_rejected_before_gate_work(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("the discrete-drive gate ran")
+    @staticmethod
+    def _forbid_gate_work(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gate work started")
 
-        monkeypatch.setattr(dyn, "trotterized_gate", forbidden)
+        for name in ("cubic_gate", "evolve_lindblad", "_discrete_sequence", "Spectrum"):
+            monkeypatch.setattr(dyn, name, forbidden)
+
+    def test_trotterized_trace_rejected_before_gate_work(self, monkeypatch):
+        self._forbid_gate_work(monkeypatch)
         cfg = make_cfg(lam=1.5, alpha=2.0, trotter_steps=2)
-        with pytest.raises(dyn.UnsupportedConfigurationError):
+        with pytest.raises(dyn.UnsupportedConfigurationError, match="lossless continuous"):
             dyn.photon_number_trace(cfg, fk.vacuum(cfg.n_fock), samples=5)
 
-    def test_lossy_trace_runs(self):
+    def test_lossy_trace_rejected_before_gate_work(self, monkeypatch):
+        # series are recorded for the lossless continuous gate only
+        self._forbid_gate_work(monkeypatch)
         cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=48, kappa=0.5, lindblad_steps=64)
-        psi = fk.vacuum(cfg.n_fock)
-        series, res = dyn.photon_number_trace(cfg, psi, samples=4)
-        assert len(series["t"]) >= 3
-        assert np.all(np.isfinite(series["total"]))
+        with pytest.raises(dyn.UnsupportedConfigurationError, match="lossless continuous"):
+            dyn.photon_number_trace(cfg, fk.vacuum(cfg.n_fock), samples=4)

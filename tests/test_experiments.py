@@ -328,6 +328,39 @@ class TestNoiseSweep:
         assert len(rows) == 4 and all(r["ok"] for r in rows)
         assert len(gates) == 2 * per_lambda
 
+    @pytest.mark.parametrize("v", [0.05, 1e-3])
+    def test_trotterized_phase_offset_is_the_closing_rotation(self, v):
+        # the drive-free gate ends in the same exp(-i dtheta n_eff) as the
+        # continuous one, so the closed form of the dtheta channel scores it
+        base = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
+                          trotter_steps=2)
+        psi = st.squeezed_vacuum(0.5, base.n_fock)
+        e_int, e_plus, e_minus, _ = ex._phase_noise_score(base, psi)(v)
+        for dtheta, want in ((v, e_plus), (-v, e_minus)):
+            got = ex.cubic_gate(replace(base, noise=dyn.NoiseParams(dtheta=dtheta)), psi)
+            assert abs(got.error - want) <= 1e-14
+            assert abs(got.error - e_int) > 1e-7
+
+    def test_trotterized_offset_rows_fail(self):
+        # a detuning offset on a drive-free base is refused, not scored as excess 0
+        base = GateConfig(lam=1.0, alpha=5.0, gamma=0.1, n_fock=48, trotter_steps=2)
+        spec = ex.SweepSpec(base=base, param="ddelta_rel", values=(1e-6,),
+                            input_state="squeezed:0.5")
+        (row,) = ex.noise_sweep(spec, (5.0,))
+        assert not row["ok"] and math.isnan(row["excess"])
+        assert row["message"].startswith("UnsupportedConfigurationError")
+        assert "dtheta only" in row["message"]
+
+    def test_rejects_optimized_alpha_before_parsing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("input parsed")
+
+        monkeypatch.setattr(ex, "parse_state", forbidden)
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
+        spec = ex.SweepSpec(base=base, param="dtheta", values=(1e-4,), alpha_mode="optimize")
+        with pytest.raises(ValueError, match="optimize"):
+            ex.noise_sweep(spec, (10.0,))
+
     def test_rejects_non_noise_param(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
         spec = ex.SweepSpec(base=base, param="lam_db", values=(10.0,))
