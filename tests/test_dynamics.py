@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from kerrcubic import algebra as alg
 from kerrcubic import dynamics as dyn
@@ -210,6 +211,33 @@ class TestEvolveLindblad:
                 fk.fock_state(n, 6).density_matrix(), tol=1e-16, max_doublings=0,
             )
 
+    def test_trace_leak_raises(self, monkeypatch):
+        # a step that grows the trace by ~2e-6 must trip the 1e-8 trace guard
+        class LeakySpectrum(fk.Spectrum):
+            def unitary(self, t):
+                return (1.0 + 1e-6) * super().unitary(t)
+
+        monkeypatch.setattr(dyn, "Spectrum", LeakySpectrum)
+        n = 16
+        cfg = make_cfg(n_fock=n, kappa=0.5)
+        h, l_op, _ = dyn.effective_generators(cfg)
+        with pytest.raises(dyn.IntegrationError, match="trace drifted"):
+            dyn.evolve_lindblad(h, l_op, cfg.tau, fk.vacuum(n).density_matrix(), n_steps=4)
+
+    def test_negativity_warns(self, monkeypatch):
+        n = 16
+        rho = np.zeros((n, n), dtype=complex)
+        rho[0, 0], rho[1, 1] = 1.0 + 1e-5, -1e-5
+
+        def negative_output(spectrum, lindblad, tau, rho0, n_steps):
+            return rho, 0.0
+
+        monkeypatch.setattr(dyn, "_lindblad_fixed", negative_output)
+        with pytest.warns(fk.TruncationWarning, match="negativity"):
+            _, diag = dyn.evolve_lindblad(np.zeros((n, n)), fk.annihilation(n), 0.1,
+                                          fk.vacuum(n).density_matrix(), n_steps=4)
+        assert diag["min_eigenvalue"] < -1e-7
+
 
 def _dense_lindblad_reference(h, lm, tau, rho0, n_steps):
     # the integrator's former loop: two dense half-step sandwiches and two
@@ -307,6 +335,84 @@ class TestMergedSparseIntegrator:
         assert [steps for steps, _ in diag["rungs"]] == rungs
         assert diag["integrated_steps"] == sum(rungs)
         assert _rel_max(rho.matrix, ref) <= 1e-12
+
+
+def _complex_lindblad_reference(spectrum, lindblad, tau, rho0, n_steps):
+    # the integrator's former step kernel, verbatim: complex CSR products,
+    # conj().T copies and out-of-place stage arithmetic
+    l_op, m_op = lindblad
+    dt = tau / n_steps
+    u_half = spectrum.unitary(0.5 * dt)
+    u_step = u_half @ u_half
+
+    def sandwich(u, r):
+        r = u @ r @ u.conj().T
+        return 0.5 * (r + r.conj().T)
+
+    def d(r):
+        lr = l_op @ r
+        mr = m_op @ r
+        return l_op @ lr.conj().T - 0.5 * (mr + mr.conj().T)
+
+    rho = sandwich(u_half, rho0)
+    drift = 0.0
+    for k in range(1, n_steps + 1):
+        k1 = d(rho)
+        k2 = d(rho + dt * k1)
+        rho = rho + (0.5 * dt) * (k1 + k2)
+        rho = sandwich(u_half if k == n_steps else u_step, rho)
+        drift = max(drift, abs(np.trace(rho).real - 1.0))
+    return rho, drift
+
+
+class TestRealViewKernel:
+    """The real-CSR step kernel reproduces the complex one bit for bit."""
+
+    n = 40
+
+    def _generators(self, loss_frame):
+        cfg = make_cfg(n_fock=self.n, kappa=0.5, lam=1.6, alpha=2.0, loss_frame=loss_frame)
+        h, l_op, drift = dyn.effective_generators(cfg)
+        if loss_frame == "displaced":
+            h = h + dyn._gauge_hamiltonian(l_op, drift)
+        return h, l_op, cfg.tau * 50
+
+    @pytest.mark.parametrize("loss_frame", dyn.LOSS_FRAMES)
+    @pytest.mark.parametrize("n_steps", [48, 96])
+    def test_bit_identical_to_complex_kernel(self, loss_frame, n_steps):
+        h, l_op, tau = self._generators(loss_frame)
+        assert np.iscomplexobj(l_op) and not l_op.imag.any()
+        rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
+        l_sp = sparse.csr_matrix(l_op)
+        m_op = sparse.csr_matrix(l_op.conj().T) @ l_sp
+        m_op.sort_indices()
+        ref, ref_drift = _complex_lindblad_reference(fk.Spectrum(h), (l_sp, m_op), tau,
+                                                     rho0.matrix, n_steps)
+        rho, diag = dyn.evolve_lindblad(h, l_op, tau, rho0, n_steps=n_steps)
+        assert np.array_equal(rho.matrix, ref)
+        assert diag["trace_drift"] == ref_drift
+
+    def test_bogoliubov_operator_reaches_kernel_real(self, monkeypatch):
+        h, l_op, tau = self._generators("fluctuation")
+        dtypes = []
+        fixed = dyn._lindblad_fixed
+
+        def spy(spectrum, lindblad, tau, rho0, n_steps):
+            dtypes.extend(op.dtype for op in lindblad)
+            return fixed(spectrum, lindblad, tau, rho0, n_steps)
+
+        monkeypatch.setattr(dyn, "_lindblad_fixed", spy)
+        dyn.evolve_lindblad(h, l_op, tau, fk.vacuum(self.n).density_matrix(), n_steps=48)
+        assert dtypes == [np.float64, np.float64]
+
+    def test_real_and_zero_imaginary_operator_agree(self):
+        h, l_op, tau = self._generators("fluctuation")
+        rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
+        real, d_real = dyn.evolve_lindblad(h, l_op.real, tau, rho0, n_steps=48)
+        cplx, d_cplx = dyn.evolve_lindblad(h, l_op.real.astype(complex), tau, rho0,
+                                           n_steps=48)
+        assert np.array_equal(real.matrix, cplx.matrix)
+        assert d_real == d_cplx
 
 
 class TestStepLadder:
