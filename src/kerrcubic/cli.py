@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -91,6 +92,14 @@ _OPTIONS = {
 
 _CONFIG_KEYS = frozenset(_OPTIONS)
 
+# config key -> (parse, test, rule): the value checked when the config is
+# collected, before any work
+_VALUE_RULES = {
+    "workers": (int, lambda v: v >= 1, "an integer >= 1"),
+    "wigner_points": (int, lambda v: v >= 1, "an integer >= 1"),
+    "wigner_span": (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+}
+
 
 def _reads(command: str, key: str) -> bool:
     names = _OPTIONS[key][1]
@@ -120,6 +129,14 @@ class RunConfig(dict):
             flag = getattr(args, key, None)
             if flag is not None:
                 cfg[key] = flag
+        for key, (parse, test, rule) in _VALUE_RULES.items():
+            if key in cfg:
+                try:
+                    ok = test(parse(cfg[key]))
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
         if "out" not in cfg:
             cfg["out"] = os.environ.get("KERRCUBIC_OUT", ".")
         cfg.dry_run = bool(getattr(args, "dry_run", False))

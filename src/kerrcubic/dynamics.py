@@ -35,6 +35,9 @@ starts at the stability floor max(8, ceil(tau * m_edge)), and after a failing
 pair the second-order error model of Strang splitting (the rung delta falls 4x
 per doubling) picks the pair predicted to pass. The choice is deterministic,
 so reruns are bit-identical.
+
+scipy.sparse is imported inside `evolve_lindblad`, its only user: lossless
+gates, Trotterized gates and noise sweeps never load it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import algebra
 from .algebra import AlphaPoly, BosonPolynomial, cubic_parameters, substitute_gaussian_frame
@@ -341,6 +343,8 @@ def evolve_lindblad(
         raise ValueError("tau must be >= 0")
     if tau == 0.0:
         return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0}
+
+    from scipy import sparse
 
     spectrum = Spectrum(h)
     if np.iscomplexobj(l_op) and not l_op.imag.any():

@@ -17,6 +17,11 @@ noiseless gate once. A phase offset is a rotation of that gate's output, so
 one spectrum of n_eff gives E+, E- and the excess in closed form, with no
 difference of O(1) errors; a detuning or drive offset changes the
 Hamiltonian and runs two noisy gates per value.
+
+scipy.optimize is imported inside `optimize_alpha` and
+`optimize_gaussian_correction`, its only users, so sweeps at fixed or cube
+alpha and noise sweeps never load it; a forked sweep worker loads it on its
+first optimization.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import algebra
 from .dynamics import (
@@ -143,6 +147,8 @@ def optimize_alpha(
         warnings.warn(f"gate error not unimodal over the bracket ({kind}); "
                       "refining the cell of the coarse minimum", stacklevel=2)
     cell = (math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, _COARSE_POINTS - 1)]))
+    from scipy.optimize import minimize_scalar
+
     best = minimize_scalar(lambda u: err(math.exp(u)), bounds=cell, method="bounded",
                            options={"xatol": _ALPHA_XATOL})
     alpha = math.exp(best.x) if best.fun < vals[k] else float(grid[k])
@@ -174,6 +180,8 @@ class SweepSpec:
             raise ValueError("sweep needs a non-empty value list")
         if self.alpha_mode not in _ALPHA_MODES:
             raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.param == "trotter_steps" and not all(v.is_integer() for v in self.values):
             raise ValueError(f"trotter step counts must be whole numbers, got {self.values}")
@@ -433,6 +441,8 @@ def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndar
     at its default tolerances climbs from params = 0; at the fig4 point
     (N = 128) it converges in about 16 evaluations.
     """
+    from scipy.optimize import minimize
+
     best = minimize(_correction_objective, np.zeros(5), args=(target, out),
                     jac=True, method="BFGS")
     return -float(best.fun), best.x

@@ -86,6 +86,53 @@ class TestFailFast:
         assert ":2:" in doc["error"]["message"] and "'bracket'" in doc["error"]["message"]
 
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_flag_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli, "noise_sweep", forbidden)
+        assert run(["sweep-noise", "--workers", workers, "--fock", "32", "--input", "vacuum",
+                    "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert "workers" in doc["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "1.5", "two"])
+    def test_workers_config_value_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", forbidden)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"fock = 32\ninput = vacuum\nworkers = {workers}\n")
+        out = tmp_path / "o"
+        assert run(["sweep-lambda", "--config", str(cfgfile), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert "workers" in doc["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["wigner_points = 0", "wigner_points = -4",
+                                      "wigner_points = 2.5", "wigner_span = nan",
+                                      "wigner_span = inf", "wigner_span = -2",
+                                      "wigner_span = 0"])
+    def test_wigner_grid_values_rejected(self, tmp_path, capsys, monkeypatch, line):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the state was generated")
+
+        monkeypatch.setattr(cli, "generate_cubic_state", forbidden)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"fock = 64\nchi_over_kappa = 1e-2\n{line}\n")
+        out = tmp_path / "o"
+        assert run(["state-gen", "--config", str(cfgfile), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert line.split(" = ")[0] in doc["error"]["message"]
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_unknown_key_reports_line(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

@@ -245,6 +245,9 @@ class TestSweeps:
             ex.SweepSpec(base=base, param="lam_db", values=())
         with pytest.raises(ValueError):
             ex.SweepSpec(base=base, param="lam_db", values=(1.0,), alpha_mode="x")
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                ex.SweepSpec(base=base, param="lam_db", values=(1.0,), workers=workers)
 
     def test_fractional_trotter_steps_rejected(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)

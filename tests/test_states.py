@@ -345,6 +345,24 @@ class TestRepresentablePeakCutoff:
         psi = st.gkp_state(st.GkpParams("z-", 0.4, eps_k=eps), 256)
         assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("delta", [0.3, 0.4, 0.5])
+    @pytest.mark.parametrize("label", ["z+", "z-", "x+", "y+"])
+    def test_every_kept_peak_is_representable(self, label, delta, n):
+        # at the returned cutoff, no peak of any sub-lattice the state is built
+        # from lies beyond x_allow, the root of x + 3 gamma x^2 = sqrt(2N) - 4;
+        # a peak whose weight equals the cutoff exactly would still be kept
+        gamma = 0.1
+        x_edge = math.sqrt(2.0 * n) - 4.0
+        x_allow = (math.sqrt(1.0 + 12.0 * gamma * x_edge) - 1.0) / (6.0 * gamma)
+        assert abs(x_allow + 3.0 * gamma * x_allow**2 - x_edge) < 1e-12 * x_edge
+        eps = st.representable_peak_cutoff(st.GkpParams(label, delta), gamma, n)
+        sublattices = (label,) if label in ("z+", "z-") else ("z+", "z-")
+        for sub in sublattices:
+            peaks = st._gkp_displacements(st.GkpParams(sub, delta, eps_k=eps), n)
+            beyond = [s for s, _ in peaks if math.sqrt(2.0) * abs(s) > x_allow]
+            assert beyond == [], (sub, eps, beyond)
+
 
 class TestParseState:
     def test_selectors(self):
