@@ -296,7 +296,7 @@ def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
 
 
 def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
-    psi = parse_state(str(cfg.get("input", "vacuum")), int(cfg.get("fock", 128)))
+    psi = parse_state(str(cfg.get("input", "vacuum")), int(cfg.get("fock", 128)), 0.0)
     out = cfg.out_dir
     if cfg.get("wigner"):
         xs = cfg.wigner_axis
@@ -309,7 +309,7 @@ def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
 
 
 def _cmd_gate(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
+    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock, gc.gamma)
     res = cubic_gate(gc, psi)
     out = cfg.out_dir
     doc = {
@@ -353,7 +353,7 @@ def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     bracket = _floats(cfg.get("bracket", "")) or tuple(s * center for s in ALPHA_BRACKET_SCALE)
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
-    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
+    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock, gc.gamma)
     opt = optimize_alpha(gc, bracket, psi)
     path = cfg.out_dir / "optimize_alpha.json"
     emit({"alpha": opt.alpha, "error": opt.error,
@@ -397,7 +397,7 @@ def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     if not all(v.is_integer() and v >= 1 for v in values):
         raise ConfigError(f"trotter step counts must be whole numbers >= 1, got {values}")
     steps = [int(v) for v in values]
-    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock)
+    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock, gc.gamma)
     errors, cont = _trotter_errors(gc, psi, steps)
     rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(steps, errors)]
     path = cfg.out_dir / "trotter.csv"
@@ -553,7 +553,7 @@ def _trotter_curves(spec: dict) -> tuple[list, list]:
         lam = lambda_from_db(db)
         for alpha in alphas:
             gc = GateConfig(lam=lam, alpha=alpha, gamma=0.1, n_fock=spec["n_fock"])
-            psi = parse_state("gkp:z+:0.5", gc.n_fock)
+            psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
             errors, e_cont = _trotter_errors(gc, psi, spec["trotter"])
             rows += [(db, alpha, n_t, err, e_cont) for n_t, err in zip(spec["trotter"], errors)]
     return ["lam_db", "alpha", "trotter_steps", "error", "error_continuous"], rows
@@ -564,7 +564,7 @@ def _photon_trace(spec: dict) -> tuple[list, list]:
     for db in spec["lam_db"]:
         lam = lambda_from_db(db)
         gc = replace(spec["base"], lam=lam)
-        psi = parse_state("gkp:z+:0.5", gc.n_fock)
+        psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
         center = ALPHA_COEFF * lam**3
         opt = optimize_alpha(gc, tuple(s * center for s in ALPHA_BRACKET_SCALE), psi)
         series, _ = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])

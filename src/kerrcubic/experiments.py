@@ -182,6 +182,12 @@ class SweepSpec:
             raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not (math.isfinite(self.alpha_coeff) and self.alpha_coeff > 0):
+            raise ValueError(f"alpha_coeff must be finite and > 0, got {self.alpha_coeff}")
+        lo, hi = self.bracket_scale
+        if not (math.isfinite(hi) and 0 < lo <= hi):
+            raise ValueError(f"bracket_scale must be finite with 0 < lo <= hi, "
+                             f"got {self.bracket_scale}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if self.param == "trotter_steps" and not all(v.is_integer() for v in self.values):
             raise ValueError(f"trotter step counts must be whole numbers, got {self.values}")
@@ -248,7 +254,8 @@ def _failed(row: dict, exc: Exception, cells) -> dict:
 def _map_points(fn, spec: SweepSpec, points) -> list:
     """[fn(spec, psi, p) for p in points] in order, over a process pool when spec.workers > 1.
 
-    The input psi is parsed once per sweep; if parsing fails, psi is the
+    The input psi is parsed once per sweep, keeping only the grid peaks a
+    gate at the base gamma can represent; if parsing fails, psi is the
     exception, which each point raises where it needs the state. Warnings are
     ignored from the parse on; the pool's workers are started after the filter
     is set, so they ignore them too and both modes write the same stderr.
@@ -256,7 +263,7 @@ def _map_points(fn, spec: SweepSpec, points) -> list:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            psi = parse_state(spec.input_state, spec.base.n_fock)
+            psi = parse_state(spec.input_state, spec.base.n_fock, spec.base.gamma)
         except Exception as exc:
             psi = exc
         jobs = [(spec, psi, p) for p in points]

@@ -204,28 +204,38 @@ def representable_peak_cutoff(params: GkpParams, gamma: float, n: int) -> float:
     once x + 3*gamma*x^2 exceeds the cutoff window sqrt(2N), the peak cannot be
     represented and its amplitude pollutes gate-error measurements as a
     spurious floor. Returns an eps_k (>= the configured one) that drops such
-    peaks.
+    peaks; at gamma = 0 that is the configured eps_k. A sub-lattice with no
+    representable peak is a ValueError naming gamma, N and the largest
+    representable position.
     """
     x_edge = math.sqrt(2.0 * n) - 4.0
     g3 = 3.0 * abs(gamma)
     if g3 == 0.0:
         return params.eps_k
     # solve x + 3 gamma x^2 = x_edge for the largest representable peak
-    x_allow = (-1.0 + math.sqrt(1.0 + 4.0 * g3 * x_edge)) / (2.0 * g3)
+    x_allow = (-1.0 + math.sqrt(max(1.0 + 4.0 * g3 * x_edge, 0.0))) / (2.0 * g3)
     labels = (params.label,) if params.label in ("z+", "z-") else ("z+", "z-")
     eps = params.eps_k
     for label in labels:
-        for s, w in _gkp_displacements(replace(params, label=label), n):
+        peaks = _gkp_displacements(replace(params, label=label), n)
+        if all(math.sqrt(2.0) * abs(s) > x_allow for s, _ in peaks):
+            raise ValueError(f"delta = {params.delta} keeps no {label} grid peak within "
+                             f"x = {x_allow:.3g}, the largest position a gamma = {gamma} "
+                             f"gate represents at N = {n}")
+        for s, w in peaks:
             if math.sqrt(2.0) * abs(s) > x_allow:
                 eps = max(eps, w * (1.0 + 1e-12))
     return min(eps, 0.999)
 
 
-def parse_state(selector: str, n: int) -> PureState:
+def parse_state(selector: str, n: int, gamma: float) -> PureState:
     """Build an input state from a compact selector string.
 
     Formats: "vacuum", "fock:<k>", "squeezed:<delta>",
     "gkp:<label>:<delta>[:<convention>]" with label in z+/z-/x+/x-/y+/y-.
+    A grid state keeps only the peaks that a gate of angle `gamma` can
+    represent at N = n (`representable_peak_cutoff`); gamma = 0, for a
+    state that no gate acts on, keeps every peak down to the configured cutoff.
     """
     from .fock import fock_state, vacuum as vacuum_state
 
@@ -240,7 +250,9 @@ def parse_state(selector: str, n: int) -> PureState:
             return squeezed_vacuum(float(parts[1]), n)
         if kind == "gkp" and len(parts) in (3, 4):
             convention = parts[3] if len(parts) == 4 else "literal"
-            return gkp_state(GkpParams(parts[1], float(parts[2]), convention=convention), n)
+            params = GkpParams(parts[1], float(parts[2]), convention=convention)
+            eps_k = representable_peak_cutoff(params, gamma, n)
+            return gkp_state(replace(params, eps_k=eps_k), n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad state selector {selector!r}: {exc}") from exc
     raise ValueError(f"unrecognized state selector {selector!r}")

@@ -1,19 +1,21 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The full suite takes about
-fifteen minutes on two cores; criteria 3 and 5 dominate.
+Run with `pytest tests/test_acceptance.py -v -s`. Criteria 3, 4, 5 and 11
+check the tables that `kerrcubic reproduce fig2`, `fig3b` and `fig7b` write;
+each recipe runs once per test run through `cli.dispatch`. The suite takes
+about 40 s on two cores; the fig2 and fig3b recipes dominate.
 """
 
 import math
 import time
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kerrcubic import algebra as alg
+from kerrcubic import cli
 from kerrcubic import dynamics as dyn
 from kerrcubic import experiments as ex
 from kerrcubic import fock as fk
@@ -45,10 +47,35 @@ def fit_window(pairs, emax=(0.03, 0.1, 0.15), min_points=3):
     return ex.fit_power_law(pts), len(pts)
 
 
-def optimize_warm(cfg, psi, coeff, first=False):
-    center = coeff * cfg.lam**3
-    scale = (0.8, 12.0) if first else (0.45, 3.0)
-    return ex.optimize_alpha(cfg, (center * scale[0], center * scale[1]), psi)
+@pytest.fixture(scope="module")
+def reproduce(tmp_path_factory):
+    """recipe -> the rows of the CSV `kerrcubic reproduce <recipe>` writes, as dicts.
+
+    Each recipe runs once per test run; numeric cells are floats. A table
+    with an `ok` column must have every point succeed: a failed point reads
+    NaN and would otherwise drop out of the fits without a trace.
+    """
+    tables = {}
+
+    def table(recipe):
+        if recipe not in tables:
+            out = tmp_path_factory.mktemp(recipe)
+            assert cli.dispatch(["reproduce", recipe, "--out", str(out)]) == 0
+            header, rows = cli.read_csv(out / f"{recipe}.csv")
+            rows = [{h: _cell(c) for h, c in zip(header, row)} for row in rows]
+            failed = [r for r in rows if r.get("ok", "true") != "true"]
+            assert not failed, f"reproduce {recipe}: failed points {failed}"
+            tables[recipe] = rows
+        return tables[recipe]
+
+    return table
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -140,95 +167,41 @@ def test_criterion_02_frame_equivalence():
            f"1-F = {1-f:.2e} (need < 1e-6); {time.perf_counter()-t0:.1f}s")
 
 
-def _gkp_input(label, delta, n_fock, gamma=GAMMA):
-    p0 = st.GkpParams(label, delta, eps_k=1e-8)
-    eps = st.representable_peak_cutoff(p0, gamma, n_fock)
-    return st.gkp_state(st.GkpParams(label, delta, eps_k=eps), n_fock)
+def _by(rows, key):
+    """Rows grouped by the value of `key`, in first-appearance order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(row[key], []).append(row)
+    return groups
 
 
-LAM_DBS_LOSSLESS = (5.0, 7.5, 10.0, 12.5, 15.0)
-
-
-def _lossless_lambda_sweep(label, delta, n_fock=256):
-    psi = _gkp_input(label, delta, n_fock)
-    rows = []
-    coeff = ALPHA_COEFF
-    for i, db in enumerate(LAM_DBS_LOSSLESS):
-        lam = fk.lambda_from_db(db)
-        cfg = GateConfig(lam=lam, alpha=coeff * lam**3, gamma=GAMMA, n_fock=n_fock)
-        opt = optimize_warm(cfg, psi, coeff, first=(i == 0))
-        coeff = opt.alpha / lam**3
-        rows.append((lam, opt.alpha, opt.error))
-    return rows
-
-
-_C3_CACHE = {}
-
-
-def _c3_rows():
-    if not _C3_CACHE:
-        for delta in (0.5, 0.4, 0.3):
-            for label in ("z+", "z-", "x+", "y+"):
-                _C3_CACHE[(label, delta)] = _lossless_lambda_sweep(label, delta)
-    return _C3_CACHE
-
-
-def test_criterion_03_intrinsic_error_scaling():
+def test_criterion_03_intrinsic_error_scaling(reproduce):
     t0 = time.perf_counter()
     details = []
     ok = True
-    for (label, delta), rows in _c3_rows().items():
-        fit, npts = fit_window([(lam, e) for lam, _, e in rows])
-        details.append(f"{label}/{delta}: {fit.exponent:+.2f}({npts}p)")
+    for state, rows in _by(reproduce("fig2"), "state").items():
+        fit, npts = fit_window([(r["lam"], r["error"]) for r in rows])
+        details.append(f"{state.removeprefix('gkp:').replace(':', '/')}: "
+                       f"{fit.exponent:+.2f}({npts}p)")
         ok = ok and abs(fit.exponent + 4.0) <= 0.3
     report(3, "intrinsic error ~ lam^-4", ok,
            "; ".join(details) + f"; {time.perf_counter()-t0:.0f}s")
 
 
-_C5_GRIDS = {
-    1e-3: (12.5, 15.0, 17.5, 20.0),
-    1e-4: (15.0, 17.5, 20.0, 22.5),
-    1e-5: (17.5, 20.0, 22.5, 25.0),
-}
-
-_C5_CACHE = {}
-
-
-def _c5_rows():
-    if not _C5_CACHE:
-        n_fock = 128
-        psi = _gkp_input("z+", 0.5, n_fock)
-        for cok, dbs in _C5_GRIDS.items():
-            rows = []
-            coeff = ALPHA_COEFF
-            for i, db in enumerate(dbs):
-                lam = fk.lambda_from_db(db)
-                cfg = GateConfig(lam=lam, alpha=coeff * lam**3, gamma=GAMMA,
-                                 kappa=1.0 / cok, n_fock=n_fock, lindblad_tol=3e-6)
-                opt = optimize_warm(cfg, psi, coeff, first=(i == 0))
-                coeff = opt.alpha / lam**3
-                rows.append((db, lam, opt.alpha, opt.error))
-            _C5_CACHE[cok] = rows
-    return _C5_CACHE
-
-
-def test_criterion_04_optimal_displacement_scaling():
+def test_criterion_04_optimal_displacement_scaling(reproduce):
     t0 = time.perf_counter()
-    rows = _c3_rows()[("z+", 0.5)]
+    rows = _by(reproduce("fig2"), "state")["gkp:z+:0.5"]
     # fit alpha* over the same asymptotic window used for the error fit: the
     # optimum is only clean where a single error mechanism dominates
-    window = [(lam, a) for lam, a, e in rows if e < 0.1]
+    window = [(r["lam"], r["alpha"]) for r in rows if r["error"] < 0.1]
     if len(window) < 3:
-        window = [(lam, a) for lam, a, _ in rows]
+        window = [(r["lam"], r["alpha"]) for r in rows]
     fit = ex.fit_power_law(window)
     ok_exponent = abs(fit.exponent - 3.0) <= 0.3
 
     # alpha*(kappa) at fixed lambda = 17.5 dB, shared with the criterion-5 grid
-    alphas = {}
-    for cok, rws in _c5_rows().items():
-        for db, _, alpha, _ in rws:
-            if db == 17.5:
-                alphas[cok] = alpha
+    alphas = {r["chi_over_kappa"]: r["alpha"] for r in reproduce("fig3b")
+              if r["lam_db"] == 17.5}
     seq = [alphas[c] for c in (1e-3, 1e-4, 1e-5)]  # increasing loss
     ok_mono = seq[0] < seq[1] < seq[2]
     report(4, "alpha* ~ lam^3 and grows with loss", ok_exponent and ok_mono,
@@ -237,12 +210,12 @@ def test_criterion_04_optimal_displacement_scaling():
            f"{time.perf_counter()-t0:.0f}s")
 
 
-def test_criterion_05_lossy_error_scaling():
+def test_criterion_05_lossy_error_scaling(reproduce):
     t0 = time.perf_counter()
     details = []
     ok = True
-    for cok, rws in _c5_rows().items():
-        fit, npts = fit_window([(lam, e) for _, lam, _, e in rws])
+    for cok, rws in _by(reproduce("fig3b"), "chi_over_kappa").items():
+        fit, npts = fit_window([(r["lam"], r["error"]) for r in rws])
         details.append(f"chi/kappa={cok:g}: {fit.exponent:+.2f}({npts}p)")
         ok = ok and abs(fit.exponent + 4.0) <= 0.4
     report(5, "lossy error ~ lam^-4", ok,
@@ -283,7 +256,7 @@ def test_criterion_07_phase_noise_scaling():
     n = 128
     lam = fk.lambda_from_db(10.0)
     alpha = ALPHA_COEFF * lam**3
-    psi = _gkp_input("z+", 0.5, n)
+    psi = st.parse_state("gkp:z+:0.5", n, GAMMA)
     out0 = dyn.cubic_gate(GateConfig(lam=lam, alpha=alpha, gamma=GAMMA, n_fock=n), psi).state
     noisy = dyn.cubic_gate(GateConfig(lam=lam, alpha=alpha, gamma=GAMMA, n_fock=n,
                                       noise=dyn.NoiseParams(dtheta=1e-6)), psi).state
@@ -318,7 +291,7 @@ def test_criterion_09_trotter_convergence():
     lam = fk.lambda_from_db(10.0)
 
     n_fock = 192
-    psi = _gkp_input("z+", 0.5, n_fock)
+    psi = st.parse_state("gkp:z+:0.5", n_fock, GAMMA)
     e_cont = dyn.cubic_gate(GateConfig(lam=lam, alpha=12.0, gamma=GAMMA,
                                        n_fock=n_fock), psi).error
     diffs = []
@@ -332,7 +305,7 @@ def test_criterion_09_trotter_convergence():
     # N=1 within 3x of the continuous scheme at matching alpha, on the
     # discrete scheme's good alpha range (enlarged cutoff for the kicks)
     n_big = 448
-    psi_b = _gkp_input("z+", 0.5, n_big)
+    psi_b = st.parse_state("gkp:z+:0.5", n_big, GAMMA)
     ratios = []
     for alpha in (16.0, 20.0, 25.0):
         ec = dyn.cubic_gate(GateConfig(lam=lam, alpha=alpha, gamma=GAMMA,
@@ -364,19 +337,14 @@ def test_criterion_10_soliton_table():
            "; ".join(details) + f"; {time.perf_counter()-t0:.2f}s")
 
 
-def test_criterion_11_photon_number_stationarity():
+def test_criterion_11_photon_number_stationarity(reproduce):
     t0 = time.perf_counter()
     bounds = {5.0: 0.016, 10.0: 0.0016, 15.0: 0.00016}  # frozen regression bounds
-    n_fock = 128
-    psi = _gkp_input("z+", 0.5, n_fock)
+    traces = _by(reproduce("fig7b"), "lam_db")
     details = []
     ok = True
     for db, bound in bounds.items():
-        lam = fk.lambda_from_db(db)
-        cfg = GateConfig(lam=lam, alpha=ALPHA_COEFF * lam**3, gamma=GAMMA, n_fock=n_fock)
-        opt = optimize_warm(cfg, psi, ALPHA_COEFF)
-        series, _ = dyn.photon_number_trace(replace(cfg, alpha=opt.alpha), psi, samples=41)
-        tot = series["total"]
+        tot = np.array([r["n_total"] for r in traces[db]])
         exc = float((tot.max() - tot.min()) / tot.mean())
         details.append(f"{db}dB: {exc:.2e} (<{bound:g})")
         ok = ok and exc < bound

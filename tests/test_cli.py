@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from kerrcubic import cli
+from kerrcubic import experiments as ex
 from kerrcubic import fock as fk
+from kerrcubic import states as st
 
 
 def run(args):
@@ -113,6 +115,20 @@ class TestFailFast:
         assert doc["error"]["type"] == "ConfigError"
         assert "workers" in doc["error"]["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep-lambda", "sweep-noise"])
+    @pytest.mark.parametrize("coeff", ["-1", "nan"])
+    def test_bad_alpha_coeff_rejected(self, tmp_path, capsys, monkeypatch, command, coeff):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        assert run([command, "--alpha-mode", "cube", "--alpha-coeff", coeff, "--fock", "32",
+                    "--input", "vacuum", "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ValueError"
+        assert "alpha_coeff must be finite and > 0" in doc["error"]["message"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", ["wigner_points = 0", "wigner_points = -4",
                                       "wigner_points = 2.5", "wigner_span = nan",
@@ -326,6 +342,32 @@ class TestStateAndGate:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "UnsupportedConfigurationError"
         assert not (tmp_path / "gate_result.json").exists()
+
+
+class TestInputRule:
+    @pytest.mark.parametrize("argv", [
+        ["state"],
+        ["gate", "--lambda-db", "6", "--alpha", "3"],
+        ["optimize-alpha", "--lambda-db", "6", "--bracket", "2,4"],
+        ["sweep-lambda", "--values", "6", "--alpha-mode", "cube"],
+        ["sweep-noise", "--values", "1e-4", "--lambda-db-values", "6"],
+        ["trotter", "--lambda-db", "6", "--alpha", "3", "--values", "1"],
+    ])
+    def test_input_parsed_at_the_gate_gamma(self, tmp_path, monkeypatch, argv):
+        # a command that runs a gate keeps only the grid peaks its gamma
+        # represents; `state` runs none and keeps every peak
+        gammas = []
+
+        def spy(selector, n, gamma):
+            gammas.append(gamma)
+            return st.parse_state(selector, n, gamma)
+
+        monkeypatch.setattr(cli, "parse_state", spy)
+        monkeypatch.setattr(ex, "parse_state", spy)
+        gate_flags = [] if argv[0] == "state" else ["--gamma", "0.07"]
+        assert run([*argv, *gate_flags, "--fock", "32", "--input", "squeezed:0.5",
+                    "--out", str(tmp_path)]) == 0
+        assert gammas == [0.0 if argv[0] == "state" else 0.07]
 
 
 class TestEmitDeterminism:

@@ -754,7 +754,7 @@ class TestTrotterSegmentExpansion:
                          trotter_steps=steps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fk.TruncationWarning)
-            psi = st.parse_state(selector, n)
+            psi = st.parse_state(selector, n, 0.0)
             new = dyn.trotterized_gate(cfg, psi)
             monkeypatch.setattr(dyn, "_discrete_sequence", _substituted_segments)
             old = dyn.trotterized_gate(cfg, psi)

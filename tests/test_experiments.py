@@ -224,7 +224,7 @@ class TestSweeps:
         parse = ex.parse_state
         monkeypatch.setattr(ex, "parse_state", lambda *a: parsed.append(a) or parse(*a))
         assert all(r["ok"] for r in ex.run_sweep(spec))
-        assert parsed == [("squeezed:0.5", 32)]
+        assert parsed == [("squeezed:0.5", 32, 0.1)]
         rows = ex.run_sweep(replace(spec, input_state="gkp:q+:0.5"))
         assert [r["ok"] for r in rows] == [False] * 3
         assert all(r["message"].startswith("ValueError: bad state selector") for r in rows)
@@ -249,6 +249,17 @@ class TestSweeps:
             with pytest.raises(ValueError, match="workers"):
                 ex.SweepSpec(base=base, param="lam_db", values=(1.0,), workers=workers)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_coeff", -1.0), ("alpha_coeff", 0.0), ("alpha_coeff", math.nan),
+        ("alpha_coeff", math.inf), ("bracket_scale", (3.0, 1.0)),
+        ("bracket_scale", (math.nan, 1.0)), ("bracket_scale", (0.0, 1.0)),
+        ("bracket_scale", (0.5, math.inf)),
+    ])
+    def test_bad_alpha_scaling_rejected(self, field, value):
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
+        with pytest.raises(ValueError, match=field):
+            ex.SweepSpec(base=base, param="lam_db", values=(1.0,), **{field: value})
+
     def test_fractional_trotter_steps_rejected(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
         with pytest.raises(ValueError, match="whole numbers"):
@@ -259,7 +270,7 @@ class TestSweeps:
 
 def _three_gate_rows(spec, lam_dbs):
     """(E_int, E(+v), E(-v)) of each dtheta row from three whole gates."""
-    psi = st.parse_state(spec.input_state, spec.base.n_fock)
+    psi = st.parse_state(spec.input_state, spec.base.n_fock, spec.base.gamma)
     out = []
     for db in lam_dbs:
         base = ex._configure_point(replace(spec, param="lam_db"), db)

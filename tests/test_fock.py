@@ -569,7 +569,7 @@ class TestOneRealSpectrumPerInput:
         built = self._count_spectra(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fk.TruncationWarning)
-            st.parse_state(selector, 64)
+            st.parse_state(selector, 64, 0.0)
         assert built == [False, False]
 
     def test_trotterized_gate_forms_no_displacement_matrix(self, monkeypatch):

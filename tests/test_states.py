@@ -215,13 +215,13 @@ class TestBadStateParameters:
                                           "gkp:z+:1e300", "squeezed:1e300", "gkp:x+:1e-300"])
     def test_selector_errors_are_value_errors(self, selector):
         with pytest.raises(ValueError, match="bad state selector"):
-            st.parse_state(selector, 32)
+            st.parse_state(selector, 32, 0.0)
 
     @pytest.mark.parametrize("selector", ["gkp:z+:1e-9", "gkp:y-:1e-9", "gkp:z+:1e-4"])
     def test_too_many_peaks_rejected_before_enumeration(self, selector):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="grid peaks, more than the Fock dimension"):
-            st.parse_state(selector, 448)
+            st.parse_state(selector, 448, 0.0)
         assert time.perf_counter() - start < 1.0
 
     def test_peak_cutoff_rejects_too_many_peaks(self):
@@ -364,19 +364,56 @@ class TestRepresentablePeakCutoff:
             assert beyond == [], (sub, eps, beyond)
 
 
+class TestParseStateInputRule:
+    @pytest.mark.parametrize("n", [128, 192, 256, 448])
+    @pytest.mark.parametrize("delta", [0.3, 0.4, 0.5])
+    @pytest.mark.parametrize("label", ["z+", "z-", "x+", "y+"])
+    def test_gate_input_keeps_representable_peaks(self, label, delta, n):
+        # the grid inputs the benchmark builds, and criteria 7 and 9 with it
+        eps = st.representable_peak_cutoff(st.GkpParams(label, delta, eps_k=1e-8), 0.1, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fk.TruncationWarning)
+            want = st.gkp_state(st.GkpParams(label, delta, eps_k=eps), n)
+            got = st.parse_state(f"gkp:{label}:{delta}", n, 0.1)
+        assert np.array_equal(got.vector, want.vector)
+
+    @pytest.mark.parametrize("selector, params", [
+        ("gkp:z+:0.3", st.GkpParams("z+", 0.3)),
+        ("gkp:z-:0.4", st.GkpParams("z-", 0.4)),
+        ("gkp:y-:0.5", st.GkpParams("y-", 0.5)),
+        ("gkp:x+:0.3:standard-lattice", st.GkpParams("x+", 0.3, convention="standard-lattice")),
+    ])
+    def test_without_gamma_every_peak_is_kept(self, selector, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fk.TruncationWarning)
+            assert np.array_equal(st.parse_state(selector, 256, 0.0).vector,
+                                  st.gkp_state(params, 256).vector)
+
+    def test_refusal_names_the_gate_window(self):
+        # at N = 32 a gamma = 0.1 gate represents x <= 2.35; every z- peak of
+        # delta = 0.5 lies beyond, at |x| = sqrt(2 pi) = 2.51
+        x_allow = (math.sqrt(1.0 + 12.0 * 0.1 * (math.sqrt(64.0) - 4.0)) - 1.0) / 0.6
+        want = (f"bad state selector 'gkp:x+:0.5': delta = 0.5 keeps no z- grid peak within "
+                f"x = {x_allow:.3g}, the largest position a gamma = 0.1 gate represents at N = 32")
+        with pytest.raises(ValueError) as info:
+            st.parse_state("gkp:x+:0.5", 32, 0.1)
+        assert str(info.value) == want
+        assert st.parse_state("gkp:x+:0.5", 32, 0.0).dim == 32
+
+
 class TestParseState:
     def test_selectors(self):
         n = 160
-        assert fk.fidelity(fk.vacuum(n), st.parse_state("vacuum", n)) == 1.0
-        assert fk.fidelity(fk.fock_state(n, 3), st.parse_state("fock:3", n)) == 1.0
-        sv = st.parse_state("squeezed:0.5", n)
+        assert fk.fidelity(fk.vacuum(n), st.parse_state("vacuum", n, 0.0)) == 1.0
+        assert fk.fidelity(fk.fock_state(n, 3), st.parse_state("fock:3", n, 0.0)) == 1.0
+        sv = st.parse_state("squeezed:0.5", n, 0.0)
         assert abs(fk.variance(fk.momentum(n), sv) - 0.125) < 1e-6
-        zp = st.parse_state("gkp:z+:0.5", n)
+        zp = st.parse_state("gkp:z+:0.5", n, 0.0)
         assert fk.fidelity(st.gkp_state(st.GkpParams("z+", 0.5), n), zp) > 1 - 1e-12
-        std = st.parse_state("gkp:z+:0.5:standard-lattice", n)
+        std = st.parse_state("gkp:z+:0.5:standard-lattice", n, 0.0)
         assert std.dim == n
 
     def test_bad_selectors(self):
         for sel in ("nope", "fock:x", "gkp:z+", "squeezed:-1"):
             with pytest.raises(ValueError):
-                st.parse_state(sel, 32)
+                st.parse_state(sel, 32, 0.0)
