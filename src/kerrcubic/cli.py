@@ -96,6 +96,7 @@ _CONFIG_KEYS = frozenset(_OPTIONS)
 # collected, before any work
 _VALUE_RULES = {
     "workers": (int, lambda v: v >= 1, "an integer >= 1"),
+    "fock": (int, lambda v: v >= 2, "an integer >= 2"),
     "wigner_points": (int, lambda v: v >= 1, "an integer >= 1"),
     "wigner_span": (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
 }
@@ -394,6 +395,8 @@ def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
 
 def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     values = _floats(cfg.get("values", "1,2,4,8,16"))
+    if not values:
+        raise ConfigError("trotter needs a non-empty list of step counts")
     if not all(v.is_integer() and v >= 1 for v in values):
         raise ConfigError(f"trotter step counts must be whole numbers >= 1, got {values}")
     steps = [int(v) for v in values]
@@ -469,11 +472,11 @@ def _recipe_spec(name: str, workers: int) -> dict:
         # alpha grids per squeezing keep the discrete-drive kick representable
         "fig5": {"kind": "trotter-curves",
                  "grids": {5.0: (5.0, 8.0, 12.0, 16.0), 10.0: (12.0, 16.0, 20.0, 25.0)},
-                 "trotter": (1, 2, 4), "n_fock": 448, "workers": workers},
+                 "trotter": (1, 2, 4), "n_fock": 448},
         "fig6a": noise("ddelta_rel", (1e-6, 3e-6, 1e-5)),
         "fig6b": noise("dbeta_x_rel", (1e-6, 3e-6, 1e-5)),
         "fig7b": {"kind": "photon-trace", "lam_db": (5.0, 10.0, 15.0), "samples": 41,
-                  "base": base, "workers": workers},
+                  "base": base},
         "table1": {"kind": "table1"},
     }
     if name not in specs:
@@ -567,7 +570,7 @@ def _photon_trace(spec: dict) -> tuple[list, list]:
         psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
         center = ALPHA_COEFF * lam**3
         opt = optimize_alpha(gc, tuple(s * center for s in ALPHA_BRACKET_SCALE), psi)
-        series, _ = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
+        series = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
         for t, tot, fl, var in zip(series["t"], series["total"],
                                    series["fluctuation"], series["variance"]):
             rows.append((db, opt.alpha, t, tot, fl, var))

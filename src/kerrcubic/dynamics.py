@@ -76,6 +76,11 @@ class IntegrationError(RuntimeError):
 
 LOSS_FRAMES = ("fluctuation", "displaced")
 
+# the step ladder of `evolve_lindblad`, read at call time: the rung-pair
+# tolerance (max-entry norm) and the doublings above max(128, floor)
+LINDBLAD_TOL = 1e-7
+MAX_STEP_DOUBLINGS = 6
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -115,9 +120,6 @@ class GateConfig:
     n_fock: int = 128
     loss_frame: str = "fluctuation"
     trotter_steps: int = 0
-    lindblad_steps: int | None = None
-    lindblad_tol: float = 1e-7
-    max_step_doublings: int = 6
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.chi, self.lam, self.alpha, self.kappa))):
@@ -137,12 +139,6 @@ class GateConfig:
             raise ValueError(f"loss_frame must be one of {LOSS_FRAMES}")
         if self.trotter_steps < 0:
             raise ValueError("trotter_steps must be >= 0")
-        if not (math.isfinite(self.lindblad_tol) and self.lindblad_tol > 0):
-            raise ValueError(f"lindblad_tol must be finite and > 0, got {self.lindblad_tol}")
-        if self.lindblad_steps is not None and self.lindblad_steps < 1:
-            raise ValueError(f"lindblad_steps must be None or >= 1, got {self.lindblad_steps}")
-        if self.max_step_doublings < 0:
-            raise ValueError(f"max_step_doublings must be >= 0, got {self.max_step_doublings}")
 
     @staticmethod
     def make(lam_db: float, alpha: float, gamma: float, chi: float = 1.0,
@@ -314,33 +310,27 @@ def evolve_lindblad(
     tau: float,
     rho0: MixedState,
     n_steps: int | None = None,
-    tol: float = 1e-7,
-    max_doublings: int = 6,
 ) -> tuple[MixedState, dict]:
     """Master-equation evolution d(rho)/dt = -i[H,rho] + L rho L^dag - {L^dag L, rho}/2.
 
     With n_steps given the step count is fixed. Otherwise rungs of n and 2n
-    steps are compared until the 2n-step state moves by less than `tol`
-    (max-entry norm), and that state is returned. The first pair starts at
-    the stability floor max(8, ceil(tau * m_edge)). After a failing pair with
-    delta d, the second-order error model (d falls 4x per doubling) picks the
-    next pair: j = max(1, ceil(log4(d / tol))) doublings on. No rung exceeds
-    max(128, ceil(tau * m_edge)) * 2**max_doublings; the last pair tried is
-    the one that ends there, and IntegrationError follows if it fails. Trace
-    is preserved to roundoff by construction; positivity is eigen-spot-checked
-    at the end. Diagnostics: kept `steps`, `integrated_steps` summed over
-    every rung, `rungs` as (steps, delta) per integrated rung in order (delta
-    None where no pair was compared), `step_delta` of the accepted rung,
-    `trace_drift`, `min_eigenvalue`.
+    steps are compared until the 2n-step state moves by less than tol =
+    `LINDBLAD_TOL` (max-entry norm), and that state is returned. The first
+    pair starts at the stability floor max(8, ceil(tau * m_edge)). After a
+    failing pair with delta d, the second-order error model (d falls 4x per
+    doubling) picks the next pair: j = max(1, ceil(log4(d / tol))) doublings
+    on. No rung exceeds max(128, ceil(tau * m_edge)) * 2**MAX_STEP_DOUBLINGS;
+    the last pair tried is the one that ends there, and IntegrationError
+    follows if it fails. Trace is preserved to roundoff by construction;
+    positivity is eigen-spot-checked at the end. Diagnostics: kept `steps`,
+    `integrated_steps` summed over every rung, `rungs` as (steps, delta) per
+    integrated rung in order (delta None where no pair was compared),
+    `step_delta` of the accepted rung, `trace_drift`, `min_eigenvalue`.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if n_steps is not None and n_steps < 1:
         raise ValueError(f"n_steps must be None or >= 1, got {n_steps}")
-    if max_doublings < 0:
-        raise ValueError(f"max_doublings must be >= 0, got {max_doublings}")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0.0:
         return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0}
 
@@ -360,10 +350,11 @@ def evolve_lindblad(
         rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps)
         diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift)
     else:
+        tol = LINDBLAD_TOL
         # explicit dissipator stages are stable for kappa_edge * dt <~ 2, so
         # every rung keeps dt * m_edge <= 1
         floor = int(math.ceil(tau * float(abs(m_op).sum(axis=1).max())))
-        n_top = max(128, floor) << max_doublings
+        n_top = max(128, floor) << MAX_STEP_DOUBLINGS
         p = max(8, floor)
         rungs: list = []
         states: dict = {}  # steps -> state of the rung, None if not finite
@@ -454,11 +445,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
         h, l_fluct, drift = effective_generators(cfg)
         if cfg.loss_frame == "displaced":
             h = h + _gauge_hamiltonian(l_fluct, drift)
-        out, prop_diag = evolve_lindblad(
-            h, l_fluct, tau, psi_in.density_matrix(),
-            n_steps=cfg.lindblad_steps, tol=cfg.lindblad_tol,
-            max_doublings=cfg.max_step_doublings,
-        )
+        out, prop_diag = evolve_lindblad(h, l_fluct, tau, psi_in.density_matrix())
     diagnostics.update(prop_diag)
 
     if cfg.noise.dtheta != 0.0:
@@ -480,12 +467,14 @@ def trotterized_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     return cubic_gate(cfg, psi_in)
 
 
-def photon_number_trace(cfg: GateConfig, psi_in: PureState, samples: int):
-    """Series of <n_eff> (total and fluctuation parts) and Var(n_eff) over [0, tau], and the gate.
+def photon_number_trace(cfg: GateConfig, psi_in: PureState, samples: int) -> dict:
+    """Series of <n_eff> (total and fluctuation parts) and Var(n_eff) over [0, cfg.tau].
 
-    Lossless continuous gate only. The total restores the dropped constant
-    sinh^2 + alpha^2 of n_eff; the fluctuation part also removes the coherent
-    alpha^2. The closing phase rotation commutes with n_eff.
+    Lossless continuous gate only: the state at each time is the input
+    advanced by one spectrum of the frame Hamiltonian. The total restores the
+    dropped constant sinh^2 + alpha^2 of n_eff; the fluctuation part also
+    removes the coherent alpha^2. The closing phase rotation commutes with
+    n_eff, so the series does not depend on it.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -493,20 +482,15 @@ def photon_number_trace(cfg: GateConfig, psi_in: PureState, samples: int):
         raise UnsupportedConfigurationError(
             "photon-number series are recorded for the lossless continuous gate only"
         )
-    res = cubic_gate(cfg, psi_in)
     n_mat, const = effective_number_operator(cfg)
     n2 = n_mat @ n_mat
-    t = np.linspace(0.0, res.diagnostics["tau"], samples)
-    if cfg.gamma == 0.0 and not cfg.noise.any:  # the medium is never entered
-        states = [psi_in.vector] * samples
-    else:
-        spectrum = Spectrum(_frame_matrix(cfg))
-        states = [spectrum.advance(psi_in.vector, t_k) for t_k in t]
+    t = np.linspace(0.0, cfg.tau, samples)
+    spectrum = Spectrum(_frame_matrix(cfg))
+    states = [spectrum.advance(psi_in.vector, t_k) for t_k in t]
     mean = np.array([np.vdot(psi, n_mat @ psi).real for psi in states])
     second = np.array([np.vdot(psi, n2 @ psi).real for psi in states])
-    series = {"t": t, "total": mean + const, "fluctuation": mean + const - cfg.alpha**2,
-              "variance": second - mean * mean}
-    return series, res
+    return {"t": t, "total": mean + const, "fluctuation": mean + const - cfg.alpha**2,
+            "variance": second - mean * mean}
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .dynamics import (
     GateConfig,
     cubic_gate,
     effective_number_operator,
-    kappa_from_ratio,
 )
 from .fock import (
     MixedState,
@@ -53,10 +52,8 @@ from .fock import (
 )
 from .states import nlq_variance, parse_state, squeezed_vacuum
 
-_SWEEP_PARAMS = (
-    "lam_db", "alpha", "dtheta", "ddelta_rel", "dbeta_x_rel",
-    "chi_over_kappa", "trotter_steps",
-)
+_RUN_PARAMS = ("lam_db", "alpha")                          # what run_sweep sweeps
+_NOISE_PARAMS = ("dtheta", "ddelta_rel", "dbeta_x_rel")    # what noise_sweep sweeps
 _ALPHA_MODES = ("fixed", "cube", "optimize")
 
 
@@ -174,7 +171,7 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.param not in _SWEEP_PARAMS:
+        if self.param not in _RUN_PARAMS + _NOISE_PARAMS:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
         if not self.values:
             raise ValueError("sweep needs a non-empty value list")
@@ -189,43 +186,33 @@ class SweepSpec:
             raise ValueError(f"bracket_scale must be finite with 0 < lo <= hi, "
                              f"got {self.bracket_scale}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.param == "trotter_steps" and not all(v.is_integer() for v in self.values):
-            raise ValueError(f"trotter step counts must be whole numbers, got {self.values}")
 
 
-def _configure_point(spec: SweepSpec, value: float) -> GateConfig:
+def _configure_point(spec: SweepSpec, param: str, value: float) -> GateConfig:
+    """spec.base with `param` ("lam_db" or "alpha") at `value`; cube-law alpha in mode "cube"."""
     cfg = spec.base
-    if spec.param == "lam_db":
+    if param == "lam_db":
         cfg = replace(cfg, lam=lambda_from_db(value))
-    elif spec.param == "alpha":
+    else:
         cfg = replace(cfg, alpha=value)
-    elif spec.param == "chi_over_kappa":
-        cfg = replace(cfg, kappa=kappa_from_ratio(cfg.chi, value))
-    elif spec.param == "trotter_steps":
-        cfg = replace(cfg, trotter_steps=int(value))
-    elif spec.param == "dtheta":
-        cfg = replace(cfg, noise=replace(cfg.noise, dtheta=value))
-    # relative detuning/drive offsets are resolved after alpha is known
     if spec.alpha_mode == "cube":
         cfg = replace(cfg, alpha=spec.alpha_coeff * cfg.lam**3)
     return cfg
 
 
 def _resolve_relative_noise(param: str, cfg: GateConfig, value: float) -> GateConfig:
-    """Set a detuning or drive offset of `value` times its counter-term at cfg.alpha."""
+    """Set the detuning ("ddelta_rel") or drive ("dbeta_x_rel") offset to
+    `value` times its counter-term at cfg.alpha."""
+    delta_c, beta_c = algebra.cubic_counterterms(cfg.chi)
     if param == "ddelta_rel":
-        dc = algebra.cubic_counterterms(cfg.chi)[0](cfg.alpha).real
-        return replace(cfg, noise=replace(cfg.noise, ddelta=value * dc))
-    if param == "dbeta_x_rel":
-        bc = algebra.cubic_counterterms(cfg.chi)[1](cfg.alpha).real
-        return replace(cfg, noise=replace(cfg.noise, dbeta_x=value * bc))
-    return cfg
+        return replace(cfg, noise=replace(cfg.noise, ddelta=value * delta_c(cfg.alpha).real))
+    return replace(cfg, noise=replace(cfg.noise, dbeta_x=value * beta_c(cfg.alpha).real))
 
 
 def _sweep_point(spec: SweepSpec, psi, value: float) -> dict:
     row = {"value": value, "param": spec.param, "ok": True, "message": ""}
     try:
-        cfg = _configure_point(spec, value)
+        cfg = _configure_point(spec, spec.param, value)
         if isinstance(psi, Exception):
             raise psi
         if spec.alpha_mode == "optimize":
@@ -234,7 +221,6 @@ def _sweep_point(spec: SweepSpec, psi, value: float) -> dict:
                 cfg, (center * spec.bracket_scale[0], center * spec.bracket_scale[1]), psi
             )
             cfg = replace(cfg, alpha=opt.alpha)
-        cfg = _resolve_relative_noise(spec.param, cfg, value)
         res = cubic_gate(cfg, psi)
         row.update(
             lam=cfg.lam, lam_db=cfg.lam_db, alpha=cfg.alpha, error=res.error,
@@ -274,7 +260,12 @@ def _map_points(fn, spec: SweepSpec, points) -> list:
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate every sweep point; per-point failures are recorded, not raised."""
+    """Evaluate every sweep point; per-point failures are recorded, not raised.
+
+    spec.param is "lam_db" or "alpha"; noise offsets are swept by `noise_sweep`.
+    """
+    if spec.param not in _RUN_PARAMS:
+        raise ValueError(f"run_sweep cannot sweep {spec.param!r}; choose from {_RUN_PARAMS}")
     return _map_points(_sweep_point, spec, spec.values)
 
 
@@ -326,11 +317,9 @@ def _phase_noise_score(base: GateConfig, psi: PureState):
 def _offset_score(spec: SweepSpec, base: GateConfig, psi: PureState):
     """v -> (E_int, E(+v), E(-v), excess) of a detuning or drive offset: two gates per v."""
     e_int = cubic_gate(base, psi).error
-    noise_spec = replace(spec, base=base, alpha_mode="fixed")
 
     def noisy_error(v: float) -> float:
-        cfg = _resolve_relative_noise(spec.param, _configure_point(noise_spec, v), v)
-        return cubic_gate(cfg, psi).error
+        return cubic_gate(_resolve_relative_noise(spec.param, base, v), psi).error
 
     def score(v: float):
         e_plus, e_minus = noisy_error(v), noisy_error(-v)
@@ -344,7 +333,7 @@ _NOISE_CELLS = ("error_int", "error_plus", "error_minus", "excess")
 
 def _noise_rows(spec: SweepSpec, psi, lam_db: float) -> list[dict]:
     """The rows of every noise value at one squeezing, from one E_int."""
-    base = _configure_point(replace(spec, param="lam_db"), lam_db)
+    base = _configure_point(spec, "lam_db", lam_db)
     if isinstance(psi, Exception):
         raise psi
     rows = [{"param": spec.param, "lam_db": lam_db, "lam": base.lam, "alpha": base.alpha,
@@ -375,10 +364,13 @@ def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     squeezing give every value in closed form (`_phase_noise_score`). A
     detuning or drive row runs its two noisy gates.
     """
-    if spec.param not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
-        raise ValueError(f"noise_sweep cannot sweep {spec.param!r}")
+    if spec.param not in _NOISE_PARAMS:
+        raise ValueError(f"noise_sweep cannot sweep {spec.param!r}; choose from {_NOISE_PARAMS}")
     if spec.alpha_mode == "optimize":
         raise ValueError("noise_sweep takes alpha_mode 'fixed' or 'cube', not 'optimize'")
+    lam_db_values = tuple(lam_db_values)
+    if not lam_db_values:
+        raise ValueError("noise sweep needs a non-empty squeezing list")
     return [row for rows in _map_points(_noise_rows, spec, lam_db_values) for row in rows]
 
 

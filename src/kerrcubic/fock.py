@@ -167,6 +167,8 @@ class MixedState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidDimensionError(f"density matrix must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ContractViolationError("density matrix entries are not finite")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > 1e-8:
             raise ContractViolationError(f"trace {tr} deviates from 1 beyond 1e-8")

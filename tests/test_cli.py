@@ -87,6 +87,27 @@ class TestFailFast:
         assert doc["error"]["type"] == "ConfigError"
         assert ":2:" in doc["error"]["message"] and "'bracket'" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("fock", ["0", "-3"])
+    def test_fock_below_two_rejected(self, tmp_path, capsys, fock):
+        assert run(["state", "--fock", fock, "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert "fock must be an integer >= 2" in doc["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["sweep-noise", "--lambda-db-values", ","],
+                                      ["trotter", "--values", ","]])
+    def test_empty_list_rejected_before_any_gate(self, tmp_path, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        for module, name in ((cli, "cubic_gate"), (cli, "trotterized_gate"),
+                             (ex, "cubic_gate")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert run([*argv, "--fock", "32", "--input", "vacuum", "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert "non-empty" in doc["error"]["message"]
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_flag_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):

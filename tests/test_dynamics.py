@@ -202,14 +202,14 @@ class TestEvolveLindblad:
         assert d1["steps"] == d2["steps"]
         assert np.array_equal(rho1.matrix, rho2.matrix)
 
-    def test_step_control_failure_raises(self):
+    def test_step_control_failure_raises(self, monkeypatch):
         n = 24
         l_op = 3.0 * fk.annihilation(n)
+        monkeypatch.setattr(dyn, "LINDBLAD_TOL", 1e-16)
+        monkeypatch.setattr(dyn, "MAX_STEP_DOUBLINGS", 0)
         with pytest.raises(dyn.IntegrationError):
-            dyn.evolve_lindblad(
-                np.zeros((n, n)), l_op, 5.0,
-                fk.fock_state(n, 6).density_matrix(), tol=1e-16, max_doublings=0,
-            )
+            dyn.evolve_lindblad(np.zeros((n, n)), l_op, 5.0,
+                                fk.fock_state(n, 6).density_matrix())
 
     def test_trace_leak_raises(self, monkeypatch):
         # a step that grows the trace by ~2e-6 must trip the 1e-8 trace guard
@@ -238,6 +238,19 @@ class TestEvolveLindblad:
                                           fk.vacuum(n).density_matrix(), n_steps=4)
         assert diag["min_eigenvalue"] < -1e-7
 
+    def test_non_finite_output_is_contract_violation(self, monkeypatch):
+        # a NaN state passes the trace guard (NaN > 1e-8 is false); the state
+        # contract refuses it, so the CLI reports a numerical failure
+        n = 16
+
+        def nan_output(spectrum, lindblad, tau, rho0, n_steps):
+            return np.full((n, n), np.nan, dtype=complex), np.nan
+
+        monkeypatch.setattr(dyn, "_lindblad_fixed", nan_output)
+        with pytest.raises(fk.ContractViolationError, match="not finite"):
+            dyn.evolve_lindblad(np.zeros((n, n)), fk.annihilation(n), 0.1,
+                                fk.vacuum(n).density_matrix(), n_steps=4)
+
 
 def _dense_lindblad_reference(h, lm, tau, rho0, n_steps):
     # the integrator's former loop: two dense half-step sandwiches and two
@@ -262,12 +275,13 @@ def _dense_lindblad_reference(h, lm, tau, rho0, n_steps):
     return rho
 
 
-def _dense_ladder_reference(h, lm, tau, rho0, tol=1e-7, max_doublings=6):
+def _dense_ladder_reference(h, lm, tau, rho0):
     # the adaptive ladder over the dense loop; returns (rho, rungs). Pairs
     # (p, 2p) start at the stability floor; a failing pair with delta d jumps
     # max(1, ceil(log4(d / tol))) doublings on, the last pair ending at the cap
+    tol = dyn.LINDBLAD_TOL
     floor = math.ceil(tau * float(np.abs(lm.conj().T @ lm).sum(axis=1).max()))
-    n_top = max(128, floor) << max_doublings
+    n_top = max(128, floor) << dyn.MAX_STEP_DOUBLINGS
     p, rungs, states = max(8, floor), [], {}
     while 2 * p <= n_top:
         for n in (p, 2 * p):
@@ -425,12 +439,13 @@ class TestStepLadder:
         m_edge = float(np.abs(l_op.conj().T @ l_op).sum(axis=1).max())
         return h, l_op, m_edge, fk.vacuum(n).density_matrix()
 
-    def test_keeps_floor_128_rung_with_fewer_steps(self):
+    def test_keeps_floor_128_rung_with_fewer_steps(self, monkeypatch):
         h, l_op, m_edge, rho0 = self._setup()
         tau, tol = 0.05, 1e-9
         assert tau * m_edge < 8  # the floor is 8, far below the former 128
         kept, integrated, ref = _floor_128_ladder(h, l_op, tau, rho0, tol)
-        rho, diag = dyn.evolve_lindblad(h, l_op, tau, rho0, tol=tol)
+        monkeypatch.setattr(dyn, "LINDBLAD_TOL", tol)
+        rho, diag = dyn.evolve_lindblad(h, l_op, tau, rho0)
         assert kept == 1024 and integrated == 1920
         assert diag["steps"] == kept
         assert np.array_equal(rho.matrix, ref)
@@ -442,12 +457,13 @@ class TestStepLadder:
         delta = diag["rungs"][1][1]
         assert 4**5 <= delta / tol < 4**6
 
-    def test_every_rung_within_stability_floor(self):
+    def test_every_rung_within_stability_floor(self, monkeypatch):
         h, l_op, m_edge, rho0 = self._setup(n=24, kappa=9.0)
         tau = 0.1
         floor = math.ceil(tau * m_edge)
         assert 8 < floor < 128
-        _, diag = dyn.evolve_lindblad(h, l_op, tau, rho0, tol=1e-8)
+        monkeypatch.setattr(dyn, "LINDBLAD_TOL", 1e-8)
+        _, diag = dyn.evolve_lindblad(h, l_op, tau, rho0)
         steps = [n for n, _ in diag["rungs"]]
         assert steps[0] == floor
         assert len(steps) > 2  # the first pair failed
@@ -465,23 +481,16 @@ class TestStepLadder:
             return fixed(spectrum, lindblad, tau, rho0, n_steps)
 
         monkeypatch.setattr(dyn, "_lindblad_fixed", spy)
+        monkeypatch.setattr(dyn, "LINDBLAD_TOL", 1e-16)
+        monkeypatch.setattr(dyn, "MAX_STEP_DOUBLINGS", 1)
         with pytest.raises(dyn.IntegrationError, match="up to 256 steps"):
-            dyn.evolve_lindblad(h, l_op, tau, rho0, tol=1e-16, max_doublings=1)
+            dyn.evolve_lindblad(h, l_op, tau, rho0)
         # the last pair tried is the former ladder's last pair, 128 and 256
         assert calls == [floor, 2 * floor, 128, 256]
 
     @pytest.mark.parametrize("kw", [
-        dict(lindblad_tol=0.0), dict(lindblad_tol=-1e-7), dict(lindblad_tol=math.nan),
-        dict(lindblad_tol=math.inf), dict(lindblad_steps=0), dict(lindblad_steps=-4),
-        dict(max_step_doublings=-1),
-    ])
-    def test_config_rejects_invalid_integrator_setting(self, kw):
-        with pytest.raises(ValueError, match=next(iter(kw))):
-            make_cfg(kappa=1.0, **kw)
-
-    @pytest.mark.parametrize("kw", [
-        dict(tol=0.0), dict(tol=-1e-7), dict(tol=math.nan), dict(tol=math.inf),
-        dict(n_steps=0), dict(max_doublings=-1),
+        dict(n_steps=0), dict(n_steps=-4), dict(tau=-1.0), dict(tau=math.nan),
+        dict(tau=math.inf), dict(tau=-math.inf),
     ])
     def test_evolve_rejects_invalid_setting_before_work(self, kw, monkeypatch):
         def no_work(*args, **kwargs):
@@ -491,7 +500,7 @@ class TestStepLadder:
         monkeypatch.setattr(dyn, "_lindblad_fixed", no_work)
         h, l_op, _, rho0 = self._setup(n=16)
         with pytest.raises(ValueError, match=next(iter(kw))):
-            dyn.evolve_lindblad(h, l_op, 0.05, rho0, **kw)
+            dyn.evolve_lindblad(h, l_op, rho0=rho0, **{"tau": 0.05, **kw})
 
 
 class TestCubicGate:
@@ -774,11 +783,12 @@ class TestTrotterSegmentExpansion:
         cfg = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
                          trotter_steps=16)
         psi = st.squeezed_vacuum(0.5, cfg.n_fock)
-        dyn.trotterized_gate(cfg, psi)
-        assert 1 <= len(calls) <= 5  # one per order m of the shift
-        calls.clear()
-        dyn.trotterized_gate(replace(cfg, alpha=7.0), psi)
-        dyn.trotterized_gate(replace(cfg, trotter_steps=3), psi)
+        with pytest.warns(fk.TruncationWarning, match="excursion"):
+            dyn.trotterized_gate(cfg, psi)
+            assert 1 <= len(calls) <= 5  # one per order m of the shift
+            calls.clear()
+            dyn.trotterized_gate(replace(cfg, alpha=7.0), psi)
+            dyn.trotterized_gate(replace(cfg, trotter_steps=3), psi)
         assert calls == []
 
 
@@ -786,7 +796,7 @@ class TestPhotonTrace:
     def test_initial_value_matches_input_expectation(self):
         cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=96)
         psi = st.squeezed_vacuum(0.5, cfg.n_fock)
-        series, _ = dyn.photon_number_trace(cfg, psi, samples=5)
+        series = dyn.photon_number_trace(cfg, psi, samples=5)
         n_op, const = dyn.effective_number_operator(cfg)
         want = fk.expectation(n_op, psi).real + const
         assert abs(series["total"][0] - want) < 1e-10
@@ -795,10 +805,23 @@ class TestPhotonTrace:
     def test_sample_count_and_span(self):
         cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=96)
         psi = fk.vacuum(cfg.n_fock)
-        series, _ = dyn.photon_number_trace(cfg, psi, samples=9)
+        series = dyn.photon_number_trace(cfg, psi, samples=9)
         assert len(series["t"]) == 9
         assert series["t"][0] == 0.0
         assert abs(series["t"][-1] - cfg.tau) < 1e-18
+
+    def test_trace_ends_at_the_gate_output_from_one_spectrum(self, monkeypatch):
+        cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=96)
+        psi = st.squeezed_vacuum(0.5, cfg.n_fock)
+        out = dyn.cubic_gate(cfg, psi).state
+        spectra = []
+        spectrum = dyn.Spectrum
+        monkeypatch.setattr(dyn, "Spectrum", lambda h: spectra.append(h) or spectrum(h))
+        monkeypatch.setattr(dyn, "cubic_gate", None)  # the trace runs no gate
+        series = dyn.photon_number_trace(cfg, psi, samples=5)
+        assert len(spectra) == 1
+        n_op, const = dyn.effective_number_operator(cfg)
+        assert abs(series["total"][-1] - (fk.expectation(n_op, out).real + const)) < 1e-10
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
@@ -808,10 +831,9 @@ class TestPhotonTrace:
         # gamma = 0 never enters the medium: the series is the input's moments
         cfg = make_cfg(lam=1.5, alpha=2.0, gamma=0.0)
         psi = st.squeezed_vacuum(0.5, cfg.n_fock)
-        series, res = dyn.photon_number_trace(cfg, psi, samples=5)
+        series = dyn.photon_number_trace(cfg, psi, samples=5)
         n_op, const = dyn.effective_number_operator(cfg)
         want = fk.expectation(n_op, psi).real + const
-        assert res.error == 0.0
         assert len(series["t"]) == 5 and not series["t"].any()
         assert np.all(series["total"] == series["total"][0])
         assert abs(series["total"][0] - want) < 1e-10
@@ -833,6 +855,6 @@ class TestPhotonTrace:
     def test_lossy_trace_rejected_before_gate_work(self, monkeypatch):
         # series are recorded for the lossless continuous gate only
         self._forbid_gate_work(monkeypatch)
-        cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=48, kappa=0.5, lindblad_steps=64)
+        cfg = make_cfg(lam=1.5, alpha=2.0, n_fock=48, kappa=0.5)
         with pytest.raises(dyn.UnsupportedConfigurationError, match="lossless continuous"):
             dyn.photon_number_trace(cfg, fk.vacuum(cfg.n_fock), samples=4)

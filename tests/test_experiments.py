@@ -174,14 +174,15 @@ class TestSweeps:
         assert rows[0]["error"] == direct.error
 
     def test_row_failure_recorded_not_raised(self):
-        # a cheap lossy row (kappa = 1, N = 32) next to a rejected zero ratio
-        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32)
-        spec = ex.SweepSpec(base=base, param="chi_over_kappa", values=(1.0, 0.0),
+        # a cheap lossy row (kappa = 1, N = 32) next to a rejected non-finite squeezing
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32, kappa=1.0)
+        spec = ex.SweepSpec(base=base, param="lam_db", values=(6.0, math.inf),
                             input_state="squeezed:0.5")
         rows = ex.run_sweep(spec)
         assert rows[0]["ok"]
         assert not rows[1]["ok"]
-        assert rows[1]["message"].startswith("ValueError: chi_over_kappa")
+        assert rows[1]["message"].startswith("ValueError: chi, lam, alpha and kappa must be")
+        assert math.isnan(rows[1]["error"])
 
     def test_parallel_matches_serial(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)
@@ -260,12 +261,15 @@ class TestSweeps:
         with pytest.raises(ValueError, match=field):
             ex.SweepSpec(base=base, param="lam_db", values=(1.0,), **{field: value})
 
-    def test_fractional_trotter_steps_rejected(self):
+    @pytest.mark.parametrize("param", ["dtheta", "ddelta_rel", "dbeta_x_rel"])
+    def test_run_sweep_rejects_noise_param(self, param, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("input parsed")
+
+        monkeypatch.setattr(ex, "parse_state", forbidden)
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
-        with pytest.raises(ValueError, match="whole numbers"):
-            ex.SweepSpec(base=base, param="trotter_steps", values=(1.0, 2.5))
-        spec = ex.SweepSpec(base=base, param="trotter_steps", values=(1, 2.0))
-        assert spec.values == (1.0, 2.0)
+        with pytest.raises(ValueError, match="run_sweep cannot sweep"):
+            ex.run_sweep(ex.SweepSpec(base=base, param=param, values=(1e-4,)))
 
 
 def _three_gate_rows(spec, lam_dbs):
@@ -273,7 +277,7 @@ def _three_gate_rows(spec, lam_dbs):
     psi = st.parse_state(spec.input_state, spec.base.n_fock, spec.base.gamma)
     out = []
     for db in lam_dbs:
-        base = ex._configure_point(replace(spec, param="lam_db"), db)
+        base = ex._configure_point(spec, "lam_db", db)
         for v in spec.values:
             out.append(tuple(
                 dyn.cubic_gate(replace(base, noise=replace(base.noise, dtheta=x)), psi).error
@@ -300,7 +304,7 @@ class TestNoiseSweep:
             assert r["excess"] > 0
 
     @pytest.mark.parametrize("kw", [
-        dict(n_fock=32, kappa=0.05, lindblad_steps=16),  # mixed output
+        dict(n_fock=32, kappa=0.05),  # mixed output
         dict(noise=dyn.NoiseParams(dtheta=2e-4, ddelta=1e-3)),  # offsets in the base
     ])
     def test_closed_form_matches_three_gates(self, kw):
@@ -380,6 +384,16 @@ class TestNoiseSweep:
         spec = ex.SweepSpec(base=base, param="lam_db", values=(10.0,))
         with pytest.raises(ValueError):
             ex.noise_sweep(spec, (10.0,))
+
+    def test_rejects_empty_squeezing_list_before_parsing(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("input parsed")
+
+        monkeypatch.setattr(ex, "parse_state", forbidden)
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
+        spec = ex.SweepSpec(base=base, param="dtheta", values=(1e-4,))
+        with pytest.raises(ValueError, match="non-empty squeezing list"):
+            ex.noise_sweep(spec, ())
 
     def test_flags_large_error(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=96)

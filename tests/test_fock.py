@@ -374,6 +374,16 @@ class TestValueTypes:
         with pytest.raises(fk.ContractViolationError):
             fk.MixedState(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mixed_state_rejects_non_finite_entries(self, bad):
+        # a NaN trace or entry fails both comparisons above, so it needs its own check
+        with pytest.raises(fk.ContractViolationError, match="not finite"):
+            fk.MixedState(np.full((4, 4), bad))
+        m = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(fk.ContractViolationError, match="not finite"):
+            fk.MixedState(m)
+
     def test_truncation_convergence_contract(self):
         def mean_n(n):
             psi = _applied(fk.displacement(1.0, n).matrix, fk.vacuum(n))

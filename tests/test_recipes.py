@@ -2,10 +2,9 @@
 
 Every recipe's parameter set is pinned through its `--dry-run` sidecar. The
 eight long-running recipes then run on shrunk parameter sets (few states and
-values, N = 32-64, fixed master-equation steps in lossy bases) substituted for
-`cli._recipe_spec`, and their tables are compared with the files in
-tests/golden/recipes/: header and text cells exactly, numbers to 1e-12
-relative.
+values, N = 32-64) substituted for `cli._recipe_spec`, and their tables are
+compared with the files in tests/golden/recipes/: header and text cells
+exactly, numbers to 1e-12 relative.
 
 To re-record the goldens after an intended output change, run
 `PYTHONPATH=src python tests/test_recipes.py --record`. It prints every cell
@@ -27,7 +26,7 @@ from kerrcubic.dynamics import GateConfig
 GOLDEN = Path(__file__).parent / "golden" / "recipes"
 
 _LOSSLESS = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=48)
-_LOSSY = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=32, lindblad_steps=16)
+_LOSSY = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=32)
 
 
 def _noise(channel, values):
@@ -45,11 +44,10 @@ SHRUNK = {
               "base": _LOSSY, "workers": 1},
     "fig3c": _noise("dtheta", (1e-4, 1e-3)),
     "fig5": {"kind": "trotter-curves", "grids": {5.0: (5.0, 8.0)}, "trotter": (1, 2),
-             "n_fock": 64, "workers": 1},
+             "n_fock": 64},
     "fig6a": _noise("ddelta_rel", (1e-5,)),
     "fig6b": _noise("dbeta_x_rel", (1e-5,)),
-    "fig7b": {"kind": "photon-trace", "lam_db": (5.0,), "samples": 5,
-              "base": _LOSSLESS, "workers": 1},
+    "fig7b": {"kind": "photon-trace", "lam_db": (5.0,), "samples": 5, "base": _LOSSLESS},
 }
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 import warnings
@@ -117,9 +118,10 @@ class TestGkpState:
 
     def test_superposition_labels(self):
         n = 160
-        zp = st.gkp_state(st.GkpParams("z+", 0.5), n)
-        zm = st.gkp_state(st.GkpParams("z-", 0.5), n)
-        xp = st.gkp_state(st.GkpParams("x+", 0.5), n)
+        with pytest.warns(fk.TruncationWarning, match="outermost grid peak"):
+            zp = st.gkp_state(st.GkpParams("z+", 0.5), n)
+            zm = st.gkp_state(st.GkpParams("z-", 0.5), n)
+            xp = st.gkp_state(st.GkpParams("x+", 0.5), n)
         manual = fk.PureState(zp.vector + zm.vector)
         assert fk.fidelity(manual, xp) > 1 - 1e-12
 
@@ -214,7 +216,9 @@ class TestBadStateParameters:
     @pytest.mark.parametrize("selector", ["squeezed:inf", "squeezed:nan", "gkp:z+:inf",
                                           "gkp:z+:1e300", "squeezed:1e300", "gkp:x+:1e-300"])
     def test_selector_errors_are_value_errors(self, selector):
-        with pytest.raises(ValueError, match="bad state selector"):
+        regime = (pytest.warns(UserWarning, match="outside the intended regime")
+                  if selector == "squeezed:1e300" else contextlib.nullcontext())
+        with regime, pytest.raises(ValueError, match="bad state selector"):
             st.parse_state(selector, 32, 0.0)
 
     @pytest.mark.parametrize("selector", ["gkp:z+:1e-9", "gkp:y-:1e-9", "gkp:z+:1e-4"])
@@ -398,7 +402,8 @@ class TestParseStateInputRule:
         with pytest.raises(ValueError) as info:
             st.parse_state("gkp:x+:0.5", 32, 0.1)
         assert str(info.value) == want
-        assert st.parse_state("gkp:x+:0.5", 32, 0.0).dim == 32
+        with pytest.warns(fk.TruncationWarning, match="outermost grid peak"):
+            assert st.parse_state("gkp:x+:0.5", 32, 0.0).dim == 32
 
 
 class TestParseState:
@@ -408,8 +413,9 @@ class TestParseState:
         assert fk.fidelity(fk.fock_state(n, 3), st.parse_state("fock:3", n, 0.0)) == 1.0
         sv = st.parse_state("squeezed:0.5", n, 0.0)
         assert abs(fk.variance(fk.momentum(n), sv) - 0.125) < 1e-6
-        zp = st.parse_state("gkp:z+:0.5", n, 0.0)
-        assert fk.fidelity(st.gkp_state(st.GkpParams("z+", 0.5), n), zp) > 1 - 1e-12
+        with pytest.warns(fk.TruncationWarning, match="outermost grid peak"):
+            zp = st.parse_state("gkp:z+:0.5", n, 0.0)
+            assert fk.fidelity(st.gkp_state(st.GkpParams("z+", 0.5), n), zp) > 1 - 1e-12
         std = st.parse_state("gkp:z+:0.5:standard-lattice", n, 0.0)
         assert std.dim == n
 
