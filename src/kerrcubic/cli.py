@@ -3,24 +3,26 @@
 Subcommands: heff-expand, state, gate, sweep-lambda, optimize-alpha,
 sweep-noise, state-gen, trotter, soliton-fom, reproduce.
 
-Every option is declared once, in `_OPTIONS`, with the subcommands that read
-it; a `--config` file may set any option its subcommand reads, and flags
-override the file. `dispatch` resolves them, runs the
-subcommand's handler and writes a JSON sidecar of every option the run set,
-from which the run is reproducible byte-for-byte. Exit codes: 0 success, 2
-configuration error, 3 numerical/IO failure. Errors go to stderr as one JSON
-object. CSV cells carry 17 significant digits.
+Every option is declared once, in `_OPTIONS`, with its value rule and the
+subcommands that read it; a `--config` file may set any option its
+subcommand reads, and flags override the file. A flag's text and a file's
+text are parsed by the same rule. `dispatch` resolves them, runs the
+subcommand's handler and writes a JSON sidecar of the parsed value of every
+option the run set, from which the run is reproducible byte-for-byte. Exit
+codes: 0 success, 2 configuration error, 3 numerical/IO failure. Errors go to
+stderr as one JSON object. CSV cells carry 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,63 +54,74 @@ SCHEMA_VERSION = 1
 RECIPES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5",
            "fig6a", "fig6b", "fig7b", "table1")
 
-_SWITCH = {"action": "store_true", "default": None}  # unset: not recorded
-
 # subcommands that run on a GateConfig, built from the gate options
 _GATE_COMMANDS = ("gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "state-gen", "trotter")
 
-# config key -> (flag keywords, subcommands that read it): None for every
-# subcommand, or a mapping of subcommand -> its own extra flag keywords. A
-# subcommand takes the flag --key-name unless the keywords are None (a
-# config-file-only key); neither a flag nor a config file may set a key the
-# subcommand does not read. `--config`, `--dry-run` and the `reproduce`
-# recipe select how the program runs and are declared apart.
+
+def _integer(low: int) -> tuple:
+    return int, lambda v: v >= low, f"an integer >= {low}"
+
+
+# value rules, (parse, test, description): a flag's text and a config file's
+# text both reach the run as parse(text), and the value must pass test. Lists
+# (values, bracket, lambda_db_values) stay text that `_floats` parses where
+# they are read, and a choice is checked by the code that acts on it.
+_TEXT = (str, lambda v: True, "text")
+_NUMBER = (float, math.isfinite, "a finite number")
+_SWITCH = ({"true": True, "false": False}.get, lambda v: v is not None, "true or false")
+_RATIO = (lambda v: None if v in ("", "none") else float(v),
+          lambda v: v is None or (math.isfinite(v) and v > 0), "none or finite and > 0")
+
+# config key -> (value rule, subcommands that read it; None: every subcommand).
+# A subcommand takes the flag --key-name, except for the config-file-only keys
+# `_FILE_ONLY`; neither a flag nor a config file may set a key the subcommand
+# does not read. `--config`, `--dry-run` and the `reproduce` recipe select how
+# the program runs and are declared apart.
 _OPTIONS = {
-    "out": ({}, None),
-    "input": ({}, ("state", "gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "trotter")),
-    "values": ({}, ("sweep-lambda", "sweep-noise", "trotter")),
-    "workers": ({"type": int}, ("sweep-lambda", "sweep-noise", "reproduce")),
-    "fock": ({"type": int}, ("state", *_GATE_COMMANDS)),
-    "trotter": ({"type": int}, _GATE_COMMANDS),
-    **dict.fromkeys(["lambda_db", "alpha", "chi"], ({"type": float},
-                                                   ("heff-expand", *_GATE_COMMANDS))),
-    **dict.fromkeys(["gamma", "chi_over_kappa", "dtheta", "ddelta_rel", "dbetax_rel"],
-                    ({"type": float}, _GATE_COMMANDS)),
-    "delta": ({"type": float}, ("heff-expand", "state-gen")),
-    "loss_frame": ({"choices": ["fluctuation", "displaced"]}, _GATE_COMMANDS),
-    "beta": ({"type": float}, ("heff-expand",)),
+    "out": (_TEXT, None),
+    "input": (_TEXT, ("state", "gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "trotter")),
+    "values": (_TEXT, ("sweep-lambda", "sweep-noise", "trotter")),
+    "workers": (_integer(1), ("sweep-lambda", "sweep-noise", "reproduce")),
+    "fock": (_integer(2), ("state", *_GATE_COMMANDS)),
+    "trotter": (_integer(0), _GATE_COMMANDS),
+    **dict.fromkeys(["lambda_db", "alpha", "chi"], (_NUMBER, ("heff-expand", *_GATE_COMMANDS))),
+    **dict.fromkeys(["gamma", "dtheta", "ddelta_rel", "dbetax_rel"], (_NUMBER, _GATE_COMMANDS)),
+    "chi_over_kappa": (_RATIO, _GATE_COMMANDS),
+    "delta": (_NUMBER, ("heff-expand", "state-gen")),
+    "loss_frame": (_TEXT, _GATE_COMMANDS),
+    "beta": (_NUMBER, ("heff-expand",)),
     "wigner": (_SWITCH, ("state", "gate")),
-    "alpha_mode": ({}, {"sweep-lambda": {"choices": ["fixed", "cube", "optimize"]},
-                        "sweep-noise": {"choices": ["fixed", "cube"]}}),
-    "alpha_coeff": ({"type": float}, ("sweep-lambda", "sweep-noise")),
-    "bracket": ({}, ("optimize-alpha",)),
-    "noise": ({"choices": ["dtheta", "ddelta-rel", "dbetax-rel"]}, ("sweep-noise",)),
-    "lambda_db_values": ({}, ("sweep-noise",)),
+    "alpha_mode": (_TEXT, ("sweep-lambda", "sweep-noise")),
+    "alpha_coeff": (_NUMBER, ("sweep-lambda", "sweep-noise")),
+    "bracket": (_TEXT, ("optimize-alpha",)),
+    "noise": (_TEXT, ("sweep-noise",)),
+    "lambda_db_values": (_TEXT, ("sweep-noise",)),
     "no_correction": (_SWITCH, ("state-gen",)),
     "builtin_table": (_SWITCH, ("soliton-fom",)),
-    "materials": ({}, ("soliton-fom",)),
-    **dict.fromkeys(["wigner_span", "wigner_points"], (None, ("state", "gate", "state-gen"))),
+    "materials": (_TEXT, ("soliton-fom",)),
+    "wigner_span": ((float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+                    ("state", "gate", "state-gen")),
+    "wigner_points": (_integer(1), ("state", "gate", "state-gen")),
 }
 
-_CONFIG_KEYS = frozenset(_OPTIONS)
-
-# config key -> (parse, test, rule): the value checked when the config is
-# collected, before any work
-_VALUE_RULES = {
-    "workers": (int, lambda v: v >= 1, "an integer >= 1"),
-    "fock": (int, lambda v: v >= 2, "an integer >= 2"),
-    "wigner_points": (int, lambda v: v >= 1, "an integer >= 1"),
-    "wigner_span": (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-}
-
-
-def _reads(command: str, key: str) -> bool:
-    names = _OPTIONS[key][1]
-    return names is None or command in names
+_FILE_ONLY = ("wigner_span", "wigner_points")
 
 
 class ConfigError(ValueError):
     """Bad configuration file or flag combination."""
+
+
+def _parse_value(key: str, text: str, where: str = ""):
+    """The value of option `key` given as `text`; a bad one is a ConfigError led by `where`."""
+    parse, test, rule = _OPTIONS[key][0]
+    try:
+        value = parse(text)
+        ok = test(value)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}{key} must be {rule}, got {text!r}")
+    return value
 
 
 class RunConfig(dict):
@@ -129,15 +142,7 @@ class RunConfig(dict):
         for key in (*_OPTIONS, "recipe"):
             flag = getattr(args, key, None)
             if flag is not None:
-                cfg[key] = flag
-        for key, (parse, test, rule) in _VALUE_RULES.items():
-            if key in cfg:
-                try:
-                    ok = test(parse(cfg[key]))
-                except ValueError:
-                    ok = False
-                if not ok:
-                    raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
+                cfg[key] = flag if key == "recipe" else _parse_value(key, flag)
         if "out" not in cfg:
             cfg["out"] = os.environ.get("KERRCUBIC_OUT", ".")
         cfg.dry_run = bool(getattr(args, "dry_run", False))
@@ -145,35 +150,37 @@ class RunConfig(dict):
 
     @property
     def out_dir(self) -> Path:
-        out = Path(str(self["out"]))
+        out = Path(self["out"])
         out.mkdir(parents=True, exist_ok=True)
         return out
 
     @property
     def workers(self) -> int:
-        return int(self.get("workers", 1))
+        return self.get("workers", 1)
 
     @property
     def wigner_axis(self) -> np.ndarray:
-        span = float(self.get("wigner_span", 6.0))
-        return np.linspace(-span, span, int(self.get("wigner_points", 121)))
+        span = self.get("wigner_span", 6.0)
+        return np.linspace(-span, span, self.get("wigner_points", 121))
 
 
 def _fmt(x) -> str:
+    # floats first: they fill the tables (no bool or integer type is a float)
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
     return str(x)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    """A cell holding a comma or quote is quoted; every other cell is written as is."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(c) for c in row] for row in rows)
 
 
 def write_wigner_csv(path: Path, xs, ps, w) -> None:
@@ -182,9 +189,10 @@ def write_wigner_csv(path: Path, xs, ps, w) -> None:
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    """(header, rows) of a CSV file, blank lines skipped; an empty file has header []."""
+    with open(path, newline="") as f:
+        rows = [row for row in csv.reader(f) if row]
+    return (rows[0] if rows else []), rows[1:]
 
 
 def emit(payload, path: Path) -> None:
@@ -211,7 +219,7 @@ def parse_config_file(path: str, command: str) -> dict:
     """Plain-text `key = value` lines; '#' comments; unknown keys, and keys
     the subcommand `command` does not read, rejected.
 
-    Values stay strings, except that a switch reads `true` or `false`.
+    Each value is parsed by its key's rule, as a flag's is.
     """
     out: dict = {}
     for ln_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -221,53 +229,41 @@ def parse_config_file(path: str, command: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
-        if not _reads(command, key):
+        if command not in (_OPTIONS[key][1] or _COMMANDS):
             raise ConfigError(f"{path}:{ln_no}: {command} does not read key {key!r}")
-        if _OPTIONS[key][0] is _SWITCH:
-            if value not in ("true", "false"):
-                raise ConfigError(f"{path}:{ln_no}: {key} must be true or false, got {value!r}")
-            value = value == "true"
-        out[key] = value
+        out[key] = _parse_value(key, value, f"{path}:{ln_no}: ")
     return out
 
 
-def _floats(v) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(v).split(",") if tok.strip())
+def _floats(cfg: dict, key: str, default: tuple) -> tuple[float, ...]:
+    """The comma-separated numbers of list option `key`, or `default` when it is unset."""
+    if key not in cfg:
+        return default
+    try:
+        return tuple(float(tok) for tok in cfg[key].split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"{key} must be comma-separated numbers, got {cfg[key]!r}") from None
 
 
 def _gate_config(cfg: dict) -> GateConfig:
-    noise = NoiseParams(dtheta=float(cfg.get("dtheta", 0.0)))
     gc = GateConfig.make(
-        lam_db=float(cfg.get("lambda_db", 10.0)),
-        alpha=float(cfg.get("alpha", 50.0)),
-        gamma=float(cfg.get("gamma", 0.1)),
-        chi=float(cfg.get("chi", 1.0)),
-        chi_over_kappa=(float(cfg["chi_over_kappa"]) if "chi_over_kappa" in cfg
-                        and str(cfg["chi_over_kappa"]) not in ("", "none") else None),
-        n_fock=int(cfg.get("fock", 128)),
-        loss_frame=str(cfg.get("loss_frame", "fluctuation")),
-        trotter_steps=int(cfg.get("trotter", 0)),
-        noise=noise,
+        lam_db=cfg.get("lambda_db", 10.0), alpha=cfg.get("alpha", 50.0),
+        gamma=cfg.get("gamma", 0.1), chi=cfg.get("chi", 1.0),
+        chi_over_kappa=cfg.get("chi_over_kappa"), n_fock=cfg.get("fock", 128),
+        loss_frame=cfg.get("loss_frame", "fluctuation"), trotter_steps=cfg.get("trotter", 0),
+        noise=NoiseParams(dtheta=cfg.get("dtheta", 0.0)),
     )
     for key, param in (("ddelta_rel", "ddelta_rel"), ("dbetax_rel", "dbeta_x_rel")):
-        if float(cfg.get(key, 0.0)) != 0.0:
-            gc = _resolve_relative_noise(param, gc, float(cfg[key]))
+        if cfg.get(key, 0.0) != 0.0:
+            gc = _resolve_relative_noise(param, gc, cfg[key])
     return gc
 
 
-def _resolved(cfg: dict, gc: GateConfig | None = None) -> dict:
-    doc = dict(cfg)
-    if gc is not None:
-        doc["gate_config"] = {
-            "chi": gc.chi, "lam": gc.lam, "lam_db": gc.lam_db, "alpha": gc.alpha,
-            "gamma": gc.gamma, "kappa": gc.kappa, "n_fock": gc.n_fock,
-            "loss_frame": gc.loss_frame, "trotter_steps": gc.trotter_steps,
-            "noise": {"dtheta": gc.noise.dtheta, "ddelta": gc.noise.ddelta,
-                      "dbeta_x": gc.noise.dbeta_x, "dbeta_p": gc.noise.dbeta_p},
-        }
-    return doc
+def _fields(gc: GateConfig) -> dict:
+    """A GateConfig as sidecar data: its fields and lam_db."""
+    return {**asdict(gc), "lam_db": gc.lam_db}
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +273,12 @@ def _resolved(cfg: dict, gc: GateConfig | None = None) -> dict:
 
 
 def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
-    chi = float(cfg.get("chi", 1.0))
-    lam = lambda_from_db(float(cfg.get("lambda_db", 10.0)))
-    alpha = float(cfg.get("alpha", 50.0))
+    chi = cfg.get("chi", 1.0)
+    lam = lambda_from_db(cfg.get("lambda_db", 10.0))
+    alpha = cfg.get("alpha", 50.0)
     dc, bc = algebra.cubic_counterterms(chi)
-    delta = algebra.AlphaPoly(float(cfg["delta"])) if "delta" in cfg else dc
-    beta = algebra.AlphaPoly(float(cfg["beta"])) if "beta" in cfg else bc
+    delta = algebra.AlphaPoly(cfg["delta"]) if "delta" in cfg else dc
+    beta = algebra.AlphaPoly(cfg["beta"]) if "beta" in cfg else bc
     h = algebra.substitute_gaussian_frame(
         algebra.driven_kerr(chi, delta, beta), lam
     ).drop_constant()
@@ -297,7 +293,7 @@ def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
 
 
 def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
-    psi = parse_state(str(cfg.get("input", "vacuum")), int(cfg.get("fock", 128)), 0.0)
+    psi = parse_state(cfg.get("input", "vacuum"), cfg.get("fock", 128), 0.0)
     out = cfg.out_dir
     if cfg.get("wigner"):
         xs = cfg.wigner_axis
@@ -310,7 +306,7 @@ def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
 
 
 def _cmd_gate(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock, gc.gamma)
+    psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
     res = cubic_gate(gc, psi)
     out = cfg.out_dir
     doc = {
@@ -333,17 +329,17 @@ _FOM_HEADER = ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m",
                "t_fwhm_s", "chi_over_kappa"]
 
 
-def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: str,
+def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: tuple,
                 alpha_mode: str) -> SweepSpec:
     """The sweep the sweep subcommands read from `cfg`, with their own defaults."""
-    return SweepSpec(base=gc, param=param, values=_floats(cfg.get("values", values)),
-                     input_state=str(cfg.get("input", "gkp:z+:0.5")),
-                     alpha_mode=str(cfg.get("alpha_mode", alpha_mode)),
-                     alpha_coeff=float(cfg.get("alpha_coeff", ALPHA_COEFF)), workers=cfg.workers)
+    return SweepSpec(base=gc, param=param, values=_floats(cfg, "values", values),
+                     input_state=cfg.get("input", "gkp:z+:0.5"),
+                     alpha_mode=cfg.get("alpha_mode", alpha_mode),
+                     alpha_coeff=cfg.get("alpha_coeff", ALPHA_COEFF), workers=cfg.workers)
 
 
 def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    spec = _sweep_spec(cfg, gc, "lam_db", "5,7.5,10,12.5,15", "optimize")
+    spec = _sweep_spec(cfg, gc, "lam_db", (5.0, 7.5, 10.0, 12.5, 15.0), "optimize")
     path = cfg.out_dir / "sweep_lambda.csv"
     write_csv(path, *_row_table(run_sweep(spec), _SWEEP_HEADER))
     return [path]
@@ -351,10 +347,10 @@ def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     center = ALPHA_COEFF * gc.lam**3
-    bracket = _floats(cfg.get("bracket", "")) or tuple(s * center for s in ALPHA_BRACKET_SCALE)
+    bracket = _floats(cfg, "bracket", ()) or tuple(s * center for s in ALPHA_BRACKET_SCALE)
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
-    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock, gc.gamma)
+    psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
     opt = optimize_alpha(gc, bracket, psi)
     path = cfg.out_dir / "optimize_alpha.json"
     emit({"alpha": opt.alpha, "error": opt.error,
@@ -363,12 +359,12 @@ def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 
 def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    channel = str(cfg.get("noise", "dtheta")).replace("-", "_")
-    channel = {"dbetax_rel": "dbeta_x_rel"}.get(channel, channel)  # flag spelling
-    if channel not in ("dtheta", "ddelta_rel", "dbeta_x_rel"):
-        raise ConfigError(f"unknown noise channel {channel!r}")
-    spec = _sweep_spec(cfg, gc, channel, "1e-4", "cube")
-    lam_dbs = _floats(cfg.get("lambda_db_values", cfg.get("lambda_db", "10")))
+    noise = cfg.get("noise", "dtheta")
+    channel = {"dtheta": "dtheta", "ddelta-rel": "ddelta_rel", "dbetax-rel": "dbeta_x_rel"}
+    if noise not in channel:
+        raise ConfigError(f"noise must be one of {', '.join(channel)}, got {noise!r}")
+    spec = _sweep_spec(cfg, gc, channel[noise], (1e-4,), "cube")
+    lam_dbs = _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),))
     path = cfg.out_dir / "sweep_noise.csv"
     write_csv(path, *_row_table(noise_sweep(spec, lam_dbs), _NOISE_HEADER))
     return [path]
@@ -376,7 +372,7 @@ def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     xs = cfg.wigner_axis
-    res = generate_cubic_state(gc, delta=float(cfg.get("delta", 0.5)), grid=(xs, xs),
+    res = generate_cubic_state(gc, delta=cfg.get("delta", 0.5), grid=(xs, xs),
                                gaussian_correction=not cfg.get("no_correction"))
     doc, _ = _write_state_gen(res, cfg.out_dir, "state_gen",
                               correction=[float(c) for c in res.correction])
@@ -394,13 +390,12 @@ def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
 
 
 def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    values = _floats(cfg.get("values", "1,2,4,8,16"))
-    if not values:
-        raise ConfigError("trotter needs a non-empty list of step counts")
-    if not all(v.is_integer() and v >= 1 for v in values):
-        raise ConfigError(f"trotter step counts must be whole numbers >= 1, got {values}")
+    values = _floats(cfg, "values", (1.0, 2.0, 4.0, 8.0, 16.0))
+    if not values or not all(v.is_integer() and v >= 1 for v in values):
+        raise ConfigError(f"trotter step counts must be a non-empty list of whole numbers "
+                          f">= 1, got {values}")
     steps = [int(v) for v in values]
-    psi = parse_state(str(cfg.get("input", "gkp:z+:0.5")), gc.n_fock, gc.gamma)
+    psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
     errors, cont = _trotter_errors(gc, psi, steps)
     rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(steps, errors)]
     path = cfg.out_dir / "trotter.csv"
@@ -414,8 +409,9 @@ def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
     elif cfg.get("materials"):
         header, rows = read_csv(Path(cfg["materials"]))
         want = _FOM_HEADER[:-1]
-        if header != want:
-            raise ConfigError(f"materials CSV must have columns {want}, got {header}")
+        if header != want or any(len(r) != len(want) for r in rows):
+            raise ConfigError(f"materials CSV must have columns {want} in every row, "
+                              f"got {header} and rows of {[len(r) for r in rows]} cells")
         mats = tuple(
             soliton.MaterialParams(name=r[0], gamma_nl=float(r[1]), alpha_att=float(r[2]),
                                    wavelength=float(r[3]), t_fwhm=float(r[4]))
@@ -604,7 +600,7 @@ def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
     spec = _recipe_spec(name, cfg.workers)
     sidecar = out / f"{name}.config.json"
     write_sidecar(sidecar, f"reproduce {name}",
-                  {**_resolved(cfg), "recipe_spec": json.loads(json.dumps(spec, default=str))})
+                  {**cfg, "recipe_spec": json.loads(json.dumps(spec, default=_fields))})
     if cfg.dry_run:
         return [sidecar]
     return _run_recipe(name, spec, out)
@@ -638,12 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = {name: sub.add_parser(name) for name in _COMMANDS}
     for p in cmd.values():
         p.add_argument("--config", default=None)
-    for key, (kwargs, names) in _OPTIONS.items():
-        if kwargs is None:  # config-file-only
+    for key, (rule, names) in _OPTIONS.items():
+        if key in _FILE_ONLY:
             continue
-        for name in _COMMANDS if names is None else names:
-            extra = names[name] if isinstance(names, dict) else {}
-            cmd[name].add_argument("--" + key.replace("_", "-"), **kwargs, **extra)
+        # a switch flag gives the text a config file writes
+        kwargs = {"action": "store_const", "const": "true"} if rule is _SWITCH else {}
+        for name in names or _COMMANDS:
+            cmd[name].add_argument("--" + key.replace("_", "-"), **kwargs)
     cmd["reproduce"].add_argument("recipe", choices=list(RECIPES))
     cmd["reproduce"].add_argument("--dry-run", action="store_true")
     return ap
@@ -671,7 +668,7 @@ def dispatch(argv) -> int:
             paths = handler(cfg, gc)
             if stem is not None:
                 write_sidecar(cfg.out_dir / f"{stem}.config.json", args.command,
-                              _resolved(cfg, gc))
+                              dict(cfg) if gc is None else {**cfg, "gate_config": _fields(gc)})
     except (*_NUMERICAL_FAILURES, ValueError) as exc:  # ConfigError is a ValueError
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)

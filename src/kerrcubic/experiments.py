@@ -177,6 +177,9 @@ class SweepSpec:
             raise ValueError("sweep needs a non-empty value list")
         if self.alpha_mode not in _ALPHA_MODES:
             raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
+        if self.param == "alpha" and self.alpha_mode != "fixed":
+            raise ValueError(f"an alpha sweep takes alpha_mode 'fixed': mode "
+                             f"{self.alpha_mode!r} would overwrite the swept values")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not (math.isfinite(self.alpha_coeff) and self.alpha_coeff > 0):
@@ -220,12 +223,10 @@ def _sweep_point(spec: SweepSpec, psi, value: float) -> dict:
             opt = optimize_alpha(
                 cfg, (center * spec.bracket_scale[0], center * spec.bracket_scale[1]), psi
             )
-            cfg = replace(cfg, alpha=opt.alpha)
-        res = cubic_gate(cfg, psi)
-        row.update(
-            lam=cfg.lam, lam_db=cfg.lam_db, alpha=cfg.alpha, error=res.error,
-            tau=res.diagnostics.get("tau", 0.0),
-        )
+            cfg, error = replace(cfg, alpha=opt.alpha), opt.error  # the optimum's gate ran
+        else:
+            error = cubic_gate(cfg, psi).error
+        row.update(lam=cfg.lam, lam_db=cfg.lam_db, alpha=cfg.alpha, error=error, tau=cfg.tau)
     except Exception as exc:  # per-row failure: record and continue
         _failed(row, exc, ("lam", "lam_db", "alpha", "error", "tau"))
     return row

@@ -55,7 +55,7 @@ class TestDispatchBasics:
                     "--fock", "32", "--chi-over-kappa", "0", "--input", "vacuum"])
         assert code == 2
         doc = json.loads(capsys.readouterr().err.strip())
-        assert doc["error"]["type"] == "ValueError"
+        assert doc["error"]["type"] == "ConfigError"
         assert "chi_over_kappa" in doc["error"]["message"]
 
 
@@ -140,6 +140,10 @@ class TestFailFast:
     @pytest.mark.parametrize("command", ["sweep-lambda", "sweep-noise"])
     @pytest.mark.parametrize("coeff", ["-1", "nan"])
     def test_bad_alpha_coeff_rejected(self, tmp_path, capsys, monkeypatch, command, coeff):
+        # nan fails the value rule; -1 is a number, and SweepSpec rejects its range
+        error, message = {"-1": ("ValueError", "alpha_coeff must be finite and > 0"),
+                          "nan": ("ConfigError", "alpha_coeff must be a finite number")}[coeff]
+
         def forbidden(*args, **kwargs):
             raise AssertionError("a gate ran")
 
@@ -147,8 +151,8 @@ class TestFailFast:
         assert run([command, "--alpha-mode", "cube", "--alpha-coeff", coeff, "--fock", "32",
                     "--input", "vacuum", "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
-        assert doc["error"]["type"] == "ValueError"
-        assert "alpha_coeff must be finite and > 0" in doc["error"]["message"]
+        assert doc["error"]["type"] == error
+        assert message in doc["error"]["message"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("line", ["wigner_points = 0", "wigner_points = -4",
@@ -238,6 +242,21 @@ class TestSolitonFom:
         src = tmp_path / "mats.csv"
         src.write_text("a,b\n1,2\n")
         assert run(["soliton-fom", "--materials", str(src), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "got [] and rows of [] cells"),
+        ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\ncustom,100,10\n",
+         "rows of [3] cells"),
+    ])
+    def test_materials_csv_empty_or_short_row(self, tmp_path, capsys, text, message):
+        src = tmp_path / "mats.csv"
+        src.write_text(text)
+        out = tmp_path / "o"
+        assert run(["soliton-fom", "--materials", str(src), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert message in doc["error"]["message"]
+        assert not (out / "soliton_fom.csv").exists()
 
 
 class TestHeffExpand:
@@ -419,6 +438,16 @@ class TestEmitDeterminism:
         cli.write_csv(p, ["a", "b"], [])
         assert p.read_text() == "a,b\n"
 
+    def test_failed_row_keeps_its_columns(self, tmp_path):
+        # the failure message of a non-finite squeezing holds commas
+        assert run(["sweep-lambda", "--values", "5,inf", "--alpha-mode", "cube", "--fock", "32",
+                    "--input", "vacuum", "--out", str(tmp_path)]) == 0
+        header, rows = cli.read_csv(tmp_path / "sweep_lambda.csv")
+        assert [len(r) for r in rows] == [len(header)] * 2 == [8, 8]
+        failed = dict(zip(header, rows[1]))
+        assert failed["ok"] == "false" and failed["message"].startswith("ValueError: chi, lam")
+        assert rows[0][header.index("ok")] == "true"
+
 
 class TestReproduce:
     def test_table1(self, tmp_path):
@@ -452,10 +481,9 @@ class TestSinglePath:
         assert set(sub.choices) == set(cli._COMMANDS)
         for name, parser in sub.choices.items():
             flags = {a.dest for a in parser._actions} - {"help", "config", "dry_run", "recipe"}
-            want = {key for key, (kwargs, names) in cli._OPTIONS.items()
-                    if kwargs is not None and (names is None or name in names)}
+            want = {key for key, (rule, names) in cli._OPTIONS.items()
+                    if key not in cli._FILE_ONLY and (names is None or name in names)}
             assert flags == want, name
-        assert cli._CONFIG_KEYS == set(cli._OPTIONS)
 
     def test_handlers_never_read_args(self):
         tree = ast.parse(Path(cli.__file__).read_text())
@@ -471,6 +499,85 @@ class TestSinglePath:
                     calls[func] += 1
         # dispatch writes every sidecar but reproduce's, which precedes its run
         assert calls == {"write_sidecar": 2, "collect": 1}
+
+
+class TestOneParsePath:
+    """A flag and a config-file line reach the run through the same value rule."""
+
+    @pytest.mark.parametrize("command, key, text", [
+        ("gate", "alpha", "abc"),
+        ("gate", "fock", "1e3"),
+        ("gate", "trotter", "2.5"),
+        ("sweep-lambda", "alpha_coeff", "nan"),
+        ("gate", "chi_over_kappa", "0"),
+        ("gate", "lambda_db", "inf"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_value_is_one_config_error(self, tmp_path, capsys, monkeypatch, command,
+                                           key, text, source):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"input = vacuum\n{key} = {text}\n")
+        argv = ([f"--{key.replace('_', '-')}", text, "--input", "vacuum"] if source == "flag"
+                else ["--config", str(cfgfile)])
+        out = tmp_path / "o"
+        assert run([command, *argv, "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert doc["error"]["message"].startswith(f"{cfgfile}:2: " if source == "file" else key)
+        assert f"{key} must be" in doc["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error, key", [
+        (["gate", "--loss-frame", "bogus"], "ValueError", "loss_frame"),
+        (["sweep-lambda", "--alpha-mode", "bogus"], "ValueError", "alpha mode"),
+        (["sweep-noise", "--alpha-mode", "optimize"], "ValueError", "alpha_mode"),
+        (["sweep-noise", "--noise", "bogus"], "ConfigError", "noise"),
+        (["sweep-lambda", "--values", "5,x"], "ConfigError", "values"),
+    ])
+    def test_bad_choice_or_list_is_json(self, tmp_path, capsys, monkeypatch, argv, error, key):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        assert run([*argv, "--fock", "32", "--input", "vacuum", "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == error
+        assert key in doc["error"]["message"]
+
+    def test_chi_over_kappa_none_is_lossless(self, tmp_path):
+        argv = ["--lambda-db", "6", "--alpha", "3", "--fock", "32", "--input", "vacuum",
+                "--out", str(tmp_path)]
+        assert run(["gate", "--chi-over-kappa", "none", *argv]) == 0
+        sidecar = tmp_path / "gate_result.config.json"
+        resolved = json.loads(sidecar.read_text())["resolved_config"]
+        assert resolved["chi_over_kappa"] is None
+        assert resolved["gate_config"]["kappa"] == 0.0
+        from_flag = sidecar.read_bytes()
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("chi_over_kappa = none\n")
+        assert run(["gate", "--config", str(cfgfile), *argv]) == 0
+        assert sidecar.read_bytes() == from_flag
+
+    def test_handlers_read_parsed_values(self):
+        # no float(), int() or str() around a read of cfg: the value rule parsed it
+        tree = ast.parse(Path(cli.__file__).read_text())
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef)
+                    and (fn.name.startswith("_cmd_") or fn.name == "_gate_config")):
+                continue
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id in ("float", "int", "str")):
+                    continue
+                reads = [n for n in ast.walk(call) if isinstance(n, (ast.Subscript, ast.Attribute))
+                         and isinstance(n.value, ast.Name) and n.value.id == "cfg"]
+                assert not reads, f"{fn.name}: {ast.unparse(call)}"
 
 
 # one run per subcommand (but reproduce), each with a switch or its own option
@@ -494,12 +601,17 @@ _REPLAY = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_REPLAY))
-def test_sidecar_replays_run(tmp_path, command):
+def _replay_argv(tmp_path, command):
+    """The `_REPLAY` flags of `command`, its materials CSV written under tmp_path."""
     mats = tmp_path / "mats.csv"
     cli.write_csv(mats, ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m", "t_fwhm_s"],
                   [("custom", 100.0, 10.0, 1.5e-6, 1e-13)])
-    argv = [str(mats) if a == "MATERIALS" else a for a in _REPLAY[command]]
+    return [str(mats) if a == "MATERIALS" else a for a in _REPLAY[command]]
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY))
+def test_sidecar_replays_run(tmp_path, command):
+    argv = _replay_argv(tmp_path, command)
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert run([command, *argv, "--out", str(first)]) == 0
     sidecar = next(first.glob("*.config.json"))
@@ -513,3 +625,20 @@ def test_sidecar_replays_run(tmp_path, command):
     for name in artifacts:
         if name != sidecar.name:
             assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY))
+def test_config_file_run_writes_the_flag_run_sidecar(tmp_path, command):
+    argv = _replay_argv(tmp_path, command)
+    out = tmp_path / "out"
+    assert run([command, *argv, "--out", str(out)]) == 0
+    sidecar = next(out.glob("*.config.json"))
+    from_flags = sidecar.read_bytes()
+    # the flags as config-file lines: a flag's text is the file's text
+    given = vars(cli.build_parser().parse_args([command, *argv]))
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in given.items()
+                               if k in cli._OPTIONS and v is not None))
+    sidecar.unlink()
+    assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert sidecar.read_bytes() == from_flags

@@ -250,6 +250,29 @@ class TestSweeps:
             with pytest.raises(ValueError, match="workers"):
                 ex.SweepSpec(base=base, param="lam_db", values=(1.0,), workers=workers)
 
+    @pytest.mark.parametrize("mode", ["cube", "optimize"])
+    def test_alpha_sweep_takes_fixed_alpha_only(self, mode):
+        # the cube law or the optimizer would overwrite every swept alpha
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
+        with pytest.raises(ValueError, match="alpha sweep takes alpha_mode 'fixed'"):
+            ex.SweepSpec(base=base, param="alpha", values=(10.0, 20.0), alpha_mode=mode)
+
+    def test_optimized_point_runs_only_the_optimizer_gates(self, monkeypatch):
+        gates, optima = [], []
+        gate, optimize = ex.cubic_gate, ex.optimize_alpha
+        monkeypatch.setattr(ex, "cubic_gate", lambda *a: gates.append(a) or gate(*a))
+        monkeypatch.setattr(ex, "optimize_alpha",
+                            lambda *a: optima.append(optimize(*a)) or optima[-1])
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=48)
+        spec = ex.SweepSpec(base=base, param="lam_db", values=(6.0, 8.0),
+                            input_state="squeezed:0.5", alpha_mode="optimize")
+        rows = ex.run_sweep(spec)
+        assert len(gates) == sum(opt.evaluations for opt in optima)
+        for row, opt in zip(rows, optima):
+            cfg = replace(base, lam=row["lam"], alpha=opt.alpha)
+            assert (row["alpha"], row["error"], row["tau"]) == (opt.alpha, opt.error, cfg.tau)
+            assert row["error"] == gate(cfg, st.squeezed_vacuum(0.5, 48)).error
+
     @pytest.mark.parametrize("field, value", [
         ("alpha_coeff", -1.0), ("alpha_coeff", 0.0), ("alpha_coeff", math.nan),
         ("alpha_coeff", math.inf), ("bracket_scale", (3.0, 1.0)),
