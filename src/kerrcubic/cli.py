@@ -68,6 +68,7 @@ def _integer(low: int) -> tuple:
 # they are read, and a choice is checked by the code that acts on it.
 _TEXT = (str, lambda v: True, "text")
 _NUMBER = (float, math.isfinite, "a finite number")
+_POSITIVE = (float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _SWITCH = ({"true": True, "false": False}.get, lambda v: v is not None, "true or false")
 _RATIO = (lambda v: None if v in ("", "none") else float(v),
           lambda v: v is None or (math.isfinite(v) and v > 0), "none or finite and > 0")
@@ -88,7 +89,6 @@ _OPTIONS = {
     **dict.fromkeys(["gamma", "dtheta", "ddelta_rel", "dbetax_rel"], (_NUMBER, _GATE_COMMANDS)),
     "chi_over_kappa": (_RATIO, _GATE_COMMANDS),
     "delta": (_NUMBER, ("heff-expand", "state-gen")),
-    "loss_frame": (_TEXT, _GATE_COMMANDS),
     "beta": (_NUMBER, ("heff-expand",)),
     "wigner": (_SWITCH, ("state", "gate")),
     "alpha_mode": (_TEXT, ("sweep-lambda", "sweep-noise")),
@@ -99,8 +99,7 @@ _OPTIONS = {
     "no_correction": (_SWITCH, ("state-gen",)),
     "builtin_table": (_SWITCH, ("soliton-fom",)),
     "materials": (_TEXT, ("soliton-fom",)),
-    "wigner_span": ((float, lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
-                    ("state", "gate", "state-gen")),
+    "wigner_span": (_POSITIVE, ("state", "gate", "state-gen")),
     "wigner_points": (_integer(1), ("state", "gate", "state-gen")),
 }
 
@@ -111,9 +110,12 @@ class ConfigError(ValueError):
     """Bad configuration file or flag combination."""
 
 
-def _parse_value(key: str, text: str, where: str = ""):
-    """The value of option `key` given as `text`; a bad one is a ConfigError led by `where`."""
-    parse, test, rule = _OPTIONS[key][0]
+def _parse_value(key: str, text: str, where: str = "", rule: tuple | None = None):
+    """The value of `key` given as `text`, by `rule` (default: the option's own).
+
+    A bad value is a ConfigError led by `where`.
+    """
+    parse, test, rule = rule or _OPTIONS[key][0]
     try:
         value = parse(text)
         ok = test(value)
@@ -252,8 +254,7 @@ def _gate_config(cfg: dict) -> GateConfig:
         lam_db=cfg.get("lambda_db", 10.0), alpha=cfg.get("alpha", 50.0),
         gamma=cfg.get("gamma", 0.1), chi=cfg.get("chi", 1.0),
         chi_over_kappa=cfg.get("chi_over_kappa"), n_fock=cfg.get("fock", 128),
-        loss_frame=cfg.get("loss_frame", "fluctuation"), trotter_steps=cfg.get("trotter", 0),
-        noise=NoiseParams(dtheta=cfg.get("dtheta", 0.0)),
+        trotter_steps=cfg.get("trotter", 0), noise=NoiseParams(dtheta=cfg.get("dtheta", 0.0)),
     )
     for key, param in (("ddelta_rel", "ddelta_rel"), ("dbetax_rel", "dbeta_x_rel")):
         if cfg.get(key, 0.0) != 0.0:
@@ -407,16 +408,18 @@ def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
     if cfg.get("builtin_table"):
         mats = soliton.BUILTIN_MATERIALS
     elif cfg.get("materials"):
-        header, rows = read_csv(Path(cfg["materials"]))
+        src = cfg["materials"]
+        header, rows = read_csv(Path(src))
         want = _FOM_HEADER[:-1]
         if header != want or any(len(r) != len(want) for r in rows):
-            raise ConfigError(f"materials CSV must have columns {want} in every row, "
+            raise ConfigError(f"{src}: materials CSV must have columns {want} in every row, "
                               f"got {header} and rows of {[len(r) for r in rows]} cells")
-        mats = tuple(
-            soliton.MaterialParams(name=r[0], gamma_nl=float(r[1]), alpha_att=float(r[2]),
-                                   wavelength=float(r[3]), t_fwhm=float(r[4]))
-            for r in rows
-        )
+        mats = []
+        for i, r in enumerate(rows, start=1):
+            # the numeric cells, in MaterialParams field order after the name
+            values = [_parse_value(col, cell, f"{src}: data row {i}: ", _POSITIVE)
+                      for col, cell in zip(want[1:], r[1:])]
+            mats.append(soliton.MaterialParams(r[0], *values))
     else:
         raise ConfigError("soliton-fom needs --builtin-table or --materials CSV")
     path = cfg.out_dir / "soliton_fom.csv"

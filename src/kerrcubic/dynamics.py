@@ -5,13 +5,11 @@ a_eff = cosh(ln lam) a + sinh(ln lam) a^dag + alpha; the native frame at
 alpha ~ 1e4 is numerically unreachable, and the two frames are exactly
 equivalent (validated by the explicit-conjugation oracle in the test suite).
 
-Loss enters through the Lindblad operator sqrt(kappa) a_eff. Its alpha-free
-Bogoliubov part L = sqrt(kappa)(cosh a + sinh a^dag) is what the integrator
-uses; the constant sqrt(kappa)*alpha is either treated as a compensated
-deterministic drift (loss_frame="fluctuation", the default) or kept as the
-exact gauge Hamiltonian (i/2)(c* L - c L^dag) it generates
-(loss_frame="displaced"). Neither option ever forms alpha^2-scale matrix
-entries.
+Loss enters through the Lindblad operator sqrt(kappa) a_eff. The integrator
+uses its alpha-free Bogoliubov part L = sqrt(kappa)(cosh a + sinh a^dag), the
+fluctuation-frame operator; the constant sqrt(kappa)*alpha is a deterministic
+mean-field drift that is compensated, so no alpha^2-scale matrix entry is ever
+formed.
 
 The master-equation integrator is a deterministic Strang splitting: the
 Hamiltonian half-step is exact (one `fock.Spectrum`, reused for every step),
@@ -21,11 +19,11 @@ the half-step is applied alone only at the start and the end.
 The dissipator is evaluated from CSR forms of L and M = L^dag L (L is
 tridiagonal, M pentadiagonal). For Hermitian rho, L rho L^dag = L (L rho)^dag
 and rho M = (M rho)^dag, so an evaluation is three sparse-times-dense products,
-O(N^2), and no dense-times-sparse product. The Bogoliubov L is real in both
-loss frames (the gauge term goes into H), so L and M stay real CSR and act on
-the float64 view of rho, an (N, 2N) array of interleaved real and imaginary
-parts: the same products summed in the same row order as a complex product, at
-about half its cost; a complex L keeps the complex product. Conjugate
+O(N^2), and no dense-times-sparse product. The Bogoliubov L is real, so L and
+M stay real CSR and act on the float64 view of rho, an (N, 2N) array of
+interleaved real and imaginary parts: the same products summed in the same row
+order as a complex product, at about half its cost; a complex L, which
+`evolve_lindblad` also accepts, keeps the complex product. Conjugate
 transposes are written into one C-contiguous scratch buffer, and the stage
 arithmetic runs in place. Because the dissipator annihilates traces, any
 Runge-Kutta polynomial in it preserves the trace to roundoff; hermiticity is
@@ -74,8 +72,6 @@ class IntegrationError(RuntimeError):
     """The master-equation step control failed to converge."""
 
 
-LOSS_FRAMES = ("fluctuation", "displaced")
-
 # the step ladder of `evolve_lindblad`, read at call time: the rung-pair
 # tolerance (max-entry norm) and the doublings above max(128, floor)
 LINDBLAD_TOL = 1e-7
@@ -118,7 +114,6 @@ class GateConfig:
     kappa: float = 0.0
     noise: NoiseParams = NoiseParams()
     n_fock: int = 128
-    loss_frame: str = "fluctuation"
     trotter_steps: int = 0
 
     def __post_init__(self):
@@ -135,8 +130,6 @@ class GateConfig:
             raise ValueError(f"decay rate must be >= 0, got {self.kappa}")
         if self.n_fock < 8:
             raise ValueError(f"n_fock too small: {self.n_fock}")
-        if self.loss_frame not in LOSS_FRAMES:
-            raise ValueError(f"loss_frame must be one of {LOSS_FRAMES}")
         if self.trotter_steps < 0:
             raise ValueError("trotter_steps must be >= 0")
 
@@ -213,20 +206,11 @@ def _frame_matrix(cfg: GateConfig) -> np.ndarray:
     return algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
 
-def effective_generators(cfg: GateConfig) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Effective Hamiltonian, fluctuation Lindblad operator, and drift rate."""
-    h = _frame_matrix(cfg)
+def effective_generators(cfg: GateConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Effective Hamiltonian and fluctuation-frame Lindblad operator."""
     c, s = _cosh_sinh(cfg.lam)
     a = _annihilation_matrix(cfg.n_fock)
-    root_kappa = math.sqrt(cfg.kappa)
-    l_fluct = root_kappa * (c * a + s * a.conj().T)
-    drift = complex(root_kappa * cfg.alpha)
-    return h, l_fluct, drift
-
-
-def _gauge_hamiltonian(l_fluct: np.ndarray, drift: complex) -> np.ndarray:
-    """Hamiltonian equivalent of the constant part of the Lindblad operator."""
-    return (0.5j) * (np.conj(drift) * l_fluct - drift * l_fluct.conj().T)
+    return _frame_matrix(cfg), math.sqrt(cfg.kappa) * (c * a + s * a.conj().T)
 
 
 def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:
@@ -442,10 +426,8 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
                         normalize=False)
         prop_diag = {}
     else:
-        h, l_fluct, drift = effective_generators(cfg)
-        if cfg.loss_frame == "displaced":
-            h = h + _gauge_hamiltonian(l_fluct, drift)
-        out, prop_diag = evolve_lindblad(h, l_fluct, tau, psi_in.density_matrix())
+        out, prop_diag = evolve_lindblad(*effective_generators(cfg), tau,
+                                         psi_in.density_matrix())
     diagnostics.update(prop_diag)
 
     if cfg.noise.dtheta != 0.0:

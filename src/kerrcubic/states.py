@@ -1,14 +1,8 @@
 """Input and target states: squeezed vacuum, grid (GKP) qubits, cubic phase.
 
-The grid-state constructor supports two displacement conventions for the
-lattice, selected by ``GkpParams.convention``:
-
-* ``literal``: peaks from D(2k*sqrt(pi)) with D(s) = exp(s a^dag - s* a),
-  i.e. an x-period of 2*sqrt(2*pi) (the default).
-* ``standard-lattice``: peaks from D(k*sqrt(2*pi)), x-period 2*sqrt(pi).
-
-Both give identical scaling behaviour in every sweep; only absolute peak
-positions differ.
+Grid states take their peaks from the literal lattice D(2k*sqrt(pi)), with
+D(s) = exp(s a^dag - s* a): a period of 2*sqrt(pi) in displacement amplitude,
+an x-period of 2*sqrt(2*pi).
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from .fock import (
 )
 
 _GKP_LABELS = ("z+", "z-", "x+", "x-", "y+", "y-")
-_CONVENTIONS = ("literal", "standard-lattice")
+_GKP_PERIOD = 2.0 * math.sqrt(math.pi)  # lattice period in D-amplitude units
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,6 @@ class GkpParams:
     label: str
     delta: float
     eps_k: float = 1e-8
-    convention: str = "literal"
 
     def __post_init__(self):
         if self.label not in _GKP_LABELS:
@@ -55,8 +48,6 @@ class GkpParams:
             raise ValueError(f"envelope width delta must be finite and positive, got {self.delta}")
         if not 0 < self.eps_k < 1:
             raise ValueError(f"peak cutoff eps_k must lie in (0, 1), got {self.eps_k}")
-        if self.convention not in _CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
 
 
 def squeezed_vacuum(delta: float, n: int) -> PureState:
@@ -82,13 +73,9 @@ def _gkp_displacements(params: GkpParams, n: int):
     form; more peaks than the Fock dimension n, or none, is refused before any
     is enumerated.
     """
-    if params.convention == "literal":
-        period = 2.0 * math.sqrt(math.pi)  # in D-amplitude units
-    else:
-        period = math.sqrt(2.0 * math.pi)
     offset = 0.0 if params.label == "z+" else 0.5  # z- lattice: half a period over
-    reach = math.sqrt(-2.0 * math.log(params.eps_k)) / (params.delta * period)
-    # peaks at (k + offset)*period for k_min <= k <= k_max, mirror images
+    reach = math.sqrt(-2.0 * math.log(params.eps_k)) / (params.delta * _GKP_PERIOD)
+    # peaks at (k + offset)*_GKP_PERIOD for k_min <= k <= k_max, mirror images
     k_max = math.floor(reach - offset)
     k_min = -k_max - round(2 * offset)
     count = k_max - k_min + 1
@@ -99,7 +86,7 @@ def _gkp_displacements(params: GkpParams, n: int):
         raise ValueError(f"delta = {params.delta} keeps no {params.label} grid peak")
     out = []
     for k in range(k_min - 1, k_max + 2):  # one beyond each end: the weight decides the edge
-        s = (k + offset) * period
+        s = (k + offset) * _GKP_PERIOD
         w = math.exp(-0.5 * (s * params.delta) ** 2)
         if w >= params.eps_k:
             out.append((s, w))
@@ -232,7 +219,7 @@ def parse_state(selector: str, n: int, gamma: float) -> PureState:
     """Build an input state from a compact selector string.
 
     Formats: "vacuum", "fock:<k>", "squeezed:<delta>",
-    "gkp:<label>:<delta>[:<convention>]" with label in z+/z-/x+/x-/y+/y-.
+    "gkp:<label>:<delta>" with label in z+/z-/x+/x-/y+/y-.
     A grid state keeps only the peaks that a gate of angle `gamma` can
     represent at N = n (`representable_peak_cutoff`); gamma = 0, for a
     state that no gate acts on, keeps every peak down to the configured cutoff.
@@ -248,9 +235,8 @@ def parse_state(selector: str, n: int, gamma: float) -> PureState:
             return fock_state(n, int(parts[1]))
         if kind == "squeezed" and len(parts) == 2:
             return squeezed_vacuum(float(parts[1]), n)
-        if kind == "gkp" and len(parts) in (3, 4):
-            convention = parts[3] if len(parts) == 4 else "literal"
-            params = GkpParams(parts[1], float(parts[2]), convention=convention)
+        if kind == "gkp" and len(parts) == 3:
+            params = GkpParams(parts[1], float(parts[2]))
             eps_k = representable_peak_cutoff(params, gamma, n)
             return gkp_state(replace(params, eps_k=eps_k), n)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -362,7 +362,7 @@ def test_criterion_12_property_suites():
     checks["unitarity"] = np.abs((u.conj().T @ u - np.eye(n))[:d, :d]).max() < 1e-8
 
     cfgl = GateConfig(lam=2.0, alpha=3.0, gamma=GAMMA, n_fock=64, kappa=0.5)
-    h, l_op, _ = dyn.effective_generators(cfgl)
+    h, l_op = dyn.effective_generators(cfgl)
     rho, diag = dyn.evolve_lindblad(h, l_op, cfgl.tau * 10,
                                     fk.vacuum(64).density_matrix(), n_steps=128)
     checks["trace"] = diag["trace_drift"] < 1e-8

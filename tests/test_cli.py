@@ -247,6 +247,13 @@ class TestSolitonFom:
         ("", "got [] and rows of [] cells"),
         ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\ncustom,100,10\n",
          "rows of [3] cells"),
+        ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\ncustom,abc,10,1.5e-6,1e-13\n",
+         "data row 1: gamma_nl must be finite and > 0, got 'abc'"),
+        ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\ncustom,inf,10,1.5e-6,1e-13\n",
+         "data row 1: gamma_nl must be finite and > 0, got 'inf'"),
+        ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\n"
+         "a,100,10,1.5e-6,1e-13\nb,100,-1,1.5e-6,1e-13\n",
+         "data row 2: alpha_att_dB_per_m must be finite and > 0, got '-1'"),
     ])
     def test_materials_csv_empty_or_short_row(self, tmp_path, capsys, text, message):
         src = tmp_path / "mats.csv"
@@ -255,6 +262,7 @@ class TestSolitonFom:
         assert run(["soliton-fom", "--materials", str(src), "--out", str(out)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "ConfigError"
+        assert doc["error"]["message"].startswith(f"{src}: ")
         assert message in doc["error"]["message"]
         assert not (out / "soliton_fom.csv").exists()
 
@@ -533,7 +541,8 @@ class TestOneParsePath:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, error, key", [
-        (["gate", "--loss-frame", "bogus"], "ValueError", "loss_frame"),
+        # the one grid lattice: a selector with a fourth, convention field is refused
+        (["state", "--input", "gkp:z+:0.5:standard-lattice"], "ValueError", "unrecognized"),
         (["sweep-lambda", "--alpha-mode", "bogus"], "ValueError", "alpha mode"),
         (["sweep-noise", "--alpha-mode", "optimize"], "ValueError", "alpha_mode"),
         (["sweep-noise", "--noise", "bogus"], "ConfigError", "noise"),
@@ -545,10 +554,36 @@ class TestOneParsePath:
 
         monkeypatch.setattr(cli, "cubic_gate", forbidden)
         monkeypatch.setattr(ex, "cubic_gate", forbidden)
-        assert run([*argv, "--fock", "32", "--input", "vacuum", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "o"
+        # the case's own flags come last, so that its --input wins
+        assert run([argv[0], "--fock", "32", "--input", "vacuum", *argv[1:],
+                    "--out", str(out)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == error
         assert key in doc["error"]["message"]
+        # no artifact; a sweep handler may have made the empty --out directory
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_removed_loss_option_rejected(self, tmp_path, capsys, monkeypatch, source):
+        # the fluctuation frame is the one loss treatment: the option is gone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("loss_frame = fluctuation\n")
+        argv = ["--loss-frame", "displaced"] if source == "flag" else ["--config", str(cfgfile)]
+        out = tmp_path / "o"
+        assert run(["gate", *argv, "--fock", "32", "--input", "vacuum", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if source == "flag":  # an argument-parser usage error
+            assert "unrecognized arguments: --loss-frame" in err
+        else:
+            doc = json.loads(err.strip())
+            assert doc["error"]["type"] == "ConfigError"
+            assert doc["error"]["message"] == f"{cfgfile}:1: unknown key 'loss_frame'"
+        assert not out.exists()
 
     def test_chi_over_kappa_none_is_lossless(self, tmp_path):
         argv = ["--lambda-db", "6", "--alpha", "3", "--fock", "32", "--input", "vacuum",

@@ -476,15 +476,6 @@ class TestGenerateCubicState:
         assert res.wigner.min() < -1e-3  # non-classicality
         assert res.nlq_variance > 0
 
-    def test_fig4_point_in_displaced_loss_frame(self):
-        # the README's displaced-frame figure for the fig4 operating point
-        cfg = GateConfig.make(lam_db=15.0, alpha=1.4e4, gamma=0.1, chi_over_kappa=1e-4,
-                              n_fock=128, loss_frame="displaced")
-        axis = np.linspace(-4.0, 4.0, 9)
-        res = ex.generate_cubic_state(cfg, delta=0.5, grid=(axis, axis))
-        assert abs(res.fidelity - 0.9798) <= 5e-4
-        assert res.fidelity > res.raw_fidelity
-
     def test_correction_can_be_disabled(self):
         cfg = GateConfig.make(lam_db=10.0, alpha=60.0, gamma=0.1, n_fock=96)
         res = ex.generate_cubic_state(cfg, gaussian_correction=False)

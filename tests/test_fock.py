@@ -514,7 +514,7 @@ class TestOneSpectralPath:
 _CFG = dyn.GateConfig(lam=1.5, alpha=2.0, gamma=0.1, n_fock=16, kappa=0.5)
 _ARRAY_PRODUCERS = {
     "algebra.to_matrix": lambda: [alg.to_matrix(alg.driven_kerr(1.0, 0.3, 0.7), 2.0, 16)],
-    "dynamics.effective_generators": lambda: dyn.effective_generators(_CFG)[:2],
+    "dynamics.effective_generators": lambda: dyn.effective_generators(_CFG),
     "dynamics.effective_number_operator": lambda: dyn.effective_number_operator(_CFG)[:1],
     "states.ideal_cubic_gate": lambda: [st.ideal_cubic_gate(0.1, 16)],
     "states.nlq_operator": lambda: [st.nlq_operator(0.1, 16)],

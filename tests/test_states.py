@@ -108,14 +108,6 @@ class TestGkpState:
             shifted = _applied(fk.displacement(math.sqrt(math.pi), n).matrix, zp)
         assert abs(abs(zm.overlap(shifted)) - 0.8247997594) < 1e-8
 
-    def test_conventions_differ_in_lattice_scale(self):
-        n = 192
-        lit = st.gkp_state(st.GkpParams("z+", 0.5, convention="literal"), n)
-        std = st.gkp_state(st.GkpParams("z+", 0.5, convention="standard-lattice"), n)
-        n_lit = fk.expectation(fk.number(n), lit).real
-        n_std = fk.expectation(fk.number(n), std).real
-        assert n_lit != pytest.approx(n_std, rel=0.05)
-
     def test_superposition_labels(self):
         n = 160
         with pytest.warns(fk.TruncationWarning, match="outermost grid peak"):
@@ -132,8 +124,6 @@ class TestGkpState:
             st.GkpParams("z+", -0.1)
         with pytest.raises(ValueError):
             st.GkpParams("z+", 0.5, eps_k=2.0)
-        with pytest.raises(ValueError):
-            st.GkpParams("z+", 0.5, convention="hex")
 
 
 def _former_gaussian(gen):
@@ -233,18 +223,17 @@ class TestBadStateParameters:
             st.representable_peak_cutoff(st.GkpParams("z-", 1e-9), 0.1, 256)
 
     def test_closed_form_count_matches_kept_peaks(self):
-        for convention, period in (("literal", 2 * math.sqrt(math.pi)),
-                                   ("standard-lattice", math.sqrt(2 * math.pi))):
-            for label, offset in (("z+", 0.0), ("z-", 0.5)):
-                for delta in (0.2, 0.3, 0.5, 0.9, 2.0):
-                    params = st.GkpParams(label, delta, convention=convention)
-                    scan = [s for s in ((k + offset) * period for k in range(-200, 200))
-                            if math.exp(-0.5 * (s * delta) ** 2) >= params.eps_k]
-                    kept = st._gkp_displacements(params, len(scan))
-                    assert [s for s, _ in kept] == scan
-                    # the guard's closed-form count is exactly the kept count
-                    with pytest.raises(ValueError, match="more than the Fock dimension"):
-                        st._gkp_displacements(params, len(scan) - 1)
+        period = 2 * math.sqrt(math.pi)
+        for label, offset in (("z+", 0.0), ("z-", 0.5)):
+            for delta in (0.2, 0.3, 0.5, 0.9, 2.0):
+                params = st.GkpParams(label, delta)
+                scan = [s for s in ((k + offset) * period for k in range(-200, 200))
+                        if math.exp(-0.5 * (s * delta) ** 2) >= params.eps_k]
+                kept = st._gkp_displacements(params, len(scan))
+                assert [s for s, _ in kept] == scan
+                # the guard's closed-form count is exactly the kept count
+                with pytest.raises(ValueError, match="more than the Fock dimension"):
+                    st._gkp_displacements(params, len(scan) - 1)
 
     def test_lattice_without_peaks_rejected(self):
         with pytest.raises(ValueError, match="no z- grid peak"):
@@ -385,7 +374,6 @@ class TestParseStateInputRule:
         ("gkp:z+:0.3", st.GkpParams("z+", 0.3)),
         ("gkp:z-:0.4", st.GkpParams("z-", 0.4)),
         ("gkp:y-:0.5", st.GkpParams("y-", 0.5)),
-        ("gkp:x+:0.3:standard-lattice", st.GkpParams("x+", 0.3, convention="standard-lattice")),
     ])
     def test_without_gamma_every_peak_is_kept(self, selector, params):
         with warnings.catch_warnings():
@@ -416,8 +404,6 @@ class TestParseState:
         with pytest.warns(fk.TruncationWarning, match="outermost grid peak"):
             zp = st.parse_state("gkp:z+:0.5", n, 0.0)
             assert fk.fidelity(st.gkp_state(st.GkpParams("z+", 0.5), n), zp) > 1 - 1e-12
-        std = st.parse_state("gkp:z+:0.5:standard-lattice", n, 0.0)
-        assert std.dim == n
 
     def test_bad_selectors(self):
         for sel in ("nope", "fock:x", "gkp:z+", "squeezed:-1"):
