@@ -29,10 +29,12 @@ import numpy as np
 
 from . import algebra, soliton
 from .dynamics import (
+    _CHI,
     GateConfig,
     IntegrationError,
     NoiseParams,
     cubic_gate,
+    kappa_from_ratio,
     photon_number_trace,
     trotterized_gate,
 )
@@ -56,6 +58,10 @@ RECIPES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5",
 
 # subcommands that run on a GateConfig, built from the gate options
 _GATE_COMMANDS = ("gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "state-gen", "trotter")
+
+
+def _gate_commands_but(name: str) -> tuple:
+    return tuple(c for c in _GATE_COMMANDS if c != name)
 
 
 def _integer(low: int) -> tuple:
@@ -84,8 +90,10 @@ _OPTIONS = {
     "values": (_TEXT, ("sweep-lambda", "sweep-noise", "trotter")),
     "workers": (_integer(1), ("sweep-lambda", "sweep-noise", "reproduce")),
     "fock": (_integer(2), ("state", *_GATE_COMMANDS)),
-    "trotter": (_integer(0), _GATE_COMMANDS),
-    **dict.fromkeys(["lambda_db", "alpha", "chi"], (_NUMBER, ("heff-expand", *_GATE_COMMANDS))),
+    # trotter, sweep-lambda and optimize-alpha set these values themselves
+    "trotter": (_integer(0), _gate_commands_but("trotter")),
+    "lambda_db": (_NUMBER, ("heff-expand", *_gate_commands_but("sweep-lambda"))),
+    "alpha": (_NUMBER, ("heff-expand", *_gate_commands_but("optimize-alpha"))),
     **dict.fromkeys(["gamma", "dtheta", "ddelta_rel", "dbetax_rel"], (_NUMBER, _GATE_COMMANDS)),
     "chi_over_kappa": (_RATIO, _GATE_COMMANDS),
     "delta": (_NUMBER, ("heff-expand", "state-gen")),
@@ -96,7 +104,6 @@ _OPTIONS = {
     "bracket": (_TEXT, ("optimize-alpha",)),
     "noise": (_TEXT, ("sweep-noise",)),
     "lambda_db_values": (_TEXT, ("sweep-noise",)),
-    "no_correction": (_SWITCH, ("state-gen",)),
     "builtin_table": (_SWITCH, ("soliton-fom",)),
     "materials": (_TEXT, ("soliton-fom",)),
     "wigner_span": (_POSITIVE, ("state", "gate", "state-gen")),
@@ -252,8 +259,8 @@ def _floats(cfg: dict, key: str, default: tuple) -> tuple[float, ...]:
 def _gate_config(cfg: dict) -> GateConfig:
     gc = GateConfig.make(
         lam_db=cfg.get("lambda_db", 10.0), alpha=cfg.get("alpha", 50.0),
-        gamma=cfg.get("gamma", 0.1), chi=cfg.get("chi", 1.0),
-        chi_over_kappa=cfg.get("chi_over_kappa"), n_fock=cfg.get("fock", 128),
+        gamma=cfg.get("gamma", 0.1), chi_over_kappa=cfg.get("chi_over_kappa"),
+        n_fock=cfg.get("fock", 128),
         trotter_steps=cfg.get("trotter", 0), noise=NoiseParams(dtheta=cfg.get("dtheta", 0.0)),
     )
     for key, param in (("ddelta_rel", "ddelta_rel"), ("dbetax_rel", "dbeta_x_rel")):
@@ -274,14 +281,14 @@ def _fields(gc: GateConfig) -> dict:
 
 
 def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
-    chi = cfg.get("chi", 1.0)
+    """The frame Hamiltonian's quadrature coefficients, in units of chi."""
     lam = lambda_from_db(cfg.get("lambda_db", 10.0))
     alpha = cfg.get("alpha", 50.0)
-    dc, bc = algebra.cubic_counterterms(chi)
+    dc, bc = algebra.cubic_counterterms(_CHI)
     delta = algebra.AlphaPoly(cfg["delta"]) if "delta" in cfg else dc
     beta = algebra.AlphaPoly(cfg["beta"]) if "beta" in cfg else bc
     h = algebra.substitute_gaussian_frame(
-        algebra.driven_kerr(chi, delta, beta), lam
+        algebra.driven_kerr(_CHI, delta, beta), lam
     ).drop_constant()
     quad = algebra.to_quadrature_form(h)
     rows = []
@@ -341,8 +348,9 @@ def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: tuple,
 
 def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     spec = _sweep_spec(cfg, gc, "lam_db", (5.0, 7.5, 10.0, 12.5, 15.0), "optimize")
+    rows = run_sweep(spec)  # a refused sweep leaves no --out directory
     path = cfg.out_dir / "sweep_lambda.csv"
-    write_csv(path, *_row_table(run_sweep(spec), _SWEEP_HEADER))
+    write_csv(path, *_row_table(rows, _SWEEP_HEADER))
     return [path]
 
 
@@ -365,16 +373,15 @@ def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     if noise not in channel:
         raise ConfigError(f"noise must be one of {', '.join(channel)}, got {noise!r}")
     spec = _sweep_spec(cfg, gc, channel[noise], (1e-4,), "cube")
-    lam_dbs = _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),))
+    rows = noise_sweep(spec, _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),)))
     path = cfg.out_dir / "sweep_noise.csv"
-    write_csv(path, *_row_table(noise_sweep(spec, lam_dbs), _NOISE_HEADER))
+    write_csv(path, *_row_table(rows, _NOISE_HEADER))
     return [path]
 
 
 def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     xs = cfg.wigner_axis
-    res = generate_cubic_state(gc, delta=cfg.get("delta", 0.5), grid=(xs, xs),
-                               gaussian_correction=not cfg.get("no_correction"))
+    res = generate_cubic_state(gc, delta=cfg.get("delta", 0.5), grid=(xs, xs))
     doc, _ = _write_state_gen(res, cfg.out_dir, "state_gen",
                               correction=[float(c) for c in res.correction])
     return [doc]
@@ -522,8 +529,8 @@ def _lambda_sweeps(spec: dict) -> tuple[list, list]:
 
 def _lossy_sweeps(spec: dict) -> tuple[list, list]:
     base = spec["base"]
-    jobs = [((cok,), SweepSpec(base=replace(base, kappa=base.chi / cok), param="lam_db",
-                               values=lam_dbs, alpha_mode="optimize",
+    jobs = [((cok,), SweepSpec(base=replace(base, kappa=kappa_from_ratio(cok)),
+                               param="lam_db", values=lam_dbs, alpha_mode="optimize",
                                bracket_scale=(0.8, 12.0), workers=spec["workers"]))
             for cok, lam_dbs in spec["grids"].items()]
     return _sweep_table(jobs, ["chi_over_kappa", "lam_db", "lam", "alpha", "error",
@@ -536,8 +543,8 @@ def _alpha_grids(spec: dict) -> tuple[list, list]:
         for db in spec["lam_db"]:
             lam = lambda_from_db(db)
             values = tuple(f * ALPHA_COEFF * lam**3 for f in spec["alpha_factors"])
-            jobs.append(((cok, db), SweepSpec(base=replace(base, kappa=base.chi / cok, lam=lam),
-                                              param="alpha", values=values,
+            point = replace(base, kappa=kappa_from_ratio(cok), lam=lam)
+            jobs.append(((cok, db), SweepSpec(base=point, param="alpha", values=values,
                                               workers=spec["workers"])))
     return _sweep_table(jobs, ["chi_over_kappa", "lam_db", "alpha", "error", "ok", "message"],
                         ("value", "error", "ok", "message"))
@@ -634,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kerrcubic",
                                  description="Kerr-based cubic phase gate toolkit")
     sub = ap.add_subparsers(dest="command")
-    cmd = {name: sub.add_parser(name) for name in _COMMANDS}
+    # no prefix matching: a removed flag such as --chi must not become --chi-over-kappa
+    cmd = {name: sub.add_parser(name, allow_abbrev=False) for name in _COMMANDS}
     for p in cmd.values():
         p.add_argument("--config", default=None)
     for key, (rule, names) in _OPTIONS.items():

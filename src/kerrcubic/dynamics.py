@@ -4,6 +4,7 @@ Everything evolves in the effective frame, where the mode operator appears as
 a_eff = cosh(ln lam) a + sinh(ln lam) a^dag + alpha; the native frame at
 alpha ~ 1e4 is numerically unreachable, and the two frames are exactly
 equivalent (validated by the explicit-conjugation oracle in the test suite).
+Rates are in units of the Kerr rate chi = 1, times in units of 1/chi.
 
 Loss enters through the Lindblad operator sqrt(kappa) a_eff. The integrator
 uses its alpha-free Bogoliubov part L = sqrt(kappa)(cosh a + sinh a^dag), the
@@ -77,6 +78,8 @@ class IntegrationError(RuntimeError):
 LINDBLAD_TOL = 1e-7
 MAX_STEP_DOUBLINGS = 6
 
+_CHI = 1.0  # the Kerr rate: tau is in units of 1/chi, kappa in units of chi
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -85,45 +88,43 @@ class NoiseParams:
     dtheta: float = 0.0
     ddelta: float = 0.0
     dbeta_x: float = 0.0
-    dbeta_p: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.dtheta, self.ddelta, self.dbeta_x, self.dbeta_p))):
+        if not all(map(math.isfinite, (self.dtheta, self.ddelta, self.dbeta_x))):
             raise ValueError(f"noise offsets must be finite, got {self}")
 
     @property
     def any(self) -> bool:
-        return any((self.dtheta, self.ddelta, self.dbeta_x, self.dbeta_p))
+        return any((self.dtheta, self.ddelta, self.dbeta_x))
 
 
-def kappa_from_ratio(chi: float, chi_over_kappa: float) -> float:
-    """Decay rate chi / (chi/kappa); the ratio must be finite and positive."""
+def kappa_from_ratio(chi_over_kappa: float) -> float:
+    """Decay rate 1 / (chi/kappa) in units of chi; the ratio must be finite and positive."""
     if not (math.isfinite(chi_over_kappa) and chi_over_kappa > 0):
         raise ValueError(f"chi_over_kappa must be finite and > 0, got {chi_over_kappa}")
-    return chi / chi_over_kappa
+    return 1.0 / chi_over_kappa
 
 
 @dataclass(frozen=True)
 class GateConfig:
-    """One operating point of the gate (chi = 1 sets the time unit)."""
+    """One operating point of the gate (chi = 1 sets the unit of time and of kappa)."""
 
     lam: float
     alpha: float
     gamma: float
-    chi: float = 1.0
     kappa: float = 0.0
     noise: NoiseParams = NoiseParams()
     n_fock: int = 128
     trotter_steps: int = 0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.chi, self.lam, self.alpha, self.kappa))):
+        if not all(map(math.isfinite, (self.lam, self.alpha, self.kappa))):
             raise ValueError(
-                f"chi, lam, alpha and kappa must be finite, got chi={self.chi}, "
-                f"lam={self.lam}, alpha={self.alpha}, kappa={self.kappa}"
+                f"lam, alpha and kappa must be finite, got lam={self.lam}, "
+                f"alpha={self.alpha}, kappa={self.kappa}"
             )
-        if min(self.chi, self.lam, self.alpha) <= 0:
-            raise ValueError("chi, lam and alpha must be positive")
+        if min(self.lam, self.alpha) <= 0:
+            raise ValueError("lam and alpha must be positive")
         if self.gamma < 0 or not math.isfinite(self.gamma):
             raise ValueError(f"gate angle must be finite and >= 0, got {self.gamma}")
         if self.kappa < 0:
@@ -134,12 +135,11 @@ class GateConfig:
             raise ValueError("trotter_steps must be >= 0")
 
     @staticmethod
-    def make(lam_db: float, alpha: float, gamma: float, chi: float = 1.0,
+    def make(lam_db: float, alpha: float, gamma: float,
              chi_over_kappa: float | None = None, **kw) -> "GateConfig":
         """Construct from dB squeezing and the chi/kappa ratio (None: lossless)."""
-        kappa = 0.0 if chi_over_kappa is None else kappa_from_ratio(chi, chi_over_kappa)
-        return GateConfig(lam=lambda_from_db(lam_db), alpha=alpha, gamma=gamma,
-                          chi=chi, kappa=kappa, **kw)
+        kappa = 0.0 if chi_over_kappa is None else kappa_from_ratio(chi_over_kappa)
+        return GateConfig(lam=lambda_from_db(lam_db), alpha=alpha, gamma=gamma, kappa=kappa, **kw)
 
     @property
     def lam_db(self) -> float:
@@ -149,7 +149,7 @@ class GateConfig:
     def tau(self) -> float:
         if self.gamma == 0.0:
             return 0.0
-        return cubic_parameters(self.chi, self.lam, self.alpha, self.gamma).tau
+        return cubic_parameters(_CHI, self.lam, self.alpha, self.gamma).tau
 
 
 @dataclass
@@ -177,18 +177,19 @@ def _cosh_sinh(lam: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _frame_hamiltonian(chi: float, lam: float, ddelta: float, dbeta: complex) -> BosonPolynomial:
+def _frame_hamiltonian(lam: float, ddelta: float, dbeta_x: float) -> BosonPolynomial:
     """Substituted driven Kerr with counter-terms and noise, constant dropped.
 
     Independent of alpha, so the gates of an alpha optimization share it.
     Noise offsets are folded into the detuning and drive before the frame
     substitution, so the counter-term cancellation stays exact for the ideal
-    part and the noise appears as the residual terms it physically is.
+    part and the noise appears as the residual terms it physically is. Every
+    coefficient is real, so H(alpha) is a real matrix.
     """
-    delta_c, beta_c = algebra.cubic_counterterms(chi)
+    delta_c, beta_c = algebra.cubic_counterterms(_CHI)
     delta = delta_c + AlphaPoly(ddelta)
-    beta = beta_c + AlphaPoly(dbeta)
-    return substitute_gaussian_frame(algebra.driven_kerr(chi, delta, beta), lam).drop_constant()
+    beta = beta_c + AlphaPoly(dbeta_x)
+    return substitute_gaussian_frame(algebra.driven_kerr(_CHI, delta, beta), lam).drop_constant()
 
 
 @lru_cache(maxsize=16)
@@ -199,10 +200,7 @@ def _frame_number_operator(lam: float) -> BosonPolynomial:
 
 def _frame_matrix(cfg: GateConfig) -> np.ndarray:
     """The effective Hamiltonian H(alpha) of `cfg` on its Fock space."""
-    h_poly = _frame_hamiltonian(
-        float(cfg.chi), float(cfg.lam), float(cfg.noise.ddelta),
-        complex(cfg.noise.dbeta_x, cfg.noise.dbeta_p),
-    )
+    h_poly = _frame_hamiltonian(float(cfg.lam), float(cfg.noise.ddelta), float(cfg.noise.dbeta_x))
     return algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
 
@@ -406,7 +404,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     if cfg.trotter_steps > 0 and cfg.kappa != 0.0:
         raise UnsupportedConfigurationError(
             "the discrete-drive scheme is implemented for the lossless case only")
-    if cfg.trotter_steps > 0 and (cfg.noise.ddelta or cfg.noise.dbeta_x or cfg.noise.dbeta_p):
+    if cfg.trotter_steps > 0 and (cfg.noise.ddelta or cfg.noise.dbeta_x):
         raise UnsupportedConfigurationError(
             "the discrete-drive scheme takes the phase offset dtheta only, not detuning "
             "or drive offsets")
@@ -504,7 +502,7 @@ def _taylor_shift(p: BosonPolynomial, u, v) -> dict[int, BosonPolynomial]:
 
 
 @lru_cache(maxsize=16)
-def _segment_expansion(chi: float, lam: float, beta: AlphaPoly) -> tuple[BosonPolynomial, ...]:
+def _segment_expansion(lam: float, beta: AlphaPoly) -> tuple[BosonPolynomial, ...]:
     """(Q_0, ..., Q_4) with Kerr(F + s beta) = sum_m s^m Q_m for imaginary s.
 
     Kerr is the undriven Kerr with the counter-term detuning, F the frame
@@ -513,7 +511,7 @@ def _segment_expansion(chi: float, lam: float, beta: AlphaPoly) -> tuple[BosonPo
     by (-conj(beta), beta), grouped by order m, carries all of the dependence
     on s in the power s^m. Independent of alpha, tau and the step count.
     """
-    kerr = algebra.driven_kerr(chi, algebra.cubic_counterterms(chi)[0], 0)
+    kerr = algebra.driven_kerr(_CHI, algebra.cubic_counterterms(_CHI)[0], 0)
     groups = _taylor_shift(kerr, -beta.conjugate(), beta)
     return tuple(substitute_gaussian_frame(groups[m], lam).drop_constant()
                  for m in sorted(groups))
@@ -531,7 +529,7 @@ def _discrete_sequence(cfg: GateConfig, beta_poly: AlphaPoly, tau: float):
     up along the way are global phase and are dropped.
     """
     n_t = cfg.trotter_steps
-    q = _segment_expansion(float(cfg.chi), float(cfg.lam), beta_poly)
+    q = _segment_expansion(float(cfg.lam), beta_poly)
     h_steps = []
     for k in range(1, n_t + 1):
         s_k = algebra.ExactComplex.of(complex(0.0, -(2 * k - 1) * tau / (2.0 * n_t)))
@@ -549,7 +547,7 @@ def _trotter_propagate(cfg: GateConfig, psi_in: PureState, tau: float):
 
     Returns the output state and the `kick` diagnostic sqrt(2)|xi|.
     """
-    xi, h_steps = _discrete_sequence(cfg, algebra.cubic_counterterms(cfg.chi)[1], tau)
+    xi, h_steps = _discrete_sequence(cfg, algebra.cubic_counterterms(_CHI)[1], tau)
     kick = math.sqrt(2.0) * abs(xi)
     if kick > math.sqrt(2.0 * cfg.n_fock) - 4.0:
         warnings.warn(

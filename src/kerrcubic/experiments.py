@@ -36,6 +36,7 @@ import numpy as np
 
 from . import algebra
 from .dynamics import (
+    _CHI,
     EvolutionResult,
     GateConfig,
     cubic_gate,
@@ -206,7 +207,7 @@ def _configure_point(spec: SweepSpec, param: str, value: float) -> GateConfig:
 def _resolve_relative_noise(param: str, cfg: GateConfig, value: float) -> GateConfig:
     """Set the detuning ("ddelta_rel") or drive ("dbeta_x_rel") offset to
     `value` times its counter-term at cfg.alpha."""
-    delta_c, beta_c = algebra.cubic_counterterms(cfg.chi)
+    delta_c, beta_c = algebra.cubic_counterterms(_CHI)
     if param == "ddelta_rel":
         return replace(cfg, noise=replace(cfg.noise, ddelta=value * delta_c(cfg.alpha).real))
     return replace(cfg, noise=replace(cfg.noise, dbeta_x=value * beta_c(cfg.alpha).real))
@@ -452,33 +453,24 @@ def generate_cubic_state(
     cfg: GateConfig,
     delta: float = 0.5,
     grid: tuple | None = None,
-    gaussian_correction: bool = True,
 ) -> CubicStateResult:
     """Drive the gate on a squeezed vacuum and score the cubic-phase state.
 
-    Returns the state fidelity against U_ideal |delta>, the Wigner function of
-    the (corrected) output on the grid, and the nonlinear-quadrature variance.
+    Returns the state fidelity against U_ideal |delta> after the optimal
+    Gaussian correction, the uncorrected fidelity, the Wigner function of the
+    corrected output on the grid, and its nonlinear-quadrature variance.
     """
     psi = squeezed_vacuum(delta, cfg.n_fock)
     res = cubic_gate(cfg, psi)
-    raw_f = 1.0 - res.error
-    out = res.state
-    params = np.zeros(5)
-    if gaussian_correction:
-        f, params = optimize_gaussian_correction(res.target, out)
-        gen = sum(c * b for c, b in zip(params, _correction_basis(cfg.n_fock)))
-        g = Spectrum(gen).unitary(-1.0)
-        if isinstance(out, MixedState):
-            out = MixedState(g @ out.matrix @ g.conj().T)
-        else:
-            out = PureState(g @ out.vector, normalize=False)
+    f, params = optimize_gaussian_correction(res.target, res.state)
+    gen = sum(c * b for c, b in zip(params, _correction_basis(cfg.n_fock)))
+    g = Spectrum(gen).unitary(-1.0)
+    if isinstance(res.state, MixedState):
+        out = MixedState(g @ res.state.matrix @ g.conj().T)
     else:
-        f = raw_f
-    if grid is None:
-        xs = np.linspace(-6.0, 6.0, 121)
-        ps = np.linspace(-6.0, 6.0, 121)
-    else:
-        xs, ps = np.asarray(grid[0], float), np.asarray(grid[1], float)
+        out = PureState(g @ res.state.vector, normalize=False)
+    axis = np.linspace(-6.0, 6.0, 121)
+    xs, ps = (axis, axis) if grid is None else (np.asarray(ax, float) for ax in grid)
     w_grid = wigner(out, xs, ps)
     nlq = nlq_variance(out, cfg.gamma)
-    return CubicStateResult(f, raw_f, nlq, xs, ps, w_grid, params, res)
+    return CubicStateResult(f, 1.0 - res.error, nlq, xs, ps, w_grid, params, res)

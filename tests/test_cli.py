@@ -16,6 +16,10 @@ def run(args):
     return cli.dispatch(list(args))
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a gate ran")
+
+
 class TestDispatchBasics:
     def test_unknown_subcommand(self, capsys):
         assert run(["definitely-not-a-command"]) == 2
@@ -98,12 +102,9 @@ class TestFailFast:
     @pytest.mark.parametrize("argv", [["sweep-noise", "--lambda-db-values", ","],
                                       ["trotter", "--values", ","]])
     def test_empty_list_rejected_before_any_gate(self, tmp_path, capsys, monkeypatch, argv):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
         for module, name in ((cli, "cubic_gate"), (cli, "trotterized_gate"),
                              (ex, "cubic_gate")):
-            monkeypatch.setattr(module, name, forbidden)
+            monkeypatch.setattr(module, name, _forbidden)
         assert run([*argv, "--fock", "32", "--input", "vacuum", "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert "non-empty" in doc["error"]["message"]
@@ -144,10 +145,7 @@ class TestFailFast:
         error, message = {"-1": ("ValueError", "alpha_coeff must be finite and > 0"),
                           "nan": ("ConfigError", "alpha_coeff must be a finite number")}[coeff]
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
-        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", _forbidden)
         assert run([command, "--alpha-mode", "cube", "--alpha-coeff", coeff, "--fock", "32",
                     "--input", "vacuum", "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
@@ -270,8 +268,8 @@ class TestSolitonFom:
 class TestHeffExpand:
     def test_counterterm_table(self, tmp_path):
         db = 20.0 * math.log10(2.0)
-        assert run(["heff-expand", "--chi", "1", "--lambda-db", str(db),
-                    "--alpha", "8", "--out", str(tmp_path)]) == 0
+        assert run(["heff-expand", "--lambda-db", str(db), "--alpha", "8",
+                    "--out", str(tmp_path)]) == 0
         header, rows = cli.read_csv(tmp_path / "heff_expand.csv")
         assert header == ["monomial", "coefficient-real", "coefficient-imag"]
         table = {r[0]: complex(float(r[1]), float(r[2])) for r in rows}
@@ -282,8 +280,8 @@ class TestHeffExpand:
 
     def test_explicit_detuning_and_drive(self, tmp_path):
         db = 20.0 * math.log10(2.0)
-        assert run(["heff-expand", "--chi", "1", "--lambda-db", str(db),
-                    "--alpha", "8", "--delta", "0.3", "--beta", "0.1",
+        assert run(["heff-expand", "--lambda-db", str(db), "--alpha", "8",
+                    "--delta", "0.3", "--beta", "0.1",
                     "--out", str(tmp_path)]) == 0
         _, rows = cli.read_csv(tmp_path / "heff_expand.csv")
         table = {r[0]: float(r[1]) for r in rows}
@@ -360,11 +358,8 @@ class TestStateAndGate:
         assert float(rows[1][2]) <= float(rows[0][2])
 
     def test_fractional_trotter_steps_rejected(self, tmp_path, capsys, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
-        monkeypatch.setattr(cli, "trotterized_gate", forbidden)
-        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        monkeypatch.setattr(cli, "trotterized_gate", _forbidden)
+        monkeypatch.setattr(cli, "cubic_gate", _forbidden)
         assert run(["trotter", "--values", "1.5,2.7", "--fock", "32", "--input", "vacuum",
                     "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
@@ -372,11 +367,8 @@ class TestStateAndGate:
         assert "whole numbers" in doc["error"]["message"]
 
     def test_trotter_steps_below_one_rejected(self, tmp_path, capsys, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
-        monkeypatch.setattr(cli, "trotterized_gate", forbidden)
-        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+        monkeypatch.setattr(cli, "trotterized_gate", _forbidden)
+        monkeypatch.setattr(cli, "cubic_gate", _forbidden)
         assert run(["trotter", "--values", "4,0", "--fock", "32", "--input", "vacuum",
                     "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
@@ -453,7 +445,7 @@ class TestEmitDeterminism:
         header, rows = cli.read_csv(tmp_path / "sweep_lambda.csv")
         assert [len(r) for r in rows] == [len(header)] * 2 == [8, 8]
         failed = dict(zip(header, rows[1]))
-        assert failed["ok"] == "false" and failed["message"].startswith("ValueError: chi, lam")
+        assert failed["ok"] == "false" and failed["message"].startswith("ValueError: lam, alpha")
         assert rows[0][header.index("ok")] == "true"
 
 
@@ -523,11 +515,8 @@ class TestOneParsePath:
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_bad_value_is_one_config_error(self, tmp_path, capsys, monkeypatch, command,
                                            key, text, source):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
-        monkeypatch.setattr(cli, "cubic_gate", forbidden)
-        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        monkeypatch.setattr(cli, "cubic_gate", _forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", _forbidden)
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"input = vacuum\n{key} = {text}\n")
         argv = ([f"--{key.replace('_', '-')}", text, "--input", "vacuum"] if source == "flag"
@@ -549,11 +538,8 @@ class TestOneParsePath:
         (["sweep-lambda", "--values", "5,x"], "ConfigError", "values"),
     ])
     def test_bad_choice_or_list_is_json(self, tmp_path, capsys, monkeypatch, argv, error, key):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
-        monkeypatch.setattr(cli, "cubic_gate", forbidden)
-        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        monkeypatch.setattr(cli, "cubic_gate", _forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", _forbidden)
         out = tmp_path / "o"
         # the case's own flags come last, so that its --input wins
         assert run([argv[0], "--fock", "32", "--input", "vacuum", *argv[1:],
@@ -561,28 +547,41 @@ class TestOneParsePath:
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == error
         assert key in doc["error"]["message"]
-        # no artifact; a sweep handler may have made the empty --out directory
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
+    # removed: the fluctuation frame is the one loss treatment, chi = 1 the
+    # time unit, and state-gen always applies the Gaussian correction; not
+    # read: trotter sets its own step counts, sweep-lambda its squeezings and
+    # optimize-alpha its displacements
+    @pytest.mark.parametrize("command, flag, line, message", [
+        ("gate", ["--loss-frame", "displaced"], "loss_frame = fluctuation",
+         "unknown key 'loss_frame'"),
+        ("gate", ["--chi", "1"], "chi = 1", "unknown key 'chi'"),
+        ("state-gen", ["--no-correction"], "no_correction = true",
+         "unknown key 'no_correction'"),
+        ("trotter", ["--trotter", "3"], "trotter = 3", "trotter does not read key 'trotter'"),
+        ("sweep-lambda", ["--lambda-db", "12"], "lambda_db = 12",
+         "sweep-lambda does not read key 'lambda_db'"),
+        ("optimize-alpha", ["--alpha", "5"], "alpha = 5",
+         "optimize-alpha does not read key 'alpha'"),
+    ], ids=["loss_frame", "chi", "no_correction", "trotter", "lambda_db", "alpha"])
     @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_removed_loss_option_rejected(self, tmp_path, capsys, monkeypatch, source):
-        # the fluctuation frame is the one loss treatment: the option is gone
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a gate ran")
-
-        monkeypatch.setattr(cli, "cubic_gate", forbidden)
+    def test_removed_option_rejected(self, tmp_path, capsys, monkeypatch, command, flag, line,
+                                     message, source):
+        monkeypatch.setattr(cli, "cubic_gate", _forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", _forbidden)
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("loss_frame = fluctuation\n")
-        argv = ["--loss-frame", "displaced"] if source == "flag" else ["--config", str(cfgfile)]
+        cfgfile.write_text(line + "\n")
+        argv = flag if source == "flag" else ["--config", str(cfgfile)]
         out = tmp_path / "o"
-        assert run(["gate", *argv, "--fock", "32", "--input", "vacuum", "--out", str(out)]) == 2
+        assert run([command, *argv, "--fock", "32", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         if source == "flag":  # an argument-parser usage error
-            assert "unrecognized arguments: --loss-frame" in err
+            assert f"unrecognized arguments: {flag[0]}" in err
         else:
             doc = json.loads(err.strip())
             assert doc["error"]["type"] == "ConfigError"
-            assert doc["error"]["message"] == f"{cfgfile}:1: unknown key 'loss_frame'"
+            assert doc["error"]["message"] == f"{cfgfile}:1: {message}"
         assert not out.exists()
 
     def test_chi_over_kappa_none_is_lossless(self, tmp_path):
@@ -617,8 +616,7 @@ class TestOneParsePath:
 
 # one run per subcommand (but reproduce), each with a switch or its own option
 _REPLAY = {
-    "heff-expand": ["--chi", "1", "--lambda-db", "6", "--alpha", "8",
-                    "--delta", "0.25", "--beta", "1.0"],
+    "heff-expand": ["--lambda-db", "6", "--alpha", "8", "--delta", "0.25", "--beta", "1.0"],
     "state": ["--input", "vacuum", "--fock", "24", "--wigner"],
     "gate": ["--lambda-db", "6", "--alpha", "3", "--gamma", "0.05", "--fock", "32",
              "--input", "vacuum", "--wigner"],
@@ -628,7 +626,7 @@ _REPLAY = {
                        "--input", "squeezed:0.5", "--bracket", "8,60"],
     "sweep-noise": ["--noise", "dbetax-rel", "--values", "1e-6", "--lambda-db-values", "8",
                     "--gamma", "0.1", "--fock", "48", "--input", "squeezed:0.5"],
-    "state-gen": ["--no-correction", "--fock", "32", "--lambda-db", "5", "--alpha", "3",
+    "state-gen": ["--delta", "0.4", "--fock", "32", "--lambda-db", "5", "--alpha", "3",
                   "--gamma", "0.05"],
     "trotter": ["--lambda-db", "6", "--alpha", "3", "--gamma", "0.05", "--fock", "48",
                 "--values", "1,2", "--input", "vacuum"],

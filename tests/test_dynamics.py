@@ -29,17 +29,27 @@ class TestGateConfig:
         with pytest.raises(ValueError):
             make_cfg(gamma=-0.2)
 
-    @pytest.mark.parametrize("field", ["chi", "lam", "alpha", "kappa"])
+    @pytest.mark.parametrize("field", ["lam", "alpha", "kappa"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nonfinite_field(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             make_cfg(**{field: value})
 
-    @pytest.mark.parametrize("field", ["dtheta", "ddelta", "dbeta_x", "dbeta_p"])
+    @pytest.mark.parametrize("field", ["dtheta", "ddelta", "dbeta_x"])
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_rejects_nonfinite_noise_offset(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             NoiseParams(**{field: value})
+
+    # chi = 1 is the time unit and the drive offset is real: neither is a field
+    @pytest.mark.parametrize("build", [
+        lambda: NoiseParams(dbeta_p=0.1),
+        lambda: make_cfg(chi=2.0),
+        lambda: GateConfig.make(lam_db=10.0, alpha=10.0, gamma=0.1, chi=2.0),
+    ], ids=["dbeta_p", "chi", "make-chi"])
+    def test_removed_field_rejected(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()
 
     def test_make_from_db(self):
         cfg = GateConfig.make(lam_db=15.0, alpha=10.0, gamma=0.1, chi_over_kappa=1e-4)
@@ -57,7 +67,7 @@ class TestGateConfig:
 
     def test_tau_matches_parameters(self):
         cfg = make_cfg()
-        p = alg.cubic_parameters(cfg.chi, cfg.lam, cfg.alpha, cfg.gamma)
+        p = alg.cubic_parameters(1.0, cfg.lam, cfg.alpha, cfg.gamma)
         assert cfg.tau == p.tau
 
 
@@ -564,9 +574,9 @@ class TestCubicGate:
         h0, _ = dyn.effective_generators(make_cfg())
         cfg = make_cfg(noise=NoiseParams(ddelta=0.5))
         h1, _ = dyn.effective_generators(cfg)
-        delta, beta = alg.cubic_counterterms(cfg.chi)
+        delta, beta = alg.cubic_counterterms(1.0)
         hp = alg.substitute_gaussian_frame(
-            alg.driven_kerr(cfg.chi, delta + alg.AlphaPoly(0.5), beta), cfg.lam
+            alg.driven_kerr(1.0, delta + alg.AlphaPoly(0.5), beta), cfg.lam
         ).drop_constant()
         assert np.array_equal(h1, alg.to_matrix(hp, cfg.alpha, cfg.n_fock))
         assert not np.array_equal(h1, h0)
@@ -632,7 +642,7 @@ class TestTrotter:
         # step factor is the same undriven-Kerr exponential
         n = 96
         cfg = make_cfg(n_fock=n, trotter_steps=4, lam=1.5, alpha=2.0)
-        params = alg.cubic_parameters(cfg.chi, cfg.lam, cfg.alpha, cfg.gamma)
+        params = alg.cubic_parameters(1.0, cfg.lam, cfg.alpha, cfg.gamma)
         xi, h_steps = dyn._discrete_sequence(cfg, alg.AlphaPoly(0), params.tau)
         assert xi == 0j
         psi = fk.vacuum(n).vector
@@ -640,7 +650,7 @@ class TestTrotter:
             psi = fk.Spectrum(h_k).advance(psi, params.tau / 4)
         h0 = alg.to_matrix(
             alg.substitute_gaussian_frame(
-                alg.driven_kerr(cfg.chi, alg.cubic_counterterms(cfg.chi)[0], 0), cfg.lam
+                alg.driven_kerr(1.0, alg.cubic_counterterms(1.0)[0], 0), cfg.lam
             ).drop_constant(),
             cfg.alpha, n,
         )
@@ -672,7 +682,7 @@ class TestTrotter:
         assert r1.error == r2.error
 
     @pytest.mark.parametrize("noise", [NoiseParams(ddelta=0.1), NoiseParams(dbeta_x=0.1),
-                                       NoiseParams(dtheta=0.01, dbeta_p=-0.1)])
+                                       NoiseParams(dtheta=0.01, dbeta_x=-0.1)])
     def test_detuning_and_drive_offsets_rejected_before_work(self, monkeypatch, noise):
         # the drive-free scheme has no continuous detuning or drive to offset
         def forbidden(*args):
@@ -695,7 +705,7 @@ class TestTrotter:
 
 def _substituted_segments(cfg, beta, tau):
     """Oracle: every Trotter segment from its own frame substitution."""
-    kerr = alg.driven_kerr(cfg.chi, alg.cubic_counterterms(cfg.chi)[0], 0)
+    kerr = alg.driven_kerr(1.0, alg.cubic_counterterms(1.0)[0], 0)
     n_t = cfg.trotter_steps
     h_steps = []
     for k in range(1, n_t + 1):
@@ -731,7 +741,7 @@ class TestTrotterSegmentExpansion:
         assert alg.substitute_gaussian_frame(shifted, lam) == direct
         if s.re == 0:  # the cached form: sum_m s^m Q_m for imaginary s
             total, power = alg.BosonPolynomial(), alg.ExactComplex.of(1)
-            for q_m in dyn._segment_expansion(chi, lam, beta):
+            for q_m in dyn._segment_expansion(lam, beta):
                 total = total + q_m * power
                 power = power * s
             assert total == direct.drop_constant()

@@ -181,7 +181,7 @@ class TestSweeps:
         rows = ex.run_sweep(spec)
         assert rows[0]["ok"]
         assert not rows[1]["ok"]
-        assert rows[1]["message"].startswith("ValueError: chi, lam, alpha and kappa must be")
+        assert rows[1]["message"].startswith("ValueError: lam, alpha and kappa must be")
         assert math.isnan(rows[1]["error"])
 
     def test_parallel_matches_serial(self):
@@ -475,12 +475,6 @@ class TestGenerateCubicState:
         assert res.fidelity >= res.raw_fidelity - 1e-12
         assert res.wigner.min() < -1e-3  # non-classicality
         assert res.nlq_variance > 0
-
-    def test_correction_can_be_disabled(self):
-        cfg = GateConfig.make(lam_db=10.0, alpha=60.0, gamma=0.1, n_fock=96)
-        res = ex.generate_cubic_state(cfg, gaussian_correction=False)
-        assert res.fidelity == res.raw_fidelity
-        assert np.all(res.correction == 0.0)
 
     def test_fidelity_improves_toward_one_with_squeezing(self):
         fids = []
