@@ -42,7 +42,6 @@ from .experiments import (
     ALPHA_BRACKET_SCALE,
     ALPHA_COEFF,
     SweepSpec,
-    _resolve_relative_noise,
     generate_cubic_state,
     noise_sweep,
     optimize_alpha,
@@ -111,6 +110,9 @@ _OPTIONS = {
 }
 
 _FILE_ONLY = ("wigner_span", "wigner_points")
+
+# the noise flags, as sweep-noise --noise names its channel, -> NoiseParams field
+_NOISE_FIELDS = {"dtheta": "dtheta", "ddelta-rel": "ddelta_rel", "dbetax-rel": "dbeta_x_rel"}
 
 
 class ConfigError(ValueError):
@@ -247,26 +249,27 @@ def parse_config_file(path: str, command: str) -> dict:
 
 
 def _floats(cfg: dict, key: str, default: tuple) -> tuple[float, ...]:
-    """The comma-separated numbers of list option `key`, or `default` when it is unset."""
+    """The comma-separated numbers (one at least) of list option `key`, or `default` if unset."""
     if key not in cfg:
         return default
     try:
-        return tuple(float(tok) for tok in cfg[key].split(",") if tok.strip())
+        values = tuple(float(tok) for tok in cfg[key].split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"{key} must be comma-separated numbers, got {cfg[key]!r}") from None
+        values = ()
+    if not values:
+        raise ConfigError(f"{key} must be a non-empty list of comma-separated numbers, "
+                          f"got {cfg[key]!r}")
+    return values
 
 
 def _gate_config(cfg: dict) -> GateConfig:
-    gc = GateConfig.make(
+    noise = {field: cfg.get(flag.replace("-", "_"), 0.0) for flag, field in _NOISE_FIELDS.items()}
+    return GateConfig.make(
         lam_db=cfg.get("lambda_db", 10.0), alpha=cfg.get("alpha", 50.0),
         gamma=cfg.get("gamma", 0.1), chi_over_kappa=cfg.get("chi_over_kappa"),
         n_fock=cfg.get("fock", 128),
-        trotter_steps=cfg.get("trotter", 0), noise=NoiseParams(dtheta=cfg.get("dtheta", 0.0)),
+        trotter_steps=cfg.get("trotter", 0), noise=NoiseParams(**noise),
     )
-    for key, param in (("ddelta_rel", "ddelta_rel"), ("dbetax_rel", "dbeta_x_rel")):
-        if cfg.get(key, 0.0) != 0.0:
-            gc = _resolve_relative_noise(param, gc, cfg[key])
-    return gc
 
 
 def _fields(gc: GateConfig) -> dict:
@@ -356,7 +359,7 @@ def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     center = ALPHA_COEFF * gc.lam**3
-    bracket = _floats(cfg, "bracket", ()) or tuple(s * center for s in ALPHA_BRACKET_SCALE)
+    bracket = _floats(cfg, "bracket", tuple(s * center for s in ALPHA_BRACKET_SCALE))
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
     psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
@@ -369,10 +372,9 @@ def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     noise = cfg.get("noise", "dtheta")
-    channel = {"dtheta": "dtheta", "ddelta-rel": "ddelta_rel", "dbetax-rel": "dbeta_x_rel"}
-    if noise not in channel:
-        raise ConfigError(f"noise must be one of {', '.join(channel)}, got {noise!r}")
-    spec = _sweep_spec(cfg, gc, channel[noise], (1e-4,), "cube")
+    if noise not in _NOISE_FIELDS:
+        raise ConfigError(f"noise must be one of {', '.join(_NOISE_FIELDS)}, got {noise!r}")
+    spec = _sweep_spec(cfg, gc, _NOISE_FIELDS[noise], (1e-4,), "cube")
     rows = noise_sweep(spec, _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),)))
     path = cfg.out_dir / "sweep_noise.csv"
     write_csv(path, *_row_table(rows, _NOISE_HEADER))
@@ -399,9 +401,8 @@ def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
 
 def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     values = _floats(cfg, "values", (1.0, 2.0, 4.0, 8.0, 16.0))
-    if not values or not all(v.is_integer() and v >= 1 for v in values):
-        raise ConfigError(f"trotter step counts must be a non-empty list of whole numbers "
-                          f">= 1, got {values}")
+    if not all(v.is_integer() and v >= 1 for v in values):
+        raise ConfigError(f"trotter step counts must be whole numbers >= 1, got {values}")
     steps = [int(v) for v in values]
     psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
     errors, cont = _trotter_errors(gc, psi, steps)

@@ -79,23 +79,27 @@ LINDBLAD_TOL = 1e-7
 MAX_STEP_DOUBLINGS = 6
 
 _CHI = 1.0  # the Kerr rate: tau is in units of 1/chi, kappa in units of chi
+# (delta_c, beta_c): the counter-terms, and the units of the relative noise offsets
+_COUNTERTERMS = algebra.cubic_counterterms(_CHI)
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Static parameter offsets: phase, detuning, and drive quadratures."""
+    """Static parameter offsets: the phase dtheta, and the detuning and drive offsets
+    relative to their counter-terms 3 chi alpha^2 - chi and -2 chi alpha^3, which each
+    gate resolves at its own alpha (`_frame_matrix`)."""
 
     dtheta: float = 0.0
-    ddelta: float = 0.0
-    dbeta_x: float = 0.0
+    ddelta_rel: float = 0.0
+    dbeta_x_rel: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.dtheta, self.ddelta, self.dbeta_x))):
+        if not all(map(math.isfinite, (self.dtheta, self.ddelta_rel, self.dbeta_x_rel))):
             raise ValueError(f"noise offsets must be finite, got {self}")
 
     @property
     def any(self) -> bool:
-        return any((self.dtheta, self.ddelta, self.dbeta_x))
+        return any((self.dtheta, self.ddelta_rel, self.dbeta_x_rel))
 
 
 def kappa_from_ratio(chi_over_kappa: float) -> float:
@@ -178,15 +182,16 @@ def _cosh_sinh(lam: float) -> tuple[float, float]:
 
 @lru_cache(maxsize=64)
 def _frame_hamiltonian(lam: float, ddelta: float, dbeta_x: float) -> BosonPolynomial:
-    """Substituted driven Kerr with counter-terms and noise, constant dropped.
+    """Substituted driven Kerr with counter-terms and absolute noise offsets, constant dropped.
 
-    Independent of alpha, so the gates of an alpha optimization share it.
+    Independent of alpha, so the noiseless gates of an alpha optimization
+    share it; `_frame_matrix` resolves relative offsets at each gate's alpha.
     Noise offsets are folded into the detuning and drive before the frame
     substitution, so the counter-term cancellation stays exact for the ideal
     part and the noise appears as the residual terms it physically is. Every
     coefficient is real, so H(alpha) is a real matrix.
     """
-    delta_c, beta_c = algebra.cubic_counterterms(_CHI)
+    delta_c, beta_c = _COUNTERTERMS
     delta = delta_c + AlphaPoly(ddelta)
     beta = beta_c + AlphaPoly(dbeta_x)
     return substitute_gaussian_frame(algebra.driven_kerr(_CHI, delta, beta), lam).drop_constant()
@@ -199,8 +204,14 @@ def _frame_number_operator(lam: float) -> BosonPolynomial:
 
 
 def _frame_matrix(cfg: GateConfig) -> np.ndarray:
-    """The effective Hamiltonian H(alpha) of `cfg` on its Fock space."""
-    h_poly = _frame_hamiltonian(float(cfg.lam), float(cfg.noise.ddelta), float(cfg.noise.dbeta_x))
+    """The effective Hamiltonian H(alpha) of `cfg` on its Fock space.
+
+    A relative offset becomes the absolute rel * counter-term(alpha) here, at
+    the gate's own alpha; a zero offset evaluates no counter-term.
+    """
+    offsets = [rel * c(cfg.alpha).real if rel else 0.0
+               for rel, c in zip((cfg.noise.ddelta_rel, cfg.noise.dbeta_x_rel), _COUNTERTERMS)]
+    h_poly = _frame_hamiltonian(float(cfg.lam), *offsets)
     return algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
 
@@ -404,7 +415,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     if cfg.trotter_steps > 0 and cfg.kappa != 0.0:
         raise UnsupportedConfigurationError(
             "the discrete-drive scheme is implemented for the lossless case only")
-    if cfg.trotter_steps > 0 and (cfg.noise.ddelta or cfg.noise.dbeta_x):
+    if cfg.trotter_steps > 0 and (cfg.noise.ddelta_rel or cfg.noise.dbeta_x_rel):
         raise UnsupportedConfigurationError(
             "the discrete-drive scheme takes the phase offset dtheta only, not detuning "
             "or drive offsets")
@@ -511,7 +522,7 @@ def _segment_expansion(lam: float, beta: AlphaPoly) -> tuple[BosonPolynomial, ..
     by (-conj(beta), beta), grouped by order m, carries all of the dependence
     on s in the power s^m. Independent of alpha, tau and the step count.
     """
-    kerr = algebra.driven_kerr(_CHI, algebra.cubic_counterterms(_CHI)[0], 0)
+    kerr = algebra.driven_kerr(_CHI, _COUNTERTERMS[0], 0)
     groups = _taylor_shift(kerr, -beta.conjugate(), beta)
     return tuple(substitute_gaussian_frame(groups[m], lam).drop_constant()
                  for m in sorted(groups))
@@ -547,7 +558,7 @@ def _trotter_propagate(cfg: GateConfig, psi_in: PureState, tau: float):
 
     Returns the output state and the `kick` diagnostic sqrt(2)|xi|.
     """
-    xi, h_steps = _discrete_sequence(cfg, algebra.cubic_counterterms(_CHI)[1], tau)
+    xi, h_steps = _discrete_sequence(cfg, _COUNTERTERMS[1], tau)
     kick = math.sqrt(2.0) * abs(xi)
     if kick > math.sqrt(2.0 * cfg.n_fock) - 4.0:
         warnings.warn(

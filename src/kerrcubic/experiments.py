@@ -29,16 +29,15 @@ from __future__ import annotations
 import math
 import multiprocessing
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
-from . import algebra
 from .dynamics import (
-    _CHI,
     EvolutionResult,
     GateConfig,
+    NoiseParams,
     cubic_gate,
     effective_number_operator,
 )
@@ -53,8 +52,8 @@ from .fock import (
 )
 from .states import nlq_variance, parse_state, squeezed_vacuum
 
-_RUN_PARAMS = ("lam_db", "alpha")                          # what run_sweep sweeps
-_NOISE_PARAMS = ("dtheta", "ddelta_rel", "dbeta_x_rel")    # what noise_sweep sweeps
+_RUN_PARAMS = ("lam_db", "alpha")                            # what run_sweep sweeps
+_NOISE_PARAMS = tuple(f.name for f in fields(NoiseParams))  # what noise_sweep sweeps
 _ALPHA_MODES = ("fixed", "cube", "optimize")
 
 
@@ -204,21 +203,10 @@ def _configure_point(spec: SweepSpec, param: str, value: float) -> GateConfig:
     return cfg
 
 
-def _resolve_relative_noise(param: str, cfg: GateConfig, value: float) -> GateConfig:
-    """Set the detuning ("ddelta_rel") or drive ("dbeta_x_rel") offset to
-    `value` times its counter-term at cfg.alpha."""
-    delta_c, beta_c = algebra.cubic_counterterms(_CHI)
-    if param == "ddelta_rel":
-        return replace(cfg, noise=replace(cfg.noise, ddelta=value * delta_c(cfg.alpha).real))
-    return replace(cfg, noise=replace(cfg.noise, dbeta_x=value * beta_c(cfg.alpha).real))
-
-
 def _sweep_point(spec: SweepSpec, psi, value: float) -> dict:
     row = {"value": value, "param": spec.param, "ok": True, "message": ""}
     try:
         cfg = _configure_point(spec, spec.param, value)
-        if isinstance(psi, Exception):
-            raise psi
         if spec.alpha_mode == "optimize":
             center = spec.alpha_coeff * cfg.lam**3
             opt = optimize_alpha(
@@ -243,17 +231,14 @@ def _map_points(fn, spec: SweepSpec, points) -> list:
     """[fn(spec, psi, p) for p in points] in order, over a process pool when spec.workers > 1.
 
     The input psi is parsed once per sweep, keeping only the grid peaks a
-    gate at the base gamma can represent; if parsing fails, psi is the
-    exception, which each point raises where it needs the state. Warnings are
-    ignored from the parse on; the pool's workers are started after the filter
-    is set, so they ignore them too and both modes write the same stderr.
+    gate at the base gamma can represent; a parse error is raised before any
+    point runs. Warnings are ignored from the parse on; the pool's workers are
+    started after the filter is set, so they ignore them too and both modes
+    write the same stderr.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            psi = parse_state(spec.input_state, spec.base.n_fock, spec.base.gamma)
-        except Exception as exc:
-            psi = exc
+        psi = parse_state(spec.input_state, spec.base.n_fock, spec.base.gamma)
         jobs = [(spec, psi, p) for p in points]
         if spec.workers < 2 or len(jobs) < 2:
             return [fn(*job) for job in jobs]
@@ -316,12 +301,13 @@ def _phase_noise_score(base: GateConfig, psi: PureState):
     return score
 
 
-def _offset_score(spec: SweepSpec, base: GateConfig, psi: PureState):
-    """v -> (E_int, E(+v), E(-v), excess) of a detuning or drive offset: two gates per v."""
+def _offset_score(param: str, base: GateConfig, psi: PureState):
+    """v -> (E_int, E(+v), E(-v), excess) of the detuning or drive offset `param`
+    (a NoiseParams field): two gates per v."""
     e_int = cubic_gate(base, psi).error
 
     def noisy_error(v: float) -> float:
-        return cubic_gate(_resolve_relative_noise(spec.param, base, v), psi).error
+        return cubic_gate(replace(base, noise=replace(base.noise, **{param: v})), psi).error
 
     def score(v: float):
         e_plus, e_minus = noisy_error(v), noisy_error(-v)
@@ -336,13 +322,11 @@ _NOISE_CELLS = ("error_int", "error_plus", "error_minus", "excess")
 def _noise_rows(spec: SweepSpec, psi, lam_db: float) -> list[dict]:
     """The rows of every noise value at one squeezing, from one E_int."""
     base = _configure_point(spec, "lam_db", lam_db)
-    if isinstance(psi, Exception):
-        raise psi
     rows = [{"param": spec.param, "lam_db": lam_db, "lam": base.lam, "alpha": base.alpha,
              "value": v, "ok": True, "message": ""} for v in spec.values]
     try:
         score = (_phase_noise_score(base, psi) if spec.param == "dtheta"
-                 else _offset_score(spec, base, psi))
+                 else _offset_score(spec.param, base, psi))
     except Exception as exc:
         return [_failed(row, exc, _NOISE_CELLS) for row in rows]
     for row in rows:

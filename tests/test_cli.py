@@ -69,12 +69,15 @@ class TestFailFast:
         ["gate", "--input", "squeezed:inf", "--lambda-db", "6", "--alpha", "3", "--fock", "32"],
         ["state", "--input", "gkp:z+:1e300", "--fock", "32"],
         ["state", "--input", "gkp:z+:1e-9", "--fock", "32"],
+        # a sweep parses its input before any point runs, not once per row
+        ["sweep-lambda", "--input", "bogus", "--values", "5,7.5", "--fock", "32"],
     ])
     def test_bad_state_parameters_are_configuration_errors(self, tmp_path, capsys, argv):
         assert run([*argv, "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
         assert doc["error"]["type"] == "ValueError"
-        assert "bad state selector" in doc["error"]["message"]
+        kind = "unrecognized" if "bogus" in argv else "bad"
+        assert f"{kind} state selector" in doc["error"]["message"]
         assert not list(tmp_path.iterdir())
 
     def test_unread_flag_rejected(self, tmp_path, capsys):
@@ -100,7 +103,8 @@ class TestFailFast:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["sweep-noise", "--lambda-db-values", ","],
-                                      ["trotter", "--values", ","]])
+                                      ["trotter", "--values", ","],
+                                      ["optimize-alpha", "--bracket", ","]])
     def test_empty_list_rejected_before_any_gate(self, tmp_path, capsys, monkeypatch, argv):
         for module, name in ((cli, "cubic_gate"), (cli, "trotterized_gate"),
                              (ex, "cubic_gate")):
@@ -375,6 +379,16 @@ class TestStateAndGate:
         assert doc["error"]["type"] == "ConfigError"
         assert ">= 1" in doc["error"]["message"]
 
+    def test_optimum_error_is_the_gate_error_with_relative_offset(self, tmp_path):
+        # each gate of the optimization resolves the offset at its own alpha
+        noise = ["--ddelta-rel", "1e-3", "--fock", "48", "--lambda-db", "5"]
+        assert run(["optimize-alpha", *noise, "--out", str(tmp_path / "opt")]) == 0
+        opt = json.loads((tmp_path / "opt" / "optimize_alpha.json").read_text())
+        assert run(["gate", *noise, "--alpha", repr(opt["alpha"]),
+                    "--out", str(tmp_path / "gate")]) == 0
+        gate = json.loads((tmp_path / "gate" / "gate_result.json").read_text())
+        assert gate["error"] == opt["error"]
+
     def test_trotterized_gate_refuses_detuning_offset(self, tmp_path, capsys):
         assert run(["gate", "--trotter", "2", "--ddelta-rel", "1e-6", "--fock", "48",
                     "--lambda-db", "5", "--alpha", "5", "--input", "squeezed:0.5",
@@ -583,6 +597,20 @@ class TestOneParsePath:
             assert doc["error"]["type"] == "ConfigError"
             assert doc["error"]["message"] == f"{cfgfile}:1: {message}"
         assert not out.exists()
+
+    def test_negative_exponent_offset_from_flag_and_file(self, tmp_path):
+        # a bare -1e-6 reads as a flag to the argument parser; the = form does not
+        argv = ["--lambda-db", "5", "--alpha", "4.7", "--fock", "32", "--input",
+                "squeezed:0.5", "--out", str(tmp_path)]
+        names = ("gate_result.json", "gate_result.config.json")
+        assert run(["gate", "--ddelta-rel=-1e-6", *argv]) == 0
+        from_flag = [(tmp_path / name).read_bytes() for name in names]
+        resolved = json.loads(from_flag[1])["resolved_config"]
+        assert resolved["gate_config"]["noise"]["ddelta_rel"] == -1e-6
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("ddelta_rel = -1e-6\n")
+        assert run(["gate", "--config", str(cfgfile), *argv]) == 0
+        assert [(tmp_path / name).read_bytes() for name in names] == from_flag
 
     def test_chi_over_kappa_none_is_lossless(self, tmp_path):
         argv = ["--lambda-db", "6", "--alpha", "3", "--fock", "32", "--input", "vacuum",

@@ -35,18 +35,21 @@ class TestGateConfig:
         with pytest.raises(ValueError, match="finite"):
             make_cfg(**{field: value})
 
-    @pytest.mark.parametrize("field", ["dtheta", "ddelta", "dbeta_x"])
+    @pytest.mark.parametrize("field", ["dtheta", "ddelta_rel", "dbeta_x_rel"])
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_rejects_nonfinite_noise_offset(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             NoiseParams(**{field: value})
 
-    # chi = 1 is the time unit and the drive offset is real: neither is a field
+    # chi = 1 is the time unit, the drive offset is real, and the detuning and
+    # drive offsets are relative to their counter-terms: none is a field
     @pytest.mark.parametrize("build", [
         lambda: NoiseParams(dbeta_p=0.1),
         lambda: make_cfg(chi=2.0),
         lambda: GateConfig.make(lam_db=10.0, alpha=10.0, gamma=0.1, chi=2.0),
-    ], ids=["dbeta_p", "chi", "make-chi"])
+        lambda: NoiseParams(ddelta=0.1),
+        lambda: NoiseParams(dbeta_x=0.1),
+    ], ids=["dbeta_p", "chi", "make-chi", "ddelta", "dbeta_x"])
     def test_removed_field_rejected(self, build):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             build()
@@ -536,7 +539,9 @@ class TestCubicGate:
         with pytest.raises(ValueError):
             dyn.cubic_gate(make_cfg(n_fock=64), fk.vacuum(32))
 
-    @pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams(dtheta=0.01, ddelta=0.2)])
+    # at make_cfg's alpha = 3 the detuning counter-term is 26: an offset of 0.2
+    @pytest.mark.parametrize("noise", [NoiseParams(),
+                                       NoiseParams(dtheta=0.01, ddelta_rel=0.2 / 26)])
     def test_cached_operating_point_is_bit_identical(self, noise):
         cfg = make_cfg(noise=noise)
         psi = st.squeezed_vacuum(0.5, cfg.n_fock)
@@ -572,11 +577,13 @@ class TestCubicGate:
 
     def test_generator_cache_distinguishes_noise(self):
         h0, _ = dyn.effective_generators(make_cfg())
-        cfg = make_cfg(noise=NoiseParams(ddelta=0.5))
+        cfg = make_cfg(noise=NoiseParams(ddelta_rel=0.5 / 26))  # 0.5 at alpha = 3
         h1, _ = dyn.effective_generators(cfg)
         delta, beta = alg.cubic_counterterms(1.0)
+        # the gate resolves the relative offset at its own alpha
+        ddelta = cfg.noise.ddelta_rel * delta(cfg.alpha).real
         hp = alg.substitute_gaussian_frame(
-            alg.driven_kerr(1.0, delta + alg.AlphaPoly(0.5), beta), cfg.lam
+            alg.driven_kerr(1.0, delta + alg.AlphaPoly(ddelta), beta), cfg.lam
         ).drop_constant()
         assert np.array_equal(h1, alg.to_matrix(hp, cfg.alpha, cfg.n_fock))
         assert not np.array_equal(h1, h0)
@@ -608,9 +615,8 @@ class TestNoiseEquivalences:
 
     def test_detuning_noise_is_p_displacement(self):
         rel = 2e-7
-        dc = alg.cubic_counterterms(1.0)[0](self.alpha).real
         cfg = GateConfig(lam=self.lam, alpha=self.alpha, gamma=0.1, n_fock=self.n,
-                         noise=NoiseParams(ddelta=rel * dc))
+                         noise=NoiseParams(ddelta_rel=rel))
         noisy = dyn.cubic_gate(cfg, self.psi).state
         shift = -6.0 * 0.1 * self.alpha**2 / self.lam**2 * rel
         ref = self._p_displaced(self.out0, shift)
@@ -618,9 +624,8 @@ class TestNoiseEquivalences:
 
     def test_drive_noise_is_p_displacement(self):
         rel = 3e-7
-        bc = alg.cubic_counterterms(1.0)[1](self.alpha).real
         cfg = GateConfig(lam=self.lam, alpha=self.alpha, gamma=0.1, n_fock=self.n,
-                         noise=NoiseParams(dbeta_x=rel * bc))
+                         noise=NoiseParams(dbeta_x_rel=rel))
         noisy = dyn.cubic_gate(cfg, self.psi).state
         shift = -4.0 * 0.1 * self.alpha**2 / self.lam**2 * rel
         ref = self._p_displaced(self.out0, shift)
@@ -681,8 +686,10 @@ class TestTrotter:
         r2 = dyn.trotterized_gate(cfg, psi)
         assert r1.error == r2.error
 
-    @pytest.mark.parametrize("noise", [NoiseParams(ddelta=0.1), NoiseParams(dbeta_x=0.1),
-                                       NoiseParams(dtheta=0.01, dbeta_x=-0.1)])
+    # offsets of 0.1 and -0.1 at alpha = 5, where delta_c = 74 and beta_c = -250
+    @pytest.mark.parametrize("noise", [NoiseParams(ddelta_rel=0.1 / 74),
+                                       NoiseParams(dbeta_x_rel=-0.1 / 250),
+                                       NoiseParams(dtheta=0.01, dbeta_x_rel=0.1 / 250)])
     def test_detuning_and_drive_offsets_rejected_before_work(self, monkeypatch, noise):
         # the drive-free scheme has no continuous detuning or drive to offset
         def forbidden(*args):

@@ -217,7 +217,7 @@ class TestSweeps:
         assert serial == parallel
         assert serial_err == parallel_err == ""
 
-    def test_input_parsed_once_and_bad_selector_fails_each_row(self, monkeypatch):
+    def test_input_parsed_once_and_bad_selector_raises(self, monkeypatch):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32)
         spec = ex.SweepSpec(base=base, param="lam_db", values=(8.0, 10.0, 12.0),
                             input_state="squeezed:0.5", alpha_mode="cube")
@@ -226,11 +226,27 @@ class TestSweeps:
         monkeypatch.setattr(ex, "parse_state", lambda *a: parsed.append(a) or parse(*a))
         assert all(r["ok"] for r in ex.run_sweep(spec))
         assert parsed == [("squeezed:0.5", 32, 0.1)]
-        rows = ex.run_sweep(replace(spec, input_state="gkp:q+:0.5"))
-        assert [r["ok"] for r in rows] == [False] * 3
-        assert all(r["message"].startswith("ValueError: bad state selector") for r in rows)
+
+        # a bad input is the sweep's error, raised before any point runs
+        def forbidden(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        with pytest.raises(ValueError, match="bad state selector"):
+            ex.run_sweep(replace(spec, input_state="gkp:q+:0.5"))
         with pytest.raises(ValueError, match="bad state selector"):
             ex.noise_sweep(replace(spec, param="dtheta", input_state="gkp:q+:0.5"), (8.0,))
+
+    def test_relative_offset_is_resolved_at_each_rows_alpha(self):
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=48,
+                          noise=dyn.NoiseParams(ddelta_rel=1e-4))
+        spec = ex.SweepSpec(base=base, param="lam_db", values=(5.0, 8.0),
+                            input_state="squeezed:0.5", alpha_mode="cube")
+        psi = st.squeezed_vacuum(0.5, base.n_fock)
+        for row in ex.run_sweep(spec):
+            cfg = replace(base, lam=row["lam"], alpha=row["alpha"])
+            assert row["alpha"] != base.alpha
+            assert row["error"] == ex.cubic_gate(cfg, psi).error
 
     def test_rerun_is_identical(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)
@@ -328,7 +344,8 @@ class TestNoiseSweep:
 
     @pytest.mark.parametrize("kw", [
         dict(n_fock=32, kappa=0.05),  # mixed output
-        dict(noise=dyn.NoiseParams(dtheta=2e-4, ddelta=1e-3)),  # offsets in the base
+        # offsets in the base; a detuning of about 1e-3 at 8 dB
+        dict(noise=dyn.NoiseParams(dtheta=2e-4, ddelta_rel=4e-7)),
     ])
     def test_closed_form_matches_three_gates(self, kw):
         spec = _dtheta_spec(**kw)

@@ -56,12 +56,13 @@ class TestAlgebraProperties:
     @given(
         lam_db=hs.floats(0.0, 20.0),
         alpha=hs.floats(1.0, 2e4),
-        ddelta=hs.floats(-1.0, 1.0),
-        dbeta_x=hs.floats(-1.0, 1.0),
+        ddelta_rel=hs.floats(-1.0, 1.0),
+        dbeta_x_rel=hs.floats(-1.0, 1.0),
     )
-    def test_real_parameters_give_a_real_frame_matrix(self, lam_db, alpha, ddelta, dbeta_x):
+    def test_real_parameters_give_a_real_frame_matrix(self, lam_db, alpha, ddelta_rel,
+                                                      dbeta_x_rel):
         # fock.Spectrum takes the real symmetric solver exactly when this holds
-        cfg = dyn.GateConfig.make(lam_db, alpha, 0.1, n_fock=16,
-                                  noise=dyn.NoiseParams(ddelta=ddelta, dbeta_x=dbeta_x))
+        noise = dyn.NoiseParams(ddelta_rel=ddelta_rel, dbeta_x_rel=dbeta_x_rel)
+        cfg = dyn.GateConfig.make(lam_db, alpha, 0.1, n_fock=16, noise=noise)
         m = dyn._frame_matrix(cfg)
         assert not m.imag.any()
