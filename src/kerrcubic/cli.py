@@ -374,6 +374,9 @@ def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     noise = cfg.get("noise", "dtheta")
     if noise not in _NOISE_FIELDS:
         raise ConfigError(f"noise must be one of {', '.join(_NOISE_FIELDS)}, got {noise!r}")
+    if getattr(gc.noise, _NOISE_FIELDS[noise]):
+        raise ConfigError(f"sweep-noise --noise {noise} sets {noise} to +-value; "
+                          f"drop the base offset --{noise}")
     spec = _sweep_spec(cfg, gc, _NOISE_FIELDS[noise], (1e-4,), "cube")
     rows = noise_sweep(spec, _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),)))
     path = cfg.out_dir / "sweep_noise.csv"

@@ -18,10 +18,10 @@ one spectrum of n_eff gives E+, E- and the excess in closed form, with no
 difference of O(1) errors; a detuning or drive offset changes the
 Hamiltonian and runs two noisy gates per value.
 
-scipy.optimize is imported inside `optimize_alpha` and
-`optimize_gaussian_correction`, its only users, so sweeps at fixed or cube
-alpha and noise sweeps never load it; a forked sweep worker loads it on its
-first optimization.
+The alpha search runs its own port of scipy's bounded Brent minimizer
+(`_bounded_brent`), so no lossless sweep, optimizing or not, loads scipy;
+scipy.optimize is imported inside `optimize_gaussian_correction`, its only
+user.
 """
 
 from __future__ import annotations
@@ -89,6 +89,86 @@ ALPHA_COEFF = 1.85                 # C in the reference scaling alpha = C * lam^
 ALPHA_BRACKET_SCALE = (0.45, 3.5)  # default optimize bracket, in units of C * lam^3
 _COARSE_POINTS = 7    # geometric scan that classifies the bracket
 _ALPHA_XATOL = 2.5e-4  # Brent stop: absolute tolerance in log(alpha)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction of a Brent step
+_SQRT_EPS = math.sqrt(2.2e-16)          # Brent's relative tolerance in x
+_BRENT_MAXFUN = 500
+
+
+def _signed(step: float, r: float) -> float:
+    """step with the sign of r, + for r = 0 or -0: scipy's np.sign(r) + (r == 0)."""
+    return step if r >= 0 else -step
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of f over [a, b] by Brent's bounded method.
+
+    A line-for-line port of scipy 1.17.1's bounded scalar minimizer (method
+    "bounded"; Brent 1973, fmin). The first point is the golden section of
+    [a, b]. Each step is the parabola through the three best points when it
+    lands inside the bracket and moves less than half the step before last,
+    else a golden section of the larger part. No step is shorter than
+    tol1 = sqrt(2.2e-16)|x| + xatol/3, and the search stops when the bracket
+    around x is within 2 tol1 of it, or after 500 calls. The arithmetic is
+    scipy's, so the calls, their order and the result are scipy's bit for bit.
+    f must return finite floats.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    ffulc = fnfc = fx
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc)
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:  # too near a bound: step tol1 to xm
+                    rat = _signed(tol1, xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + _signed(max(abs(rat), tol1), rat)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx
 
 
 @dataclass(frozen=True)
@@ -113,9 +193,9 @@ def optimize_alpha(
     A 7-point geometric scan classifies the bracket by its argmin k: "edge" when
     k is a bracket end, "unimodal" when the scan has exactly one interior
     minimum, "multimodal" otherwise (non-unimodal classes warn). Brent's
-    parabolic-plus-golden minimizer (scipy's bounded `minimize_scalar`) then
-    refines on the coarse cell around k, [grid[k-1], grid[k+1]] clipped to the
-    bracket, to `_ALPHA_XATOL` in log(alpha). The better of Brent's point and
+    parabolic-plus-golden minimizer (`_bounded_brent`) then refines on the
+    coarse cell around k, [grid[k-1], grid[k+1]] clipped to the bracket, to
+    `_ALPHA_XATOL` in log(alpha). The better of Brent's point and
     grid[k] is returned, so the error never exceeds the coarse minimum and a
     minimum at a bracket end returns that end exactly. Gates are memoized;
     `evaluations` counts the distinct ones.
@@ -144,11 +224,8 @@ def optimize_alpha(
         warnings.warn(f"gate error not unimodal over the bracket ({kind}); "
                       "refining the cell of the coarse minimum", stacklevel=2)
     cell = (math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, _COARSE_POINTS - 1)]))
-    from scipy.optimize import minimize_scalar
-
-    best = minimize_scalar(lambda u: err(math.exp(u)), bounds=cell, method="bounded",
-                           options={"xatol": _ALPHA_XATOL})
-    alpha = math.exp(best.x) if best.fun < vals[k] else float(grid[k])
+    u, fu = _bounded_brent(lambda u: err(math.exp(u)), *cell, _ALPHA_XATOL)
+    alpha = math.exp(u) if fu < vals[k] else float(grid[k])
     return AlphaOptimum(alpha, err(alpha), len(cache), kind)
 
 
@@ -267,10 +344,9 @@ def _phase_noise_score(base: GateConfig, psi: PureState):
     2 Re(conj(A_0) delta) + |delta|^2 with delta = sum_j c_j expm1(-i v w_j),
     c_j = conj(y_j) (V^dag psi_out)_j, A_0 = sum_j c_j. The excess takes
     d(+v) + d(-v) = -4 sin^2(v w / 2) y, so no term is a difference of O(1)
-    numbers. E_int is the error at the base offset: the gate's own error when
-    that offset is 0.
+    numbers. E_int is that gate's own error.
     """
-    gate = cubic_gate(replace(base, noise=replace(base.noise, dtheta=0.0)), psi)
+    gate = cubic_gate(base, psi)
     s = Spectrum(effective_number_operator(base)[0])
     vh = s.v.conj().T
     y = vh @ gate.target.vector
@@ -289,14 +365,12 @@ def _phase_noise_score(base: GateConfig, psi: PureState):
     def moved(dv: np.ndarray) -> float:  # F(v) - F(0)
         return 2.0 * form(dv, y) + form(dv, dv)
 
-    base_move = moved(d(base.noise.dtheta))
-
     def score(v: float):
         plus, minus = d(v), d(-v)
         both = -4.0 * np.sin(0.5 * v * s.w) ** 2 * y
-        excess = base_move - form(both, y) - 0.5 * (form(plus, plus) + form(minus, minus))
-        return (gate.error - base_move, gate.error - moved(plus), gate.error - moved(minus),
-                excess)
+        # led by 0.0, so v = 0 gives an excess of 0, not -0
+        excess = 0.0 - form(both, y) - 0.5 * (form(plus, plus) + form(minus, minus))
+        return gate.error, gate.error - moved(plus), gate.error - moved(minus), excess
 
     return score
 
@@ -344,16 +418,21 @@ def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     """Noise response over (noise value x squeezing); spec.param picks the channel.
 
     Each row carries E_int, E(+v), E(-v) and the symmetrized excess
-    (E(+v) + E(-v))/2 - E_int. The input is parsed once, and each squeezing is
-    one job that computes E_int once for all of its values. A dtheta row costs
-    no gate of its own: one noiseless gate and one n_eff spectrum per
-    squeezing give every value in closed form (`_phase_noise_score`). A
-    detuning or drive row runs its two noisy gates.
+    (E(+v) + E(-v))/2 - E_int. The rows set the swept channel to +-v, so its
+    base offset must be 0; offsets on the other channels stay in every gate.
+    The input is parsed once, and each squeezing is one job that computes
+    E_int once for all of its values. A dtheta row costs no gate of its own:
+    one noiseless gate and one n_eff spectrum per squeezing give every value
+    in closed form (`_phase_noise_score`). A detuning or drive row runs its
+    two noisy gates.
     """
     if spec.param not in _NOISE_PARAMS:
         raise ValueError(f"noise_sweep cannot sweep {spec.param!r}; choose from {_NOISE_PARAMS}")
     if spec.alpha_mode == "optimize":
         raise ValueError("noise_sweep takes alpha_mode 'fixed' or 'cube', not 'optimize'")
+    if getattr(spec.base.noise, spec.param) != 0:
+        raise ValueError(f"noise_sweep sets {spec.param} to +-value; its base offset must "
+                         f"be 0, got {getattr(spec.base.noise, spec.param)}")
     lam_db_values = tuple(lam_db_values)
     if not lam_db_values:
         raise ValueError("noise sweep needs a non-empty squeezing list")

@@ -114,6 +114,18 @@ class TestFailFast:
         assert "non-empty" in doc["error"]["message"]
         assert not list(tmp_path.iterdir())
 
+    def test_base_offset_on_swept_noise_channel_rejected(self, tmp_path, capsys, monkeypatch):
+        # the rows set the swept channel to +-value, so a base offset there would
+        # move E_int alone; an offset on another channel stays allowed
+        monkeypatch.setattr(ex, "cubic_gate", _forbidden)
+        assert run(["sweep-noise", "--noise", "ddelta-rel", "--values", "1e-6",
+                    "--lambda-db-values", "8,10", "--fock", "64", "--input", "squeezed:0.5",
+                    "--ddelta-rel=1e-5", "--out", str(tmp_path)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert "--ddelta-rel" in doc["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_flag_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
         def forbidden(*args, **kwargs):

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from kerrcubic import dynamics as dyn
 from kerrcubic import experiments as ex
@@ -86,6 +88,75 @@ class TestOptimizeAlpha:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             ex.optimize_alpha(self.cfg, (-1.0, 5.0), self.psi)
+
+
+def _brent_against_scipy(f, a, b, xatol):
+    """The port's (x, f(x)) and calls equal scipy's bounded minimize_scalar's."""
+    from scipy.optimize import minimize_scalar
+
+    port_calls, ref_calls = [], []
+    x, fx = ex._bounded_brent(lambda u: port_calls.append(u) or f(u), a, b, xatol)
+    ref = minimize_scalar(lambda u: ref_calls.append(u) or f(u), bounds=(a, b),
+                          method="bounded", options={"xatol": xatol})
+    assert (x, fx) == (ref.x, ref.fun)
+    assert port_calls == ref_calls and len(port_calls) == ref.nfev
+    return port_calls
+
+
+class TestBoundedBrent:
+    """The port visits scipy's points in scipy's order and returns its result."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=hs.floats(-5.0, 5.0), width=hs.floats(1e-3, 3.0),
+           # the minimum as a fraction of the cell: at either bound, inside, outside
+           t=hs.sampled_from([0.0, 1.0]) | hs.floats(-1.0, 2.0),
+           c=hs.tuples(hs.floats(0.1, 10.0), hs.floats(-1.0, 1.0), hs.floats(0.0, 5.0)),
+           xatol=hs.sampled_from([1e-5, 2.5e-4, 1e-2]),
+           # rounded values give plateaus, so the comparisons meet ties
+           levels=hs.sampled_from([None, 8.0, 100.0, 1e3]))
+    def test_quartics_and_kinks_match_scipy(self, a, width, t, c, xatol, levels):
+        b = a + width
+        m = a + t * width
+
+        def rounded(y):
+            return y if levels is None else math.floor(y * levels) / levels
+
+        def quartic(u):  # products only, so a float and a numpy float agree
+            d = u - m
+            return rounded((c[0] * d * d + c[1] * d + c[2]) * d * d)
+
+        def kink(u):  # no parabola fits it; rounded, it ties points other than the best
+            return rounded(c[0] * abs(u - m))
+
+        for f in (quartic, kink):
+            _brent_against_scipy(f, a, b, xatol)
+
+    @pytest.mark.parametrize("r", [0.0, -0.0, 5e-324, -5e-324, 2.5, -2.5])
+    def test_step_sign_is_scipys(self, r):
+        assert ex._signed(0.75, r) == 0.75 * (np.sign(r) + (r == 0))
+
+    def test_constant_takes_golden_steps_to_the_far_bound(self):
+        calls = _brent_against_scipy(lambda u: 1.0, 0.0, 1.0, 1e-5)
+        assert calls == sorted(calls) and calls[-1] > 1.0 - 1e-4
+
+    def test_parabolic_step_near_a_bound_matches_scipy(self):
+        # the last parabola lands within 2 tol1 of the narrowed bracket's
+        # edge, so the step is tol1 towards the bracket's middle
+        for m in (0.7, 0.3):
+            calls = _brent_against_scipy(lambda u: (u - m) * (u - m), 0.0, 1.0, 1e-5)
+            assert m in calls
+
+    @pytest.mark.parametrize("m", [0.11, 0.83])
+    def test_staircase_ties_match_scipy(self, m):
+        # a new point that ties the second best without beating the best
+        # takes the second best's place
+        _brent_against_scipy(lambda u: math.floor(100.0 * abs(u - m)) / 100.0, 0.0, 1.0, 1e-5)
+
+    def test_call_cap(self):
+        # a slope into the bound at 0 shrinks the bracket by golden steps
+        # towards a tolerance of 1e-300: about 1,400 steps, cut at 500
+        calls = _brent_against_scipy(lambda u: u, 0.0, 1.0, 1e-300)
+        assert len(calls) == 500
 
 
 def _fake_gate(monkeypatch, curve):
@@ -320,7 +391,7 @@ def _three_gate_rows(spec, lam_dbs):
         for v in spec.values:
             out.append(tuple(
                 dyn.cubic_gate(replace(base, noise=replace(base.noise, dtheta=x)), psi).error
-                for x in (base.noise.dtheta, v, -v)))
+                for x in (0.0, v, -v)))
     return out
 
 
@@ -344,8 +415,8 @@ class TestNoiseSweep:
 
     @pytest.mark.parametrize("kw", [
         dict(n_fock=32, kappa=0.05),  # mixed output
-        # offsets in the base; a detuning of about 1e-3 at 8 dB
-        dict(noise=dyn.NoiseParams(dtheta=2e-4, ddelta_rel=4e-7)),
+        # a detuning offset in the base, about 1e-3 at 8 dB, on a dtheta sweep
+        dict(noise=dyn.NoiseParams(ddelta_rel=4e-7)),
     ])
     def test_closed_form_matches_three_gates(self, kw):
         spec = _dtheta_spec(**kw)
@@ -418,6 +489,25 @@ class TestNoiseSweep:
         spec = ex.SweepSpec(base=base, param="dtheta", values=(1e-4,), alpha_mode="optimize")
         with pytest.raises(ValueError, match="optimize"):
             ex.noise_sweep(spec, (10.0,))
+
+    def test_zero_offset_scores_zero_excess(self):
+        (row,) = ex.noise_sweep(replace(_dtheta_spec(n_fock=48), values=(0.0,)), (8.0,))
+        assert row["error_plus"] == row["error_minus"] == row["error_int"]
+        assert row["excess"] == 0.0 and math.copysign(1.0, row["excess"]) == 1.0  # not -0
+
+    @pytest.mark.parametrize("param", ["dtheta", "ddelta_rel", "dbeta_x_rel"])
+    def test_rejects_base_offset_on_swept_channel_before_any_gate(self, monkeypatch, param):
+        # the rows set the channel to +-v, so a base offset would move E_int alone
+        def forbidden(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(ex, "cubic_gate", forbidden)
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32,
+                          noise=dyn.NoiseParams(**{param: 1e-5}))
+        spec = ex.SweepSpec(base=base, param=param, values=(1e-6,),
+                            input_state="squeezed:0.5", alpha_mode="cube")
+        with pytest.raises(ValueError, match=f"{param}.*base offset must be 0"):
+            ex.noise_sweep(spec, (8.0,))
 
     def test_rejects_non_noise_param(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1)
