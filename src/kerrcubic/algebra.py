@@ -500,8 +500,12 @@ def effective_cubic_hamiltonian(
     evaluation happens at matrix-build time.
     """
     params = cubic_parameters(chi, lam, alpha, gamma)
-    h = driven_kerr(chi, params.delta_cubic, params.beta_cubic)
-    return substitute_gaussian_frame(h, lam).drop_constant()
+    return frame_hamiltonian(chi, lam, params.delta_cubic, params.beta_cubic)
+
+
+def frame_hamiltonian(chi: float, lam: float, delta, beta) -> BosonPolynomial:
+    """`driven_kerr(chi, delta, beta)` in the Gaussian frame of lam, constant dropped."""
+    return substitute_gaussian_frame(driven_kerr(chi, delta, beta), lam).drop_constant()
 
 
 @lru_cache(maxsize=64)

@@ -39,9 +39,9 @@ from .dynamics import (
     trotterized_gate,
 )
 from .experiments import (
-    ALPHA_BRACKET_SCALE,
     ALPHA_COEFF,
     SweepSpec,
+    alpha_bracket,
     generate_cubic_state,
     noise_sweep,
     optimize_alpha,
@@ -288,11 +288,7 @@ def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
     lam = lambda_from_db(cfg.get("lambda_db", 10.0))
     alpha = cfg.get("alpha", 50.0)
     dc, bc = algebra.cubic_counterterms(_CHI)
-    delta = algebra.AlphaPoly(cfg["delta"]) if "delta" in cfg else dc
-    beta = algebra.AlphaPoly(cfg["beta"]) if "beta" in cfg else bc
-    h = algebra.substitute_gaussian_frame(
-        algebra.driven_kerr(_CHI, delta, beta), lam
-    ).drop_constant()
+    h = algebra.frame_hamiltonian(_CHI, lam, cfg.get("delta", dc), cfg.get("beta", bc))
     quad = algebra.to_quadrature_form(h)
     rows = []
     for (j, k) in sorted(quad.terms, key=lambda t: (t[0] + t[1], t)):
@@ -358,8 +354,7 @@ def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 
 def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    center = ALPHA_COEFF * gc.lam**3
-    bracket = _floats(cfg, "bracket", tuple(s * center for s in ALPHA_BRACKET_SCALE))
+    bracket = _floats(cfg, "bracket", alpha_bracket(gc.lam))
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
     psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
@@ -416,6 +411,8 @@ def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 
 def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
+    if cfg.get("builtin_table") and cfg.get("materials"):
+        raise ConfigError("soliton-fom takes --builtin-table or --materials, not both")
     if cfg.get("builtin_table"):
         mats = soliton.BUILTIN_MATERIALS
     elif cfg.get("materials"):
@@ -578,8 +575,7 @@ def _photon_trace(spec: dict) -> tuple[list, list]:
         lam = lambda_from_db(db)
         gc = replace(spec["base"], lam=lam)
         psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
-        center = ALPHA_COEFF * lam**3
-        opt = optimize_alpha(gc, tuple(s * center for s in ALPHA_BRACKET_SCALE), psi)
+        opt = optimize_alpha(gc, alpha_bracket(lam), psi)
         series = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
         for t, tot, fl, var in zip(series["t"], series["total"],
                                    series["fluctuation"], series["variance"]):

@@ -86,8 +86,8 @@ _COUNTERTERMS = algebra.cubic_counterterms(_CHI)
 @dataclass(frozen=True)
 class NoiseParams:
     """Static parameter offsets: the phase dtheta, and the detuning and drive offsets
-    relative to their counter-terms 3 chi alpha^2 - chi and -2 chi alpha^3, which each
-    gate resolves at its own alpha (`_frame_matrix`)."""
+    eps relative to their counter-terms 3 chi alpha^2 - chi and -2 chi alpha^3, which
+    enter the exact substitution as (1 + eps) times the counter-term (`_frame_hamiltonian`)."""
 
     dtheta: float = 0.0
     ddelta_rel: float = 0.0
@@ -137,6 +137,13 @@ class GateConfig:
             raise ValueError(f"n_fock too small: {self.n_fock}")
         if self.trotter_steps < 0:
             raise ValueError("trotter_steps must be >= 0")
+        if self.trotter_steps > 0 and self.kappa != 0.0:
+            raise UnsupportedConfigurationError(
+                "the discrete-drive scheme is implemented for the lossless case only")
+        if self.trotter_steps > 0 and (self.noise.ddelta_rel or self.noise.dbeta_x_rel):
+            raise UnsupportedConfigurationError(
+                "the discrete-drive scheme takes the phase offset dtheta only, not detuning "
+                "or drive offsets")
 
     @staticmethod
     def make(lam_db: float, alpha: float, gamma: float,
@@ -181,20 +188,16 @@ def _cosh_sinh(lam: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _frame_hamiltonian(lam: float, ddelta: float, dbeta_x: float) -> BosonPolynomial:
-    """Substituted driven Kerr with counter-terms and absolute noise offsets, constant dropped.
+def _frame_hamiltonian(lam: float, ddelta_rel: float, dbeta_x_rel: float) -> BosonPolynomial:
+    """The frame Hamiltonian with detuning (1 + eps) delta_c and drive (1 + eps) beta_c.
 
-    Independent of alpha, so the noiseless gates of an alpha optimization
-    share it; `_frame_matrix` resolves relative offsets at each gate's alpha.
-    Noise offsets are folded into the detuning and drive before the frame
-    substitution, so the counter-term cancellation stays exact for the ideal
-    part and the noise appears as the residual terms it physically is. Every
-    coefficient is real, so H(alpha) is a real matrix.
+    Each float eps is an exact rational, so an offset is exactly eps times its
+    counter-term polynomial and the ideal part still cancels exactly. Independent
+    of alpha, so an alpha optimization shares one entry; H(alpha) is real.
     """
     delta_c, beta_c = _COUNTERTERMS
-    delta = delta_c + AlphaPoly(ddelta)
-    beta = beta_c + AlphaPoly(dbeta_x)
-    return substitute_gaussian_frame(algebra.driven_kerr(_CHI, delta, beta), lam).drop_constant()
+    return algebra.frame_hamiltonian(_CHI, lam, delta_c + delta_c * ddelta_rel,
+                                     beta_c + beta_c * dbeta_x_rel)
 
 
 @lru_cache(maxsize=16)
@@ -204,14 +207,9 @@ def _frame_number_operator(lam: float) -> BosonPolynomial:
 
 
 def _frame_matrix(cfg: GateConfig) -> np.ndarray:
-    """The effective Hamiltonian H(alpha) of `cfg` on its Fock space.
-
-    A relative offset becomes the absolute rel * counter-term(alpha) here, at
-    the gate's own alpha; a zero offset evaluates no counter-term.
-    """
-    offsets = [rel * c(cfg.alpha).real if rel else 0.0
-               for rel, c in zip((cfg.noise.ddelta_rel, cfg.noise.dbeta_x_rel), _COUNTERTERMS)]
-    h_poly = _frame_hamiltonian(float(cfg.lam), *offsets)
+    """The effective Hamiltonian H(alpha) of `cfg` on its Fock space: the cached
+    polynomial of its squeezing and relative offsets, evaluated at its alpha."""
+    h_poly = _frame_hamiltonian(float(cfg.lam), cfg.noise.ddelta_rel, cfg.noise.dbeta_x_rel)
     return algebra.to_matrix(h_poly, cfg.alpha, cfg.n_fock)
 
 
@@ -412,13 +410,6 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     exp(-i dtheta n_eff). Returns the output state (pure for kappa = 0, mixed
     otherwise), the gate error 1 - F(U_ideal psi_in, out), and diagnostics.
     """
-    if cfg.trotter_steps > 0 and cfg.kappa != 0.0:
-        raise UnsupportedConfigurationError(
-            "the discrete-drive scheme is implemented for the lossless case only")
-    if cfg.trotter_steps > 0 and (cfg.noise.ddelta_rel or cfg.noise.dbeta_x_rel):
-        raise UnsupportedConfigurationError(
-            "the discrete-drive scheme takes the phase offset dtheta only, not detuning "
-            "or drive offsets")
     if psi_in.dim != cfg.n_fock:
         raise ValueError(f"input state dim {psi_in.dim} != n_fock {cfg.n_fock}")
     if cfg.gamma == 0.0 and not cfg.noise.any:

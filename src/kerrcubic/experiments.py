@@ -94,6 +94,12 @@ _SQRT_EPS = math.sqrt(2.2e-16)          # Brent's relative tolerance in x
 _BRENT_MAXFUN = 500
 
 
+def alpha_bracket(lam: float, coeff=ALPHA_COEFF, scale=ALPHA_BRACKET_SCALE) -> tuple[float, float]:
+    """The optimize bracket scale * C lam^3 around the reference alpha = C lam^3."""
+    center = coeff * lam**3
+    return center * scale[0], center * scale[1]
+
+
 def _signed(step: float, r: float) -> float:
     """step with the sign of r, + for r = 0 or -0: scipy's np.sign(r) + (r == 0)."""
     return step if r >= 0 else -step
@@ -285,10 +291,8 @@ def _sweep_point(spec: SweepSpec, psi, value: float) -> dict:
     try:
         cfg = _configure_point(spec, spec.param, value)
         if spec.alpha_mode == "optimize":
-            center = spec.alpha_coeff * cfg.lam**3
-            opt = optimize_alpha(
-                cfg, (center * spec.bracket_scale[0], center * spec.bracket_scale[1]), psi
-            )
+            bracket = alpha_bracket(cfg.lam, spec.alpha_coeff, spec.bracket_scale)
+            opt = optimize_alpha(cfg, bracket, psi)
             cfg, error = replace(cfg, alpha=opt.alpha), opt.error  # the optimum's gate ran
         else:
             error = cubic_gate(cfg, psi).error
@@ -433,6 +437,9 @@ def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     if getattr(spec.base.noise, spec.param) != 0:
         raise ValueError(f"noise_sweep sets {spec.param} to +-value; its base offset must "
                          f"be 0, got {getattr(spec.base.noise, spec.param)}")
+    # every +-v configuration is built here, so an unsupported one is refused before any gate
+    for v in (*spec.values, *(-v for v in spec.values)):
+        replace(spec.base, noise=replace(spec.base.noise, **{spec.param: v}))
     lam_db_values = tuple(lam_db_values)
     if not lam_db_values:
         raise ValueError("noise sweep needs a non-empty squeezing list")

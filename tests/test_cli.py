@@ -126,6 +126,31 @@ class TestFailFast:
         assert "--ddelta-rel" in doc["error"]["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-lambda", "--values", "5,6", "--chi-over-kappa", "1e-2", "--alpha-mode", "cube"],
+        ["sweep-noise", "--noise", "ddelta-rel", "--values", "1e-6", "--lambda-db-values", "8"],
+    ])
+    def test_unsupported_trotter_combination_rejected_before_any_gate(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # the base configuration decides it, so no row is run and recorded as failed
+        monkeypatch.setattr(ex, "cubic_gate", _forbidden)
+        out = tmp_path / "o"
+        assert run([*argv, "--trotter", "2", "--fock", "32", "--input", "squeezed:0.5",
+                    "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "UnsupportedConfigurationError"
+        assert not out.exists()
+
+    def test_two_table_sources_rejected_before_reading(self, tmp_path, capsys):
+        # a file that is read would fail as an OSError (exit 3)
+        out = tmp_path / "o"
+        assert run(["soliton-fom", "--builtin-table", "--materials", str(tmp_path / "no.csv"),
+                    "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert "not both" in doc["error"]["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_flag_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
         def forbidden(*args, **kwargs):
@@ -392,7 +417,7 @@ class TestStateAndGate:
         assert ">= 1" in doc["error"]["message"]
 
     def test_optimum_error_is_the_gate_error_with_relative_offset(self, tmp_path):
-        # each gate of the optimization resolves the offset at its own alpha
+        # every gate of the optimization scales the offset with its own alpha
         noise = ["--ddelta-rel", "1e-3", "--fock", "48", "--lambda-db", "5"]
         assert run(["optimize-alpha", *noise, "--out", str(tmp_path / "opt")]) == 0
         opt = json.loads((tmp_path / "opt" / "optimize_alpha.json").read_text())

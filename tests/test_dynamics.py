@@ -580,11 +580,8 @@ class TestCubicGate:
         cfg = make_cfg(noise=NoiseParams(ddelta_rel=0.5 / 26))  # 0.5 at alpha = 3
         h1, _ = dyn.effective_generators(cfg)
         delta, beta = alg.cubic_counterterms(1.0)
-        # the gate resolves the relative offset at its own alpha
-        ddelta = cfg.noise.ddelta_rel * delta(cfg.alpha).real
-        hp = alg.substitute_gaussian_frame(
-            alg.driven_kerr(1.0, delta + alg.AlphaPoly(ddelta), beta), cfg.lam
-        ).drop_constant()
+        # the relative offset is exactly ddelta_rel times the detuning counter-term
+        hp = alg.frame_hamiltonian(1.0, cfg.lam, delta + delta * cfg.noise.ddelta_rel, beta)
         assert np.array_equal(h1, alg.to_matrix(hp, cfg.alpha, cfg.n_fock))
         assert not np.array_equal(h1, h0)
 
@@ -634,9 +631,9 @@ class TestNoiseEquivalences:
 
 class TestTrotter:
     def test_requires_lossless(self):
-        cfg = make_cfg(trotter_steps=2, kappa=0.1)
-        with pytest.raises(dyn.UnsupportedConfigurationError):
-            dyn.trotterized_gate(cfg, fk.vacuum(cfg.n_fock))
+        # refused when the configuration is built, before any gate
+        with pytest.raises(dyn.UnsupportedConfigurationError, match="lossless case only"):
+            make_cfg(trotter_steps=2, kappa=0.1)
 
     def test_requires_steps(self):
         with pytest.raises(dyn.UnsupportedConfigurationError):
@@ -690,17 +687,12 @@ class TestTrotter:
     @pytest.mark.parametrize("noise", [NoiseParams(ddelta_rel=0.1 / 74),
                                        NoiseParams(dbeta_x_rel=-0.1 / 250),
                                        NoiseParams(dtheta=0.01, dbeta_x_rel=0.1 / 250)])
-    def test_detuning_and_drive_offsets_rejected_before_work(self, monkeypatch, noise):
-        # the drive-free scheme has no continuous detuning or drive to offset
-        def forbidden(*args):
-            raise AssertionError("segment expansion ran")
-
-        monkeypatch.setattr(dyn, "_segment_expansion", forbidden)
-        cfg = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
-                         trotter_steps=2, noise=noise)
-        for gate in (dyn.cubic_gate, dyn.trotterized_gate):
-            with pytest.raises(dyn.UnsupportedConfigurationError, match="dtheta only"):
-                gate(cfg, st.squeezed_vacuum(0.5, cfg.n_fock))
+    def test_detuning_and_drive_offsets_rejected_before_work(self, noise):
+        # the drive-free scheme has no continuous detuning or drive to offset, so
+        # the configuration is refused when it is built
+        with pytest.raises(dyn.UnsupportedConfigurationError, match="dtheta only"):
+            GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
+                       trotter_steps=2, noise=noise)
 
     def test_zero_angle_is_identity(self):
         # like the continuous gate, gamma = 0 never enters the medium

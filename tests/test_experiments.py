@@ -89,6 +89,16 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError):
             ex.optimize_alpha(self.cfg, (-1.0, 5.0), self.psi)
 
+    @pytest.mark.parametrize("channel", ["ddelta_rel", "dbeta_x_rel"])
+    def test_relative_offset_search_substitutes_once(self, channel):
+        # the frame Hamiltonian is cached by the relative offset, which is the
+        # same at every alpha the search tries
+        cfg = GateConfig.make(5.0, 10.0, 0.1, n_fock=48, noise=dyn.NoiseParams(**{channel: 1e-3}))
+        dyn._frame_hamiltonian.cache_clear()
+        opt = ex.optimize_alpha(cfg, (5.0, 35.0), st.squeezed_vacuum(0.5, cfg.n_fock))
+        assert opt.evaluations > 1
+        assert dyn._frame_hamiltonian.cache_info().misses == 1
+
 
 def _brent_against_scipy(f, a, b, xatol):
     """The port's (x, f(x)) and calls equal scipy's bounded minimize_scalar's."""
@@ -470,15 +480,19 @@ class TestNoiseSweep:
             assert abs(got.error - want) <= 1e-14
             assert abs(got.error - e_int) > 1e-7
 
-    def test_trotterized_offset_rows_fail(self):
-        # a detuning offset on a drive-free base is refused, not scored as excess 0
+    def test_trotterized_offset_sweep_refused_before_work(self, monkeypatch):
+        # a detuning offset on a drive-free base is refused before the input is
+        # parsed, not recorded as failed rows
+        def forbidden(*args):
+            raise AssertionError("sweep work started")
+
+        monkeypatch.setattr(ex, "parse_state", forbidden)
+        monkeypatch.setattr(ex, "cubic_gate", forbidden)
         base = GateConfig(lam=1.0, alpha=5.0, gamma=0.1, n_fock=48, trotter_steps=2)
         spec = ex.SweepSpec(base=base, param="ddelta_rel", values=(1e-6,),
                             input_state="squeezed:0.5")
-        (row,) = ex.noise_sweep(spec, (5.0,))
-        assert not row["ok"] and math.isnan(row["excess"])
-        assert row["message"].startswith("UnsupportedConfigurationError")
-        assert "dtheta only" in row["message"]
+        with pytest.raises(dyn.UnsupportedConfigurationError, match="dtheta only"):
+            ex.noise_sweep(spec, (5.0,))
 
     def test_rejects_optimized_alpha_before_parsing(self, monkeypatch):
         def forbidden(*args):

@@ -52,6 +52,22 @@ class TestAlgebraProperties:
         assert quad.coefficient(2, 0).is_zero
         assert quad.coefficient(3, 0) == AlphaPoly([0, -Fraction(chi) * Fraction(lam) ** 3 / 4])
 
+    @FAST
+    @given(lam=squeeze_factors, eps=hs.floats(-1.0, 1.0))
+    def test_relative_offset_is_eps_times_the_counterterm(self, lam, eps):
+        # (1 + eps) delta_c and (1 + eps) beta_c: the offset alone, substituted
+        # on its own, is what a relative offset adds to the frame Hamiltonian
+        delta_c, beta_c = alg.cubic_counterterms(1.0)
+        h0 = dyn._frame_hamiltonian(lam, 0.0, 0.0)
+
+        def frame(terms):
+            return alg.substitute_gaussian_frame(BosonPolynomial(terms), lam).drop_constant()
+
+        assert dyn._frame_hamiltonian(lam, eps, 0.0) == h0 + frame({(1, 1): eps * delta_c})
+        drive = eps * beta_c
+        assert dyn._frame_hamiltonian(lam, 0.0, eps) == h0 + frame(
+            {(1, 0): drive, (0, 1): drive.conjugate()})
+
     @settings(max_examples=25, deadline=None)
     @given(
         lam_db=hs.floats(0.0, 20.0),
