@@ -195,8 +195,17 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_wigner_csv(path: Path, xs, ps, w) -> None:
-    write_csv(path, ["x", "p", "w"],
-              [(x, p, w[i, j]) for i, x in enumerate(xs) for j, p in enumerate(ps)])
+    """The bytes `write_csv` writes for the rows (x, p, w[i, j]), x-major.
+
+    Each axis value is formatted once by `_fmt`, and each W value with its
+    float rule, so a grid's file costs one format per cell instead of three.
+    """
+    px = [_fmt(p) for p in ps]
+    lines = [f"{fx},{fp},{v:.17g}\n" for fx, row in zip(map(_fmt, xs), np.asarray(w).tolist())
+             for fp, v in zip(px, row)]
+    with open(path, "w", newline="") as f:
+        f.write("x,p,w\n")
+        f.writelines(lines)
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:

@@ -19,20 +19,21 @@ one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
 the half-step is applied alone only at the start and the end.
 The dissipator is evaluated from CSR forms of L and M = L^dag L (L is
 tridiagonal, M pentadiagonal). For Hermitian rho, L rho L^dag = L (L rho)^dag
-and rho M = (M rho)^dag, so an evaluation is three sparse-times-dense products,
-O(N^2), and no dense-times-sparse product. The Bogoliubov L is real, so L and
+and rho M = (M rho)^dag, so an evaluation is two sparse-times-dense products,
+O(N^2): one with the stacked CSR [L; M], which gives L rho and M rho, and one
+with L; no dense-times-sparse product. The Bogoliubov L is real, so L and
 M stay real CSR and act on the float64 view of rho, an (N, 2N) array of
 interleaved real and imaginary parts: the same products summed in the same row
 order as a complex product, at about half its cost; a complex L, which
 `evolve_lindblad` also accepts, keeps the complex product. Conjugate
-transposes are written into one C-contiguous scratch buffer, and the stage
-arithmetic runs in place. Because the dissipator annihilates traces, any
-Runge-Kutta polynomial in it preserves the trace to roundoff; hermiticity is
-restored by symmetrization each step. The
-step count is chosen by comparing rungs of n and 2n steps: the first pair
-starts at the stability floor max(8, ceil(tau * m_edge)), and after a failing
-pair the second-order error model of Strang splitting (the rung delta falls 4x
-per doubling) picks the pair predicted to pass. The choice is deterministic,
+transposes, the sandwich and the Heun stage write into preallocated buffers,
+and the stage arithmetic runs in place. Because the dissipator annihilates
+traces, any Runge-Kutta polynomial in it preserves the trace to roundoff;
+hermiticity is restored by symmetrization each step. The step count is
+chosen by comparing rungs of n and 2n steps: the first pair starts at the
+stability floor max(8, ceil(tau * m_edge)), and after a failing pair the
+second-order error model of Strang splitting (the rung delta falls 4x per
+doubling) picks the pair predicted to pass. The choice is deterministic,
 so reruns are bit-identical.
 
 scipy.sparse is imported inside `evolve_lindblad`, its only user: lossless
@@ -238,18 +239,20 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps):
     Adjacent Hamiltonian half-steps are merged: the loop carries the mid-step
     state U(dt/2) rho U(dt/2)^dag, applies the Heun dissipator stage, then the
     full step U(dt) = U(dt/2)^2. The closing half-step is applied at the end
-    only. A real CSR `lindblad` pair acts on the float64 view of rho, a
-    complex one as a complex product; every conjugate transpose goes into one
-    preallocated scratch buffer, and U^dag is formed once per call. The
-    result is bit-identical to the plain complex expressions.
+    only. `lindblad` is the CSR pair (L, [L; M]), so L r and M r come from
+    one product with the stacked [L; M]; a real pair acts on the float64 view
+    of rho, a complex one as a complex product. Conjugate transposes, the sandwich and
+    the Heun stage write into preallocated buffers, and U^dag is formed once
+    per call. The result is bit-identical to the plain complex expressions.
     """
-    l_op, m_op = lindblad
+    l_op, lm_op = lindblad
+    n = rho0.shape[0]
     dt = tau / n_steps
     u_half = spectrum.unitary(0.5 * dt)
     u_step = u_half @ u_half
     # (U, U^dag) once per rung; U^dag is a transposed view BLAS reads as is
     half, step = (u_half, u_half.conj().T), (u_step, u_step.conj().T)
-    buf = np.empty(rho0.shape, dtype=np.complex128)
+    buf, ur, stage, rho = (np.empty(rho0.shape, dtype=np.complex128) for _ in range(4))
 
     def dagger(x):  # x^dag into the one C-contiguous scratch buffer
         return np.conjugate(x.T, out=buf)
@@ -263,34 +266,34 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps):
             # the same row order as the complex product, without the upcast
             return (op @ r.view(np.float64)).view(np.complex128)
 
-    def sandwich(u, u_dag, r):
-        r = u @ r @ u_dag
-        r += dagger(r)
-        r *= 0.5
-        return r
+    def sandwich(u, u_dag, r, out):  # (U r U^dag + its dagger)/2 into out; r may be out
+        np.matmul(u, r, out=ur)
+        np.matmul(ur, u_dag, out=out)
+        out += dagger(out)
+        out *= 0.5
 
     # d(r) = L r L^dag - (M r + r M)/2 with M = L^dag L, for Hermitian r, as
-    # L (L r)^dag - (M r + (M r)^dag)/2: three CSR-times-dense products
+    # L (L r)^dag - (M r + (M r)^dag)/2: one product with [L; M] and one with L
     def d(r):
-        lr = apply(l_op, r)
-        mr = apply(m_op, r)
+        lm = apply(lm_op, r)
+        lr, mr = lm[:n], lm[n:]
         out = apply(l_op, dagger(lr))
         mr += dagger(mr)
         mr *= 0.5
         out -= mr
         return out
 
-    rho = sandwich(*half, rho0)
+    sandwich(*half, rho0, rho)
     drift = 0.0
     for k in range(1, n_steps + 1):
         k1 = d(rho)
-        k2 = dt * k1
-        k2 += rho
-        k2 = d(k2)
+        np.multiply(dt, k1, out=stage)
+        stage += rho
+        k2 = d(stage)
         k1 += k2
         k1 *= 0.5 * dt
         rho += k1
-        rho = sandwich(*(half if k == n_steps else step), rho)
+        sandwich(*(half if k == n_steps else step), rho, rho)
         drift = max(drift, abs(np.trace(rho).real - 1.0))
     return rho, drift
 
@@ -335,7 +338,9 @@ def evolve_lindblad(
     # scipy sorts the indices in place on first use (abs() below); sort them
     # now, so that a rung's state does not depend on the branch integrating it
     m_op.sort_indices()
-    lindblad = (l_sp, m_op)
+    # L r and M r from one product: CSR rows are independent, so each row of
+    # the stack sums the same products in the same order as L or M alone
+    lindblad = (l_sp, sparse.vstack((l_sp, m_op), format="csr"))
     diagnostics: dict = {}
     if n_steps is not None:
         rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps)

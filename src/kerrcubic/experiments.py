@@ -18,10 +18,11 @@ one spectrum of n_eff gives E+, E- and the excess in closed form, with no
 difference of O(1) errors; a detuning or drive offset changes the
 Hamiltonian and runs two noisy gates per value.
 
-The alpha search runs its own port of scipy's bounded Brent minimizer
-(`_bounded_brent`), so no lossless sweep, optimizing or not, loads scipy;
-scipy.optimize is imported inside `optimize_gaussian_correction`, its only
-user.
+Both optimizers are the package's own: the alpha search runs a port of
+scipy's bounded Brent minimizer (`_bounded_brent`), and the Gaussian
+correction of a generated state runs a BFGS loop (`_bfgs`). No command
+imports scipy's optimizers, so a lossless sweep or state generation loads no
+scipy module at all.
 """
 
 from __future__ import annotations
@@ -501,6 +502,67 @@ def _correction_objective(params: np.ndarray, target: PureState, out) -> tuple[f
     return -float(np.real(np.vdot(phi, rho_phi))), -grad
 
 
+_BFGS_GTOL = 1e-5     # BFGS stop: max |gradient| entry
+_ARMIJO_C1 = 1e-4     # sufficient-decrease constant of the line search
+_MAX_BACKTRACKS = 30  # trials per line search; each shortens the step at least 2x
+
+
+def _cubic_backtrack(a: float, f0: float, d0: float, fa: float, da: float) -> float:
+    """The next, shorter trial step after a rejected step a.
+
+    The minimizer of the cubic through (0, f0) and (a, fa) with slopes d0 and
+    da (Nocedal & Wright, eq. 3.59), kept within [0.1a, 0.5a]; 0.5a when the
+    cubic has no minimizer.
+    """
+    d1 = d0 + da - 3.0 * (fa - f0) / a
+    disc = d1 * d1 - d0 * da
+    if not disc >= 0.0:  # no real minimizer, or a non-finite value
+        return 0.5 * a
+    d2 = math.sqrt(disc)
+    t = a - a * (da + d2 - d1) / (da - d0 + 2.0 * d2)
+    return min(max(t, 0.1 * a), 0.5 * a) if math.isfinite(t) else 0.5 * a
+
+
+def _bfgs(fun, x0: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x, f(x)) at a local minimum of f by BFGS; fun(x) returns (f, grad f).
+
+    Nocedal & Wright, Alg. 6.1: the inverse-Hessian estimate H starts at the
+    identity, each step tries x - H g at length 1 and backtracks by cubic
+    interpolation (`_cubic_backtrack`) until the sufficient-decrease condition
+    f(x + a p) - f(x) <= c1 a g.p holds, and H takes the BFGS update whenever
+    the step has positive curvature y.s. It stops, as scipy's BFGS does, once
+    max |g| <= 1e-5 or after 200 iterations per parameter. When a line
+    search finds no decrease in `_MAX_BACKTRACKS` trials, or the iterations
+    run out, it returns its last point, which has the lowest f so far, and
+    warns with the gradient norm there.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g = fun(x)
+    h = np.eye(x.size)
+    for _ in range(200 * x.size):
+        if np.abs(g).max() <= _BFGS_GTOL:
+            return x, f
+        p = -h @ g
+        d0 = float(g @ p)
+        a = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            fa, ga = fun(x + a * p)
+            if fa - f <= _ARMIJO_C1 * a * d0:  # a step that rounds away fails it
+                break
+            a = _cubic_backtrack(a, f, d0, fa, float(ga @ p))
+        else:
+            break
+        s, y = a * p, ga - g
+        x, f, g = x + s, fa, ga
+        ys = float(y @ s)
+        if ys > 0.0:
+            r = np.eye(x.size) - np.outer(s, y) / ys
+            h = r @ h @ r.T + np.outer(s, s) / ys
+    warnings.warn(f"BFGS stopped at max|grad| = {np.abs(g).max():.3g}, above "
+                  f"{_BFGS_GTOL:g}: no decrease found, or out of iterations", stacklevel=2)
+    return x, f
+
+
 def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndarray]:
     """Maximize fidelity over a single-mode Gaussian unitary applied to the output.
 
@@ -508,15 +570,12 @@ def optimize_gaussian_correction(target: PureState, out) -> tuple[float, np.ndar
     state preparation allows this freedom because the input is fixed, unlike a
     gate acting on unknown states. Each trial g = exp(iG) is scored as
     <phi|rho|phi> with phi = g^dag|target>. `_correction_objective` returns
-    that fidelity and its exact gradient from one eigendecomposition, and BFGS
-    at its default tolerances climbs from params = 0; at the fig4 point
-    (N = 128) it converges in about 16 evaluations.
+    that fidelity and its exact gradient from one eigendecomposition, and the
+    package's BFGS loop (`_bfgs`) climbs from params = 0; at the fig4 point
+    (N = 128) it converges in 17 evaluations.
     """
-    from scipy.optimize import minimize
-
-    best = minimize(_correction_objective, np.zeros(5), args=(target, out),
-                    jac=True, method="BFGS")
-    return -float(best.fun), best.x
+    params, f = _bfgs(lambda theta: _correction_objective(theta, target, out), np.zeros(5))
+    return -float(f), params
 
 
 def generate_cubic_state(

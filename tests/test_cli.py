@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerrcubic import cli
@@ -479,6 +480,16 @@ class TestEmitDeterminism:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert (a / "gate_result.json").read_bytes() == (b / "gate_result.json").read_bytes()
+
+    def test_wigner_grid_writes_the_write_csv_bytes(self, tmp_path):
+        xs, ps = np.linspace(-1.0, 1.0, 4), np.array([-0.0, 0.1, 2.5])
+        w = np.outer(np.sin(xs), np.cos(ps)) * 1e-3
+        w[0, 0], w[1, 1], w[2, 2], w[3, 0] = -0.0, math.nan, 1e-300, -math.inf
+        cli.write_wigner_csv(tmp_path / "w.csv", xs, ps, w)
+        cli.write_csv(tmp_path / "ref.csv", ["x", "p", "w"],
+                      [(x, p, w[i, j]) for i, x in enumerate(xs) for j, p in enumerate(ps)])
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0,-0\n" in (tmp_path / "w.csv").read_bytes()
 
     def test_emit_json(self, tmp_path):
         cli.emit({"x": 1.5}, tmp_path / "d.json")

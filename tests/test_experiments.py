@@ -240,6 +240,15 @@ class TestAlphaClassifier:
         assert calls == []
 
 
+def test_flat_error_curve_returns_the_bracket_end():
+    # gamma = 0: the gate is the identity, every alpha has error 0, so the
+    # coarse minimum is grid[0] and Brent's point only ties it
+    cfg = GateConfig.make(lam_db=5.0, alpha=3.0, gamma=0.0, n_fock=32)
+    with pytest.warns(UserWarning, match="edge"):
+        opt = ex.optimize_alpha(cfg, (3.0, 30.0), st.squeezed_vacuum(0.5, 32))
+    assert (opt.alpha, opt.error, opt.kind) == (3.0, 0.0, "edge")
+
+
 class TestSweeps:
     def test_single_point_reduces_to_cubic_gate(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=96)
@@ -585,6 +594,84 @@ class TestGaussianCorrection:
             corrected = fk.PureState(g @ out.vector, normalize=False)
         assert abs(f - fk.fidelity(target, corrected)) < 1e-12
         assert f > fk.fidelity(target, out)
+
+
+class TestBfgs:
+    def test_concave_start_skips_the_update(self):
+        # the first step spans a concave stretch (y.s < 0): an update there
+        # would flip the sign of H and the next direction would climb
+        def f(x):
+            return -x[0] ** 2 + x[0] ** 4, np.array([-2.0 * x[0] + 4.0 * x[0] ** 3])
+
+        x, fx = ex._bfgs(f, np.array([0.1]))
+        assert abs(x[0] - math.sqrt(0.5)) < 1e-6 and abs(fx + 0.25) < 1e-12
+
+    def test_no_decrease_warns_and_returns_the_best_point(self):
+        calls = []
+
+        def uphill(x):  # the gradient's sign is wrong, so every step climbs
+            calls.append(x)
+            return float(x @ x), -2.0 * x
+
+        with pytest.warns(UserWarning, match="BFGS stopped at max.grad. = 2"):
+            x, fx = ex._bfgs(uphill, np.array([1.0, 1.0]))
+        assert x.tolist() == [1.0, 1.0] and fx == 2.0
+        assert len(calls) == 1 + ex._MAX_BACKTRACKS
+
+    @pytest.mark.parametrize("a, f0, d0, fa, da, step", [
+        (1.0, 0.0, -1.0, 1e3, 3e3, 0.1),          # steep rise: clipped to 0.1 a
+        (1.0, 0.0, -1.0, -0.9, -0.1, 0.5),        # minimizer past a: clipped to 0.5 a
+        (1.0, 0.0, -1.0, -0.5, -1.0, 0.5),        # no real minimizer
+        (1.0, 0.0, -1.0, math.nan, math.nan, 0.5),
+        (2.0, 0.0, -1.0, 1.0, 1.0, None),         # an interior minimizer
+    ])
+    def test_cubic_backtrack_stays_in_its_safeguard(self, a, f0, d0, fa, da, step):
+        t = ex._cubic_backtrack(a, f0, d0, fa, da)
+        if step is not None:
+            assert t == step * a
+        else:  # inside the safeguard, the slope of the Hermite cubic vanishes at t
+            secant = (fa - f0) / a
+            c2, c3 = (3.0 * secant - 2.0 * d0 - da) / a, (d0 + da - 2.0 * secant) / a**2
+            assert 0.1 * a < t < 0.5 * a
+            assert abs(d0 + 2.0 * c2 * t + 3.0 * c3 * t * t) < 1e-12
+
+
+def _n48_inputs(mixed):
+    n = 48
+    target = st.ideal_cubic_target(0.1, st.squeezed_vacuum(0.5, n))
+    out = st.squeezed_vacuum(0.6, n)
+    if mixed:
+        rho = 0.9 * out.density_matrix().matrix + 0.1 * fk.vacuum(n).density_matrix().matrix
+        out = fk.MixedState(rho)
+    return target, out
+
+
+def _lossless_15db_inputs():
+    cfg = GateConfig.make(lam_db=15.0, alpha=1.85 * (10**0.75) ** 3, gamma=0.1, n_fock=128)
+    res = dyn.cubic_gate(cfg, st.squeezed_vacuum(0.5, 128))
+    return res.target, res.state
+
+
+class TestCorrectionAgainstScipy:
+    """The package's BFGS reaches scipy's optimum in at most one evaluation more."""
+
+    @pytest.mark.parametrize("inputs", ["pure-48", "mixed-48", "lossless-15dB-128"])
+    def test_matches_scipy_bfgs(self, inputs, monkeypatch):
+        from scipy.optimize import minimize
+
+        target, out = (_lossless_15db_inputs() if inputs.startswith("lossless")
+                       else _n48_inputs(inputs.startswith("mixed")))
+        ref = minimize(ex._correction_objective, np.zeros(5), args=(target, out),
+                       jac=True, method="BFGS")
+        assert ref.success
+        evaluations = []
+        spectrum = ex.Spectrum
+        monkeypatch.setattr(ex, "Spectrum", lambda h: evaluations.append(h) or spectrum(h))
+        f, params = ex.optimize_gaussian_correction(target, out)
+        monkeypatch.undo()
+        assert abs(f + ref.fun) <= 1e-10
+        assert len(evaluations) <= ref.nfev + 1
+        assert np.abs(params - ref.x).max() < 1e-4
 
 
 class TestGenerateCubicState:
