@@ -34,7 +34,6 @@ from .dynamics import (
     IntegrationError,
     NoiseParams,
     cubic_gate,
-    kappa_from_ratio,
     photon_number_trace,
     trotterized_gate,
 )
@@ -166,10 +165,6 @@ class RunConfig(dict):
         return out
 
     @property
-    def workers(self) -> int:
-        return self.get("workers", 1)
-
-    @property
     def wigner_axis(self) -> np.ndarray:
         span = self.get("wigner_span", 6.0)
         return np.linspace(-span, span, self.get("wigner_points", 121))
@@ -236,12 +231,13 @@ def _row_table(rows, header: list[str]) -> tuple[list[str], list[tuple]]:
 
 
 def parse_config_file(path: str, command: str) -> dict:
-    """Plain-text `key = value` lines; '#' comments; unknown keys, and keys
-    the subcommand `command` does not read, rejected.
+    """Plain-text `key = value` lines; '#' comments; unknown keys, keys the
+    subcommand `command` does not read, and keys set twice rejected.
 
     Each value is parsed by its key's rule, as a flag's is.
     """
     out: dict = {}
+    lines: dict = {}  # key -> the line that set it
     for ln_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -253,6 +249,10 @@ def parse_config_file(path: str, command: str) -> dict:
             raise ConfigError(f"{path}:{ln_no}: unknown key {key!r}")
         if command not in (_OPTIONS[key][1] or _COMMANDS):
             raise ConfigError(f"{path}:{ln_no}: {command} does not read key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{ln_no}: key {key!r} is set again; "
+                              f"line {lines[key]} set it first")
+        lines[key] = ln_no
         out[key] = _parse_value(key, value, f"{path}:{ln_no}: ")
     return out
 
@@ -345,13 +345,14 @@ _FOM_HEADER = ["name", "gamma_nl", "alpha_att_dB_per_m", "wavelength_m",
                "t_fwhm_s", "chi_over_kappa"]
 
 
-def _sweep_spec(cfg: RunConfig, gc: GateConfig, param: str, values: tuple,
+def _sweep_spec(cfg: dict, gc: GateConfig, param: str, values: tuple,
                 alpha_mode: str) -> SweepSpec:
     """The sweep the sweep subcommands read from `cfg`, with their own defaults."""
     return SweepSpec(base=gc, param=param, values=_floats(cfg, "values", values),
                      input_state=cfg.get("input", "gkp:z+:0.5"),
                      alpha_mode=cfg.get("alpha_mode", alpha_mode),
-                     alpha_coeff=cfg.get("alpha_coeff", ALPHA_COEFF), workers=cfg.workers)
+                     alpha_coeff=cfg.get("alpha_coeff", ALPHA_COEFF),
+                     workers=cfg.get("workers", 1))
 
 
 def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
@@ -374,7 +375,8 @@ def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     return [path]
 
 
-def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+def _noise_table(cfg: dict, gc: GateConfig) -> tuple[list, list]:
+    """The sweep-noise table of the options `cfg`, whose gate is `gc`."""
     noise = cfg.get("noise", "dtheta")
     if noise not in _NOISE_FIELDS:
         raise ConfigError(f"noise must be one of {', '.join(_NOISE_FIELDS)}, got {noise!r}")
@@ -383,8 +385,13 @@ def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
                           f"drop the base offset --{noise}")
     spec = _sweep_spec(cfg, gc, _NOISE_FIELDS[noise], (1e-4,), "cube")
     rows = noise_sweep(spec, _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),)))
+    return _row_table(rows, _NOISE_HEADER)
+
+
+def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+    table = _noise_table(cfg, gc)  # a refused sweep leaves no --out directory
     path = cfg.out_dir / "sweep_noise.csv"
-    write_csv(path, *_row_table(rows, _NOISE_HEADER))
+    write_csv(path, *table)
     return [path]
 
 
@@ -428,9 +435,10 @@ def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
         src = cfg["materials"]
         header, rows = read_csv(Path(src))
         want = _FOM_HEADER[:-1]
-        if header != want or any(len(r) != len(want) for r in rows):
-            raise ConfigError(f"{src}: materials CSV must have columns {want} in every row, "
-                              f"got {header} and rows of {[len(r) for r in rows]} cells")
+        if header != want or not rows or any(len(r) != len(want) for r in rows):
+            raise ConfigError(f"{src}: materials CSV must have columns {want} and one data "
+                              f"row at least, each of {len(want)} cells, got {header} and "
+                              f"rows of {[len(r) for r in rows]} cells")
         mats = []
         for i, r in enumerate(rows, start=1):
             # the numeric cells, in MaterialParams field order after the name
@@ -449,51 +457,40 @@ def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _recipe_spec(name: str, workers: int) -> dict:
-    """Parameter sets of the named dataset recipes."""
-    base = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=128)
-
+def _recipe_spec(name: str) -> dict:
+    """The named recipe as data: its table `kind`, the `options` (`_OPTIONS` keys
+    and values) that each of its runs sets, and its grids, each named after the
+    option that it varies; `grids` maps one option's value to another's values."""
     def noise(channel, values):
-        return {"kind": "noise", "channel": channel, "values": values,
-                "lam_db": (10.0, 12.5, 15.0, 17.5), "base": base, "workers": workers}
+        return {"kind": "noise", "options": {"noise": channel, "values": values,
+                                             "lambda_db_values": "10,12.5,15,17.5"}}
 
     specs = {
-        "fig2": {
-            "kind": "lambda-sweeps",
-            "states": [f"gkp:{lbl}:{d}" for lbl in ("z+", "z-", "x+", "x-", "y+", "y-")
-                       for d in (0.3, 0.4, 0.5)],
-            "values": (5.0, 7.5, 10.0, 12.5, 15.0),
-            "base": replace(base, n_fock=256),
-            "alpha_mode": "optimize",
-            "workers": workers,
-        },
-        "fig3a": {
-            "kind": "alpha-grids",
-            "chi_over_kappa": (1e-3, 1e-4, 1e-5),
-            "lam_db": (10.0, 12.5, 15.0, 17.5, 20.0),
-            "alpha_factors": tuple(float(f) for f in np.geomspace(0.6, 30.0, 10)),
-            "base": base, "workers": workers,
-        },
-        "fig3b": {
-            "kind": "lossy-sweeps",
-            "grids": {1e-3: (12.5, 15.0, 17.5, 20.0),
-                      1e-4: (15.0, 17.5, 20.0, 22.5),
-                      1e-5: (17.5, 20.0, 22.5, 25.0)},
-            "base": base, "workers": workers,
-        },
-        "fig3c": noise("dtheta", (1e-5, 3e-5, 1e-4, 3e-4)),
+        "fig2": {"kind": "lambda-sweeps", "options": {"fock": 256, "alpha_mode": "optimize"},
+                 "input": [f"gkp:{lbl}:{d}" for lbl in ("z+", "z-", "x+", "x-", "y+", "y-")
+                           for d in (0.3, 0.4, 0.5)],
+                 "lambda_db": (5.0, 7.5, 10.0, 12.5, 15.0)},
+        "fig3a": {"kind": "alpha-grids", "options": {},
+                  "chi_over_kappa": (1e-3, 1e-4, 1e-5),
+                  "lambda_db": (10.0, 12.5, 15.0, 17.5, 20.0),
+                  "alpha_factors": tuple(float(f) for f in np.geomspace(0.6, 30.0, 10))},
+        # chi_over_kappa -> lambda_db
+        "fig3b": {"kind": "lossy-sweeps", "options": {"alpha_mode": "optimize"},
+                  "grids": {1e-3: (12.5, 15.0, 17.5, 20.0),
+                            1e-4: (15.0, 17.5, 20.0, 22.5),
+                            1e-5: (17.5, 20.0, 22.5, 25.0)}},
+        "fig3c": noise("dtheta", "1e-5,3e-5,1e-4,3e-4"),
         "fig4": {"kind": "state-gen",
-                 "base": GateConfig.make(lam_db=15.0, alpha=1.4e4, gamma=0.1,
-                                         chi_over_kappa=1e-4, n_fock=128)},
-        # alpha grids per squeezing keep the discrete-drive kick representable
-        "fig5": {"kind": "trotter-curves",
+                 "options": {"lambda_db": 15.0, "alpha": 1.4e4, "chi_over_kappa": 1e-4}},
+        # lambda_db -> alpha: the grids keep the discrete-drive kick representable
+        "fig5": {"kind": "trotter-curves", "options": {"fock": 448},
                  "grids": {5.0: (5.0, 8.0, 12.0, 16.0), 10.0: (12.0, 16.0, 20.0, 25.0)},
-                 "trotter": (1, 2, 4), "n_fock": 448},
-        "fig6a": noise("ddelta_rel", (1e-6, 3e-6, 1e-5)),
-        "fig6b": noise("dbeta_x_rel", (1e-6, 3e-6, 1e-5)),
-        "fig7b": {"kind": "photon-trace", "lam_db": (5.0, 10.0, 15.0), "samples": 41,
-                  "base": base},
-        "table1": {"kind": "table1"},
+                 "trotter": (1, 2, 4)},
+        "fig6a": noise("ddelta-rel", "1e-6,3e-6,1e-5"),
+        "fig6b": noise("dbetax-rel", "1e-6,3e-6,1e-5"),
+        "fig7b": {"kind": "photon-trace", "options": {}, "lambda_db": (5.0, 10.0, 15.0),
+                  "samples": 41},
+        "table1": {"kind": "table1", "options": {}},
     }
     if name not in specs:
         raise ConfigError(f"unknown recipe {name!r}; choose from {RECIPES}")
@@ -515,7 +512,11 @@ def _fom_rows(mats) -> list[tuple]:
              soliton.figure_of_merit(m)) for m in mats]
 
 
-def _table1(spec: dict) -> tuple[list, list]:
+# Each recipe table takes `cfg`, the recipe's options over the run's
+# configuration, and the recipe spec for its grids.
+
+
+def _table1(cfg: dict, spec: dict) -> tuple[list, list]:
     return ([_FOM_HEADER[0], _FOM_HEADER[-1]],
             [(r[0], r[-1]) for r in _fom_rows(soliton.BUILTIN_MATERIALS)])
 
@@ -523,68 +524,58 @@ def _table1(spec: dict) -> tuple[list, list]:
 _SWEEP_CELLS = ("value", "lam", "alpha", "error", "ok", "message")
 
 
-def _sweep_table(jobs, header: list[str], cells=_SWEEP_CELLS) -> tuple[list, list]:
-    """Run each (leading cells, SweepSpec) job; a row is its leading cells + `cells`."""
-    return header, [lead + tuple(r[c] for c in cells)
-                    for lead, sweep in jobs for r in run_sweep(sweep)]
+def _sweep_table(cfg: dict, param: str, jobs, header: list[str], cells=_SWEEP_CELLS,
+                 **fields) -> tuple[list, list]:
+    """Run each (leading cells, options, values) job as a `param` sweep of `values`
+    with the job's options over `cfg` and the SweepSpec `fields`; a row is its
+    leading cells + `cells`."""
+    rows = []
+    for lead, options, values in jobs:
+        run = {**cfg, **options}
+        sweep = replace(_sweep_spec(run, _gate_config(run), param, values, "fixed"), **fields)
+        rows += [lead + tuple(r[c] for c in cells) for r in run_sweep(sweep)]
+    return header, rows
 
 
-def _lambda_sweeps(spec: dict) -> tuple[list, list]:
-    jobs = [((state,), SweepSpec(base=spec["base"], param="lam_db", values=spec["values"],
-                                 input_state=state, alpha_mode=spec["alpha_mode"],
-                                 workers=spec["workers"]))
-            for state in spec["states"]]
-    return _sweep_table(jobs, ["state", "lam_db", "lam", "alpha", "error", "ok", "message"])
+def _lambda_sweeps(cfg: dict, spec: dict) -> tuple[list, list]:
+    jobs = [((state,), {"input": state}, spec["lambda_db"]) for state in spec["input"]]
+    return _sweep_table(cfg, "lam_db", jobs,
+                        ["state", "lam_db", "lam", "alpha", "error", "ok", "message"])
 
 
-def _lossy_sweeps(spec: dict) -> tuple[list, list]:
-    base = spec["base"]
-    jobs = [((cok,), SweepSpec(base=replace(base, kappa=kappa_from_ratio(cok)),
-                               param="lam_db", values=lam_dbs, alpha_mode="optimize",
-                               bracket_scale=(0.8, 12.0), workers=spec["workers"]))
-            for cok, lam_dbs in spec["grids"].items()]
-    return _sweep_table(jobs, ["chi_over_kappa", "lam_db", "lam", "alpha", "error",
-                               "ok", "message"])
+def _lossy_sweeps(cfg: dict, spec: dict) -> tuple[list, list]:
+    jobs = [((cok,), {"chi_over_kappa": cok}, lam_dbs) for cok, lam_dbs in spec["grids"].items()]
+    return _sweep_table(cfg, "lam_db", jobs,
+                        ["chi_over_kappa", "lam_db", "lam", "alpha", "error", "ok", "message"],
+                        bracket_scale=(0.8, 12.0))
 
 
-def _alpha_grids(spec: dict) -> tuple[list, list]:
-    base, jobs = spec["base"], []
-    for cok in spec["chi_over_kappa"]:
-        for db in spec["lam_db"]:
-            lam = lambda_from_db(db)
-            values = tuple(f * ALPHA_COEFF * lam**3 for f in spec["alpha_factors"])
-            point = replace(base, kappa=kappa_from_ratio(cok), lam=lam)
-            jobs.append(((cok, db), SweepSpec(base=point, param="alpha", values=values,
-                                              workers=spec["workers"])))
-    return _sweep_table(jobs, ["chi_over_kappa", "lam_db", "alpha", "error", "ok", "message"],
+def _alpha_grids(cfg: dict, spec: dict) -> tuple[list, list]:
+    jobs = [((cok, db), {"chi_over_kappa": cok, "lambda_db": db},
+             tuple(f * ALPHA_COEFF * lambda_from_db(db)**3 for f in spec["alpha_factors"]))
+            for cok in spec["chi_over_kappa"] for db in spec["lambda_db"]]
+    return _sweep_table(cfg, "alpha", jobs,
+                        ["chi_over_kappa", "lam_db", "alpha", "error", "ok", "message"],
                         ("value", "error", "ok", "message"))
 
 
-def _noise_table(spec: dict) -> tuple[list, list]:
-    sw = SweepSpec(base=spec["base"], param=spec["channel"], values=spec["values"],
-                   alpha_mode="cube", workers=spec["workers"])
-    return _row_table(noise_sweep(sw, spec["lam_db"]), _NOISE_HEADER)
-
-
-def _trotter_curves(spec: dict) -> tuple[list, list]:
+def _trotter_curves(cfg: dict, spec: dict) -> tuple[list, list]:
     rows = []
     for db, alphas in spec["grids"].items():
-        lam = lambda_from_db(db)
         for alpha in alphas:
-            gc = GateConfig(lam=lam, alpha=alpha, gamma=0.1, n_fock=spec["n_fock"])
+            gc = _gate_config({**cfg, "lambda_db": db, "alpha": alpha})
             psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
             errors, e_cont = _trotter_errors(gc, psi, spec["trotter"])
             rows += [(db, alpha, n_t, err, e_cont) for n_t, err in zip(spec["trotter"], errors)]
     return ["lam_db", "alpha", "trotter_steps", "error", "error_continuous"], rows
 
 
-def _photon_trace(spec: dict) -> tuple[list, list]:
+def _photon_trace(cfg: dict, spec: dict) -> tuple[list, list]:
     rows = []
-    for db in spec["lam_db"]:
-        lam = lambda_from_db(db)
-        gc = replace(spec["base"], lam=lam)
+    for db in spec["lambda_db"]:
+        gc = _gate_config({**cfg, "lambda_db": db})
         psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
-        opt = optimize_alpha(gc, alpha_bracket(lam), psi)
+        opt = optimize_alpha(gc, alpha_bracket(gc.lam), psi)
         series = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
         for t, tot, fl, var in zip(series["t"], series["total"],
                                    series["fluctuation"], series["variance"]):
@@ -598,31 +589,28 @@ _RECIPE_TABLES = {
     "lambda-sweeps": _lambda_sweeps,
     "lossy-sweeps": _lossy_sweeps,
     "alpha-grids": _alpha_grids,
-    "noise": _noise_table,
+    "noise": lambda cfg, spec: _noise_table(cfg, _gate_config(cfg)),
     "trotter-curves": _trotter_curves,
     "photon-trace": _photon_trace,
 }
-
-
-def _run_recipe(name: str, spec: dict, out: Path) -> list[Path]:
-    if spec["kind"] == "state-gen":
-        return _write_state_gen(generate_cubic_state(spec["base"]), out, name)
-    p = out / f"{name}.csv"
-    write_csv(p, *_RECIPE_TABLES[spec["kind"]](spec))
-    return [p]
 
 
 def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
     """Write the sidecar first: `--dry-run` writes only the sidecar."""
     out = cfg.out_dir
     name = cfg["recipe"]
-    spec = _recipe_spec(name, cfg.workers)
+    spec = _recipe_spec(name)
     sidecar = out / f"{name}.config.json"
-    write_sidecar(sidecar, f"reproduce {name}",
-                  {**cfg, "recipe_spec": json.loads(json.dumps(spec, default=_fields))})
+    write_sidecar(sidecar, f"reproduce {name}", {**cfg, "recipe_spec": spec})
     if cfg.dry_run:
         return [sidecar]
-    return _run_recipe(name, spec, out)
+    # the recipe's options over the run's configuration, which sets only out and workers
+    run = {**cfg, **spec["options"]}
+    if spec["kind"] == "state-gen":
+        return _write_state_gen(generate_cubic_state(_gate_config(run)), out, name)
+    path = out / f"{name}.csv"
+    write_csv(path, *_RECIPE_TABLES[spec["kind"]](run, spec))
+    return [path]
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,23 @@ class TestConfigFile:
         msg = json.loads(capsys.readouterr().err.strip())["error"]["message"]
         assert ":2:" in msg and "not_a_key" in msg
 
+    def test_key_set_twice_names_both_lines(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("fock = 32\ninput = vacuum\nfock = 48\n")
+        out = tmp_path / "o"
+        assert run(["gate", "--config", str(cfgfile), "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"] == {"type": "ConfigError", "message":
+                                f"{cfgfile}:3: key 'fock' is set again; line 1 set it first"}
+        assert not out.exists()
+
+    def test_value_may_hold_an_equals_sign(self, tmp_path):
+        # the first '=' ends the key; `out`, read by every subcommand, is a path
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"out = {tmp_path / 'a=b'}\n")
+        assert run(["soliton-fom", "--builtin-table", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "a=b" / "soliton_fom.csv").exists()
+
     def test_bad_line_shape(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("alpha 10\n")
@@ -285,6 +302,9 @@ class TestSolitonFom:
 
     @pytest.mark.parametrize("text, message", [
         ("", "got [] and rows of [] cells"),
+        ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\n",
+         "one data row at least, each of 5 cells, got ['name', 'gamma_nl', "
+         "'alpha_att_dB_per_m', 'wavelength_m', 't_fwhm_s'] and rows of [] cells"),
         ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\ncustom,100,10\n",
          "rows of [3] cells"),
         ("name,gamma_nl,alpha_att_dB_per_m,wavelength_m,t_fwhm_s\ncustom,abc,10,1.5e-6,1e-13\n",
@@ -379,6 +399,19 @@ class TestStateAndGate:
                     "--input", "squeezed:0.5", "--out", str(tmp_path)]) == 0
         header, rows = cli.read_csv(tmp_path / "sweep_noise.csv")
         assert "excess" in header
+
+    def test_unset_options_take_their_defaults(self, tmp_path):
+        # sweep-noise reads every gate option; its defaults are the recipes' base
+        assert run(["sweep-noise", "--input", "vacuum", "--out", str(tmp_path)]) == 0
+        resolved = json.loads((tmp_path / "sweep_noise.config.json").read_text())[
+            "resolved_config"]
+        assert resolved["gate_config"] == {
+            "lam": fk.lambda_from_db(10.0), "lam_db": 10.0, "alpha": 50.0, "gamma": 0.1,
+            "kappa": 0.0, "n_fock": 128, "trotter_steps": 0,
+            "noise": {"dtheta": 0.0, "ddelta_rel": 0.0, "dbeta_x_rel": 0.0}}
+        header, rows = cli.read_csv(tmp_path / "sweep_noise.csv")
+        assert [(r[header.index("param")], r[header.index("lam_db")], r[header.index("value")])
+                for r in rows] == [("dtheta", "10", "0.0001")]
 
     def test_sweep_noise_drive_channel(self, tmp_path):
         # the flag spelling dbetax-rel names the dbeta_x_rel channel

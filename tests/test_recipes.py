@@ -15,50 +15,44 @@ that moved.
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from kerrcubic import cli
-from kerrcubic.dynamics import GateConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "recipes"
 
-_LOSSLESS = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=48)
-_LOSSY = GateConfig.make(lam_db=10.0, alpha=50.0, gamma=0.1, n_fock=32)
-
 
 def _noise(channel, values):
-    return {"kind": "noise", "channel": channel, "values": values,
-            "lam_db": (8.0, 10.0), "base": _LOSSLESS, "workers": 1}
+    return {"kind": "noise", "options": {"noise": channel, "values": values,
+                                         "lambda_db_values": "8,10", "fock": 48}}
 
 
 SHRUNK = {
-    "fig2": {"kind": "lambda-sweeps", "states": ["gkp:z+:0.5", "gkp:x-:0.4"],
-             "values": (5.0, 7.5), "base": replace(_LOSSLESS, n_fock=64),
-             "alpha_mode": "optimize", "workers": 1},
-    "fig3a": {"kind": "alpha-grids", "chi_over_kappa": (1e-1, 1e-2), "lam_db": (6.0,),
-              "alpha_factors": (0.8, 2.5), "base": _LOSSY, "workers": 1},
-    "fig3b": {"kind": "lossy-sweeps", "grids": {1e-1: (6.0,), 1e-2: (8.0,)},
-              "base": _LOSSY, "workers": 1},
-    "fig3c": _noise("dtheta", (1e-4, 1e-3)),
-    "fig5": {"kind": "trotter-curves", "grids": {5.0: (5.0, 8.0)}, "trotter": (1, 2),
-             "n_fock": 64},
-    "fig6a": _noise("ddelta_rel", (1e-5,)),
-    "fig6b": _noise("dbeta_x_rel", (1e-5,)),
-    "fig7b": {"kind": "photon-trace", "lam_db": (5.0,), "samples": 5, "base": _LOSSLESS},
+    "fig2": {"kind": "lambda-sweeps", "options": {"fock": 64, "alpha_mode": "optimize"},
+             "input": ["gkp:z+:0.5", "gkp:x-:0.4"], "lambda_db": (5.0, 7.5)},
+    "fig3a": {"kind": "alpha-grids", "options": {"fock": 32}, "chi_over_kappa": (1e-1, 1e-2),
+              "lambda_db": (6.0,), "alpha_factors": (0.8, 2.5)},
+    "fig3b": {"kind": "lossy-sweeps", "options": {"fock": 32, "alpha_mode": "optimize"},
+              "grids": {1e-1: (6.0,), 1e-2: (8.0,)}},
+    "fig3c": _noise("dtheta", "1e-4,1e-3"),
+    "fig5": {"kind": "trotter-curves", "options": {"fock": 64}, "grids": {5.0: (5.0, 8.0)},
+             "trotter": (1, 2)},
+    "fig6a": _noise("ddelta-rel", "1e-5"),
+    "fig6b": _noise("dbetax-rel", "1e-5"),
+    "fig7b": {"kind": "photon-trace", "options": {"fock": 48}, "lambda_db": (5.0,), "samples": 5},
 }
 
 
 def _run_shrunk(name, out):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_recipe_spec", lambda recipe, workers: SHRUNK[recipe])
+        mp.setattr(cli, "_recipe_spec", SHRUNK.__getitem__)
         return cli.dispatch(["reproduce", name, "--out", str(out)])
 
 
-def _dry_run_spec(name, out):
-    assert cli.dispatch(["reproduce", name, "--dry-run", "--out", str(out)]) == 0
+def _dry_run_spec(name, out, *flags):
+    assert cli.dispatch(["reproduce", name, "--dry-run", *flags, "--out", str(out)]) == 0
     return json.loads((out / f"{name}.config.json").read_text())["resolved_config"][
         "recipe_spec"]
 
@@ -88,6 +82,42 @@ def _moved_cells(name: str, table: Path) -> list[str]:
 def test_dry_run_recipe_spec(tmp_path, recipe):
     want = json.loads((GOLDEN / "dry_run_specs.json").read_text())[recipe]
     assert _dry_run_spec(recipe, tmp_path) == want
+
+
+@pytest.mark.parametrize("recipe", cli.RECIPES)
+def test_recipe_spec_ignores_workers(tmp_path, recipe):
+    # workers reach the sweeps from the run's configuration, not from the recipe
+    assert (_dry_run_spec(recipe, tmp_path / "1", "--workers", "1")
+            == _dry_run_spec(recipe, tmp_path / "2", "--workers", "2"))
+
+
+@pytest.mark.parametrize("flags, workers", [((), 1), (("--workers", "2"), 2)])
+def test_workers_reach_the_recipe_sweeps(tmp_path, monkeypatch, flags, workers):
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: seen.append(spec.workers) or [])
+    monkeypatch.setattr(cli, "noise_sweep", lambda spec, lam_dbs: seen.append(spec.workers) or [])
+    monkeypatch.setattr(cli, "_recipe_spec", SHRUNK.__getitem__)
+    for name in ("fig2", "fig3a", "fig3b", "fig3c"):
+        assert cli.dispatch(["reproduce", name, *flags, "--out", str(tmp_path)]) == 0
+    assert seen == [workers] * 7  # two sweeps each of fig2, fig3a and fig3b, one of fig3c
+
+
+@pytest.mark.parametrize("recipe", cli.RECIPES)
+def test_recipe_options_are_option_values(recipe):
+    for spec in (cli._recipe_spec(recipe), SHRUNK.get(recipe, {"options": {}})):
+        for key, value in spec["options"].items():
+            assert key in cli._OPTIONS, key
+            assert cli._parse_value(key, cli._fmt(value)) == value, key
+
+
+@pytest.mark.parametrize("recipe", ["fig3c", "fig6a", "fig6b"])
+def test_noise_recipe_is_its_sweep_noise_config(tmp_path, recipe):
+    assert _run_shrunk(recipe, tmp_path) == 0
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k} = {cli._fmt(v)}\n"
+                               for k, v in SHRUNK[recipe]["options"].items()))
+    assert cli.dispatch(["sweep-noise", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep_noise.csv").read_bytes() == (tmp_path / f"{recipe}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("recipe", sorted(SHRUNK))
