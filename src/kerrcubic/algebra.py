@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -177,10 +177,7 @@ class AlphaPoly:
         return AlphaPoly([c.conjugate() for c in self.coeffs])
 
     def __call__(self, alpha: float) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * alpha + complex(c)
-        return out
+        return _horner([complex(c) for c in self.coeffs], alpha)
 
     def __eq__(self, other):
         return isinstance(other, AlphaPoly) and self.coeffs == other.coeffs
@@ -196,6 +193,14 @@ class AlphaPoly:
 
 
 AlphaPoly.SYMBOL = AlphaPoly([0, 1])
+
+
+def _horner(coeffs: Sequence[complex], alpha: float) -> complex:
+    """coeffs[0] + coeffs[1] alpha + ... in floating point, highest power first."""
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * alpha + c
+    return out
 
 
 def _as_alpha_poly(v) -> AlphaPoly:
@@ -525,23 +530,46 @@ def _ladder_diagonal(j: int, n: int) -> np.ndarray:
 def to_matrix(p: BosonPolynomial, alpha: float, n: int) -> np.ndarray:
     """Evaluate the alpha symbol and assemble the dense Fock-space matrix.
 
-    The monomial (a^dag)^m a^n has one nonzero diagonal, with entry
-    [k+m, k+n] = r_m[k] r_n[k] (see `_ladder_diagonal`), so every monomial is
-    added as a band in O(N); the result is bit-identical to the dense products
-    (a^dag)^m @ a^n. Each monomial's alpha polynomial is evaluated on its own
-    and added in sorted order: regrouping the sum by powers of alpha would
-    reintroduce the cancellation the exact algebra avoids at alpha ~ 1e4.
+    Each monomial's alpha polynomial is evaluated on its own (see
+    `band_matrix`): regrouping the sum by powers of alpha would reintroduce
+    the cancellation the exact algebra avoids at alpha ~ 1e4.
     """
-    deg = p.degree
+    return band_matrix(
+        {key: [complex(c) for c in poly.coeffs] for key, poly in p.terms.items()}, alpha, n
+    )
+
+
+def band_matrix(slots: Mapping[tuple[int, int], Sequence[complex]], alpha: float,
+                n: int) -> np.ndarray:
+    """Dense N x N matrix of sum over (m, nn) of c_(m,nn)(alpha) (a^dag)^m a^nn.
+
+    slots[(m, nn)] lists the float coefficients of alpha^0, alpha^1, ... of
+    one normal-ordered monomial. Zero slots are pruned as `AlphaPoly` and
+    `BosonPolynomial` prune them (trailing zero powers, then monomials left
+    empty), and the Fock dimension must exceed the remaining degree by 2.
+    The monomial (a^dag)^m a^nn has one nonzero diagonal, with entry
+    [k+m, k+nn] = r_m[k] r_nn[k] (see `_ladder_diagonal`), so every monomial
+    is added as a band in O(N), in sorted order, with its coefficient
+    evaluated at alpha by Horner's rule; the result is bit-identical to the
+    dense products (a^dag)^m @ a^nn.
+    """
+    bands = []
+    for key, coeffs in sorted(slots.items()):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if coeffs:
+            bands.append((key, coeffs))
+    deg = max((m + nn for (m, nn), _ in bands), default=0)
     if n < deg + 2:
         raise InvalidDimensionError(
             f"Fock dimension {n} too small for polynomial degree {deg}"
         )
     out = np.zeros((n, n), dtype=complex)
     flat = out.reshape(-1)
-    for (m, nn), poly in sorted(p.terms.items()):
+    for (m, nn), coeffs in bands:
         length = n - max(m, nn)
         band = _ladder_diagonal(m, n)[:length] * _ladder_diagonal(nn, n)[:length]
         start = m * n + nn
-        flat[start: start + length * (n + 1): n + 1] += poly(alpha) * band
+        flat[start: start + length * (n + 1): n + 1] += _horner(coeffs, alpha) * band
     return out

@@ -43,6 +43,7 @@ gates, Trotterized gates and noise sweeps never load it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -134,6 +135,12 @@ class GateConfig:
             raise ValueError(f"gate angle must be finite and >= 0, got {self.gamma}")
         if self.kappa < 0:
             raise ValueError(f"decay rate must be >= 0, got {self.kappa}")
+        for name in ("n_fock", "trotter_steps"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_fock < 8:
             raise ValueError(f"n_fock too small: {self.n_fock}")
         if self.trotter_steps < 0:
@@ -524,27 +531,68 @@ def _segment_expansion(lam: float, beta: AlphaPoly) -> tuple[BosonPolynomial, ..
                  for m in sorted(groups))
 
 
+@lru_cache(maxsize=16)
+def _segment_numerators(lam: float, beta: AlphaPoly):
+    """`_segment_expansion` as integers: (D, M, slots) for sum_m (i sigma)^m Q_m.
+
+    D is the common denominator of every coefficient of Q_0..Q_M (Q_M the
+    last nonempty one). `slots` pairs each monomial (m, n) with one (re, im)
+    pair per alpha power: re[j] and im[j] are the integer real and imaginary
+    parts of D i^j times that slot of Q_j, so the i^j quarter turn is folded
+    in and the slot of the segment sum at real sigma is
+    sum_j (re[j] + i im[j]) sigma^j / D.
+    """
+    q = _segment_expansion(lam, beta)
+    q = q[:max(m for m, q_m in enumerate(q) if q_m.terms) + 1]
+    den = math.lcm(*(part.denominator for q_m in q for poly in q_m.terms.values()
+                     for c in poly.coeffs for part in (c.re, c.im)))
+    slots = []
+    for key in set().union(*(q_m.terms for q_m in q)):
+        polys = [q_m.coefficient(*key) for q_m in q]
+        column = []
+        for p in range(max(len(poly.coeffs) for poly in polys)):
+            re, im = [], []
+            for j, poly in enumerate(polys):
+                c = poly.coefficient(p)
+                a, b = int(c.re * den), int(c.im * den)
+                a, b = ((a, b), (-b, a), (-a, -b), (b, -a))[j % 4]  # i^j (a + ib)
+                re.append(a)
+                im.append(b)
+            column.append((tuple(re), tuple(im)))
+        slots.append((key, tuple(column)))
+    return den, len(q) - 1, tuple(slots)
+
+
 def _discrete_sequence(cfg: GateConfig, beta_poly: AlphaPoly, tau: float):
     """Displacement amplitude and per-step Hamiltonians of the drive-free scheme.
 
     The 2N interleaved kick displacements commute past the Kerr factors at the
     price of shifting each factor's frame; the product becomes one leftover
     displacement D(xi), xi = -i tau lam beta(alpha), times N Kerr factors whose
-    substitution offset is w_k = s_k beta, s_k = -i (2k-1) tau / (2N). Segment
-    k is sum_m s_k^m Q_m from the cached `_segment_expansion`: exact scalar
-    products, equal to substituting each offset on its own. Constants picked
-    up along the way are global phase and are dropped.
+    substitution offset is w_k = s_k beta, s_k = i sigma_k, sigma_k =
+    -(2k-1) tau / (2N). Segment k is sum_m s_k^m Q_m from the cached
+    `_segment_expansion`, summed on integers: the float sigma_k is exactly
+    S/T, so each slot (monomial, alpha power) is
+    sum_m (re_m + i im_m) S^m T^(M-m) / (D T^M) with the cached numerators of
+    `_segment_numerators`, two integer sums and one true division per part.
+    Python rounds an integer division correctly, as `float(Fraction)` does,
+    so every float equals the one of the exact scalar products and of
+    substituting each offset on its own. Constants picked up along the way
+    are global phase and are dropped.
     """
     n_t = cfg.trotter_steps
-    q = _segment_expansion(float(cfg.lam), beta_poly)
+    den, order, slots = _segment_numerators(float(cfg.lam), beta_poly)
     h_steps = []
     for k in range(1, n_t + 1):
-        s_k = algebra.ExactComplex.of(complex(0.0, -(2 * k - 1) * tau / (2.0 * n_t)))
-        h_k, power = q[0], s_k
-        for q_m in q[1:]:
-            h_k = h_k + q_m * power
-            power = power * s_k
-        h_steps.append(algebra.to_matrix(h_k, cfg.alpha, cfg.n_fock))
+        s, t = (-(2 * k - 1) * tau / (2.0 * n_t)).as_integer_ratio()
+        powers = [s**m * t ** (order - m) for m in range(order + 1)]
+        d = den * t**order
+        values = {
+            key: [complex(sum(map(operator.mul, re, powers)) / d,
+                          sum(map(operator.mul, im, powers)) / d) for re, im in column]
+            for key, column in slots
+        }
+        h_steps.append(algebra.band_matrix(values, cfg.alpha, cfg.n_fock))
     xi = -1j * tau * cfg.lam * beta_poly(cfg.alpha)
     return xi, h_steps
 

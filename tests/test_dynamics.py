@@ -28,6 +28,12 @@ class TestGateConfig:
             make_cfg(kappa=-0.1)
         with pytest.raises(ValueError):
             make_cfg(gamma=-0.2)
+        # integer fields are checked when the configuration is built
+        for field, value in [("n_fock", 64.0), ("trotter_steps", 2.5), ("trotter_steps", "2")]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                make_cfg(**{field: value})
+        cfg = make_cfg(n_fock=np.int64(64), trotter_steps=np.int32(2))
+        assert (cfg.n_fock, cfg.trotter_steps) == (64, 2)
 
     @pytest.mark.parametrize("field", ["lam", "alpha", "kappa"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -749,6 +755,7 @@ class TestTrotterSegmentExpansion:
         (48, 1, 5.0, 5.0, "squeezed:0.5"),
         (64, 3, 10.0, 12.0, "gkp:z+:0.5"),
         (96, 4, 10.0, 16.0, "gkp:x+:0.5"),
+        (448, 1, 10.0, 12.0, "gkp:z+:0.5"),
     ])
     def test_gate_bit_identical_to_per_segment_substitution(self, monkeypatch, n, steps,
                                                             lam_db, alpha, selector):
@@ -763,6 +770,41 @@ class TestTrotterSegmentExpansion:
         assert np.array_equal(new.state.vector, old.state.vector)
         assert new.error == old.error
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_zero_duration_gate_bit_identical_to_per_segment_substitution(self, monkeypatch,
+                                                                           steps):
+        # gamma = 0 with a phase offset still runs the segments, at tau = 0: every
+        # term of order m >= 1 vanishes and only Q_0 is left
+        cfg = GateConfig(lam=fk.lambda_from_db(10.0), alpha=12.0, gamma=0.0, n_fock=64,
+                         trotter_steps=steps, noise=NoiseParams(dtheta=0.01))
+        beta = alg.cubic_counterterms(1.0)[1]
+        xi, h_steps = dyn._discrete_sequence(cfg, beta, 0.0)
+        xi_ref, h_ref = _substituted_segments(cfg, beta, 0.0)
+        assert xi == xi_ref and len(h_steps) == len(h_ref) == steps
+        for h_k, h_k_ref in zip(h_steps, h_ref):
+            assert np.array_equal(h_k.view(np.int64), h_k_ref.view(np.int64))
+        psi = st.squeezed_vacuum(0.5, cfg.n_fock)
+        new = dyn.trotterized_gate(cfg, psi)
+        monkeypatch.setattr(dyn, "_discrete_sequence", _substituted_segments)
+        old = dyn.trotterized_gate(cfg, psi)
+        assert new.diagnostics["tau"] == 0.0 and new.error > 0.0
+        assert np.array_equal(new.state.vector, old.state.vector)
+        assert new.error == old.error
+
+    def test_band_assembly_prunes_zero_slots(self):
+        # a segment slot can be exactly zero (every slot past Q_0 at tau = 0);
+        # band_matrix drops zero slots as AlphaPoly and BosonPolynomial do,
+        # before the dimension check
+        slots = {(0, 1): [0.5, 0j, 2.0, 0j], (1, 0): [0.5, 0j, 2.0], (3, 4): [0j, 0j]}
+        exact = alg.BosonPolynomial({key: alg.AlphaPoly(c) for key, c in slots.items()})
+        assert exact.degree == 1
+        assert np.array_equal(alg.band_matrix(slots, 3.0, 3), alg.to_matrix(exact, 3.0, 3))
+        with pytest.raises(fk.InvalidDimensionError):
+            alg.band_matrix(slots, 3.0, 2)
+        assert np.array_equal(alg.band_matrix({(2, 2): [0j]}, 3.0, 2), np.zeros((2, 2)))
+        with pytest.raises(fk.InvalidDimensionError):
+            alg.band_matrix({}, 3.0, 1)
+
     def test_substitutions_once_per_expansion(self, monkeypatch):
         real = dyn.substitute_gaussian_frame
         calls = []
@@ -772,6 +814,7 @@ class TestTrotterSegmentExpansion:
             return real(*args, **kwargs)
 
         dyn._segment_expansion.cache_clear()
+        dyn._segment_numerators.cache_clear()
         monkeypatch.setattr(dyn, "substitute_gaussian_frame", counting)
         cfg = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,
                          trotter_steps=16)
