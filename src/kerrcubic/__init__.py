@@ -62,7 +62,6 @@ from .fock import (
     interior_dim,
     lambda_from_db,
     momentum,
-    number,
     position,
     squeeze,
     vacuum,

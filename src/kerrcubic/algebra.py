@@ -131,10 +131,6 @@ class AlphaPoly:
     SYMBOL: "AlphaPoly"  # set below: the polynomial alpha itself
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -297,10 +293,6 @@ class OrderedPolynomial:
         return out
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return max((i + j for (i, j) in self.terms), default=0)
 
     def coefficient(self, i: int, j: int) -> AlphaPoly:
         """Exact coefficient of the ordered monomial first^i second^j."""

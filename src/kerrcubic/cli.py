@@ -35,7 +35,6 @@ from .dynamics import (
     NoiseParams,
     cubic_gate,
     photon_number_trace,
-    trotterized_gate,
 )
 from .experiments import (
     ALPHA_COEFF,
@@ -406,10 +405,10 @@ def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
     """Trotterized gate errors for each step count, and the continuous gate's error.
 
-    Trotter runs first: a lossy configuration is rejected before the
-    continuous gate integrates the master equation.
+    The Trotter configurations come first: `GateConfig` refuses a lossy one
+    before the continuous gate integrates the master equation.
     """
-    errors = [trotterized_gate(replace(gc, trotter_steps=n_t), psi).error for n_t in steps]
+    errors = [cubic_gate(replace(gc, trotter_steps=n_t), psi).error for n_t in steps]
     return errors, cubic_gate(replace(gc, trotter_steps=0), psi).error
 
 

@@ -222,10 +222,10 @@ def _frame_matrix(cfg: GateConfig) -> np.ndarray:
 
 
 def effective_generators(cfg: GateConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Effective Hamiltonian and fluctuation-frame Lindblad operator."""
+    """Effective Hamiltonian and the real fluctuation-frame Lindblad operator."""
     c, s = _cosh_sinh(cfg.lam)
-    a = _annihilation_matrix(cfg.n_fock)
-    return _frame_matrix(cfg), math.sqrt(cfg.kappa) * (c * a + s * a.conj().T)
+    a = _annihilation_matrix(cfg.n_fock).real
+    return _frame_matrix(cfg), math.sqrt(cfg.kappa) * (c * a + s * a.T)
 
 
 def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:
@@ -338,8 +338,6 @@ def evolve_lindblad(
     from scipy import sparse
 
     spectrum = Spectrum(h)
-    if np.iscomplexobj(l_op) and not l_op.imag.any():
-        l_op = l_op.real  # L and M stay real CSR and act on float64 views
     l_sp = sparse.csr_matrix(l_op)
     m_op = sparse.csr_matrix(l_op.conj().T) @ l_sp
     # scipy sorts the indices in place on first use (abs() below); sort them
@@ -362,7 +360,8 @@ def evolve_lindblad(
         rungs: list = []
         states: dict = {}  # steps -> state of the rung, None if not finite
         delta = math.inf
-        while 2 * p <= n_top:
+        # p <= n_top // 2 holds throughout, so every pair fits under the top rung
+        while True:
             for n in (p, 2 * p):
                 if n not in states:
                     rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n)

@@ -34,13 +34,8 @@ and `squeeze_spectrum` return those two spectra; `displace_vector` and
 `squeeze_vector` apply D(s) and S(z) to a vector from them in O(N^2), so one
 spectrum serves any number of amplitudes. `displacement_spectrum` is cached
 per N (the last four, read-only), so grid inputs, the Trotter kick and
-`displacement` share one; `squeeze_spectrum` is built per call. Best of three on a 2-core host
-(numpy 2.4.6), against one complex eigh per Gaussian factor:
-
-    N                        128              256             448
-    gkp:z+:0.5 input     37 -> 6.2 ms    211 -> 25 ms    680 -> 85 ms
-    gkp:x+:0.5 input     73 -> 7.0 ms    364 -> 28 ms   1295 -> 95 ms
-    displacement(s, N)  6.4 -> 3.3 ms     23 -> 15 ms     87 -> 52 ms
+`displacement` share one; `squeeze_spectrum` is built per call. What this
+costs is measured by the benchmark (README, "Performance notes").
 """
 
 from __future__ import annotations
@@ -149,10 +144,6 @@ class PureState:
     def dim(self) -> int:
         return self.vector.shape[0]
 
-    def overlap(self, other: "PureState") -> complex:
-        _check_dims(self.dim, other.dim)
-        return complex(np.vdot(self.vector, other.vector))
-
     def density_matrix(self) -> "MixedState":
         return MixedState(np.outer(self.vector, self.vector.conj()))
 
@@ -216,12 +207,6 @@ def position(n: int) -> np.ndarray:
 def momentum(n: int) -> np.ndarray:
     a = annihilation(n)
     return (a - a.conj().T) / (1j * math.sqrt(2.0))
-
-
-def number(n: int) -> np.ndarray:
-    if n < 2:
-        raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
-    return np.diag(np.arange(n, dtype=float)).astype(complex)
 
 
 def vacuum(n: int) -> PureState:

@@ -25,7 +25,6 @@ C_LIGHT = 2.99792458e8  # m / s
 
 _DB_TO_NAT = math.log(10.0) / 10.0          # dB/length -> 1/length
 _FWHM_TO_TN = 2.0 * math.acosh(math.sqrt(2.0))  # T_fwhm = 1.763 T_n
-_FOM_PREFACTOR = 3.83                        # rounded closed-form prefactor
 
 
 class MissingFieldError(ValueError):
@@ -94,11 +93,11 @@ def gamma_from_material(n2: float, a_eff: float, wavelength: float) -> float:
     return omega0 * n2 / (C_LIGHT * a_eff)
 
 
-def soliton_scales(m: MaterialParams, v_g: float | None = None) -> SolitonScales:
+def soliton_scales(m: MaterialParams) -> SolitonScales:
     """Pulse timescale from the FWHM, with the loss and SPM rates at that scale."""
     m._require("alpha_att", "wavelength", "t_fwhm")
     g_nl = m.nonlinear_coefficient()
-    vg = v_g if v_g is not None else (m.v_g if m.v_g is not None else 1.0e8)
+    vg = m.v_g if m.v_g is not None else 1.0e8
     t_n = m.t_fwhm / _FWHM_TO_TN
     kappa = _DB_TO_NAT * m.alpha_att * vg
     chi = HBAR * m.omega0 * vg * g_nl / (2.0 * t_n)
@@ -106,21 +105,9 @@ def soliton_scales(m: MaterialParams, v_g: float | None = None) -> SolitonScales
 
 
 def figure_of_merit(m: MaterialParams) -> float:
-    """chi/kappa for the platform; the group velocity cancels.
-
-    Cross-checked against the rounded 3.83-prefactor closed form to 1%.
-    """
+    """chi/kappa for the platform; the group velocity cancels."""
     scales = soliton_scales(m)
-    fom = scales.chi / scales.kappa
-    closed = (
-        _FOM_PREFACTOR * HBAR * m.omega0 * m.nonlinear_coefficient()
-        / (m.t_fwhm * m.alpha_att)
-    )
-    if abs(fom / closed - 1.0) > 0.01:
-        raise AssertionError(
-            f"figure-of-merit routes disagree beyond 1%: {fom} vs {closed}"
-        )
-    return fom
+    return scales.chi / scales.kappa
 
 
 def soliton_timescale(n: int, m: MaterialParams) -> float:

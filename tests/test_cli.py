@@ -107,8 +107,7 @@ class TestFailFast:
                                       ["trotter", "--values", ","],
                                       ["optimize-alpha", "--bracket", ","]])
     def test_empty_list_rejected_before_any_gate(self, tmp_path, capsys, monkeypatch, argv):
-        for module, name in ((cli, "cubic_gate"), (cli, "trotterized_gate"),
-                             (ex, "cubic_gate")):
+        for module, name in ((cli, "cubic_gate"), (ex, "cubic_gate")):
             monkeypatch.setattr(module, name, _forbidden)
         assert run([*argv, "--fock", "32", "--input", "vacuum", "--out", str(tmp_path)]) == 2
         doc = json.loads(capsys.readouterr().err.strip())
@@ -433,7 +432,6 @@ class TestStateAndGate:
         assert float(rows[1][2]) <= float(rows[0][2])
 
     def test_fractional_trotter_steps_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "trotterized_gate", _forbidden)
         monkeypatch.setattr(cli, "cubic_gate", _forbidden)
         assert run(["trotter", "--values", "1.5,2.7", "--fock", "32", "--input", "vacuum",
                     "--out", str(tmp_path)]) == 2
@@ -442,7 +440,6 @@ class TestStateAndGate:
         assert "whole numbers" in doc["error"]["message"]
 
     def test_trotter_steps_below_one_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "trotterized_gate", _forbidden)
         monkeypatch.setattr(cli, "cubic_gate", _forbidden)
         assert run(["trotter", "--values", "4,0", "--fock", "32", "--input", "vacuum",
                     "--out", str(tmp_path)]) == 2

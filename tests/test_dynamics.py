@@ -116,7 +116,7 @@ def _applied(u, psi):
 class TestEvolveUnitary:
     def test_zero_time(self):
         psi = st.squeezed_vacuum(0.5, 64)
-        out = evolve(fk.number(64), 0.0, psi)
+        out = evolve(np.diag(np.arange(64, dtype=complex)), 0.0, psi)
         assert fk.fidelity(psi, out) > 1 - 1e-14
 
     def test_pure_cubic_generator_matches_ideal_gate(self):
@@ -186,7 +186,7 @@ class TestEvolveLindblad:
             np.zeros((n, n)), l_op, tau,
             fk.vacuum(n).density_matrix(), n_steps=1024,
         )
-        got = fk.expectation(fk.number(n), rho).real
+        got = fk.expectation(np.diag(np.arange(n, dtype=complex)), rho).real
         want = s * s * (1.0 - math.exp(-kappa * tau))
         assert abs(got - want) < 1e-6
 
@@ -398,10 +398,11 @@ class TestRealViewKernel:
     @pytest.mark.parametrize("n_steps", [48, 96])
     def test_bit_identical_to_complex_kernel(self, n_steps):
         h, l_op, tau = self._generators()
-        assert np.iscomplexobj(l_op) and not l_op.imag.any()
+        assert l_op.dtype == np.float64
         rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
-        l_sp = sparse.csr_matrix(l_op)
-        m_op = sparse.csr_matrix(l_op.conj().T) @ l_sp
+        l_cplx = l_op.astype(complex)
+        l_sp = sparse.csr_matrix(l_cplx)
+        m_op = sparse.csr_matrix(l_cplx.conj().T) @ l_sp
         m_op.sort_indices()
         ref, ref_drift = _complex_lindblad_reference(fk.Spectrum(h), (l_sp, m_op), tau,
                                                      rho0.matrix, n_steps)
@@ -425,9 +426,8 @@ class TestRealViewKernel:
     def test_real_and_zero_imaginary_operator_agree(self):
         h, l_op, tau = self._generators()
         rho0 = st.squeezed_vacuum(0.5, self.n).density_matrix()
-        real, d_real = dyn.evolve_lindblad(h, l_op.real, tau, rho0, n_steps=48)
-        cplx, d_cplx = dyn.evolve_lindblad(h, l_op.real.astype(complex), tau, rho0,
-                                           n_steps=48)
+        real, d_real = dyn.evolve_lindblad(h, l_op, tau, rho0, n_steps=48)
+        cplx, d_cplx = dyn.evolve_lindblad(h, l_op.astype(complex), tau, rho0, n_steps=48)
         assert np.array_equal(real.matrix, cplx.matrix)
         assert d_real == d_cplx
 
@@ -504,6 +504,67 @@ class TestStepLadder:
         h, l_op, _, rho0 = self._setup(n=16)
         with pytest.raises(ValueError, match=next(iter(kw))):
             dyn.evolve_lindblad(h, l_op, rho0=rho0, **{"tau": 0.05, **kw})
+
+    def test_one_step_and_zero_time_are_valid(self):
+        h, l_op, _, rho0 = self._setup(n=16)
+        _, diag = dyn.evolve_lindblad(h, l_op, 0.001, rho0, n_steps=1)
+        assert diag["steps"] == diag["integrated_steps"] == 1
+        rho, diag = dyn.evolve_lindblad(h, l_op, 0.0, rho0)
+        assert rho is rho0
+        assert diag == {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0}
+
+    def test_non_finite_rung_means_plain_doubling(self, monkeypatch):
+        # rungs 16 and 32 blow up: no pair is compared until (64, 128), each
+        # rung is integrated once, and the model's jump starts from there
+        h, l_op, _, rho0 = self._setup()
+        fixed = dyn._lindblad_fixed
+
+        def blow_up(spectrum, lindblad, tau, rho0, n_steps):
+            rho, drift = fixed(spectrum, lindblad, tau, rho0, n_steps)
+            return (np.full_like(rho, np.nan) if n_steps in (16, 32) else rho), drift
+
+        monkeypatch.setattr(dyn, "_lindblad_fixed", blow_up)
+        rho, diag = dyn.evolve_lindblad(h, l_op, 0.05, rho0)
+        assert [n for n, _ in diag["rungs"][:5]] == [8, 16, 32, 64, 128]
+        assert [d is None for _, d in diag["rungs"][:5]] == [True] * 4 + [False]
+        assert np.all(np.isfinite(rho.matrix))
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_delta_up_to_four_tolerances_doubles_once(self, monkeypatch, ratio):
+        # a pair passes only below the tolerance; a delta of exactly tol
+        # predicts no doubling, and the ladder still moves on by one
+        h, l_op, _, rho0 = self._setup()
+        _, diag = dyn.evolve_lindblad(h, l_op, 0.05, rho0)
+        monkeypatch.setattr(dyn, "LINDBLAD_TOL", diag["rungs"][1][1] / ratio)
+        _, diag = dyn.evolve_lindblad(h, l_op, 0.05, rho0)
+        assert [n for n, _ in diag["rungs"][:3]] == [8, 16, 32]
+        assert diag["rungs"][2][1] is not None
+
+    def test_trace_drift_bound_is_inclusive(self, monkeypatch):
+        h, l_op, _, rho0 = self._setup(n=16)
+        fixed = dyn._lindblad_fixed
+
+        def drift(limit):
+            def spy(spectrum, lindblad, tau, rho0, n_steps):
+                return fixed(spectrum, lindblad, tau, rho0, n_steps)[0], limit
+            return spy
+
+        monkeypatch.setattr(dyn, "_lindblad_fixed", drift(1e-8))
+        assert dyn.evolve_lindblad(h, l_op, 0.05, rho0, n_steps=8)[1]["trace_drift"] == 1e-8
+        monkeypatch.setattr(dyn, "_lindblad_fixed", drift(1.0000001e-8))
+        with pytest.raises(dyn.IntegrationError, match="trace drifted"):
+            dyn.evolve_lindblad(h, l_op, 0.05, rho0, n_steps=8)
+
+    def test_negativity_warning_threshold_and_caller(self, monkeypatch):
+        h, l_op, _, rho0 = self._setup(n=16)
+        monkeypatch.setattr(fk.MixedState, "min_eigenvalue", lambda self: -1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dyn.evolve_lindblad(h, l_op, 0.05, rho0, n_steps=8)
+        monkeypatch.setattr(fk.MixedState, "min_eigenvalue", lambda self: -2e-7)
+        with pytest.warns(fk.TruncationWarning, match="negativity") as record:
+            dyn.evolve_lindblad(h, l_op, 0.05, rho0, n_steps=8)
+        assert record[0].filename == __file__  # stacklevel 2: the caller's line
 
 
 class TestCubicGate:
@@ -590,6 +651,13 @@ class TestCubicGate:
         hp = alg.frame_hamiltonian(1.0, cfg.lam, delta + delta * cfg.noise.ddelta_rel, beta)
         assert np.array_equal(h1, alg.to_matrix(hp, cfg.alpha, cfg.n_fock))
         assert not np.array_equal(h1, h0)
+
+    def test_drive_offset_is_eps_times_the_drive_counterterm(self):
+        eps = 0.5 / 54  # 0.5 at alpha = 3
+        delta, beta = alg.cubic_counterterms(1.0)
+        hp = alg.frame_hamiltonian(1.0, 1.3, delta, beta + beta * eps)
+        assert dyn._frame_hamiltonian(1.3, 0.0, eps) == hp
+        assert dyn._frame_hamiltonian(1.3, 0.0, -eps) != hp
 
 
 class TestNoiseEquivalences:
@@ -797,7 +865,7 @@ class TestTrotterSegmentExpansion:
         # before the dimension check
         slots = {(0, 1): [0.5, 0j, 2.0, 0j], (1, 0): [0.5, 0j, 2.0], (3, 4): [0j, 0j]}
         exact = alg.BosonPolynomial({key: alg.AlphaPoly(c) for key, c in slots.items()})
-        assert exact.degree == 1
+        assert max(m + nn for m, nn in exact.terms) == 1
         assert np.array_equal(alg.band_matrix(slots, 3.0, 3), alg.to_matrix(exact, 3.0, 3))
         with pytest.raises(fk.InvalidDimensionError):
             alg.band_matrix(slots, 3.0, 2)

@@ -168,6 +168,27 @@ class TestBoundedBrent:
         calls = _brent_against_scipy(lambda u: u, 0.0, 1.0, 1e-300)
         assert len(calls) == 500
 
+    @pytest.mark.parametrize("f, a, b, xatol", [
+        # a cell near u = 0 and under two tolerances wide: tol1 = sqrt(eps)|x| + xatol/3
+        # decides whether the loop runs at all
+        (lambda u: (u - 2.0**-12) ** 2, 0.0, 2.0**-11, 2.5e-4),
+        # a plateau through the first point: a parabolic step must be strictly
+        # shorter than half the step before last
+        (lambda u: math.floor(8.0 * (u + 1.0 - 2.0 * ex._GOLDEN) ** 2) / 8.0, -1.0, 1.0, 0.3),
+        # parabolic steps that reach a bracket end exactly are not taken
+        (lambda u: -math.cos(2.0 * (u - 0.5)), 0.0, 16.0, 1e-5),
+        (lambda u: -math.cos(7.0 * (u - 0.5)), 0.0, 2.0, 1e-5),
+        (lambda u: -math.cos(u), 0.0, 16.0, 1e-5),
+        # a step before last of exactly tol1 (a step near a bound) allows no parabola
+        (lambda u: -math.cos(4.99 * u), 0.0, 16.0, 1e-2),
+        # a worse point that ties the third one takes its place
+        (lambda u: math.floor(64.0 * abs(u - 0.32)) / 64.0, 0.0, 4.0, 1e-5),
+        # a worse point replaces the third one when that is still the first point
+        (lambda u: math.exp(u) - u, -1.0, 1.0, 1e-5),
+    ], ids=["narrow-cell-near-zero", "plateau", "cos2", "cos7", "cos1", "cos4.99", "stair-tie", "exp"])
+    def test_boundary_cases_match_scipy(self, f, a, b, xatol):
+        _brent_against_scipy(f, a, b, xatol)
+
 
 def _fake_gate(monkeypatch, curve):
     """Replace the gate by an error curve in log(alpha); returns the list of gated alphas."""
@@ -227,6 +248,59 @@ class TestAlphaClassifier:
         assert abs(math.log(opt.alpha) - u_true) <= 5e-4
         if u_true == _U[0]:  # a minimum at the bracket end returns that end exactly
             assert opt.alpha == _LO
+
+    def test_minimum_at_the_top_end_is_an_edge(self, monkeypatch):
+        _fake_gate(monkeypatch, lambda u: math.exp(_U[6] - u))
+        with pytest.warns(UserWarning, match="edge") as record:
+            opt = ex.optimize_alpha(self.CFG, (_LO, _HI), None)
+        assert (opt.kind, opt.alpha, opt.error) == ("edge", _HI, 1.0)
+        assert record[0].filename == __file__  # the warning names the caller's line
+
+    def test_wells_next_to_both_ends_are_multimodal(self, monkeypatch):
+        # every interior grid point counts, the first and the last included
+        _fake_gate(monkeypatch, lambda u: 1.0 - 0.9 * math.exp(-((u - _U[1]) / 0.3) ** 2)
+                   - math.exp(-((u - _U[5]) / 0.3) ** 2))
+        with pytest.warns(UserWarning, match="multimodal"):
+            opt = ex.optimize_alpha(self.CFG, (_LO, _HI), None)
+        assert opt.kind == "multimodal"
+
+    @pytest.mark.parametrize("table", [
+        (3.0, 2.0, 2.0, 1.0, 2.0, 3.0, 4.0),  # grid[1] ties grid[2]: no minimum there
+        (2.0, 3.0, 1.0, 3.0, 4.0, 5.0, 6.0),  # grid[0] is an end, not an interior minimum
+    ], ids=["tie", "low-end"])
+    def test_one_strict_interior_minimum_is_unimodal(self, monkeypatch, table):
+        _fake_gate(monkeypatch, lambda u: table[round((u - _U[0]) / _H)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = ex.optimize_alpha(self.CFG, (_LO, _HI), None)
+        assert (opt.kind, opt.error) == ("unimodal", 1.0)
+
+    @pytest.mark.parametrize("curve, cell", [
+        (lambda u: math.exp(u - _U[0]), (0, 1)),
+        (lambda u: math.cosh(u - _U[2] - 0.1 * _H), (1, 3)),
+        (lambda u: math.cosh(u - _U[5] - 0.1 * _H), (4, 6)),
+        (lambda u: math.exp(_U[6] - u), (5, 6)),
+    ], ids=["low-end", "grid2", "grid5", "top-end"])
+    def test_brent_refines_the_cells_beside_the_coarse_minimum(self, monkeypatch, curve, cell):
+        _fake_gate(monkeypatch, curve)
+        cells = []
+        brent = ex._bounded_brent
+
+        def spy(f, a, b, xatol):
+            cells.append((a, b, xatol))
+            return brent(f, a, b, xatol)
+
+        monkeypatch.setattr(ex, "_bounded_brent", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the two ends warn "edge"
+            ex.optimize_alpha(self.CFG, (_LO, _HI), None)
+        grid = np.geomspace(_LO, _HI, 7)
+        assert cells == [(math.log(grid[cell[0]]), math.log(grid[cell[1]]), ex._ALPHA_XATOL)]
+
+    def test_bracket_below_one(self, monkeypatch):
+        _fake_gate(monkeypatch, lambda u: u * u)
+        opt = ex.optimize_alpha(self.CFG, (0.5, 2.0), None)
+        assert opt.kind == "unimodal" and abs(math.log(opt.alpha)) < 1e-3
 
     @pytest.mark.parametrize("bracket", [(1.0, math.inf), (math.inf, math.inf),
                                          (math.nan, 5.0), (1.0, math.nan), (0.0, 5.0),

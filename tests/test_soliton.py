@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -28,9 +29,16 @@ class TestFigureOfMerit:
 
     def test_group_velocity_cancels(self):
         m = so.BUILTIN_MATERIALS[0]
-        r1 = so.soliton_scales(m, v_g=1.0e8)
-        r2 = so.soliton_scales(m, v_g=2.0e8)
+        r1 = so.soliton_scales(replace(m, v_g=1.0e8))
+        r2 = so.soliton_scales(replace(m, v_g=2.0e8))
         assert abs(r1.chi / r1.kappa - r2.chi / r2.kappa) < 1e-12 * (r1.chi / r1.kappa)
+
+    @pytest.mark.parametrize("m", so.BUILTIN_MATERIALS, ids=lambda m: m.name)
+    def test_rounded_closed_form_within_one_percent(self, m):
+        # chi/kappa ~ 3.83 hbar omega0 gamma_nl / (T_fwhm alpha_att), the
+        # rounded closed form of the module docstring
+        closed = 3.83 * so.HBAR * m.omega0 * m.nonlinear_coefficient() / (m.t_fwhm * m.alpha_att)
+        assert abs(so.figure_of_merit(m) / closed - 1.0) < 0.01
 
     def test_homogeneity(self):
         m = so.BUILTIN_MATERIALS[0]
@@ -80,7 +88,7 @@ class TestSolitonTimescale:
                               v_g=MAT.v_g, gvd=gvd)
         t_n = so.soliton_timescale(nbar, m)
         chi_direct = so.HBAR * m.omega0 * m.v_g * m.gamma_nl / (2.0 * t_n)
-        scales = so.soliton_scales(m, v_g=m.v_g)
+        scales = so.soliton_scales(m)
         assert abs(chi_direct / scales.chi - 1.0) < 0.01
 
     def test_requires_dispersion_data(self):
