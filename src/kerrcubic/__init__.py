@@ -63,7 +63,6 @@ from .fock import (
     lambda_from_db,
     momentum,
     position,
-    squeeze,
     vacuum,
     variance,
     wigner,
@@ -75,7 +74,6 @@ from .soliton import (
     SolitonScales,
     envelope_overlap,
     figure_of_merit,
-    gamma_from_material,
     soliton_scales,
     soliton_timescale,
 )

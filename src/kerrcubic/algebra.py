@@ -432,14 +432,8 @@ def cubic_counterterms(chi: float) -> tuple[AlphaPoly, AlphaPoly]:
 
 @dataclass(frozen=True)
 class CubicGateParams:
-    """All derived quantities of one cubic-gate operating point."""
+    """The gate time and cubic rate of one cubic-gate operating point."""
 
-    chi: float
-    lam: float
-    alpha: float
-    gamma: float
-    delta_cubic: AlphaPoly
-    beta_cubic: AlphaPoly
     tau: float   # gate time sqrt(2) gamma / (chi alpha lam^3)
     mu: float    # cubic rate chi lam^3 alpha / sqrt(2); mu * tau == gamma exactly
 
@@ -450,11 +444,10 @@ def cubic_parameters(chi: float, lam: float, alpha: float, gamma: float) -> Cubi
             f"cubic_parameters requires positive inputs, got "
             f"chi={chi}, lam={lam}, alpha={alpha}, gamma={gamma}"
         )
-    delta_c, beta_c = cubic_counterterms(chi)
     q = chi * alpha * lam**3
     tau0 = math.sqrt(2.0) * gamma / q
     tau, mu = _exact_rate_time_pair(gamma, tau0)
-    return CubicGateParams(chi, lam, alpha, gamma, delta_c, beta_c, tau, mu)
+    return CubicGateParams(tau, mu)
 
 
 def _exact_rate_time_pair(gamma: float, tau0: float) -> tuple[float, float]:
@@ -496,8 +489,8 @@ def effective_cubic_hamiltonian(
     -chi lam^3 alpha / sqrt(2). The alpha argument is only validated here;
     evaluation happens at matrix-build time.
     """
-    params = cubic_parameters(chi, lam, alpha, gamma)
-    return frame_hamiltonian(chi, lam, params.delta_cubic, params.beta_cubic)
+    cubic_parameters(chi, lam, alpha, gamma)  # refuses a non-positive operating point
+    return frame_hamiltonian(chi, lam, *cubic_counterterms(chi))
 
 
 def frame_hamiltonian(chi: float, lam: float, delta, beta) -> BosonPolynomial:

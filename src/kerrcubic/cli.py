@@ -257,15 +257,15 @@ def parse_config_file(path: str, command: str) -> dict:
 
 
 def _floats(cfg: dict, key: str, default: tuple) -> tuple[float, ...]:
-    """The comma-separated numbers (one at least) of list option `key`, or `default` if unset."""
+    """The comma-separated finite numbers (one at least) of list option `key`, or `default`."""
     if key not in cfg:
         return default
     try:
         values = tuple(float(tok) for tok in cfg[key].split(",") if tok.strip())
     except ValueError:
         values = ()
-    if not values:
-        raise ConfigError(f"{key} must be a non-empty list of comma-separated numbers, "
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} must be a non-empty list of comma-separated finite numbers, "
                           f"got {cfg[key]!r}")
     return values
 

@@ -61,8 +61,6 @@ _ALPHA_MODES = ("fixed", "cube", "optimize")
 @dataclass(frozen=True)
 class FitResult:
     exponent: float
-    prefactor: float
-    r_squared: float
 
 
 def fit_power_law(points) -> FitResult:
@@ -72,13 +70,8 @@ def fit_power_law(points) -> FitResult:
         raise ValueError(f"power-law fit needs >= 3 points, got {len(pts)}")
     if not all(0 < x < math.inf and 0 < y < math.inf for x, y in pts):
         raise ValueError("power-law fit requires positive, finite data")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    sstot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if sstot == 0 else 1.0 - float(np.sum(resid**2)) / sstot
-    return FitResult(float(slope), float(math.exp(intercept)), min(max(r2, 0.0), 1.0))
+    slope, _ = np.polyfit(np.log([x for x, _ in pts]), np.log([y for _, y in pts]), 1)
+    return FitResult(float(slope))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,11 @@ exp(R G R^dag) for the unitary R; hence, exactly,
 and both generators take the real symmetric solve. `displacement_spectrum`
 and `squeeze_spectrum` return those two spectra; `displace_vector` and
 `squeeze_vector` apply D(s) and S(z) to a vector from them in O(N^2), so one
-spectrum serves any number of amplitudes. `displacement_spectrum` is cached
-per N (the last four, read-only), so grid inputs, the Trotter kick and
-`displacement` share one; `squeeze_spectrum` is built per call. What this
-costs is measured by the benchmark (README, "Performance notes").
+spectrum serves any number of amplitudes; the package never forms S(z) as a
+matrix. `displacement_spectrum` is cached per N (the last four, read-only), so
+grid inputs, the Trotter kick and `displacement` share one; `squeeze_spectrum`
+is built per call. What this costs is measured by the benchmark (README,
+"Performance notes").
 """
 
 from __future__ import annotations
@@ -287,19 +288,6 @@ def displacement(s: complex, n: int) -> Operator:
             stacklevel=2,
         )
     return Operator(_rotated_unitary(displacement_spectrum(n), _displacement_angle(s), abs(s)))
-
-
-def squeeze(z: float, n: int) -> np.ndarray:
-    """Unitary S(z) = exp(z*(a^dag^2 - a^2)/2); x-variance of S(z)|0> is e^{2z}/2."""
-    if n < 2:
-        raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
-    if math.exp(2.0 * abs(z)) > n / 4.0:
-        warnings.warn(
-            f"squeeze gain e^(2|z|) = {math.exp(2*abs(z)):.3g} strains Fock cutoff N = {n}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return _rotated_unitary(squeeze_spectrum(n), _SQUEEZE_ANGLE, z)
 
 
 # ---------------------------------------------------------------------------

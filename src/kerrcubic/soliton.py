@@ -9,7 +9,9 @@ to the loss rate,
 
 computed internally from chi = hbar omega0 v_g gamma_nl / (2 T) and
 kappa = (ln 10 / 10) alpha_att v_g (dB-per-length to natural rate), where the
-group velocity cancels. All quantities SI.
+group velocity cancels. The nonlinear coefficient gamma_nl is a platform's
+quoted value, given directly, as in the built-in table and the materials CSV.
+All quantities SI.
 
 scipy.integrate is imported inside `envelope_overlap`, the one integral here,
 so the platform table and figures of merit never load it.
@@ -35,9 +37,10 @@ class MissingFieldError(ValueError):
 class MaterialParams:
     """Waveguide/platform parameters (SI units).
 
-    gamma_nl may be given directly (W^-1 m^-1) or derived from n2 (m^2/W) and
-    a_eff (m^2). v_g and gvd (d^2 omega / dk^2, m^2/s) are only needed for the
-    photon-number-dependent timescale.
+    gamma_nl is the nonlinear coefficient (W^-1 m^-1). v_g and gvd
+    (d^2 omega / dk^2, m^2/s) are only needed for the photon-number-dependent
+    timescale. A field left None is named by the `MissingFieldError` of the
+    first function that needs it.
     """
 
     name: str = ""
@@ -47,12 +50,10 @@ class MaterialParams:
     t_fwhm: float | None = None      # seconds
     v_g: float | None = None         # m/s
     gvd: float | None = None         # m^2/s
-    n2: float | None = None          # m^2/W
-    a_eff: float | None = None       # m^2
 
     def __post_init__(self):
         for field_name in ("gamma_nl", "alpha_att", "wavelength", "t_fwhm",
-                           "v_g", "gvd", "n2", "a_eff"):
+                           "v_g", "gvd"):
             v = getattr(self, field_name)
             if v is not None and not v > 0:
                 raise ValueError(f"{field_name} must be positive, got {v}")
@@ -67,41 +68,25 @@ class MaterialParams:
         self._require("wavelength")
         return 2.0 * math.pi * C_LIGHT / self.wavelength
 
-    def nonlinear_coefficient(self) -> float:
-        if self.gamma_nl is not None:
-            return self.gamma_nl
-        self._require("n2", "a_eff", "wavelength")
-        return gamma_from_material(self.n2, self.a_eff, self.wavelength)
-
 
 @dataclass(frozen=True)
 class SolitonScales:
-    t_n: float    # characteristic pulse time, s
     kappa: float  # temporal loss rate, 1/s
     chi: float    # single-mode SPM rate, 1/s
 
     def __post_init__(self):
-        if min(self.t_n, self.kappa, self.chi) <= 0:
+        if min(self.kappa, self.chi) <= 0:
             raise ValueError("soliton scales must be positive")
 
 
-def gamma_from_material(n2: float, a_eff: float, wavelength: float) -> float:
-    """Effective nonlinear coefficient omega0 n2 / (c A_eff)."""
-    if min(n2, a_eff, wavelength) <= 0:
-        raise ValueError("n2, a_eff and wavelength must be positive")
-    omega0 = 2.0 * math.pi * C_LIGHT / wavelength
-    return omega0 * n2 / (C_LIGHT * a_eff)
-
-
 def soliton_scales(m: MaterialParams) -> SolitonScales:
-    """Pulse timescale from the FWHM, with the loss and SPM rates at that scale."""
-    m._require("alpha_att", "wavelength", "t_fwhm")
-    g_nl = m.nonlinear_coefficient()
+    """Loss and SPM rates at the pulse timescale T = t_fwhm / 1.763."""
+    m._require("alpha_att", "wavelength", "t_fwhm", "gamma_nl")
     vg = m.v_g if m.v_g is not None else 1.0e8
     t_n = m.t_fwhm / _FWHM_TO_TN
     kappa = _DB_TO_NAT * m.alpha_att * vg
-    chi = HBAR * m.omega0 * vg * g_nl / (2.0 * t_n)
-    return SolitonScales(t_n, kappa, chi)
+    chi = HBAR * m.omega0 * vg * m.gamma_nl / (2.0 * t_n)
+    return SolitonScales(kappa, chi)
 
 
 def figure_of_merit(m: MaterialParams) -> float:
@@ -114,9 +99,8 @@ def soliton_timescale(n: int, m: MaterialParams) -> float:
     """Characteristic time of the n-photon soliton: 2 gvd / ((n-1) hbar omega0 v_g^3 gamma_nl)."""
     if n < 2:
         raise ValueError(f"photon number must be >= 2, got {n}")
-    m._require("v_g", "gvd", "wavelength")
-    g_nl = m.nonlinear_coefficient()
-    return 2.0 * m.gvd / ((n - 1) * HBAR * m.omega0 * m.v_g**3 * g_nl)
+    m._require("v_g", "gvd", "wavelength", "gamma_nl")
+    return 2.0 * m.gvd / ((n - 1) * HBAR * m.omega0 * m.v_g**3 * m.gamma_nl)
 
 
 def envelope_overlap(n: int, n_bar: int, m: MaterialParams) -> float:

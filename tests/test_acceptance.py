@@ -23,6 +23,7 @@ from kerrcubic import soliton as so
 from kerrcubic import states as st
 from kerrcubic.algebra import AlphaPoly, ExactComplex, QuadraturePolynomial
 from kerrcubic.dynamics import GateConfig
+from lab_frame import squeeze
 
 warnings.simplefilter("ignore")
 
@@ -154,12 +155,13 @@ def test_criterion_02_frame_equivalence():
     psi = fk.vacuum(n)
     res = dyn.cubic_gate(GateConfig(lam=lam, alpha=alpha, gamma=gamma, n_fock=n), psi)
     params = alg.cubic_parameters(1.0, lam, alpha, gamma)
+    delta, beta = alg.cubic_counterterms(1.0)
     a = fk.annihilation(n)
     ad = a.conj().T
     h_native = (-0.5 * (ad @ ad @ a @ a)
-                + params.delta_cubic(alpha).real * (ad @ a)
-                + params.beta_cubic(alpha).real * (a + ad))
-    s = fk.squeeze(math.log(lam), n)
+                + delta(alpha).real * (ad @ a)
+                + beta(alpha).real * (a + ad))
+    s = squeeze(math.log(lam), n)
     d = fk.displacement(alpha, n).matrix
     u_oracle = s.conj().T @ d.conj().T @ fk.Spectrum(h_native).unitary(params.tau) @ d @ s
     f = fk.fidelity(fk.PureState(u_oracle @ psi.vector), res.state)
@@ -357,7 +359,7 @@ def test_criterion_12_property_suites():
     checks = {}
 
     n = 96
-    u = fk.displacement(1.0 + 0.5j, n).matrix @ fk.squeeze(0.5, n)
+    u = fk.displacement(1.0 + 0.5j, n).matrix @ squeeze(0.5, n)
     d = fk.interior_dim(n)
     checks["unitarity"] = np.abs((u.conj().T @ u - np.eye(n))[:d, :d]).max() < 1e-8
 

@@ -7,6 +7,7 @@ import pytest
 from kerrcubic import algebra as alg
 from kerrcubic import fock as fk
 from kerrcubic.algebra import AlphaPoly, BosonPolynomial, ExactComplex, QuadraturePolynomial
+from lab_frame import squeeze
 
 
 def poly_matrix_direct(p, alpha, n):
@@ -136,7 +137,7 @@ class TestSubstitution:
         lam, alpha, n = 1.5, 2.0, 180
         sub = alg.substitute_gaussian_frame(BosonPolynomial({(1, 1): 1}), lam)
         lhs = alg.to_matrix(sub, alpha, n)
-        s = fk.squeeze(math.log(lam), n)
+        s = squeeze(math.log(lam), n)
         dmat = fk.displacement(alpha, n).matrix
         nmat = np.diag(np.arange(n, dtype=complex))
         rhs = s.conj().T @ dmat.conj().T @ nmat @ dmat @ s
@@ -148,7 +149,7 @@ class TestSubstitution:
         p = alg.driven_kerr(1.0, 0.5, 0.3)
         h_eff = alg.to_matrix(alg.substitute_gaussian_frame(p, lam), alpha, n)
         u_eff = fk.Spectrum(h_eff).unitary(t)
-        s = fk.squeeze(math.log(lam), n)
+        s = squeeze(math.log(lam), n)
         dmat = fk.displacement(alpha, n).matrix
         h_native = alg.to_matrix(p, 0.0, n)
         u_native = fk.Spectrum(h_native).unitary(t)
@@ -188,8 +189,9 @@ class TestCubicParameters:
         p = alg.cubic_parameters(1.0, 1.0, 1.0, 1.0)
         assert abs(p.tau - math.sqrt(2.0)) < 1e-15
         assert abs(p.mu - 1.0 / math.sqrt(2.0)) < 1e-15
-        assert p.delta_cubic(1.0) == 2.0
-        assert p.beta_cubic(1.0) == -2.0
+        delta, beta = alg.cubic_counterterms(1.0)
+        assert delta(1.0) == 2.0
+        assert beta(1.0) == -2.0
 
     def test_gate_time_at_reference_point(self):
         # tau = sqrt(2)*0.1/(1.4e4 * 10^2.25), frozen from direct arithmetic

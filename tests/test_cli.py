@@ -114,6 +114,23 @@ class TestFailFast:
         assert "non-empty" in doc["error"]["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["sweep-lambda", "--alpha-mode", "cube", "--values"],
+                                      ["sweep-noise", "--lambda-db-values"],
+                                      ["optimize-alpha", "--bracket"]])
+    def test_nonfinite_list_entry_rejected_before_any_gate(self, tmp_path, capsys, monkeypatch,
+                                                           argv, bad):
+        for module, name in ((cli, "cubic_gate"), (ex, "cubic_gate")):
+            monkeypatch.setattr(module, name, _forbidden)
+        out = tmp_path / "out"
+        assert run([*argv, f"5,{bad}", "--fock", "32", "--input", "vacuum",
+                    "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ConfigError"
+        assert f"must be a non-empty list of comma-separated finite numbers, got '5,{bad}'" \
+            in doc["error"]["message"]
+        assert not out.exists()
+
     def test_base_offset_on_swept_noise_channel_rejected(self, tmp_path, capsys, monkeypatch):
         # the rows set the swept channel to +-value, so a base offset there would
         # move E_int alone; an offset on another channel stays allowed
@@ -531,13 +548,14 @@ class TestEmitDeterminism:
         assert p.read_text() == "a,b\n"
 
     def test_failed_row_keeps_its_columns(self, tmp_path):
-        # the failure message of a non-finite squeezing holds commas
-        assert run(["sweep-lambda", "--values", "5,inf", "--alpha-mode", "cube", "--fock", "32",
+        # the failure message of a squeezing whose gain overflows holds commas
+        assert run(["sweep-lambda", "--values", "5,7000", "--alpha-mode", "cube", "--fock", "32",
                     "--input", "vacuum", "--out", str(tmp_path)]) == 0
         header, rows = cli.read_csv(tmp_path / "sweep_lambda.csv")
         assert [len(r) for r in rows] == [len(header)] * 2 == [8, 8]
         failed = dict(zip(header, rows[1]))
-        assert failed["ok"] == "false" and failed["message"].startswith("ValueError: lam, alpha")
+        assert failed["ok"] == "false" and failed["message"].startswith("OverflowError: (")
+        assert "," in failed["message"]
         assert rows[0][header.index("ok")] == "true"
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy import sparse
 
 from kerrcubic import algebra as alg
@@ -12,6 +14,7 @@ from kerrcubic import dynamics as dyn
 from kerrcubic import fock as fk
 from kerrcubic import states as st
 from kerrcubic.dynamics import GateConfig, NoiseParams
+from lab_frame import squeeze
 
 
 def make_cfg(**kw):
@@ -567,6 +570,64 @@ class TestStepLadder:
         assert record[0].filename == __file__  # stacklevel 2: the caller's line
 
 
+def _exact_lindblad(h, l_op, tau, rho0):
+    """rho(tau) = exp(tau Liouvillian) rho0 on the N^2-dimensional row-major vec of rho."""
+    from scipy.linalg import expm
+
+    n = h.shape[0]
+    eye = np.eye(n)
+    m_op = l_op.conj().T @ l_op
+    liouvillian = (-1j * (np.kron(h, eye) - np.kron(eye, h.T)) + np.kron(l_op, l_op.conj())
+                   - 0.5 * (np.kron(m_op, eye) + np.kron(eye, m_op.T)))
+    return (expm(tau * liouvillian) @ rho0.reshape(-1)).reshape(n, n)
+
+
+class TestExactMasterEquation:
+    """The lossy gate against the exact solution of its master equation.
+
+    The kept 2p-step state of the ladder lies within its `step_delta` of the
+    exact rho(tau), and so within `LINDBLAD_TOL`: Strang-Heun is second order,
+    so the true error is about a third of the delta that accepted the rung.
+    The gate error and the minimum eigenvalue follow. N stays small because
+    the Liouvillian has N^2 rows.
+    """
+
+    @staticmethod
+    def _check(cfg):
+        n = cfg.n_fock
+        psi = st.squeezed_vacuum(0.5, n)
+        res = dyn.cubic_gate(cfg, psi)
+        rho = _exact_lindblad(*dyn.effective_generators(cfg), cfg.tau,
+                              psi.density_matrix().matrix)
+        delta = res.diagnostics["step_delta"]
+        assert np.abs(res.state.matrix - rho).max() <= min(delta, dyn.LINDBLAD_TOL)
+        # |<t|D|t>| and |lambda_min(A) - lambda_min(B)| are at most ||D||_2 <= N max|D|
+        exact_error = 1.0 - np.vdot(res.target.vector, rho @ res.target.vector).real
+        assert abs(res.error - exact_error) <= n * delta
+        exact_min = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+        kept_min = res.diagnostics["min_eigenvalue"]
+        assert abs(kept_min - exact_min) <= n * delta
+        if abs(exact_min) > 1e-14:  # below that the sign is roundoff
+            assert np.sign(kept_min) == np.sign(exact_min)
+
+    @pytest.mark.parametrize("lam_db, alpha, chi_over_kappa", [
+        (12.5, None, 1e-3),   # fig3b's first grid at its reference alpha
+        (20.0, None, 1e-3),
+        (15.0, 1.4e4, 1e-4),  # fig4's operating point
+    ])
+    def test_recipe_points(self, lam_db, alpha, chi_over_kappa):
+        lam = fk.lambda_from_db(lam_db)
+        alpha = 1.85 * lam**3 if alpha is None else alpha
+        self._check(GateConfig.make(lam_db, alpha, 0.1, chi_over_kappa, n_fock=24))
+
+    @settings(max_examples=6, deadline=None)
+    @given(lam_db=hs.floats(5.0, 20.0), alpha_factor=hs.floats(0.5, 3.0),
+           log_ratio=hs.floats(-4.0, -1.0))
+    def test_drawn_points(self, lam_db, alpha_factor, log_ratio):
+        alpha = alpha_factor * 1.85 * fk.lambda_from_db(lam_db) ** 3
+        self._check(GateConfig.make(lam_db, alpha, 0.1, 10.0**log_ratio, n_fock=16))
+
+
 class TestCubicGate:
     def test_zero_angle_zero_error(self):
         cfg = make_cfg(gamma=0.0)
@@ -581,14 +642,15 @@ class TestCubicGate:
         psi = fk.vacuum(n)
         res = dyn.cubic_gate(cfg, psi)
         params = alg.cubic_parameters(1.0, lam, alpha, gamma)
+        delta, beta = alg.cubic_counterterms(1.0)
         a = fk.annihilation(n)
         ad = a.conj().T
         h_native = (
             -0.5 * (ad @ ad @ a @ a)
-            + params.delta_cubic(alpha).real * (ad @ a)
-            + params.beta_cubic(alpha).real * (a + ad)
+            + delta(alpha).real * (ad @ a)
+            + beta(alpha).real * (a + ad)
         )
-        s = fk.squeeze(math.log(lam), n)
+        s = squeeze(math.log(lam), n)
         d = fk.displacement(alpha, n).matrix
         u_native = fk.Spectrum(h_native).unitary(params.tau)
         oracle = fk.PureState(s.conj().T @ d.conj().T @ u_native @ d @ s @ psi.vector)

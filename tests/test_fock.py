@@ -12,6 +12,7 @@ from kerrcubic import dynamics as dyn
 from kerrcubic import experiments as ex
 from kerrcubic import fock as fk
 from kerrcubic import states as st
+from lab_frame import squeeze
 
 
 def interior(m, n=None):
@@ -93,40 +94,40 @@ class TestDisplacement:
 
 class TestSqueeze:
     def test_zero_is_identity(self):
-        s = fk.squeeze(0.0, 24)
+        s = squeeze(0.0, 24)
         assert np.abs(s - np.eye(24)).max() < 1e-12
 
     def test_x_variance(self):
         # x-variance of S(z)|0> is e^{2z}/2; at z = ln 0.5 that is 0.125
         n = 64
-        psi = _applied(fk.squeeze(math.log(0.5), n), fk.vacuum(n))
+        psi = _applied(squeeze(math.log(0.5), n), fk.vacuum(n))
         assert abs(fk.variance(fk.position(n), psi) - 0.125) < 1e-6
         assert abs(fk.variance(fk.momentum(n), psi) - 2.0) < 1e-6
 
     def test_minimum_uncertainty(self):
         n = 96
         for z in (-0.6, 0.2, 0.8):
-            psi = _applied(fk.squeeze(z, n), fk.vacuum(n))
+            psi = _applied(squeeze(z, n), fk.vacuum(n))
             prod = fk.variance(fk.position(n), psi) * fk.variance(fk.momentum(n), psi)
             assert abs(prod - 0.25) < 1e-6
 
     def test_unitary_interior(self):
         n = 96
-        s = fk.squeeze(0.7, n)
+        s = squeeze(0.7, n)
         g = s.conj().T @ s - np.eye(n)
         assert np.abs(interior(g)).max() < 1e-10
 
     def test_bogoliubov_action(self):
         n, z = 128, 0.5
         a = fk.annihilation(n)
-        s = fk.squeeze(z, n)
+        s = squeeze(z, n)
         lhs = s.conj().T @ a @ s
         ref = math.cosh(z) * a + math.sinh(z) * a.conj().T
         assert np.abs((lhs - ref)[:24, :24]).max() < 1e-9
 
     def test_truncation_warning(self):
         with pytest.warns(fk.TruncationWarning):
-            fk.squeeze(2.5, 16)
+            squeeze(2.5, 16)
 
 
 class TestExpGenerator:
@@ -201,11 +202,11 @@ class TestFidelity:
 
     def test_symmetric_pure(self):
         a = _applied(fk.displacement(0.5, 32).matrix, fk.vacuum(32))
-        b = _applied(fk.squeeze(0.3, 32), fk.vacuum(32))
+        b = _applied(squeeze(0.3, 32), fk.vacuum(32))
         assert abs(fk.fidelity(a, b) - fk.fidelity(b, a)) < 1e-12
 
     def test_global_phase_invariance(self):
-        psi = _applied(fk.squeeze(0.4, 32), fk.vacuum(32))
+        psi = _applied(squeeze(0.4, 32), fk.vacuum(32))
         phased = fk.PureState(np.exp(0.7j) * psi.vector, normalize=False)
         assert abs(fk.fidelity(psi, phased) - 1.0) < 1e-12
 
@@ -415,8 +416,8 @@ class TestGaussianUnitarityInvariant:
             mats = [
                 fk.displacement(1.0, n).matrix,
                 fk.displacement(-0.5 + 2.0j, n).matrix,
-                fk.squeeze(0.8, n),
-                fk.squeeze(-0.6, n),
+                squeeze(0.8, n),
+                squeeze(-0.6, n),
             ]
         for u in mats:
             g = u.conj().T @ u - np.eye(n)
@@ -458,7 +459,7 @@ class TestOneSpectralPath:
                     gen = s * a.T - np.conj(s) * a
                     assert _max_rel(u, _former_expm_hermitian(1j * gen, -1j)) < 1e-12, (n, s)
                 for z in (0.6, -0.45):
-                    u = fk.squeeze(z, n)
+                    u = squeeze(z, n)
                     assert np.array_equal(u, rotated(0.5 * (a2 + a2.T), math.pi / 4, z))
                     gen = 0.5 * z * (a2.T - a2)
                     assert _max_rel(u, _former_expm_hermitian(1j * gen, -1j)) < 1e-12, (n, z)
@@ -526,7 +527,6 @@ _ARRAY_PRODUCERS = {
     "fock.annihilation": lambda: [fk.annihilation(16)],
     "fock.position": lambda: [fk.position(16)],
     "fock.momentum": lambda: [fk.momentum(16)],
-    "fock.squeeze": lambda: [fk.squeeze(0.3, 16)],
 }
 
 

@@ -37,7 +37,7 @@ class TestFigureOfMerit:
     def test_rounded_closed_form_within_one_percent(self, m):
         # chi/kappa ~ 3.83 hbar omega0 gamma_nl / (T_fwhm alpha_att), the
         # rounded closed form of the module docstring
-        closed = 3.83 * so.HBAR * m.omega0 * m.nonlinear_coefficient() / (m.t_fwhm * m.alpha_att)
+        closed = 3.83 * so.HBAR * m.omega0 * m.gamma_nl / (m.t_fwhm * m.alpha_att)
         assert abs(so.figure_of_merit(m) / closed - 1.0) < 0.01
 
     def test_homogeneity(self):
@@ -57,6 +57,13 @@ class TestFigureOfMerit:
         m = so.MaterialParams(gamma_nl=100.0, alpha_att=10.0, wavelength=1.5e-6)
         with pytest.raises(so.MissingFieldError, match="t_fwhm"):
             so.figure_of_merit(m)
+
+    def test_missing_nonlinear_coefficient_named(self):
+        m = so.MaterialParams(alpha_att=10.0, wavelength=1.5e-6, t_fwhm=1e-13)
+        with pytest.raises(so.MissingFieldError, match="gamma_nl"):
+            so.figure_of_merit(m)
+        with pytest.raises(so.MissingFieldError, match="gamma_nl"):
+            so.soliton_timescale(100, replace(m, v_g=1.2e8, gvd=2.0e-2))
 
 
 MAT = so.MaterialParams(name="test", gamma_nl=280.0, alpha_att=400.0,
@@ -122,29 +129,6 @@ class TestEnvelopeOverlap:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             so.envelope_overlap(1, 100, MAT)
-
-
-class TestGammaFromMaterial:
-    def test_inverse_in_area(self):
-        g1 = so.gamma_from_material(1e-18, 1e-13, 1.5e-6)
-        g2 = so.gamma_from_material(1e-18, 2e-13, 1.5e-6)
-        assert abs(g1 - 2 * g2) < 1e-12 * g1
-
-    def test_wavelength_product_invariant(self):
-        g1 = so.gamma_from_material(1e-18, 1e-13, 1.5e-6)
-        g2 = so.gamma_from_material(1e-18, 1e-13, 3.0e-6)
-        assert abs(g1 * 1.5e-6 - g2 * 3.0e-6) < 1e-12 * g1 * 1.5e-6
-
-    def test_round_trip_through_figure_of_merit(self):
-        m_direct = so.MaterialParams(gamma_nl=so.gamma_from_material(1e-18, 1e-13, 1.5e-6),
-                                     alpha_att=10.0, wavelength=1.5e-6, t_fwhm=1e-13)
-        m_derived = so.MaterialParams(n2=1e-18, a_eff=1e-13,
-                                      alpha_att=10.0, wavelength=1.5e-6, t_fwhm=1e-13)
-        assert so.figure_of_merit(m_direct) == so.figure_of_merit(m_derived)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            so.gamma_from_material(-1e-18, 1e-13, 1.5e-6)
 
 
 class TestMaterialParams:

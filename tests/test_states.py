@@ -9,6 +9,7 @@ import pytest
 
 from kerrcubic import fock as fk
 from kerrcubic import states as st
+from lab_frame import squeeze
 
 
 def parity_reflected(psi):
@@ -83,7 +84,7 @@ class TestGkpState:
         params = st.GkpParams("z+", 0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            base = _applied(fk.squeeze(math.log(0.3), n), fk.vacuum(n))
+            base = _applied(squeeze(math.log(0.3), n), fk.vacuum(n))
             vec = sum(
                 w * (fk.displacement(s, n).matrix @ base.vector)
                 for s, w in st._gkp_displacements(params, n)
@@ -126,6 +127,37 @@ class TestGkpState:
             st.GkpParams("z+", 0.5, eps_k=2.0)
 
 
+class TestGkpLabels:
+    """The six labels are the Pauli eigenstates of the grid qubit.
+
+    At delta = 0.5 the z sub-lattices overlap by about 0.003, so antipodes are
+    near-orthogonal up to that overlap, neighbours overlap by about 1/sqrt(2),
+    and the z- component carries the label's relative phase. N = 192 holds
+    every peak of the default comb without a cutoff warning.
+    """
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        return {label: st.gkp_state(st.GkpParams(label, 0.5), 192).vector
+                for label in ("z+", "z-", "x+", "x-", "y+", "y-")}
+
+    def test_antipodes_are_near_orthogonal(self, states):
+        zz = abs(np.vdot(states["z+"], states["z-"]))
+        assert 1e-3 < zz < 5e-3
+        assert abs(abs(np.vdot(states["y+"], states["y-"])) - zz) < 1e-12
+        assert abs(np.vdot(states["x+"], states["x-"])) < 1e-12
+
+    @pytest.mark.parametrize("pair", [("x+", "y+"), ("z+", "x+"), ("z+", "y+"), ("x-", "y-"),
+                                      ("z-", "x-"), ("z-", "y-")])
+    def test_neighbours_overlap_by_one_over_root_two(self, states, pair):
+        assert abs(abs(np.vdot(states[pair[0]], states[pair[1]])) - math.sqrt(0.5)) < 2e-3
+
+    @pytest.mark.parametrize("label,phase", [("x+", 1), ("x-", -1), ("y+", 1j), ("y-", -1j)])
+    def test_relative_phase_of_the_z_minus_component(self, states, label, phase):
+        ratio = np.vdot(states["z-"], states[label]) / np.vdot(states["z+"], states[label])
+        assert abs(ratio - phase) < 1e-2
+
+
 def _former_gaussian(gen):
     # exp(gen) for an anti-Hermitian gen by one complex Hermitian eigh, as
     # displacement and squeeze were built before the rotated real spectra
@@ -164,9 +196,9 @@ _FORMER_WARNINGS = [
     (lambda: fk.displacement(3.0, 16),
      [("TruncationWarning", "displacement |s|^2 = 9 strains Fock cutoff N = 16")]),
     (lambda: fk.displacement(-1.0 + 0.5j, 64), []),
-    (lambda: fk.squeeze(-1.2, 16),
+    (lambda: squeeze(-1.2, 16),
      [("TruncationWarning", "squeeze gain e^(2|z|) = 11 strains Fock cutoff N = 16")]),
-    (lambda: fk.squeeze(0.3, 64), []),
+    (lambda: squeeze(0.3, 64), []),
     (lambda: st.squeezed_vacuum(0.05, 32),
      [("TruncationWarning", "delta = 0.05 strains Fock cutoff N = 32")]),
     (lambda: st.squeezed_vacuum(1.5, 32),
