@@ -4,13 +4,15 @@ Sandwiching a Kerr medium between squeezing (field gain lambda) and a
 displacement alpha maps the mode operator to
 a -> cosh(ln lam) a + sinh(ln lam) a^dag + alpha. The detuning and drive are
 then chosen to cancel the quadratic and linear position terms, leaving
--mu x^3 plus residuals that shrink with the squeezing.
+-mu x^3 plus residuals that shrink with the squeezing. `frame_hamiltonian`
+performs the substitution, with the counter-terms of `cubic_counterterms`
+inserted symbolically.
 
 This script prints the full quadrature-form coefficient table and shows that
 the counter-term cancellation is symbolically exact, not a small float.
 """
 
-from kerrcubic import cubic_parameters, effective_cubic_hamiltonian, to_quadrature_form
+from kerrcubic import cubic_counterterms, cubic_parameters, frame_hamiltonian, to_quadrature_form
 
 chi, lam_db, alpha, gamma = 1.0, 10.0, 50.0, 0.1
 lam = 10.0 ** (lam_db / 20.0)
@@ -18,7 +20,7 @@ lam = 10.0 ** (lam_db / 20.0)
 print("counter-terms: delta = 3 chi a^2 - chi, beta = -2 chi a^3 (alpha symbolic)")
 print(f"operating point: lambda = {lam:.3f} ({lam_db} dB), alpha = {alpha}, gamma = {gamma}\n")
 
-quad = to_quadrature_form(effective_cubic_hamiltonian(chi, lam, alpha, gamma))
+quad = to_quadrature_form(frame_hamiltonian(chi, lam, *cubic_counterterms(chi)))
 
 print(f"{'monomial':10s} {'coefficient':>22s}")
 for (j, k) in sorted(quad.terms, key=lambda t: (t[0] + t[1], t)):
@@ -41,7 +43,7 @@ print(f"mu * tau == gamma exactly: {params.mu * params.tau == gamma}")
 # at the reference operating point of the lossy state-generation run the
 # cancelling terms are ~chi alpha^4 ~ 4e16 while mu ~ 2e6: only the exact
 # algebra survives that gap
-big = to_quadrature_form(effective_cubic_hamiltonian(1.0, 10**0.75, 1.4e4, gamma))
+big = to_quadrature_form(frame_hamiltonian(1.0, 10**0.75, *cubic_counterterms(1.0)))
 print("\nat alpha = 1.4e4 (15 dB):")
 print("  cancelled x-term magnitude would be ~", f"{2 * 1.4e4**3 * 10**0.75:.3g}")
 print("  x coefficient is_zero:", big.coefficient(1, 0).is_zero)

@@ -16,7 +16,7 @@ from .algebra import (
     cubic_counterterms,
     cubic_parameters,
     driven_kerr,
-    effective_cubic_hamiltonian,
+    frame_hamiltonian,
     substitute_gaussian_frame,
     to_matrix,
     to_quadrature_form,

@@ -8,8 +8,9 @@ into its squeezed-displaced-frame form under the substitution
 
     a  ->  cosh(ln lam) a + sinh(ln lam) a^dag + alpha
 
-with the displacement alpha kept symbolic. Coefficients are polynomials in
+with alpha symbolic (`frame_hamiltonian`). Coefficients are polynomials in
 alpha over exact rational complex numbers, so the counter-term choice
+(`cubic_counterterms`)
 
     delta = 3 chi alpha^2 - chi,   beta = -2 chi alpha^3
 
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,8 +104,6 @@ class ExactComplex:
 
 
 _EC_ZERO = ExactComplex(Fraction(0), Fraction(0))
-
-Scalar = Union[int, float, complex, ExactComplex]
 
 
 # ---------------------------------------------------------------------------
@@ -325,41 +324,21 @@ class BosonPolynomial(OrderedPolynomial):
     COMMUTATOR = 1  # [a, a^dag]
     LABELS = ("ad", "a")
 
-    def dagger(self) -> "BosonPolynomial":
-        return BosonPolynomial(
-            {(n, m): poly.conjugate() for (m, n), poly in self.terms.items()}
-        )
-
 
 # ---------------------------------------------------------------------------
 # the Gaussian-frame substitution
 # ---------------------------------------------------------------------------
 
 
-def substitute_gaussian_frame(
-    p: BosonPolynomial,
-    lam: float,
-    offset: AlphaPoly | Scalar | None = None,
-) -> BosonPolynomial:
-    """Apply a -> cosh(ln lam) a + sinh(ln lam) a^dag + alpha (+ offset).
-
-    The symbol alpha stays symbolic. `offset` is an optional additional
-    (possibly complex, possibly alpha-dependent) displacement added to the
-    image of a; the image of a^dag gets its conjugate. Exact in the
-    coefficients.
-    """
+def substitute_gaussian_frame(p: BosonPolynomial, lam: float) -> BosonPolynomial:
+    """Apply a -> cosh(ln lam) a + sinh(ln lam) a^dag + alpha, alpha symbolic; exact."""
     if lam <= 0:
         raise ValueError(f"squeeze factor lam must be positive, got {lam}")
     lam_frac = Fraction(float(lam))
     c = ExactComplex((lam_frac + 1 / lam_frac) / 2, Fraction(0))
     s = ExactComplex((lam_frac - 1 / lam_frac) / 2, Fraction(0))
-
-    shift = AlphaPoly.SYMBOL
-    if offset is not None:
-        shift = shift + _as_alpha_poly(offset)
-
-    image_a = BosonPolynomial({(0, 1): c, (1, 0): s, (0, 0): shift})
-    image_adag = BosonPolynomial({(1, 0): c, (0, 1): s, (0, 0): shift.conjugate()})
+    image_a = BosonPolynomial({(0, 1): c, (1, 0): s, (0, 0): AlphaPoly.SYMBOL})
+    image_adag = BosonPolynomial({(1, 0): c, (0, 1): s, (0, 0): AlphaPoly.SYMBOL})
     return p.substitute(image_adag, image_a)
 
 
@@ -477,20 +456,6 @@ def _exact_rate_time_pair(gamma: float, tau0: float) -> tuple[float, float]:
                 return tau, mu
             mu = math.nextafter(mu, math.inf)
     return tau0, gamma / tau0
-
-
-def effective_cubic_hamiltonian(
-    chi: float, lam: float, alpha: float, gamma: float
-) -> BosonPolynomial:
-    """Frame-substituted driven Kerr with the counter-terms inserted symbolically.
-
-    The constant monomial is dropped (global phase). The linear and quadratic
-    position terms cancel identically; the x^3 coefficient is
-    -chi lam^3 alpha / sqrt(2). The alpha argument is only validated here;
-    evaluation happens at matrix-build time.
-    """
-    cubic_parameters(chi, lam, alpha, gamma)  # refuses a non-positive operating point
-    return frame_hamiltonian(chi, lam, *cubic_counterterms(chi))
 
 
 def frame_hamiltonian(chi: float, lam: float, delta, beta) -> BosonPolynomial:

@@ -58,7 +58,7 @@ from .fock import (
     PureState,
     Spectrum,
     TruncationWarning,
-    _annihilation_matrix,
+    annihilation,
     displace_vector,
     displacement_spectrum,
     fidelity,
@@ -224,7 +224,7 @@ def _frame_matrix(cfg: GateConfig) -> np.ndarray:
 def effective_generators(cfg: GateConfig) -> tuple[np.ndarray, np.ndarray]:
     """Effective Hamiltonian and the real fluctuation-frame Lindblad operator."""
     c, s = _cosh_sinh(cfg.lam)
-    a = _annihilation_matrix(cfg.n_fock).real
+    a = annihilation(cfg.n_fock).real
     return _frame_matrix(cfg), math.sqrt(cfg.kappa) * (c * a + s * a.T)
 
 
@@ -514,7 +514,6 @@ def _taylor_shift(p: BosonPolynomial, u, v) -> dict[int, BosonPolynomial]:
     return {order: BosonPolynomial(group) for order, group in groups.items()}
 
 
-@lru_cache(maxsize=16)
 def _segment_expansion(lam: float, beta: AlphaPoly) -> tuple[BosonPolynomial, ...]:
     """(Q_0, ..., Q_4) with Kerr(F + s beta) = sum_m s^m Q_m for imaginary s.
 
@@ -569,7 +568,7 @@ def _discrete_sequence(cfg: GateConfig, beta_poly: AlphaPoly, tau: float):
     price of shifting each factor's frame; the product becomes one leftover
     displacement D(xi), xi = -i tau lam beta(alpha), times N Kerr factors whose
     substitution offset is w_k = s_k beta, s_k = i sigma_k, sigma_k =
-    -(2k-1) tau / (2N). Segment k is sum_m s_k^m Q_m from the cached
+    -(2k-1) tau / (2N). Segment k is sum_m s_k^m Q_m from
     `_segment_expansion`, summed on integers: the float sigma_k is exactly
     S/T, so each slot (monomial, alpha power) is
     sum_m (re_m + i im_m) S^m T^(M-m) / (D T^M) with the cached numerators of

@@ -266,6 +266,16 @@ class SweepSpec:
             raise ValueError(f"bracket_scale must be finite with 0 < lo <= hi, "
                              f"got {self.bracket_scale}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _refuse_squeezings(self, self.values if self.param == "lam_db" else ())
+
+
+def _refuse_squeezings(spec: SweepSpec, lam_db_values) -> None:
+    """Build each squeezing's gate and its time, so a bad entry is refused before any gate runs."""
+    for v in lam_db_values:
+        try:
+            _configure_point(spec, "lam_db", v).tau
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"lam_db entry {v} gives no valid gate: {exc}") from None
 
 
 def _configure_point(spec: SweepSpec, param: str, value: float) -> GateConfig:
@@ -437,6 +447,7 @@ def noise_sweep(spec: SweepSpec, lam_db_values) -> list[dict]:
     lam_db_values = tuple(lam_db_values)
     if not lam_db_values:
         raise ValueError("noise sweep needs a non-empty squeezing list")
+    _refuse_squeezings(spec, lam_db_values)
     return [row for rows in _map_points(_noise_rows, spec, lam_db_values) for row in rows]
 
 

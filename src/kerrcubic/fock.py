@@ -182,12 +182,6 @@ def _check_dims(d1: int, d2: int):
         raise DimensionMismatchError(f"dimension mismatch: {d1} vs {d2}")
 
 
-def _annihilation_matrix(n: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1.0, n))
-    return m
-
-
 # ---------------------------------------------------------------------------
 # operator constructors
 # ---------------------------------------------------------------------------
@@ -197,7 +191,7 @@ def annihilation(n: int) -> np.ndarray:
     """Mode annihilation operator a with a[k-1, k] = sqrt(k)."""
     if n < 2:
         raise InvalidDimensionError(f"Fock dimension must be >= 2, got {n}")
-    return _annihilation_matrix(n)
+    return np.diag(np.sqrt(np.arange(1.0, n)) + 0j, 1)
 
 
 def position(n: int) -> np.ndarray:
@@ -241,7 +235,7 @@ def displacement_spectrum(n: int) -> Spectrum:
 
     Cached per N and shared by every caller, so its `w` and `v` are read-only.
     """
-    a = _annihilation_matrix(n).real
+    a = annihilation(n).real
     s = Spectrum(a + a.T)
     s.w.setflags(write=False)
     s.v.setflags(write=False)
@@ -250,7 +244,7 @@ def displacement_spectrum(n: int) -> Spectrum:
 
 def squeeze_spectrum(n: int) -> Spectrum:
     """Spectrum of (a^2 + a^dag^2)/2: S(z) = R(pi/4) exp(-iz(a^2 + a^dag^2)/2) R^dag."""
-    a = _annihilation_matrix(n).real
+    a = annihilation(n).real
     a2 = a @ a
     return Spectrum(0.5 * (a2 + a2.T))
 

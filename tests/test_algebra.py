@@ -7,7 +7,7 @@ import pytest
 from kerrcubic import algebra as alg
 from kerrcubic import fock as fk
 from kerrcubic.algebra import AlphaPoly, BosonPolynomial, ExactComplex, QuadraturePolynomial
-from lab_frame import squeeze
+from lab_frame import dagger, squeeze
 
 
 def poly_matrix_direct(p, alpha, n):
@@ -97,7 +97,7 @@ class TestMultiply:
 
     def test_hermiticity_preserved(self):
         h = alg.driven_kerr(1.0, 0.3, 0.7)
-        assert (h * h).dagger() == h * h
+        assert dagger(h * h) == h * h
 
 
 class TestSubstitution:
@@ -105,6 +105,11 @@ class TestSubstitution:
         sub = alg.substitute_gaussian_frame(BosonPolynomial({(0, 1): 1}), 1.0)
         assert sub.coefficient(0, 1)(0) == 1.0
         assert sub.coefficient(0, 0) == AlphaPoly.SYMBOL
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_nonpositive_squeeze_rejected(self, lam):
+        with pytest.raises(ValueError, match="must be positive"):
+            alg.substitute_gaussian_frame(BosonPolynomial({(0, 1): 1}), lam)
 
     def test_number_operator_constant(self):
         lam = 2.0
@@ -167,7 +172,7 @@ class TestDrivenKerr:
     def test_hermitian_at_numeric_displacement(self):
         delta, beta = alg.cubic_counterterms(1.0)
         h = alg.driven_kerr(1.0, delta, beta)
-        assert h.dagger() == h
+        assert dagger(h) == h
         m = alg.to_matrix(h, 2.0, 32)
         assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
 
@@ -272,14 +277,16 @@ class TestEffectiveCubicHamiltonian:
          (1.0, 10.0, 1.0e6, 0.05)],
     )
     def test_counterterm_cancellation_is_exact(self, chi, lam, alpha, gamma):
-        h = alg.effective_cubic_hamiltonian(chi, lam, alpha, gamma)
+        h = alg.frame_hamiltonian(chi, lam, *alg.cubic_counterterms(chi))
         quad = alg.to_quadrature_form(h)
         assert quad.coefficient(1, 0).is_zero
         assert quad.coefficient(2, 0).is_zero
+        mu = alg.cubic_parameters(chi, lam, alpha, gamma).mu
+        assert abs(quad.quad_coefficient(3, 0, alpha).real + mu) < 1e-12 * mu
 
     def test_cubic_coefficient_equals_minus_mu(self):
         chi, lam, alpha, gamma = 1.0, 2.0, 8.0, 0.1
-        h = alg.effective_cubic_hamiltonian(chi, lam, alpha, gamma)
+        h = alg.frame_hamiltonian(chi, lam, *alg.cubic_counterterms(chi))
         quad = alg.to_quadrature_form(h)
         got = quad.quad_coefficient(3, 0, alpha)
         mu = alg.cubic_parameters(chi, lam, alpha, gamma).mu
@@ -310,7 +317,7 @@ class TestEffectiveCubicHamiltonian:
         assert engine == ref
 
     def test_matrix_hermiticity(self):
-        h = alg.effective_cubic_hamiltonian(1.0, 2.0, 8.0, 0.1)
+        h = alg.frame_hamiltonian(1.0, 2.0, *alg.cubic_counterterms(1.0))
         m = alg.to_matrix(h, 8.0, 48)
         assert np.abs(m - m.conj().T).max() < 1e-12 * np.abs(m).max()
 
@@ -321,6 +328,9 @@ class TestEffectiveCubicHamiltonian:
     def test_degree_overflow_rejected(self):
         with pytest.raises(fk.InvalidDimensionError):
             alg.to_matrix(alg.driven_kerr(1.0), 0.0, 4)
+        # the highest degree sets the bound, not the lowest (here the linear drive)
+        with pytest.raises(fk.InvalidDimensionError, match="degree 4"):
+            alg.to_matrix(alg.driven_kerr(1.0, 0.3, 0.7), 0.0, 4)
 
     def test_banded_assembly_equals_power_tower_for_random_polynomials(self):
         rng = np.random.default_rng(7)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kerrcubic import cli
+from kerrcubic import dynamics as dyn
 from kerrcubic import experiments as ex
 from kerrcubic import fock as fk
 from kerrcubic import states as st
@@ -129,6 +130,22 @@ class TestFailFast:
         assert doc["error"]["type"] == "ConfigError"
         assert f"must be a non-empty list of comma-separated finite numbers, got '5,{bad}'" \
             in doc["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["7000", "-7000"])
+    @pytest.mark.parametrize("argv", [["sweep-lambda", "--alpha-mode", "cube", "--values"],
+                                      ["sweep-noise", "--lambda-db-values"]])
+    def test_squeezing_without_a_gate_rejected_before_any_gate(self, tmp_path, capsys,
+                                                               monkeypatch, argv, bad):
+        # 10**(7000/20) overflows and 10**(-7000/20) is 0: a configuration error, exit 2
+        for module, name in ((cli, "cubic_gate"), (ex, "cubic_gate"), (ex, "parse_state")):
+            monkeypatch.setattr(module, name, _forbidden)
+        out = tmp_path / "out"
+        assert run([*argv, f"5,{bad}", "--fock", "32", "--input", "vacuum",
+                    "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err.strip())
+        assert doc["error"]["type"] == "ValueError"
+        assert f"lam_db entry {float(bad)} gives no valid gate" in doc["error"]["message"]
         assert not out.exists()
 
     def test_base_offset_on_swept_noise_channel_rejected(self, tmp_path, capsys, monkeypatch):
@@ -547,14 +564,23 @@ class TestEmitDeterminism:
         cli.write_csv(p, ["a", "b"], [])
         assert p.read_text() == "a,b\n"
 
-    def test_failed_row_keeps_its_columns(self, tmp_path):
-        # the failure message of a squeezing whose gain overflows holds commas
-        assert run(["sweep-lambda", "--values", "5,7000", "--alpha-mode", "cube", "--fock", "32",
+    def test_failed_row_keeps_its_columns(self, tmp_path, monkeypatch):
+        # the step ladder's failure message holds commas
+        gate = ex.cubic_gate
+
+        def ladder_fails_above_5_db(cfg, psi):
+            if cfg.lam_db > 5.5:
+                raise dyn.IntegrationError("no step convergence up to 8192 steps from the "
+                                           "floor 1 (last delta inf, tol 1.0e-07)")
+            return gate(cfg, psi)
+
+        monkeypatch.setattr(ex, "cubic_gate", ladder_fails_above_5_db)
+        assert run(["sweep-lambda", "--values", "5,6", "--alpha-mode", "cube", "--fock", "32",
                     "--input", "vacuum", "--out", str(tmp_path)]) == 0
         header, rows = cli.read_csv(tmp_path / "sweep_lambda.csv")
         assert [len(r) for r in rows] == [len(header)] * 2 == [8, 8]
         failed = dict(zip(header, rows[1]))
-        assert failed["ok"] == "false" and failed["message"].startswith("OverflowError: (")
+        assert failed["ok"] == "false" and failed["message"].startswith("IntegrationError: no")
         assert "," in failed["message"]
         assert rows[0][header.index("ok")] == "true"
 

@@ -14,7 +14,7 @@ from kerrcubic import dynamics as dyn
 from kerrcubic import fock as fk
 from kerrcubic import states as st
 from kerrcubic.dynamics import GateConfig, NoiseParams
-from lab_frame import squeeze
+from lab_frame import shifted_frame, squeeze
 
 
 def make_cfg(**kw):
@@ -698,7 +698,7 @@ class TestCubicGate:
 
         psi = st.squeezed_vacuum(0.5, 48)
         ref = dyn.cubic_gate(make_cfg(n_fock=48), psi)
-        monkeypatch.setattr(dyn, "_annihilation_matrix", forbidden)
+        monkeypatch.setattr(dyn, "annihilation", forbidden)
         res = dyn.cubic_gate(make_cfg(n_fock=48), psi)
         assert np.array_equal(res.state.vector, ref.state.vector)
         with pytest.raises(AssertionError, match="Lindblad"):
@@ -845,7 +845,7 @@ def _substituted_segments(cfg, beta, tau):
     h_steps = []
     for k in range(1, n_t + 1):
         w_k = beta * complex(0.0, -(2 * k - 1) * tau / (2.0 * n_t))
-        h_k = alg.substitute_gaussian_frame(kerr, cfg.lam, offset=w_k).drop_constant()
+        h_k = shifted_frame(kerr, cfg.lam, w_k).drop_constant()
         h_steps.append(alg.to_matrix(h_k, cfg.alpha, cfg.n_fock))
     return -1j * tau * cfg.lam * beta(cfg.alpha), h_steps
 
@@ -868,7 +868,7 @@ class TestTrotterSegmentExpansion:
         beta = alg.cubic_counterterms(chi)[1]
         kerr = alg.driven_kerr(chi, alg.cubic_counterterms(chi)[0], 0)
         w = beta * s
-        direct = alg.substitute_gaussian_frame(kerr, lam, offset=w)
+        direct = shifted_frame(kerr, lam, w)
         # general form, any scalar: p(a^dag + conj(w), a + w), then the frame
         shifted = alg.BosonPolynomial()
         for group in dyn._taylor_shift(kerr, w.conjugate(), w).values():
@@ -943,7 +943,6 @@ class TestTrotterSegmentExpansion:
             calls.append(args)
             return real(*args, **kwargs)
 
-        dyn._segment_expansion.cache_clear()
         dyn._segment_numerators.cache_clear()
         monkeypatch.setattr(dyn, "substitute_gaussian_frame", counting)
         cfg = GateConfig(lam=fk.lambda_from_db(5.0), alpha=5.0, gamma=0.1, n_fock=48,

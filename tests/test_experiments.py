@@ -336,15 +336,41 @@ class TestSweeps:
         assert rows[0]["error"] == direct.error
 
     def test_row_failure_recorded_not_raised(self):
-        # a cheap lossy row (kappa = 1, N = 32) next to a rejected non-finite squeezing
-        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32, kappa=1.0)
-        spec = ex.SweepSpec(base=base, param="lam_db", values=(6.0, math.inf),
+        # a cheap lossy row (kappa = 1, N = 32) next to a displacement whose
+        # frame Hamiltonian overflows, so that the step ladder cannot converge
+        base = GateConfig(lam=fk.lambda_from_db(6.0), alpha=30.0, gamma=0.1, n_fock=32,
+                          kappa=1.0)
+        spec = ex.SweepSpec(base=base, param="alpha", values=(30.0, 1e200),
                             input_state="squeezed:0.5")
         rows = ex.run_sweep(spec)
         assert rows[0]["ok"]
         assert not rows[1]["ok"]
-        assert rows[1]["message"].startswith("ValueError: lam, alpha and kappa must be")
+        assert rows[1]["message"].startswith("IntegrationError: no step convergence")
         assert math.isnan(rows[1]["error"])
+
+    @pytest.mark.parametrize("mode, lam_db", [
+        ("cube", 7000.0),      # lam = 10**350 overflows
+        ("cube", -7000.0),     # lam underflows to 0
+        ("cube", 1500.0),      # alpha = C lam^3 overflows
+        ("fixed", 3000.0),     # lam^3 in the gate time overflows
+        ("optimize", -7000.0),
+    ])
+    def test_squeezing_without_a_gate_refused_before_any_gate(self, monkeypatch, mode, lam_db):
+        def forbidden(*args):
+            raise AssertionError("the input was parsed or a gate ran")
+
+        for name in ("parse_state", "cubic_gate"):
+            monkeypatch.setattr(ex, name, forbidden)
+        base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=32)
+        kw = dict(base=base, values=(5.0, lam_db), input_state="vacuum", alpha_mode=mode)
+        with pytest.raises(ValueError, match=f"lam_db entry {lam_db} gives no valid gate"):
+            ex.run_sweep(ex.SweepSpec(param="lam_db", **kw))
+        if mode != "optimize":
+            spec = ex.SweepSpec(param="dtheta", **{**kw, "values": (1e-4,)})
+            with pytest.raises(ValueError, match=f"lam_db entry {lam_db} gives no valid gate"):
+                ex.noise_sweep(spec, (10.0, lam_db))
+        # the same entries, swept as alpha, are not squeezings
+        assert ex.SweepSpec(param="alpha", **{**kw, "alpha_mode": "fixed"}).values == (5.0, lam_db)
 
     def test_parallel_matches_serial(self):
         base = GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=64)

@@ -621,6 +621,6 @@ class TestCachedDisplacementSpectrum:
         for arr in (s.w, s.v):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
-        a = fk._annihilation_matrix(24).real
+        a = fk.annihilation(24).real
         w, v = np.linalg.eigh(a + a.T)
         assert np.array_equal(s.w, w) and np.array_equal(s.v, v)

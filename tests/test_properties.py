@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 from kerrcubic import algebra as alg
 from kerrcubic import dynamics as dyn
 from kerrcubic.algebra import AlphaPoly, BosonPolynomial
+from lab_frame import dagger, shifted_frame
 
 # Gaussian-integer coefficients keep the exact arithmetic small and fast
 gaussian_ints = hs.builds(complex, hs.integers(-3, 3), hs.integers(-3, 3))
@@ -23,18 +24,23 @@ FAST = settings(max_examples=40, deadline=None)
 
 class TestAlgebraProperties:
     @FAST
-    @given(boson_polys, boson_polys, squeeze_factors, hs.none() | alpha_polys)
+    @given(boson_polys, boson_polys, squeeze_factors, alpha_polys)
     def test_substitution_is_multiplicative(self, p, q, lam, offset):
         # a -> c a + s a^dag + shift keeps [a, a^dag] = 1 exactly (c^2 - s^2 = 1)
-        def subst(poly):
-            return alg.substitute_gaussian_frame(poly, lam, offset=offset)
+        def frame(poly):
+            return alg.substitute_gaussian_frame(poly, lam)
 
-        assert subst(p * q) == subst(p) * subst(q)
+        def shifted(poly):
+            return shifted_frame(poly, lam, offset)
+
+        assert frame(p * q) == frame(p) * frame(q)
+        assert shifted(p * q) == shifted(p) * shifted(q)
+        assert shifted_frame(p, lam, 0) == frame(p)
 
     @FAST
     @given(boson_polys, boson_polys)
     def test_dagger_reverses_products(self, p, q):
-        assert (p * q).dagger() == q.dagger() * p.dagger()
+        assert dagger(p * q) == dagger(q) * dagger(p)
 
     @FAST
     @given(boson_polys, boson_polys)
@@ -47,7 +53,8 @@ class TestAlgebraProperties:
     @given(chi=hs.floats(0.01, 5.0, exclude_min=True, exclude_max=True),
            lam=hs.floats(1.0, 12.0))
     def test_counterterms_cancel_exactly_at_any_operating_point(self, chi, lam):
-        quad = alg.to_quadrature_form(alg.effective_cubic_hamiltonian(chi, lam, 1.0, 0.1))
+        h = alg.frame_hamiltonian(chi, lam, *alg.cubic_counterterms(chi))
+        quad = alg.to_quadrature_form(h)
         assert quad.coefficient(1, 0).is_zero
         assert quad.coefficient(2, 0).is_zero
         assert quad.coefficient(3, 0) == AlphaPoly([0, -Fraction(chi) * Fraction(lam) ** 3 / 4])

@@ -2,9 +2,12 @@
 
 Every name that `kerrcubic/__init__.py` imports must be referenced somewhere
 in the package, the demos or the benchmark, outside its own definition and
-outside `__init__.py`. Every annotated field of an exported class must be
-read as an attribute there, outside its own class body. A name or a field
-that only tests reach belongs beside its tests, or goes.
+outside `__init__.py`. Every annotated field and every method (dunders aside)
+of an exported class must be read as an attribute there, outside its own
+class body. Every parameter with a default of an exported function must be
+passed there, by keyword or by position, in a call outside its own
+definition. A name, a field, a method or a parameter that only tests reach
+belongs beside its tests, or goes.
 """
 
 import ast
@@ -25,6 +28,12 @@ ALLOWED_UNREAD_FIELDS = {
                            "and `__post_init__` acts on it",
     "CubicStateResult.evolution": "item 5: state-gen reports the integrator's steps, "
                                   "trace drift and minimum eigenvalue from it",
+}
+
+# defaulted parameters of exported functions that no call passes, each with its reason
+ALLOWED_UNPASSED_PARAMETERS = {
+    "check_truncation_convergence.tol": "item 5: the Fock tail-weight diagnostic, "
+                                        "like its function",
 }
 
 
@@ -71,15 +80,29 @@ def test_every_exported_name_has_a_caller():
     assert unreferenced == set(ALLOWED_UNREFERENCED), unreferenced
 
 
-def _exported_fields():
-    """(class, field, class body) of every annotated field of an exported class."""
+def _exported_definitions(kind):
+    """(path, node) of every top-level `kind` node of the package that is exported."""
     exported = _exported_names()
     for path in sorted(_PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and node.name in exported:
-                for stmt in node.body:
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        yield node.name, stmt.target.id, (path, node.lineno, node.end_lineno)
+            if isinstance(node, kind) and node.name in exported:
+                yield path, node
+
+
+def _exported_fields():
+    """(class, field, class body) of every annotated field of an exported class."""
+    for path, node in _exported_definitions(ast.ClassDef):
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, (path, node.lineno, node.end_lineno)
+
+
+def _exported_methods():
+    """(class, method, class body) of every method of an exported class, dunders aside."""
+    for path, node in _exported_definitions(ast.ClassDef):
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                yield node.name, stmt.name, (path, node.lineno, node.end_lineno)
 
 
 def _attribute_reads():
@@ -94,9 +117,68 @@ def test_exported_classes_have_fields():
     assert {"GateConfig", "FitResult", "CubicGateParams", "MaterialParams"} <= owners, owners
 
 
-def test_every_exported_field_is_read():
+def _unread(members):
+    """The "class.member" of each member that no attribute read outside its class body names."""
     reads = _attribute_reads()
-    unread = {f"{owner}.{field}" for owner, field, (path, first, last) in _exported_fields()
-              if not any(name == field and not (where == path and first <= line <= last)
-                         for where, line, name in reads)}
+    return {f"{owner}.{member}" for owner, member, (path, first, last) in members
+            if not any(name == member and not (where == path and first <= line <= last)
+                       for where, line, name in reads)}
+
+
+def test_every_exported_field_is_read():
+    unread = _unread(_exported_fields())
     assert unread == set(ALLOWED_UNREAD_FIELDS), unread
+
+
+def test_exported_classes_have_methods():
+    owners = {owner for owner, _, _ in _exported_methods()}
+    assert {"AlphaPoly", "GateConfig", "Spectrum", "QuadraturePolynomial"} <= owners, owners
+
+
+def test_every_exported_method_is_read():
+    unread = _unread(_exported_methods())
+    assert unread == set(), unread
+
+
+def _defaulted_parameters(fn):
+    """(position, name) of each parameter of `fn` with a default; None for keyword-only."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if default is not None])
+
+
+def _calls():
+    """name -> [(path, call)] of every call in the sources, keyed by the name it calls."""
+    calls = {}
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append((path, node))
+    return calls
+
+
+def _passes(call, position, name):
+    """Whether `call` gives the parameter `name` at `position` a value."""
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **mapping
+        return True
+    return position is not None and (len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_exported_functions_have_defaults():
+    names = {fn.name for _, fn in _exported_definitions(ast.FunctionDef)
+             if _defaulted_parameters(fn)}
+    assert {"driven_kerr", "evolve_lindblad", "generate_cubic_state"} <= names, names
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls, unpassed = _calls(), set()
+    for path, fn in _exported_definitions(ast.FunctionDef):
+        outside = [call for where, call in calls.get(fn.name, ())
+                   if not (where == path and fn.lineno <= call.lineno <= fn.end_lineno)]
+        unpassed |= {f"{fn.name}.{name}" for position, name in _defaulted_parameters(fn)
+                     if not any(_passes(call, position, name) for call in outside)}
+    assert unpassed == set(ALLOWED_UNPASSED_PARAMETERS), unpassed
