@@ -6,9 +6,11 @@ sweep-noise, state-gen, trotter, soliton-fom, reproduce.
 Every option is declared once, in `_OPTIONS`, with its value rule and the
 subcommands that read it; a `--config` file may set any option its
 subcommand reads, and flags override the file. A flag's text and a file's
-text are parsed by the same rule. `dispatch` resolves them, runs the
-subcommand's handler and writes a JSON sidecar of the parsed value of every
-option the run set, from which the run is reproducible byte-for-byte. Exit
+text are parsed by the same rule. `dispatch` resolves them and runs the
+subcommand's handler. A table subcommand's handler returns its (header, rows),
+and `dispatch` writes them to `<stem>.csv`, the stem of the run's sidecar.
+`dispatch` then writes that JSON sidecar of the parsed value of every option
+the run set, from which the run is reproducible byte-for-byte. Exit
 codes: 0 success, 2 configuration error, 3 numerical/IO failure. Errors go to
 stderr as one JSON object. CSV cells carry 17 significant digits.
 """
@@ -45,13 +47,10 @@ from .experiments import (
     optimize_alpha,
     run_sweep,
 )
-from .fock import lambda_from_db, wigner
+from .fock import PureState, lambda_from_db, wigner
 from .states import parse_state
 
 SCHEMA_VERSION = 1
-
-RECIPES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5",
-           "fig6a", "fig6b", "fig7b", "table1")
 
 # subcommands that run on a GateConfig, built from the gate options
 _GATE_COMMANDS = ("gate", "sweep-lambda", "optimize-alpha", "sweep-noise", "state-gen", "trotter")
@@ -285,13 +284,19 @@ def _fields(gc: GateConfig) -> dict:
     return {**asdict(gc), "lam_db": gc.lam_db}
 
 
+def _gate_input(cfg: dict, gc: GateConfig) -> PureState:
+    """The input state of a gate run: option `input`, by default `SweepSpec`'s."""
+    return parse_state(cfg.get("input", SweepSpec.input_state), gc.n_fock, gc.gamma)
+
+
 # ---------------------------------------------------------------------------
-# subcommands: each computes and writes its artifacts and returns the paths
-# to print; `dispatch` writes the sidecar
+# subcommands: each computes its artifacts and returns either its table's
+# (header, rows), which `dispatch` writes under the sidecar's stem, or the
+# paths of the files it wrote; `dispatch` writes the sidecar
 # ---------------------------------------------------------------------------
 
 
-def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
+def _cmd_heff_expand(cfg: RunConfig, gc: None) -> tuple[list, list]:
     """The frame Hamiltonian's quadrature coefficients, in units of chi."""
     lam = lambda_from_db(cfg.get("lambda_db", 10.0))
     alpha = cfg.get("alpha", 50.0)
@@ -302,9 +307,7 @@ def _cmd_heff_expand(cfg: RunConfig, gc: None) -> list[Path]:
     for (j, k) in sorted(quad.terms, key=lambda t: (t[0] + t[1], t)):
         c = quad.quad_coefficient(j, k, alpha)
         rows.append((f"x^{j} p^{k}", c.real, c.imag))
-    path = cfg.out_dir / "heff_expand.csv"
-    write_csv(path, ["monomial", "coefficient-real", "coefficient-imag"], rows)
-    return [path]
+    return ["monomial", "coefficient-real", "coefficient-imag"], rows
 
 
 def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
@@ -321,8 +324,7 @@ def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
 
 
 def _cmd_gate(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
-    res = cubic_gate(gc, psi)
+    res = cubic_gate(gc, _gate_input(cfg, gc))
     out = cfg.out_dir
     doc = {
         "error": res.error, "fidelity": 1.0 - res.error,
@@ -348,26 +350,22 @@ def _sweep_spec(cfg: dict, gc: GateConfig, param: str, values: tuple,
                 alpha_mode: str) -> SweepSpec:
     """The sweep the sweep subcommands read from `cfg`, with their own defaults."""
     return SweepSpec(base=gc, param=param, values=_floats(cfg, "values", values),
-                     input_state=cfg.get("input", "gkp:z+:0.5"),
+                     input_state=cfg.get("input", SweepSpec.input_state),
                      alpha_mode=cfg.get("alpha_mode", alpha_mode),
                      alpha_coeff=cfg.get("alpha_coeff", ALPHA_COEFF),
                      workers=cfg.get("workers", 1))
 
 
-def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> tuple[list, list]:
     spec = _sweep_spec(cfg, gc, "lam_db", (5.0, 7.5, 10.0, 12.5, 15.0), "optimize")
-    rows = run_sweep(spec)  # a refused sweep leaves no --out directory
-    path = cfg.out_dir / "sweep_lambda.csv"
-    write_csv(path, *_row_table(rows, _SWEEP_HEADER))
-    return [path]
+    return _row_table(run_sweep(spec), _SWEEP_HEADER)
 
 
 def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
     bracket = _floats(cfg, "bracket", alpha_bracket(gc.lam))
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
-    psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
-    opt = optimize_alpha(gc, bracket, psi)
+    opt = optimize_alpha(gc, bracket, _gate_input(cfg, gc))
     path = cfg.out_dir / "optimize_alpha.json"
     emit({"alpha": opt.alpha, "error": opt.error,
           "evaluations": opt.evaluations, "kind": opt.kind, "unimodal": opt.unimodal}, path)
@@ -375,7 +373,8 @@ def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
 
 
 def _noise_table(cfg: dict, gc: GateConfig) -> tuple[list, list]:
-    """The sweep-noise table of the options `cfg`, whose gate is `gc`."""
+    """The sweep-noise table of the options `cfg`, whose gate is `gc`: sweep-noise's
+    handler, and the noise recipes' table."""
     noise = cfg.get("noise", "dtheta")
     if noise not in _NOISE_FIELDS:
         raise ConfigError(f"noise must be one of {', '.join(_NOISE_FIELDS)}, got {noise!r}")
@@ -385,13 +384,6 @@ def _noise_table(cfg: dict, gc: GateConfig) -> tuple[list, list]:
     spec = _sweep_spec(cfg, gc, _NOISE_FIELDS[noise], (1e-4,), "cube")
     rows = noise_sweep(spec, _floats(cfg, "lambda_db_values", (cfg.get("lambda_db", 10.0),)))
     return _row_table(rows, _NOISE_HEADER)
-
-
-def _cmd_sweep_noise(cfg: RunConfig, gc: GateConfig) -> list[Path]:
-    table = _noise_table(cfg, gc)  # a refused sweep leaves no --out directory
-    path = cfg.out_dir / "sweep_noise.csv"
-    write_csv(path, *table)
-    return [path]
 
 
 def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> list[Path]:
@@ -412,20 +404,17 @@ def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
     return errors, cubic_gate(replace(gc, trotter_steps=0), psi).error
 
 
-def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+def _cmd_trotter(cfg: RunConfig, gc: GateConfig) -> tuple[list, list]:
     values = _floats(cfg, "values", (1.0, 2.0, 4.0, 8.0, 16.0))
     if not all(v.is_integer() and v >= 1 for v in values):
         raise ConfigError(f"trotter step counts must be whole numbers >= 1, got {values}")
     steps = [int(v) for v in values]
-    psi = parse_state(cfg.get("input", "gkp:z+:0.5"), gc.n_fock, gc.gamma)
-    errors, cont = _trotter_errors(gc, psi, steps)
-    rows = [(n_t, err, abs(err - cont)) for n_t, err in zip(steps, errors)]
-    path = cfg.out_dir / "trotter.csv"
-    write_csv(path, ["steps", "error", "abs_diff_vs_continuous"], rows)
-    return [path]
+    errors, cont = _trotter_errors(gc, _gate_input(cfg, gc), steps)
+    return (["steps", "error", "abs_diff_vs_continuous"],
+            [(n_t, err, abs(err - cont)) for n_t, err in zip(steps, errors)])
 
 
-def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
+def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> tuple[list, list]:
     if cfg.get("builtin_table") and cfg.get("materials"):
         raise ConfigError("soliton-fom takes --builtin-table or --materials, not both")
     if cfg.get("builtin_table"):
@@ -446,9 +435,7 @@ def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
             mats.append(soliton.MaterialParams(r[0], *values))
     else:
         raise ConfigError("soliton-fom needs --builtin-table or --materials CSV")
-    path = cfg.out_dir / "soliton_fom.csv"
-    write_csv(path, _FOM_HEADER, _fom_rows(mats))
-    return [path]
+    return _FOM_HEADER, _fom_rows(mats)
 
 
 # ---------------------------------------------------------------------------
@@ -456,44 +443,43 @@ def _cmd_soliton_fom(cfg: RunConfig, gc: None) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _recipe_spec(name: str) -> dict:
-    """The named recipe as data: its table `kind`, the `options` (`_OPTIONS` keys
-    and values) that each of its runs sets, and its grids, each named after the
-    option that it varies; `grids` maps one option's value to another's values."""
-    def noise(channel, values):
-        return {"kind": "noise", "options": {"noise": channel, "values": values,
-                                             "lambda_db_values": "10,12.5,15,17.5"}}
+def _noise_recipe(channel: str, values: str) -> dict:
+    return {"kind": "noise", "options": {"noise": channel, "values": values,
+                                         "lambda_db_values": "10,12.5,15,17.5"}}
 
-    specs = {
-        "fig2": {"kind": "lambda-sweeps", "options": {"fock": 256, "alpha_mode": "optimize"},
-                 "input": [f"gkp:{lbl}:{d}" for lbl in ("z+", "z-", "x+", "x-", "y+", "y-")
-                           for d in (0.3, 0.4, 0.5)],
-                 "lambda_db": (5.0, 7.5, 10.0, 12.5, 15.0)},
-        "fig3a": {"kind": "alpha-grids", "options": {},
-                  "chi_over_kappa": (1e-3, 1e-4, 1e-5),
-                  "lambda_db": (10.0, 12.5, 15.0, 17.5, 20.0),
-                  "alpha_factors": tuple(float(f) for f in np.geomspace(0.6, 30.0, 10))},
-        # chi_over_kappa -> lambda_db
-        "fig3b": {"kind": "lossy-sweeps", "options": {"alpha_mode": "optimize"},
-                  "grids": {1e-3: (12.5, 15.0, 17.5, 20.0),
-                            1e-4: (15.0, 17.5, 20.0, 22.5),
-                            1e-5: (17.5, 20.0, 22.5, 25.0)}},
-        "fig3c": noise("dtheta", "1e-5,3e-5,1e-4,3e-4"),
-        "fig4": {"kind": "state-gen",
-                 "options": {"lambda_db": 15.0, "alpha": 1.4e4, "chi_over_kappa": 1e-4}},
-        # lambda_db -> alpha: the grids keep the discrete-drive kick representable
-        "fig5": {"kind": "trotter-curves", "options": {"fock": 448},
-                 "grids": {5.0: (5.0, 8.0, 12.0, 16.0), 10.0: (12.0, 16.0, 20.0, 25.0)},
-                 "trotter": (1, 2, 4)},
-        "fig6a": noise("ddelta-rel", "1e-6,3e-6,1e-5"),
-        "fig6b": noise("dbetax-rel", "1e-6,3e-6,1e-5"),
-        "fig7b": {"kind": "photon-trace", "options": {}, "lambda_db": (5.0, 10.0, 15.0),
-                  "samples": 41},
-        "table1": {"kind": "table1", "options": {}},
-    }
-    if name not in specs:
-        raise ConfigError(f"unknown recipe {name!r}; choose from {RECIPES}")
-    return specs[name]
+
+# recipe name -> the recipe as data: its table `kind`, the `options` (`_OPTIONS`
+# keys and values) that each of its runs sets, and its grids, each named after
+# the option that it varies; `grids` maps one option's value to another's values
+_RECIPES = {
+    "fig2": {"kind": "lambda-sweeps", "options": {"fock": 256, "alpha_mode": "optimize"},
+             "input": [f"gkp:{lbl}:{d}" for lbl in ("z+", "z-", "x+", "x-", "y+", "y-")
+                       for d in (0.3, 0.4, 0.5)],
+             "lambda_db": (5.0, 7.5, 10.0, 12.5, 15.0)},
+    "fig3a": {"kind": "alpha-grids", "options": {},
+              "chi_over_kappa": (1e-3, 1e-4, 1e-5),
+              "lambda_db": (10.0, 12.5, 15.0, 17.5, 20.0),
+              "alpha_factors": tuple(float(f) for f in np.geomspace(0.6, 30.0, 10))},
+    # chi_over_kappa -> lambda_db
+    "fig3b": {"kind": "lossy-sweeps", "options": {"alpha_mode": "optimize"},
+              "grids": {1e-3: (12.5, 15.0, 17.5, 20.0),
+                        1e-4: (15.0, 17.5, 20.0, 22.5),
+                        1e-5: (17.5, 20.0, 22.5, 25.0)}},
+    "fig3c": _noise_recipe("dtheta", "1e-5,3e-5,1e-4,3e-4"),
+    "fig4": {"kind": "state-gen",
+             "options": {"lambda_db": 15.0, "alpha": 1.4e4, "chi_over_kappa": 1e-4}},
+    # lambda_db -> alpha: the grids keep the discrete-drive kick representable
+    "fig5": {"kind": "trotter-curves", "options": {"fock": 448},
+             "grids": {5.0: (5.0, 8.0, 12.0, 16.0), 10.0: (12.0, 16.0, 20.0, 25.0)},
+             "trotter": (1, 2, 4)},
+    "fig6a": _noise_recipe("ddelta-rel", "1e-6,3e-6,1e-5"),
+    "fig6b": _noise_recipe("dbetax-rel", "1e-6,3e-6,1e-5"),
+    "fig7b": {"kind": "photon-trace", "options": {}, "lambda_db": (5.0, 10.0, 15.0),
+              "samples": 41},
+    "table1": {"kind": "table1", "options": {}},
+}
+
+RECIPES = tuple(_RECIPES)
 
 
 def _write_state_gen(res, out: Path, stem: str, **extra) -> list[Path]:
@@ -563,8 +549,7 @@ def _trotter_curves(cfg: dict, spec: dict) -> tuple[list, list]:
     for db, alphas in spec["grids"].items():
         for alpha in alphas:
             gc = _gate_config({**cfg, "lambda_db": db, "alpha": alpha})
-            psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
-            errors, e_cont = _trotter_errors(gc, psi, spec["trotter"])
+            errors, e_cont = _trotter_errors(gc, _gate_input(cfg, gc), spec["trotter"])
             rows += [(db, alpha, n_t, err, e_cont) for n_t, err in zip(spec["trotter"], errors)]
     return ["lam_db", "alpha", "trotter_steps", "error", "error_continuous"], rows
 
@@ -573,7 +558,7 @@ def _photon_trace(cfg: dict, spec: dict) -> tuple[list, list]:
     rows = []
     for db in spec["lambda_db"]:
         gc = _gate_config({**cfg, "lambda_db": db})
-        psi = parse_state("gkp:z+:0.5", gc.n_fock, gc.gamma)
+        psi = _gate_input(cfg, gc)
         opt = optimize_alpha(gc, alpha_bracket(gc.lam), psi)
         series = photon_number_trace(replace(gc, alpha=opt.alpha), psi, spec["samples"])
         for t, tot, fl, var in zip(series["t"], series["total"],
@@ -598,7 +583,7 @@ def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
     """Write the sidecar first: `--dry-run` writes only the sidecar."""
     out = cfg.out_dir
     name = cfg["recipe"]
-    spec = _recipe_spec(name)
+    spec = _RECIPES[name]
     sidecar = out / f"{name}.config.json"
     write_sidecar(sidecar, f"reproduce {name}", {**cfg, "recipe_spec": spec})
     if cfg.dry_run:
@@ -625,7 +610,7 @@ _COMMANDS = {
     "gate": (_cmd_gate, "gate_result"),
     "sweep-lambda": (_cmd_sweep_lambda, "sweep_lambda"),
     "optimize-alpha": (_cmd_optimize_alpha, "optimize_alpha"),
-    "sweep-noise": (_cmd_sweep_noise, "sweep_noise"),
+    "sweep-noise": (_noise_table, "sweep_noise"),
     "state-gen": (_cmd_state_gen, "state_gen"),
     "trotter": (_cmd_trotter, "trotter"),
     "soliton-fom": (_cmd_soliton_fom, "soliton_fom"),
@@ -673,6 +658,10 @@ def dispatch(argv) -> int:
             cfg = RunConfig.collect(args)
             gc = _gate_config(cfg) if args.command in _GATE_COMMANDS else None
             paths = handler(cfg, gc)
+            if isinstance(paths, tuple):
+                # a table, written only now: a refused run leaves no --out directory
+                table, paths = paths, [cfg.out_dir / f"{stem}.csv"]
+                write_csv(paths[0], *table)
             if stem is not None:
                 write_sidecar(cfg.out_dir / f"{stem}.config.json", args.command,
                               dict(cfg) if gc is None else {**cfg, "gate_config": _fields(gc)})

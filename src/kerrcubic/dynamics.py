@@ -60,7 +60,6 @@ from .fock import (
     TruncationWarning,
     annihilation,
     displace_vector,
-    displacement_spectrum,
     fidelity,
     lambda_from_db,
 )
@@ -444,10 +443,7 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
     if cfg.noise.dtheta != 0.0:
         # exp(-i dtheta n_eff); the dropped constant of n_eff is a global phase
         r = Spectrum(effective_number_operator(cfg)[0]).unitary(cfg.noise.dtheta)
-        if isinstance(out, PureState):
-            out = PureState(r @ out.vector, normalize=False)
-        else:
-            out = MixedState(r @ out.matrix @ r.conj().T)
+        out = out.transformed(r)
 
     err = 1.0 - fidelity(target, out)
     return EvolutionResult(out, err, target, diagnostics)
@@ -614,5 +610,5 @@ def _trotter_propagate(cfg: GateConfig, psi_in: PureState, tau: float):
     dt = tau / cfg.trotter_steps
     for h_k in h_steps:
         psi = Spectrum(h_k).advance(psi, dt)
-    psi = displace_vector(displacement_spectrum(cfg.n_fock), xi, psi)
+    psi = displace_vector(xi, psi)
     return PureState(psi, normalize=False), {"kick": kick}

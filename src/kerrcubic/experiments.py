@@ -597,11 +597,7 @@ def generate_cubic_state(
     res = cubic_gate(cfg, psi)
     f, params = optimize_gaussian_correction(res.target, res.state)
     gen = sum(c * b for c, b in zip(params, _correction_basis(cfg.n_fock)))
-    g = Spectrum(gen).unitary(-1.0)
-    if isinstance(res.state, MixedState):
-        out = MixedState(g @ res.state.matrix @ g.conj().T)
-    else:
-        out = PureState(g @ res.state.vector, normalize=False)
+    out = res.state.transformed(Spectrum(gen).unitary(-1.0))
     axis = np.linspace(-6.0, 6.0, 121)
     xs, ps = (axis, axis) if grid is None else (np.asarray(ax, float) for ax in grid)
     w_grid = wigner(out, xs, ps)

@@ -29,14 +29,14 @@ exp(R G R^dag) for the unitary R; hence, exactly,
     D(s) = R(arg s + pi/2) exp(-i |s| (a + a^dag)) R(arg s + pi/2)^dag
     S(z) = R(pi/4) exp(-i z (a^2 + a^dag^2)/2) R(pi/4)^dag
 
-and both generators take the real symmetric solve. `displacement_spectrum`
-and `squeeze_spectrum` return those two spectra; `displace_vector` and
-`squeeze_vector` apply D(s) and S(z) to a vector from them in O(N^2), so one
-spectrum serves any number of amplitudes; the package never forms S(z) as a
-matrix. `displacement_spectrum` is cached per N (the last four, read-only), so
-grid inputs, the Trotter kick and `displacement` share one; `squeeze_spectrum`
-is built per call. What this costs is measured by the benchmark (README,
-"Performance notes").
+and both generators take the real symmetric solve. `displace_vector(s, psi)`
+and `squeeze_vector(z, psi)` apply D(s) and S(z) to a vector in O(N^2), each
+from its own spectrum at the vector's dimension, so no caller can pair an
+action with the wrong spectrum; the package never forms S(z) as a matrix. The
+two spectra are internal to this module: `displacement_spectrum` is cached per
+N (the last four, read-only), so grid inputs, the Trotter kick and
+`displacement` share one; `squeeze_spectrum` is built per call. What this
+costs is measured by the benchmark (README, "Performance notes").
 """
 
 from __future__ import annotations
@@ -148,6 +148,10 @@ class PureState:
     def density_matrix(self) -> "MixedState":
         return MixedState(np.outer(self.vector, self.vector.conj()))
 
+    def transformed(self, u: np.ndarray) -> "PureState":
+        """u|psi> for a unitary u."""
+        return PureState(u @ self.vector, normalize=False)
+
 
 @dataclass(frozen=True)
 class MixedState:
@@ -175,6 +179,10 @@ class MixedState:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
+
+    def transformed(self, u: np.ndarray) -> "MixedState":
+        """u rho u^dag for a unitary u."""
+        return MixedState(u @ self.matrix @ u.conj().T)
 
 
 def _check_dims(d1: int, d2: int):
@@ -256,14 +264,14 @@ def _displacement_angle(s: complex) -> float:
 _SQUEEZE_ANGLE = 0.25 * math.pi
 
 
-def displace_vector(spectrum: Spectrum, s: complex, psi: np.ndarray) -> np.ndarray:
-    """D(s)|psi> from `displacement_spectrum(N)`, without forming D(s); no cutoff warning."""
-    return _rotated(spectrum, _displacement_angle(s), abs(s), psi)
+def displace_vector(s: complex, psi: np.ndarray) -> np.ndarray:
+    """D(s)|psi>, without forming D(s); no cutoff warning."""
+    return _rotated(displacement_spectrum(psi.shape[0]), _displacement_angle(s), abs(s), psi)
 
 
-def squeeze_vector(spectrum: Spectrum, z: float, psi: np.ndarray) -> np.ndarray:
-    """S(z)|psi> from `squeeze_spectrum(N)`, without forming S(z); no cutoff warning."""
-    return _rotated(spectrum, _SQUEEZE_ANGLE, z, psi)
+def squeeze_vector(z: float, psi: np.ndarray) -> np.ndarray:
+    """S(z)|psi>, without forming S(z); no cutoff warning."""
+    return _rotated(squeeze_spectrum(psi.shape[0]), _SQUEEZE_ANGLE, z, psi)
 
 
 def _rotated_unitary(spectrum: Spectrum, theta: float, t: float) -> np.ndarray:
@@ -305,11 +313,10 @@ def variance(op: np.ndarray, state: PureState | MixedState) -> float:
 
 def fidelity(target: PureState, out: PureState | MixedState) -> float:
     """|<t|psi>|^2 for pure outputs, <t|rho|t> for mixed ones."""
+    _check_dims(target.dim, out.dim)
     if isinstance(out, PureState):
-        _check_dims(target.dim, out.dim)
         f = abs(np.vdot(target.vector, out.vector)) ** 2
     else:
-        _check_dims(target.dim, out.dim)
         f = np.real(np.vdot(target.vector, out.matrix @ target.vector))
     return float(min(max(f, 0.0), 1.0))
 

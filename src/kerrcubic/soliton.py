@@ -20,7 +20,7 @@ so the platform table and figures of merit never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
@@ -37,10 +37,11 @@ class MissingFieldError(ValueError):
 class MaterialParams:
     """Waveguide/platform parameters (SI units).
 
-    gamma_nl is the nonlinear coefficient (W^-1 m^-1). v_g and gvd
-    (d^2 omega / dk^2, m^2/s) are only needed for the photon-number-dependent
-    timescale. A field left None is named by the `MissingFieldError` of the
-    first function that needs it.
+    gamma_nl is the nonlinear coefficient (W^-1 m^-1). v_g is needed for the
+    rates of `soliton_scales` (not for their ratio), and v_g and gvd
+    (d^2 omega / dk^2, m^2/s) for the photon-number-dependent timescale. A
+    field left None is named by the `MissingFieldError` of the first function
+    that needs it.
     """
 
     name: str = ""
@@ -81,17 +82,17 @@ class SolitonScales:
 
 def soliton_scales(m: MaterialParams) -> SolitonScales:
     """Loss and SPM rates at the pulse timescale T = t_fwhm / 1.763."""
-    m._require("alpha_att", "wavelength", "t_fwhm", "gamma_nl")
-    vg = m.v_g if m.v_g is not None else 1.0e8
+    m._require("alpha_att", "wavelength", "t_fwhm", "gamma_nl", "v_g")
     t_n = m.t_fwhm / _FWHM_TO_TN
-    kappa = _DB_TO_NAT * m.alpha_att * vg
-    chi = HBAR * m.omega0 * vg * m.gamma_nl / (2.0 * t_n)
+    kappa = _DB_TO_NAT * m.alpha_att * m.v_g
+    chi = HBAR * m.omega0 * m.v_g * m.gamma_nl / (2.0 * t_n)
     return SolitonScales(kappa, chi)
 
 
 def figure_of_merit(m: MaterialParams) -> float:
-    """chi/kappa for the platform; the group velocity cancels."""
-    scales = soliton_scales(m)
+    """chi/kappa for the platform; the group velocity cancels, so a material
+    without one is scored at v_g = 1e8 m/s."""
+    scales = soliton_scales(m if m.v_g is not None else replace(m, v_g=1.0e8))
     return scales.chi / scales.kappa
 
 

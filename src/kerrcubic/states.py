@@ -20,10 +20,9 @@ from .fock import (
     Spectrum,
     TruncationWarning,
     displace_vector,
-    displacement_spectrum,
+    fock_state,
     momentum,
     position,
-    squeeze_spectrum,
     squeeze_vector,
     vacuum,
     variance,
@@ -61,7 +60,7 @@ def squeezed_vacuum(delta: float, n: int) -> PureState:
         warnings.warn(
             f"delta = {delta} strains Fock cutoff N = {n}", TruncationWarning, stacklevel=2
         )
-    vec = squeeze_vector(squeeze_spectrum(n), z, vacuum(n).vector)
+    vec = squeeze_vector(z, vacuum(n).vector)
     return PureState(vec, normalize=False)
 
 
@@ -93,9 +92,8 @@ def _gkp_displacements(params: GkpParams, n: int):
     return out
 
 
-def _gkp_sublattice(peaks, delta: float, n: int, base: np.ndarray,
-                    displacements: Spectrum) -> PureState:
-    """One sub-lattice from its peaks, the squeezed core and the displacement spectrum."""
+def _gkp_sublattice(peaks, delta: float, n: int, base: np.ndarray) -> PureState:
+    """One sub-lattice from its peaks and the squeezed core."""
     if math.exp(2 * abs(math.log(delta))) > n / 4.0:
         warnings.warn(
             f"delta = {delta} strains Fock cutoff N = {n}", TruncationWarning, stacklevel=3
@@ -109,7 +107,7 @@ def _gkp_sublattice(peaks, delta: float, n: int, base: np.ndarray,
         )
     vec = np.zeros(n, dtype=complex)
     for s, w in peaks:
-        vec += w * displace_vector(displacements, s, base)
+        vec += w * displace_vector(s, base)
     return PureState(vec)
 
 
@@ -119,18 +117,17 @@ def gkp_state(params: GkpParams, n: int) -> PureState:
     The comb runs along x with x-squeezed cores (<x^2> = delta^2/2), the
     orientation in which the even/odd sub-lattices are near-orthogonal qubit
     states; the envelope weight exp(-(s_k delta)^2/2) uses the displacement
-    amplitude s_k of each peak. One squeeze and one displacement spectrum
-    serve every peak of both sub-lattices.
+    amplitude s_k of each peak. One squeezed core and one displacement
+    spectrum (`fock`'s, cached per N) serve every peak of both sub-lattices.
     """
     labels = (params.label,) if params.label in ("z+", "z-") else ("z+", "z-")
     # every lattice is checked before any eigh
     lattices = [_gkp_displacements(replace(params, label=label), n) for label in labels]
-    base = squeeze_vector(squeeze_spectrum(n), math.log(params.delta), vacuum(n).vector)
-    displacements = displacement_spectrum(n)
-    zp = _gkp_sublattice(lattices[0], params.delta, n, base, displacements)
+    base = squeeze_vector(math.log(params.delta), vacuum(n).vector)
+    zp = _gkp_sublattice(lattices[0], params.delta, n, base)
     if len(lattices) == 1:
         return zp
-    zm = _gkp_sublattice(lattices[1], params.delta, n, base, displacements)
+    zm = _gkp_sublattice(lattices[1], params.delta, n, base)
     phase = {"x+": 1.0, "x-": -1.0, "y+": 1j, "y-": -1j}[params.label]
     return PureState(zp.vector + phase * zm.vector)
 
@@ -167,7 +164,7 @@ def _cached_target(gamma: float, amplitudes: bytes) -> PureState:
     psi = PureState(np.frombuffer(amplitudes, dtype=complex).copy(), normalize=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)  # warned by the caller
-        out = PureState(ideal_cubic_gate(gamma, psi.dim) @ psi.vector, normalize=False)
+        out = psi.transformed(ideal_cubic_gate(gamma, psi.dim))
     out.vector.setflags(write=False)
     return out
 
@@ -224,13 +221,11 @@ def parse_state(selector: str, n: int, gamma: float) -> PureState:
     represent at N = n (`representable_peak_cutoff`); gamma = 0, for a
     state that no gate acts on, keeps every peak down to the configured cutoff.
     """
-    from .fock import fock_state, vacuum as vacuum_state
-
     parts = selector.strip().split(":")
     kind = parts[0]
     try:
         if kind == "vacuum" and len(parts) == 1:
-            return vacuum_state(n)
+            return vacuum(n)
         if kind == "fock" and len(parts) == 2:
             return fock_state(n, int(parts[1]))
         if kind == "squeezed" and len(parts) == 2:

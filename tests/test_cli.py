@@ -623,9 +623,10 @@ class TestSinglePath:
 
     def test_handlers_never_read_args(self):
         tree = ast.parse(Path(cli.__file__).read_text())
+        handlers = {handler.__name__ for handler, _ in cli._COMMANDS.values()}
         calls = {"write_sidecar": 0, "collect": 0}
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            if isinstance(node, ast.FunctionDef) and node.name in handlers:
                 names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
                 names |= {a.arg for a in node.args.args}
                 assert "args" not in names, node.name
@@ -751,9 +752,9 @@ class TestOneParsePath:
     def test_handlers_read_parsed_values(self):
         # no float(), int() or str() around a read of cfg: the value rule parsed it
         tree = ast.parse(Path(cli.__file__).read_text())
+        readers = {handler.__name__ for handler, _ in cli._COMMANDS.values()} | {"_gate_config"}
         for fn in ast.walk(tree):
-            if not (isinstance(fn, ast.FunctionDef)
-                    and (fn.name.startswith("_cmd_") or fn.name == "_gate_config")):
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in readers):
                 continue
             for call in ast.walk(fn):
                 if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)

@@ -200,6 +200,12 @@ class TestFidelity:
         rho = fk.MixedState(np.diag([0.5, 0.5] + [0.0] * 6))
         assert abs(fk.fidelity(fk.fock_state(8, 0), rho) - 0.5) < 1e-12
 
+    def test_mixed_equals_pure(self):
+        # <t|psi><psi|t> = |<t|psi>|^2 for complex amplitudes
+        rng = np.random.default_rng(3)
+        t, psi = (fk.PureState(rng.normal(size=8) + 1j * rng.normal(size=8)) for _ in range(2))
+        assert abs(fk.fidelity(t, psi.density_matrix()) - fk.fidelity(t, psi)) < 1e-14
+
     def test_symmetric_pure(self):
         a = _applied(fk.displacement(0.5, 32).matrix, fk.vacuum(32))
         b = _applied(squeeze(0.3, 32), fk.vacuum(32))
@@ -389,6 +395,16 @@ class TestValueTypes:
         m[1, 2] = m[2, 1] = bad
         with pytest.raises(fk.ContractViolationError, match="not finite"):
             fk.MixedState(m)
+
+    def test_transformed_applies_the_unitary(self):
+        # u|psi> for a pure state and u rho u^dag for a mixed one: the same state
+        n = 6
+        u = fk.Spectrum(fk.momentum(n) + number(n)).unitary(0.8)  # not symmetric
+        psi = fk.PureState(np.arange(1.0, n + 1) + 1j)
+        out = psi.transformed(u)
+        assert np.array_equal(out.vector, u @ psi.vector)
+        rho = psi.density_matrix().transformed(u)
+        assert np.abs(rho.matrix - np.outer(out.vector, out.vector.conj())).max() < 1e-14
 
     def test_truncation_convergence_contract(self):
         def mean_n(n):
@@ -611,6 +627,46 @@ class TestOneRealSpectrumPerInput:
         assert len(built) == cfg.trotter_steps  # the segments only
         assert np.array_equal(second.state.vector, first.state.vector)
         assert second.error == first.error
+
+
+class TestVectorActions:
+    """D(s)|psi> and S(z)|psi> take their spectra from the vector's dimension."""
+
+    @pytest.mark.parametrize("n", [24, 40])
+    def test_equal_the_dense_unitaries(self, n):
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for s in (0.7, -0.4 + 0.9j):
+            dense = fk.displacement(s, n).matrix @ psi
+            assert np.abs(fk.displace_vector(s, psi) - dense).max() < 1e-12
+        for z in (0.3, -0.5):
+            assert np.abs(fk.squeeze_vector(z, psi) - squeeze(z, n) @ psi).max() < 1e-12
+
+    def test_coherent_and_squeezed_moments(self):
+        n = 64
+        vac = fk.vacuum(n).vector
+        coherent = fk.PureState(fk.displace_vector(0.8 - 0.6j, vac), normalize=False)
+        assert abs(fk.expectation(fk.annihilation(n), coherent) - (0.8 - 0.6j)) < 1e-10
+        squeezed = fk.PureState(fk.squeeze_vector(math.log(0.5), vac), normalize=False)
+        assert abs(fk.variance(fk.position(n), squeezed) - 0.125) < 1e-6
+
+
+def test_only_fock_names_the_spectra():
+    # each vector action picks its own spectrum, so no caller can pair D(s)
+    # with the squeeze spectrum or S(z) with the displacement one
+    spectra = {"displacement_spectrum", "squeeze_spectrum"}
+    for path in sorted(Path(fk.__file__).parent.glob("*.py")):
+        if path.name == "fock.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+        assert not names & spectra, path.name
 
 
 class TestCachedDisplacementSpectrum:

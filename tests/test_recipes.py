@@ -2,7 +2,7 @@
 
 Every recipe's parameter set is pinned through its `--dry-run` sidecar. The
 eight long-running recipes then run on shrunk parameter sets (few states and
-values, N = 32-64) substituted for `cli._recipe_spec`, and their tables are
+values, N = 32-64) substituted for `cli._RECIPES`, and their tables are
 compared with the files in tests/golden/recipes/: header and text cells
 exactly, numbers to 1e-12 relative.
 
@@ -47,7 +47,7 @@ SHRUNK = {
 
 def _run_shrunk(name, out):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_recipe_spec", SHRUNK.__getitem__)
+        mp.setattr(cli, "_RECIPES", SHRUNK)
         return cli.dispatch(["reproduce", name, "--out", str(out)])
 
 
@@ -96,7 +96,7 @@ def test_workers_reach_the_recipe_sweeps(tmp_path, monkeypatch, flags, workers):
     seen = []
     monkeypatch.setattr(cli, "run_sweep", lambda spec: seen.append(spec.workers) or [])
     monkeypatch.setattr(cli, "noise_sweep", lambda spec, lam_dbs: seen.append(spec.workers) or [])
-    monkeypatch.setattr(cli, "_recipe_spec", SHRUNK.__getitem__)
+    monkeypatch.setattr(cli, "_RECIPES", SHRUNK)
     for name in ("fig2", "fig3a", "fig3b", "fig3c"):
         assert cli.dispatch(["reproduce", name, *flags, "--out", str(tmp_path)]) == 0
     assert seen == [workers] * 7  # two sweeps each of fig2, fig3a and fig3b, one of fig3c
@@ -104,7 +104,7 @@ def test_workers_reach_the_recipe_sweeps(tmp_path, monkeypatch, flags, workers):
 
 @pytest.mark.parametrize("recipe", cli.RECIPES)
 def test_recipe_options_are_option_values(recipe):
-    for spec in (cli._recipe_spec(recipe), SHRUNK.get(recipe, {"options": {}})):
+    for spec in (cli._RECIPES[recipe], SHRUNK.get(recipe, {"options": {}})):
         for key, value in spec["options"].items():
             assert key in cli._OPTIONS, key
             assert cli._parse_value(key, cli._fmt(value)) == value, key

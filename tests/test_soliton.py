@@ -53,6 +53,16 @@ class TestFigureOfMerit:
         assert abs(so.figure_of_merit(double_att) - base / 2) < 1e-12 * base
         assert abs(so.figure_of_merit(double_t) - base / 2) < 1e-12 * base
 
+    @pytest.mark.parametrize("m", so.BUILTIN_MATERIALS, ids=lambda m: m.name)
+    def test_rates_need_group_velocity(self, m):
+        # the rates scale with v_g, so none is invented; their ratio does not
+        assert m.v_g is None
+        with pytest.raises(so.MissingFieldError, match="v_g"):
+            so.soliton_scales(m)
+        assert so.figure_of_merit(m) == so.figure_of_merit(replace(m, v_g=1.0e8))
+        scales = so.soliton_scales(replace(m, v_g=2.0e8))
+        assert scales.chi / scales.kappa == pytest.approx(so.figure_of_merit(m), rel=1e-12)
+
     def test_missing_field_named(self):
         m = so.MaterialParams(gamma_nl=100.0, alpha_att=10.0, wavelength=1.5e-6)
         with pytest.raises(so.MissingFieldError, match="t_fwhm"):

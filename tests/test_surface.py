@@ -13,6 +13,8 @@ belongs beside its tests, or goes.
 import ast
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parents[1]
 _PACKAGE = _ROOT / "src" / "kerrcubic"
 
@@ -34,6 +36,8 @@ ALLOWED_UNREAD_FIELDS = {
 ALLOWED_UNPASSED_PARAMETERS = {
     "check_truncation_convergence.tol": "item 5: the Fock tail-weight diagnostic, "
                                         "like its function",
+    "evolve_lindblad.n_steps": "the fixed-rung kernel the step ladder composes; "
+                               "criterion 12 and the dense-reference tests pin it",
 }
 
 
@@ -161,11 +165,30 @@ def _calls():
 
 
 def _passes(call, position, name):
-    """Whether `call` gives the parameter `name` at `position` a value."""
-    if any(kw.arg in (name, None) for kw in call.keywords):  # None: a **mapping
+    """Whether `call` gives the parameter `name` at `position` a value.
+
+    Only what the call spells out counts: a keyword, or a position that its
+    explicit arguments reach. A `*sequence` or `**mapping` may fill any number
+    of parameters, so it fills none here.
+    """
+    if any(kw.arg == name for kw in call.keywords):
         return True
-    return position is not None and (len(call.args) > position or any(
-        isinstance(arg, ast.Starred) for arg in call.args))
+    explicit = sum(not isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and explicit > position
+
+
+@pytest.mark.parametrize("source, position, passed", [
+    ("f(a, b, c, d)", 3, True),
+    ("f(a, n=1)", 3, True),
+    ("f(a, b)", 3, False),
+    ("f(*xs, t)", 3, False),  # the starred sequence may stop short of position 3
+    ("f(a, **kw)", 3, False),
+    ("f(a, **kw)", None, False),
+    ("f(a, b, c, d)", None, False),
+])
+def test_passes_counts_only_explicit_arguments(source, position, passed):
+    call = ast.parse(source, mode="eval").body
+    assert _passes(call, position, "n") is passed
 
 
 def test_exported_functions_have_defaults():
