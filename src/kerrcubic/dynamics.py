@@ -17,27 +17,30 @@ Hamiltonian half-step is exact (one `fock.Spectrum`, reused for every step),
 the dissipator substep is a Heun stage. Adjacent half-steps are merged into
 one full step U(dt) = U(dt/2)^2, so a step costs one dense N^3 sandwich;
 the half-step is applied alone only at the start and the end.
-The dissipator is evaluated from CSR forms of L and M = L^dag L (L is
-tridiagonal, M pentadiagonal). For Hermitian rho, L rho L^dag = L (L rho)^dag
-and rho M = (M rho)^dag, so an evaluation is two sparse-times-dense products,
-O(N^2): one with the stacked CSR [L; M], which gives L rho and M rho, and one
-with L; no dense-times-sparse product. The Bogoliubov L is real, so L and
-M stay real CSR and act on the float64 view of rho, an (N, 2N) array of
-interleaved real and imaginary parts: the same products summed in the same row
-order as a complex product, at about half its cost; a complex L, which
-`evolve_lindblad` also accepts, keeps the complex product. Conjugate
-transposes, the sandwich and the Heun stage write into preallocated buffers,
-and the stage arithmetic runs in place. Because the dissipator annihilates
-traces, any Runge-Kutta polynomial in it preserves the trace to roundoff;
-hermiticity is restored by symmetrization each step. The step count is
-chosen by comparing rungs of n and 2n steps: the first pair starts at the
-stability floor max(8, ceil(tau * m_edge)), and after a failing pair the
+The dissipator is evaluated from L and M = L^dag L held as bands: the
+diagonal offsets at one spacing and an (N, k) coefficient array (`_band`,
+`_gram_band`; the Bogoliubov L has offsets -1 and +1, M offsets -2, 0, +2).
+For Hermitian rho, L rho L^dag = L (L rho)^dag and rho M = (M rho)^dag, so an
+evaluation is three band products, O(N^2): L rho, M rho and L (L rho)^dag.
+rho, the Heun stage and (L rho)^dag sit in the middle rows of zero-padded
+buffers, and each product is one `np.einsum` over a read-only strided window
+of such a buffer (`_band_kernel`). Each row sums the same products in the
+same order as a CSR product, so for a real L a step is bit-identical to one
+with scipy.sparse products. The Bogoliubov L is real, so its bands act on
+the float64 view of rho, an (N, 2N) array of interleaved real and imaginary
+parts; a complex L, which `evolve_lindblad` also accepts, acts on the
+complex arrays. Conjugate transposes, the sandwich and the Heun stage write
+into preallocated buffers, and the stage arithmetic runs in place. Because
+the dissipator annihilates traces, any Runge-Kutta polynomial in it
+preserves the trace to roundoff; hermiticity is restored by symmetrization
+each step. The step count is chosen by comparing rungs of n and 2n steps:
+the first pair starts at the stability floor max(8, ceil(tau * m_edge)),
+with m_edge the largest row sum of |M|, and after a failing pair the
 second-order error model of Strang splitting (the rung delta falls 4x per
 doubling) picks the pair predicted to pass. The choice is deterministic,
 so reruns are bit-identical.
 
-scipy.sparse is imported inside `evolve_lindblad`, its only user: lossless
-gates, Trotterized gates and noise sweeps never load it.
+The module needs numpy alone: no gate, lossy or lossless, loads scipy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import algebra
 from .algebra import AlphaPoly, BosonPolynomial, cubic_parameters, substitute_gaussian_frame
@@ -239,38 +243,105 @@ def effective_number_operator(cfg: GateConfig) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps):
+def _band(l_op: np.ndarray) -> tuple[range, np.ndarray]:
+    """L as its band: the diagonal offsets, ascending at one spacing, and the
+    (N, k) coefficients whose column j holds L[i, i + offsets[j]].
+
+    The spacing is the gcd of the gaps between L's nonzero diagonals, so the
+    Bogoliubov L (offsets -1 and +1) keeps two columns; zeros fill the gaps
+    and the entries past the matrix edge. An all-zero L is the zero diagonal.
+    """
+    rows, cols = np.nonzero(l_op)
+    diags = np.unique(cols - rows)
+    step = int(np.gcd.reduce(np.diff(diags))) or 1
+    offsets = range(int(diags[0]), int(diags[-1]) + 1, step) if diags.size else range(1)
+    coef = np.zeros((l_op.shape[0], len(offsets)), dtype=np.result_type(l_op, np.float64))
+    coef[rows, (cols - rows - offsets.start) // step] = l_op[rows, cols]
+    return offsets, coef
+
+
+def _gram_band(band: tuple[range, np.ndarray]) -> tuple[range, np.ndarray]:
+    """M = L^dag L as a band, from the band of L by elementwise products.
+
+    Row k of L's column a (offset o_a) meets row k of every column b in the
+    entry M[k + o_a, k + o_b]. Taking a downwards adds each entry's terms in
+    ascending k, the order of the CSR product L^dag @ L; a real L's M is that
+    product's, bit for bit (a dense BLAS product is not: FMA moves last bits).
+    """
+    offsets, coef = band
+    n, k = coef.shape
+    m_coef = np.zeros((n, 2 * k - 1), dtype=coef.dtype)
+    for a in reversed(range(k)):
+        o = offsets[a]
+        lo, hi = max(0, -o), min(n, n - o)  # the rows of column a inside the matrix
+        m_coef[lo + o:hi + o, k - 1 - a:2 * k - 1 - a] += coef[lo:hi, a, None].conj() * coef[lo:hi]
+    return range(-(k - 1) * offsets.step, k * offsets.step, offsets.step), m_coef
+
+
+def _row_sum_max(coef: np.ndarray) -> float:
+    """max_i sum_j |coef[i, j]|, each row summed over its nonzeros by
+    `np.add.reduceat`, as scipy sums a CSR row: the CSR form's value bit for bit."""
+    mags = np.abs(coef)
+    counts = np.count_nonzero(mags, axis=1)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    return float(np.add.reduceat(mags[mags != 0], starts).max(initial=0.0))
+
+
+def _band_kernel(band: tuple[range, np.ndarray], buf: np.ndarray, pad: int):
+    """The product B x for the x in the middle rows of the zero-padded buffer
+    `buf`, as a function that writes it into its argument and returns it.
+
+    The product is one `np.einsum` over a read-only strided window of `buf`:
+    row i sums coef[i, j] times row i + offsets[j] of x in ascending j, the
+    order of the CSR product B @ x, and reads zeros past the matrix edge. A
+    real band acts on the float64 views, interleaved real and imaginary parts,
+    a complex one on the complex arrays: the same sums either way.
+    """
+    offsets, coef = band
+    real = not np.iscomplexobj(coef)
+    n, first = buf.shape[0] - 2 * pad, pad + offsets[0]
+    rows = sliding_window_view(buf.view(np.float64) if real else buf,
+                               offsets[-1] - offsets[0] + 1, axis=0)
+    window = rows[first:first + n, :, ::offsets.step].swapaxes(1, 2)
+
+    def apply(out):
+        np.einsum("ij,ijk->ik", coef, window, out=out.view(np.float64) if real else out)
+        return out
+
+    return apply
+
+
+def _lindblad_fixed(spectrum, bands, tau, rho0, n_steps):
     """Strang splitting with exact Hamiltonian steps; returns (rho, trace_drift).
 
     Adjacent Hamiltonian half-steps are merged: the loop carries the mid-step
     state U(dt/2) rho U(dt/2)^dag, applies the Heun dissipator stage, then the
     full step U(dt) = U(dt/2)^2. The closing half-step is applied at the end
-    only. `lindblad` is the CSR pair (L, [L; M]), so L r and M r come from
-    one product with the stacked [L; M]; a real pair acts on the float64 view
-    of rho, a complex one as a complex product. Conjugate transposes, the sandwich and
-    the Heun stage write into preallocated buffers, and U^dag is formed once
-    per call. The result is bit-identical to the plain complex expressions.
+    only. `bands` holds the bands of L and M = L^dag L. rho, the Heun stage
+    and (L r)^dag sit in the middle rows of zero-padded (N + 2 pad) x N
+    buffers, and each band product with them is a `_band_kernel`. Conjugate
+    transposes, the sandwich and the Heun stage write into preallocated
+    buffers, and U^dag is formed once per call. For a real L the result is
+    bit-identical to the plain complex expressions with CSR products.
     """
-    l_op, lm_op = lindblad
+    l_band, m_band = bands
     n = rho0.shape[0]
+    pad = max(-l_band[0][0], l_band[0][-1], m_band[0][-1])
     dt = tau / n_steps
     u_half = spectrum.unitary(0.5 * dt)
     u_step = u_half @ u_half
     # (U, U^dag) once per rung; U^dag is a transposed view BLAS reads as is
     half, step = (u_half, u_half.conj().T), (u_step, u_step.conj().T)
-    buf, ur, stage, rho = (np.empty(rho0.shape, dtype=np.complex128) for _ in range(4))
+    padded = [np.zeros((n + 2 * pad, n), dtype=np.complex128) for _ in range(3)]
+    rho, stage, dag = (p[pad:pad + n] for p in padded)
+    ur, m_buf, k1, k2 = (np.empty(rho0.shape, dtype=np.complex128) for _ in range(4))
+    l_rho, m_rho, l_stage, m_stage, l_dag = (
+        _band_kernel(band, p, pad) for band, p in (
+            (l_band, padded[0]), (m_band, padded[0]), (l_band, padded[1]),
+            (m_band, padded[1]), (l_band, padded[2])))
 
-    def dagger(x):  # x^dag into the one C-contiguous scratch buffer
-        return np.conjugate(x.T, out=buf)
-
-    if np.iscomplexobj(l_op):
-        def apply(op, r):
-            return op @ r
-    else:
-        def apply(op, r):
-            # a real CSR on the float64 view of r sums the same products in
-            # the same row order as the complex product, without the upcast
-            return (op @ r.view(np.float64)).view(np.complex128)
+    def dagger(x):  # x^dag into the one scratch buffer, the one that l_dag reads
+        return np.conjugate(x.T, out=dag)
 
     def sandwich(u, u_dag, r, out):  # (U r U^dag + its dagger)/2 into out; r may be out
         np.matmul(u, r, out=ur)
@@ -279,23 +350,22 @@ def _lindblad_fixed(spectrum, lindblad, tau, rho0, n_steps):
         out *= 0.5
 
     # d(r) = L r L^dag - (M r + r M)/2 with M = L^dag L, for Hermitian r, as
-    # L (L r)^dag - (M r + (M r)^dag)/2: one product with [L; M] and one with L
-    def d(r):
-        lm = apply(lm_op, r)
-        lr, mr = lm[:n], lm[n:]
-        out = apply(l_op, dagger(lr))
+    # L (L r)^dag - (M r + (M r)^dag)/2: three band products
+    def d(l_r, m_r, out):
+        dagger(l_r(out))
+        l_dag(out)
+        mr = m_r(m_buf)
         mr += dagger(mr)
         mr *= 0.5
         out -= mr
-        return out
 
     sandwich(*half, rho0, rho)
     drift = 0.0
     for k in range(1, n_steps + 1):
-        k1 = d(rho)
+        d(l_rho, m_rho, k1)
         np.multiply(dt, k1, out=stage)
         stage += rho
-        k2 = d(stage)
+        d(l_stage, m_stage, k2)
         k1 += k2
         k1 *= 0.5 * dt
         rho += k1
@@ -313,16 +383,19 @@ def evolve_lindblad(
 ) -> tuple[MixedState, dict]:
     """Master-equation evolution d(rho)/dt = -i[H,rho] + L rho L^dag - {L^dag L, rho}/2.
 
-    With n_steps given the step count is fixed. Otherwise rungs of n and 2n
-    steps are compared until the 2n-step state moves by less than tol =
-    `LINDBLAD_TOL` (max-entry norm), and that state is returned. The first
-    pair starts at the stability floor max(8, ceil(tau * m_edge)). After a
-    failing pair with delta d, the second-order error model (d falls 4x per
-    doubling) picks the next pair: j = max(1, ceil(log4(d / tol))) doublings
-    on. No rung exceeds max(128, ceil(tau * m_edge)) * 2**MAX_STEP_DOUBLINGS;
-    the last pair tried is the one that ends there, and IntegrationError
-    follows if it fails. Trace is preserved to roundoff by construction;
-    positivity is eigen-spot-checked at the end. Diagnostics: kept `steps`,
+    h and l_op must be square, finite and of rho0's dimension; otherwise a
+    ValueError names the argument before any work starts. With n_steps given
+    the step count is fixed. Otherwise rungs of n and 2n steps are compared
+    until the 2n-step state moves by less than tol = `LINDBLAD_TOL`
+    (max-entry norm), and that state is returned. The first pair starts at
+    the stability floor max(8, ceil(tau * m_edge)), with m_edge the largest
+    row sum of |M| (M = L^dag L). After a failing pair with delta d, the
+    second-order error model (d falls 4x per doubling) picks the next pair:
+    j = max(1, ceil(log4(d / tol))) doublings on. No rung exceeds
+    max(128, ceil(tau * m_edge)) * 2**MAX_STEP_DOUBLINGS; the last pair tried
+    is the one that ends there, and IntegrationError follows if it fails.
+    Trace is preserved to roundoff by construction; positivity is
+    eigen-spot-checked at the end. Diagnostics: kept `steps`,
     `integrated_steps` summed over every rung, `rungs` as (steps, delta) per
     integrated rung in order (delta None where no pair was compared),
     `step_delta` of the accepted rung, `trace_drift`, `min_eigenvalue`.
@@ -331,29 +404,31 @@ def evolve_lindblad(
         raise ValueError(f"n_steps must be None or >= 1, got {n_steps}")
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    # the band windows of `_lindblad_fixed` assume these shapes
+    for name, op in (("h", h), ("l_op", l_op)):
+        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+            raise ValueError(f"{name} must be a square matrix, got shape {op.shape}")
+        if op.shape[0] != rho0.dim:
+            raise ValueError(f"{name} is {op.shape[0]}x{op.shape[0]}, "
+                             f"but rho0 has dimension {rho0.dim}")
+        if not np.isfinite(op).all():
+            raise ValueError(f"{name} has non-finite entries")
     if tau == 0.0:
         return rho0, {"trace_drift": 0.0, "steps": 0, "integrated_steps": 0}
 
-    from scipy import sparse
-
     spectrum = Spectrum(h)
-    l_sp = sparse.csr_matrix(l_op)
-    m_op = sparse.csr_matrix(l_op.conj().T) @ l_sp
-    # scipy sorts the indices in place on first use (abs() below); sort them
-    # now, so that a rung's state does not depend on the branch integrating it
-    m_op.sort_indices()
-    # L r and M r from one product: CSR rows are independent, so each row of
-    # the stack sums the same products in the same order as L or M alone
-    lindblad = (l_sp, sparse.vstack((l_sp, m_op), format="csr"))
+    l_band = _band(l_op)
+    m_band = _gram_band(l_band)
+    bands = (l_band, m_band)
     diagnostics: dict = {}
     if n_steps is not None:
-        rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n_steps)
+        rho, drift = _lindblad_fixed(spectrum, bands, tau, rho0.matrix, n_steps)
         diagnostics.update(steps=n_steps, integrated_steps=n_steps, trace_drift=drift)
     else:
         tol = LINDBLAD_TOL
         # explicit dissipator stages are stable for kappa_edge * dt <~ 2, so
         # every rung keeps dt * m_edge <= 1
-        floor = int(math.ceil(tau * float(abs(m_op).sum(axis=1).max())))
+        floor = int(math.ceil(tau * _row_sum_max(m_band[1])))
         n_top = max(128, floor) << MAX_STEP_DOUBLINGS
         p = max(8, floor)
         rungs: list = []
@@ -363,7 +438,7 @@ def evolve_lindblad(
         while True:
             for n in (p, 2 * p):
                 if n not in states:
-                    rho, drift = _lindblad_fixed(spectrum, lindblad, tau, rho0.matrix, n)
+                    rho, drift = _lindblad_fixed(spectrum, bands, tau, rho0.matrix, n)
                     states[n] = rho if np.all(np.isfinite(rho)) else None
                     rungs.append((n, None))
             lower, upper = states[p], states[2 * p]
@@ -436,8 +511,12 @@ def cubic_gate(cfg: GateConfig, psi_in: PureState) -> EvolutionResult:
                         normalize=False)
         prop_diag = {}
     else:
-        out, prop_diag = evolve_lindblad(*effective_generators(cfg), tau,
-                                         psi_in.density_matrix())
+        h, l_op = effective_generators(cfg)
+        if not np.isfinite(h).all():
+            # an alpha whose H(alpha) overflows is a numerical failure, not an
+            # invalid argument of the integrator
+            raise ContractViolationError(f"frame Hamiltonian is not finite at alpha={cfg.alpha}")
+        out, prop_diag = evolve_lindblad(h, l_op, tau, psi_in.density_matrix())
     diagnostics.update(prop_diag)
 
     if cfg.noise.dtheta != 0.0:

@@ -390,7 +390,7 @@ def _complex_lindblad_reference(spectrum, lindblad, tau, rho0, n_steps):
 
 
 class TestRealViewKernel:
-    """The real-CSR step kernel reproduces the complex one bit for bit."""
+    """The real band kernel reproduces the complex CSR one bit for bit."""
 
     n = 40
 
@@ -414,17 +414,19 @@ class TestRealViewKernel:
         assert diag["trace_drift"] == ref_drift
 
     def test_bogoliubov_operator_reaches_kernel_real(self, monkeypatch):
+        # the coefficients, the windows and the outputs of every band product
+        # are float64: the real L acts on the float64 views, with no upcast
         h, l_op, tau = self._generators()
-        dtypes = []
-        fixed = dyn._lindblad_fixed
+        dtypes = set()
+        einsum = np.einsum
 
-        def spy(spectrum, lindblad, tau, rho0, n_steps):
-            dtypes.extend(op.dtype for op in lindblad)
-            return fixed(spectrum, lindblad, tau, rho0, n_steps)
+        def spy(subscripts, *operands, out):
+            dtypes.update(x.dtype for x in (*operands, out))
+            return einsum(subscripts, *operands, out=out)
 
-        monkeypatch.setattr(dyn, "_lindblad_fixed", spy)
+        monkeypatch.setattr(np, "einsum", spy)
         dyn.evolve_lindblad(h, l_op, tau, fk.vacuum(self.n).density_matrix(), n_steps=48)
-        assert dtypes == [np.float64, np.float64]
+        assert dtypes == {np.dtype(np.float64)}
 
     def test_real_and_zero_imaginary_operator_agree(self):
         h, l_op, tau = self._generators()
@@ -433,6 +435,67 @@ class TestRealViewKernel:
         cplx, d_cplx = dyn.evolve_lindblad(h, l_op.astype(complex), tau, rho0, n_steps=48)
         assert np.array_equal(real.matrix, cplx.matrix)
         assert d_real == d_cplx
+
+
+def _band_product(band, x):
+    # B x through the integrator's kernel, x in the middle of a padded buffer
+    offsets, _ = band
+    pad = max(abs(offsets[0]), abs(offsets[-1]))
+    buf = np.zeros((x.shape[0] + 2 * pad, x.shape[1]), dtype=complex)
+    buf[pad:pad + x.shape[0]] = x
+    return dyn._band_kernel(band, buf, pad)(np.empty_like(x))
+
+
+def _uneven_operator(n, offsets, seed=3):
+    l_op = np.zeros((n, n))
+    rng = np.random.default_rng(seed)
+    for o in offsets:
+        rows = np.arange(max(0, -o), min(n, n - o))
+        l_op[rows, rows + o] = rng.normal(size=rows.size)
+    return l_op
+
+
+class TestBandProducts:
+    """Each band product and the floor equal their scipy CSR counterparts bit for bit."""
+
+    n = 128
+
+    def _operators(self, kind):
+        if kind == "bogoliubov":  # the lossy-state gate point
+            cfg = GateConfig.make(15.0, 1.4e4, 0.1, chi_over_kappa=1e-4, n_fock=self.n)
+            return dyn.effective_generators(cfg)[1]
+        if kind == "uneven":
+            return _uneven_operator(self.n, (-1, 2))
+        if kind == "gap":
+            return _uneven_operator(self.n, (-1, 0, 2))
+        return np.zeros((self.n, self.n))
+
+    @pytest.mark.parametrize("kind", ["bogoliubov", "uneven", "gap", "zero"])
+    def test_products_and_floor_match_csr(self, kind):
+        l_op = self._operators(kind)
+        l_sp = sparse.csr_matrix(l_op)
+        m_sp = sparse.csr_matrix(l_op.T) @ l_sp
+        m_sp.sort_indices()
+        l_band = dyn._band(l_op)
+        m_band = dyn._gram_band(l_band)
+        assert l_band[1].dtype == m_band[1].dtype == np.float64
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(self.n, self.n)) + 1j * rng.normal(size=(self.n, self.n))
+        for band, csr in ((l_band, l_sp), (m_band, m_sp)):
+            want = (csr @ x.view(np.float64)).view(complex)
+            assert np.array_equal(_band_product(band, x), want)
+        floor = dyn._row_sum_max(m_band[1])
+        assert floor == float(abs(m_sp).sum(axis=1).max())
+        assert (floor == 0.0) == (kind == "zero")
+
+    def test_band_shapes(self):
+        assert dyn._band(self._operators("bogoliubov"))[0] == range(-1, 2, 2)
+        assert dyn._band(self._operators("uneven"))[0] == range(-1, 3, 3)
+        offsets, coef = dyn._band(self._operators("gap"))
+        assert offsets == range(-1, 3)
+        assert not coef[:, 2].any()  # offset 1 is a gap, filled with zeros
+        assert dyn._band(self._operators("zero"))[0] == range(1)
+        assert dyn._gram_band(dyn._band(self._operators("uneven")))[0] == range(-3, 4, 3)
 
 
 class TestStepLadder:
@@ -507,6 +570,30 @@ class TestStepLadder:
         h, l_op, _, rho0 = self._setup(n=16)
         with pytest.raises(ValueError, match=next(iter(kw))):
             dyn.evolve_lindblad(h, l_op, rho0=rho0, **{"tau": 0.05, **kw})
+
+    @pytest.mark.parametrize("arg, case", [
+        ("h", "non-square"), ("l_op", "non-square"), ("l_op", "dimension"),
+        ("h", "dimension"), ("rho0", "dimension"), ("h", "nan"), ("l_op", "inf"),
+    ])
+    def test_evolve_rejects_invalid_operator_before_work(self, arg, case, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(dyn, "Spectrum", no_work)
+        monkeypatch.setattr(dyn, "_lindblad_fixed", no_work)
+        h, l_op, _, rho0 = self._setup(n=16)
+        args = {"h": h, "l_op": l_op, "rho0": rho0}
+        if case == "non-square":
+            args[arg] = args[arg][:, :-1]
+        elif case == "dimension" and arg == "rho0":
+            args[arg] = fk.vacuum(17).density_matrix()
+        elif case == "dimension":
+            args[arg] = np.zeros((17, 17))
+        else:
+            args[arg] = args[arg].copy()
+            args[arg][3, 4] = getattr(math, case)
+        with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+            dyn.evolve_lindblad(tau=0.05, **args)
 
     def test_one_step_and_zero_time_are_valid(self):
         h, l_op, _, rho0 = self._setup(n=16)

@@ -337,7 +337,8 @@ class TestSweeps:
 
     def test_row_failure_recorded_not_raised(self):
         # a cheap lossy row (kappa = 1, N = 32) next to a displacement whose
-        # frame Hamiltonian overflows, so that the step ladder cannot converge
+        # frame Hamiltonian overflows, a numerical failure found before the
+        # integrator starts
         base = GateConfig(lam=fk.lambda_from_db(6.0), alpha=30.0, gamma=0.1, n_fock=32,
                           kappa=1.0)
         spec = ex.SweepSpec(base=base, param="alpha", values=(30.0, 1e200),
@@ -345,7 +346,8 @@ class TestSweeps:
         rows = ex.run_sweep(spec)
         assert rows[0]["ok"]
         assert not rows[1]["ok"]
-        assert rows[1]["message"].startswith("IntegrationError: no step convergence")
+        assert rows[1]["message"].startswith(
+            "ContractViolationError: frame Hamiltonian is not finite")
         assert math.isnan(rows[1]["error"])
 
     @pytest.mark.parametrize("mode, lam_db", [

@@ -1,4 +1,4 @@
-"""scipy submodules load only on the paths that use them.
+"""scipy submodules load only on the paths that use them: no gate path loads one.
 
 Each check runs in a fresh interpreter: inside pytest, other tests have
 already imported scipy.optimize, scipy.sparse and scipy.integrate.
@@ -34,7 +34,7 @@ def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
 _LOSSLESS_PATHS = """
 from dataclasses import replace
 import tempfile
-from kerrcubic import cli, dynamics as dyn, experiments as ex, states as st
+from kerrcubic import cli, dynamics as dyn, experiments as ex, soliton, states as st
 from kerrcubic.dynamics import GateConfig
 
 stages = {"import": loaded()}
@@ -59,6 +59,9 @@ stages["lossy"] = loaded()
 ex.generate_cubic_state(replace(base, lam=2.0, alpha=10.0, n_fock=32, kappa=1.0),
                         grid=([0.0], [0.0]))
 stages["state-gen"] = loaded()
+soliton.envelope_overlap(3, 4, soliton.MaterialParams(
+    gamma_nl=280.0, wavelength=1.54e-6, v_g=1.2e8, gvd=2.0e-2))
+stages["overlap"] = loaded()
 print(json.dumps({"stages": stages, "ok": [r["ok"] for r in rows],
                   "evaluations": opt.evaluations, "codes": codes}))
 """
@@ -72,10 +75,13 @@ def test_lossless_paths_load_no_lazy_scipy_module():
     assert doc["evaluations"] > 7  # the coarse scan and then Brent's steps ran
     assert doc["stages"]["import"] == []
     assert doc["stages"]["lossless"] == []
-    # positive control: the lossy integrator loads scipy.sparse; a lossy state
-    # generation loads nothing more, its Gaussian correction's BFGS included
-    assert doc["stages"]["lossy"] == ["scipy.sparse"]
-    assert doc["stages"]["state-gen"] == ["scipy.sparse"]
+    # nor does the lossy integrator, or a lossy state generation with its
+    # Gaussian correction's BFGS
+    assert doc["stages"]["lossy"] == []
+    assert doc["stages"]["state-gen"] == []
+    # positive control: the probe sees a lazy load, the overlap's quadrature
+    # (scipy.integrate brings in what it imports itself)
+    assert "scipy.integrate" in doc["stages"]["overlap"]
 
 
 _OPTIMIZE_SWEEP = """
