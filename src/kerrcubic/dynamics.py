@@ -39,8 +39,6 @@ with m_edge the largest row sum of |M|, and after a failing pair the
 second-order error model of Strang splitting (the rung delta falls 4x per
 doubling) picks the pair predicted to pass. The choice is deterministic,
 so reruns are bit-identical.
-
-The module needs numpy alone: no gate, lossy or lossless, loads scipy.
 """
 
 from __future__ import annotations

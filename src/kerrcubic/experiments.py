@@ -20,9 +20,7 @@ Hamiltonian and runs two noisy gates per value.
 
 Both optimizers are the package's own: the alpha search runs a port of
 scipy's bounded Brent minimizer (`_bounded_brent`), and the Gaussian
-correction of a generated state runs a BFGS loop (`_bfgs`). No command
-imports scipy's optimizers, so a lossless sweep or state generation loads no
-scipy module at all.
+correction of a generated state runs a BFGS loop (`_bfgs`).
 """
 
 from __future__ import annotations

@@ -13,14 +13,21 @@ group velocity cancels. The nonlinear coefficient gamma_nl is a platform's
 quoted value, given directly, as in the built-in table and the materials CSV.
 All quantities SI.
 
-scipy.integrate is imported inside `envelope_overlap`, the one integral here,
-so the platform table and figures of merit never load it.
+The envelope overlap integrates sech(z/a) sech(z/b), which is analytic in the
+strip |Im z| < pi min(a, b) / 2 and decays exponentially, so the plain
+trapezoidal rule converges geometrically in the step (Trefethen & Weideman,
+SIAM Rev. 56, 385 (2014)). With step h = min(a, b)/4 the discretization error
+is about e^(-4 pi^2). The integral is at least 2 min(a, b), so truncating at
++-40 min(a, b) drops below 1e-17 of it. The sum over every other point
+(step 2h) serves as the error check, which a nan sum fails too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
@@ -56,8 +63,8 @@ class MaterialParams:
         for field_name in ("gamma_nl", "alpha_att", "wavelength", "t_fwhm",
                            "v_g", "gvd"):
             v = getattr(self, field_name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{field_name} must be positive, got {v}")
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{field_name} must be finite and > 0, got {v}")
 
     def _require(self, *names: str):
         for nm in names:
@@ -107,7 +114,8 @@ def soliton_timescale(n: int, m: MaterialParams) -> float:
 def envelope_overlap(n: int, n_bar: int, m: MaterialParams) -> float:
     """Overlap of the sech envelopes of the n- and n_bar-photon solitons.
 
-    h_n(z) = sech(z / (v_g T_n)) / sqrt(2 v_g T_n); adaptive quadrature.
+    h_n(z) = sech(z / (v_g T_n)) / sqrt(2 v_g T_n); trapezoidal rule (module
+    docstring).
     """
     if n < 2 or n_bar < 2:
         raise ValueError("photon numbers must be >= 2")
@@ -115,19 +123,14 @@ def envelope_overlap(n: int, n_bar: int, m: MaterialParams) -> float:
         return 1.0
     a = m.v_g * soliton_timescale(n, m)
     b = m.v_g * soliton_timescale(n_bar, m)
-
-    def integrand(z):
-        return (1.0 / math.cosh(z / a)) * (1.0 / math.cosh(z / b))
-
-    # sech tails fall like e^{-|z|/a}: +-40 scales is ~e^{-40} of the peak
-    scale = max(a, b)
-    from scipy.integrate import quad
-
-    val, err = quad(integrand, -40.0 * scale, 40.0 * scale,
-                    limit=400, epsabs=0.0, epsrel=1e-12)
-    if not math.isfinite(val) or err > 1e-6 * abs(val):
-        raise RuntimeError(f"envelope overlap quadrature did not converge (err {err})")
-    return val / (2.0 * math.sqrt(a * b))
+    h = min(a, b) / 4.0
+    z = np.arange(-160, 161) * h  # +-40 min(a, b)
+    f = 1.0 / (np.cosh(z / a) * np.cosh(z / b))
+    total, half = h * f.sum(), 2.0 * h * f[::2].sum()
+    if not abs(total - half) <= 1e-6 * total:
+        raise RuntimeError(f"envelope overlap quadrature did not converge "
+                           f"(step-halving change {abs(total - half)})")
+    return float(total / (2.0 * math.sqrt(a * b)))
 
 
 #: The waveguide platforms of the built-in comparison table (100 fs pulses).

@@ -387,6 +387,17 @@ class TestSweeps:
         assert len(serial) == 4 and all(r["ok"] for r in serial)
         assert serial == parallel
 
+    def test_optimize_sweep_in_fork_workers_matches_serial(self, capfd):
+        # the alpha search in fork workers: the same rows and standard error
+        kw = dict(base=GateConfig(lam=1.0, alpha=30.0, gamma=0.1, n_fock=40), param="lam_db",
+                  values=(5.0, 6.0), input_state="squeezed:0.5", alpha_mode="optimize")
+        capfd.readouterr()
+        serial = ex.run_sweep(ex.SweepSpec(workers=1, **kw))
+        serial_err = capfd.readouterr().err
+        parallel = ex.run_sweep(ex.SweepSpec(workers=2, **kw))
+        assert all(r["ok"] for r in serial) and serial == parallel
+        assert capfd.readouterr().err == serial_err
+
     def test_parallel_stderr_matches_serial(self, capfd, monkeypatch):
         # squeezed:0.3 strains N = 32, so each point raises a TruncationWarning.
         # pytest records warnings instead of printing them; print them to fd 2

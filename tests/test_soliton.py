@@ -67,6 +67,14 @@ class TestFigureOfMerit:
         m = so.MaterialParams(gamma_nl=100.0, alpha_att=10.0, wavelength=1.5e-6)
         with pytest.raises(so.MissingFieldError, match="t_fwhm"):
             so.figure_of_merit(m)
+        with pytest.raises(so.MissingFieldError, match="wavelength"):
+            so.MaterialParams(gamma_nl=100.0).omega0
+
+    def test_scales_positive(self):
+        # gamma_nl = 5e-324 underflows chi to 0; small rates are still rates
+        with pytest.raises(ValueError, match="soliton scales must be positive"):
+            so.soliton_scales(replace(MAT, gamma_nl=5e-324))
+        assert 0.0 < so.soliton_scales(replace(MAT, alpha_att=1e-9)).kappa < 1.0
 
     def test_missing_nonlinear_coefficient_named(self):
         m = so.MaterialParams(alpha_att=10.0, wavelength=1.5e-6, t_fwhm=1e-13)
@@ -136,12 +144,52 @@ class TestEnvelopeOverlap:
     def test_approaches_one(self):
         assert so.envelope_overlap(10001, 10000, MAT) > 0.999999
 
+    @pytest.mark.parametrize("n, n_bar, quad", [
+        (120, 100, 0.9939800180239812),
+        (100, 120, 0.9939800180239812),
+        (10001, 10000, 0.9999999982123761),
+        (3, 4, 0.9713510581066667),
+        (10**6 + 2000, 10**6, 0.9999992864483359),
+    ])
+    def test_matches_adaptive_quadrature(self, n, n_bar, quad):
+        # reference values from scipy.integrate.quad at epsrel 1e-12
+        assert abs(so.envelope_overlap(n, n_bar, MAT) - quad) < 1e-13
+
+    @pytest.mark.parametrize("n, n_bar", [(3, 2), (2, 3)])
+    def test_exact_at_width_ratio_two(self, n, n_bar):
+        # widths go as 1/(n - 1), so 1:2 here for any material, and
+        # int sech(x) sech(2x) dx = pi (sqrt 2 - 1)
+        exact = math.pi * (1.0 - 1.0 / math.sqrt(2.0))
+        assert abs(so.envelope_overlap(n, n_bar, MAT) - exact) < 1e-14
+        assert abs(so.envelope_overlap(n, n_bar, replace(MAT, gvd=7.0)) - exact) < 1e-14
+
+    @pytest.mark.parametrize("n_bar", [19, 100, 10**6])
+    def test_wide_width_ratios(self, n_bar):
+        # z / min(a, b) stays within 40, so no cosh overflows at any width ratio
+        val = so.envelope_overlap(2, n_bar, MAT)
+        assert 0.0 < val < 1.0
+        assert so.envelope_overlap(n_bar, 2, MAT) == val
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_widths_refused(self):
+        # gamma_nl this small overflows both widths to inf, so the sums are nan
+        with pytest.raises(RuntimeError, match="did not converge"):
+            so.envelope_overlap(3, 2, replace(MAT, gamma_nl=1e-310))
+
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            so.envelope_overlap(1, 100, MAT)
+        for n, n_bar in ((1, 100), (100, 1), (1, 1)):
+            with pytest.raises(ValueError, match="photon numbers must be >= 2"):
+                so.envelope_overlap(n, n_bar, MAT)
 
 
 class TestMaterialParams:
     def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            so.MaterialParams(gamma_nl=-1.0)
+        for v in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="gamma_nl must be finite and > 0"):
+                so.MaterialParams(gamma_nl=v)
+
+    @pytest.mark.parametrize("field", ["gamma_nl", "alpha_att", "wavelength", "t_fwhm",
+                                       "v_g", "gvd"])
+    def test_rejects_infinite_fields(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got inf"):
+            replace(MAT, **{field: math.inf})

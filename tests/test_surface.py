@@ -7,7 +7,8 @@ of an exported class must be read as an attribute there, outside its own
 class body. Every parameter with a default of an exported function must be
 passed there, by keyword or by position, in a call outside its own
 definition. A name, a field, a method or a parameter that only tests reach
-belongs beside its tests, or goes.
+belongs beside its tests, or goes. numpy is the one runtime dependency: no
+module of the package imports scipy.
 """
 
 import ast
@@ -72,6 +73,22 @@ def _referenced_names():
                        for d in definitions):
                 seen.add(name)
     return seen
+
+
+def test_package_imports_no_scipy():
+    # function bodies included: an import deferred into a function counts too
+    found = []
+    for path in sorted(_PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_sources_are_found():
