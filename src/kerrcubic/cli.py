@@ -7,12 +7,13 @@ Every option is declared once, in `_OPTIONS`, with its value rule and the
 subcommands that read it; a `--config` file may set any option its
 subcommand reads, and flags override the file. A flag's text and a file's
 text are parsed by the same rule. `dispatch` resolves them and runs the
-subcommand's handler. A table subcommand's handler returns its (header, rows),
-and `dispatch` writes them to `<stem>.csv`, the stem of the run's sidecar.
-`dispatch` then writes that JSON sidecar of the parsed value of every option
-the run set, from which the run is reproducible byte-for-byte. Exit
-codes: 0 success, 2 configuration error, 3 numerical/IO failure. Errors go to
-stderr as one JSON object. CSV cells carry 17 significant digits.
+subcommand's handler, which computes its files but writes none. `dispatch`
+adds the JSON sidecar `<stem>.config.json` of the parsed value of every option
+the run set, from which the run is reproducible byte-for-byte, and only once
+the handler has returned does it create `--out`, write every file and print
+its path, one per line: a run that fails writes nothing. Exit codes: 0
+success, 2 configuration error, 3 numerical/IO failure. Errors go to stderr
+as one JSON object. CSV cells carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -157,12 +158,6 @@ class RunConfig(dict):
         return cfg
 
     @property
-    def out_dir(self) -> Path:
-        out = Path(self["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        return out
-
-    @property
     def wigner_axis(self) -> np.ndarray:
         span = self.get("wigner_span", 6.0)
         return np.linspace(-span, span, self.get("wigner_points", 121))
@@ -208,14 +203,14 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return (rows[0] if rows else []), rows[1:]
 
 
-def emit(payload, path: Path) -> None:
+def emit(path: Path, payload) -> None:
     """Write a JSON document, keys sorted."""
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_sidecar(path: Path, command: str, resolved: dict) -> None:
-    emit({"schema_version": SCHEMA_VERSION, "command": command,
-          "resolved_config": resolved}, path)
+    emit(path, {"schema_version": SCHEMA_VERSION, "command": command,
+                "resolved_config": resolved})
 
 
 def _row_table(rows, header: list[str]) -> tuple[list[str], list[tuple]]:
@@ -291,8 +286,9 @@ def _gate_input(cfg: dict, gc: GateConfig) -> PureState:
 
 # ---------------------------------------------------------------------------
 # subcommands: each computes its artifacts and returns either its table's
-# (header, rows), which `dispatch` writes under the sidecar's stem, or the
-# paths of the files it wrote; `dispatch` writes the sidecar
+# (header, rows), which `dispatch` writes to `<stem>.csv`, or its files as
+# {file name: (writer, *data)} in write order; `dispatch` adds the sidecar
+# and calls writer(out / name, *data)
 # ---------------------------------------------------------------------------
 
 
@@ -310,33 +306,27 @@ def _cmd_heff_expand(cfg: RunConfig, gc: None) -> tuple[list, list]:
     return ["monomial", "coefficient-real", "coefficient-imag"], rows
 
 
-def _cmd_state(cfg: RunConfig, gc: None) -> list[Path]:
+def _cmd_state(cfg: RunConfig, gc: None) -> dict:
     psi = parse_state(cfg.get("input", "vacuum"), cfg.get("fock", 128), 0.0)
-    out = cfg.out_dir
     if cfg.get("wigner"):
         xs = cfg.wigner_axis
-        path = out / "state_wigner.csv"
-        write_wigner_csv(path, xs, xs, wigner(psi, xs, xs))
-    else:
-        path = out / "state_amplitudes.csv"
-        write_csv(path, ["n", "re", "im"], [(k, a.real, a.imag) for k, a in enumerate(psi.vector)])
-    return [path]
+        return {"state_wigner.csv": (write_wigner_csv, xs, xs, wigner(psi, xs, xs))}
+    return {"state_amplitudes.csv": (write_csv, ["n", "re", "im"],
+                                     [(k, a.real, a.imag) for k, a in enumerate(psi.vector)])}
 
 
-def _cmd_gate(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+def _cmd_gate(cfg: RunConfig, gc: GateConfig) -> dict:
     res = cubic_gate(gc, _gate_input(cfg, gc))
-    out = cfg.out_dir
-    doc = {
+    files = {"gate_result.json": (emit, {
         "error": res.error, "fidelity": 1.0 - res.error,
         "tau": res.diagnostics.get("tau"),
         "steps": res.diagnostics.get("steps"),
         "trace_drift": res.diagnostics.get("trace_drift"),
-    }
-    emit(doc, out / "gate_result.json")
+    })}
     if cfg.get("wigner"):
         xs = cfg.wigner_axis
-        write_wigner_csv(out / "gate_wigner.csv", xs, xs, wigner(res.state, xs, xs))
-    return [out / "gate_result.json"]
+        files["gate_wigner.csv"] = (write_wigner_csv, xs, xs, wigner(res.state, xs, xs))
+    return files
 
 
 _SWEEP_HEADER = ["value", "lam_db", "lam", "alpha", "error", "tau", "ok", "message"]
@@ -361,15 +351,14 @@ def _cmd_sweep_lambda(cfg: RunConfig, gc: GateConfig) -> tuple[list, list]:
     return _row_table(run_sweep(spec), _SWEEP_HEADER)
 
 
-def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+def _cmd_optimize_alpha(cfg: RunConfig, gc: GateConfig) -> dict:
     bracket = _floats(cfg, "bracket", alpha_bracket(gc.lam))
     if len(bracket) != 2:
         raise ConfigError("bracket must be 'lo,hi'")
     opt = optimize_alpha(gc, bracket, _gate_input(cfg, gc))
-    path = cfg.out_dir / "optimize_alpha.json"
-    emit({"alpha": opt.alpha, "error": opt.error,
-          "evaluations": opt.evaluations, "kind": opt.kind, "unimodal": opt.unimodal}, path)
-    return [path]
+    return {"optimize_alpha.json": (emit, {"alpha": opt.alpha, "error": opt.error,
+                                           "evaluations": opt.evaluations, "kind": opt.kind,
+                                           "unimodal": opt.unimodal})}
 
 
 def _noise_table(cfg: dict, gc: GateConfig) -> tuple[list, list]:
@@ -386,12 +375,10 @@ def _noise_table(cfg: dict, gc: GateConfig) -> tuple[list, list]:
     return _row_table(rows, _NOISE_HEADER)
 
 
-def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> list[Path]:
+def _cmd_state_gen(cfg: RunConfig, gc: GateConfig) -> dict:
     xs = cfg.wigner_axis
     res = generate_cubic_state(gc, delta=cfg.get("delta", 0.5), grid=(xs, xs))
-    doc, _ = _write_state_gen(res, cfg.out_dir, "state_gen",
-                              correction=[float(c) for c in res.correction])
-    return [doc]
+    return _state_gen_files(res, "state_gen", correction=[float(c) for c in res.correction])
 
 
 def _trotter_errors(gc: GateConfig, psi, steps) -> tuple[list[float], float]:
@@ -482,14 +469,12 @@ _RECIPES = {
 RECIPES = tuple(_RECIPES)
 
 
-def _write_state_gen(res, out: Path, stem: str, **extra) -> list[Path]:
+def _state_gen_files(res, stem: str, **extra) -> dict:
     """The state-generation result document (plus `extra` keys) and its Wigner grid."""
-    doc, grid = out / f"{stem}.json", out / f"{stem}_wigner.csv"
-    emit({"fidelity": res.fidelity, "raw_fidelity": res.raw_fidelity,
-          "nlq_variance": res.nlq_variance, "wigner_min": float(res.wigner.min()),
-          **extra}, doc)
-    write_wigner_csv(grid, res.xs, res.ps, res.wigner)
-    return [doc, grid]
+    return {f"{stem}.json": (emit, {"fidelity": res.fidelity, "raw_fidelity": res.raw_fidelity,
+                                    "nlq_variance": res.nlq_variance,
+                                    "wigner_min": float(res.wigner.min()), **extra}),
+            f"{stem}_wigner.csv": (write_wigner_csv, res.xs, res.ps, res.wigner)}
 
 
 def _fom_rows(mats) -> list[tuple]:
@@ -579,22 +564,21 @@ _RECIPE_TABLES = {
 }
 
 
-def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
-    """Write the sidecar first: `--dry-run` writes only the sidecar."""
-    out = cfg.out_dir
+def _cmd_reproduce(cfg: RunConfig, gc: None) -> dict:
+    """The recipe's files and its own sidecar, named after it; `--dry-run`: the sidecar alone."""
     name = cfg["recipe"]
     spec = _RECIPES[name]
-    sidecar = out / f"{name}.config.json"
-    write_sidecar(sidecar, f"reproduce {name}", {**cfg, "recipe_spec": spec})
-    if cfg.dry_run:
-        return [sidecar]
-    # the recipe's options over the run's configuration, which sets only out and workers
-    run = {**cfg, **spec["options"]}
-    if spec["kind"] == "state-gen":
-        return _write_state_gen(generate_cubic_state(_gate_config(run)), out, name)
-    path = out / f"{name}.csv"
-    write_csv(path, *_RECIPE_TABLES[spec["kind"]](run, spec))
-    return [path]
+    files = {}
+    if not cfg.dry_run:
+        # the recipe's options over the run's configuration, which sets only out and workers
+        run = {**cfg, **spec["options"]}
+        if spec["kind"] == "state-gen":
+            files = _state_gen_files(generate_cubic_state(_gate_config(run)), name)
+        else:
+            files = {f"{name}.csv": (write_csv, *_RECIPE_TABLES[spec["kind"]](run, spec))}
+    files[f"{name}.config.json"] = (write_sidecar, f"reproduce {name}",
+                                    {**cfg, "recipe_spec": spec})
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +586,7 @@ def _cmd_reproduce(cfg: RunConfig, gc: None) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-# subcommand -> (handler, sidecar stem); reproduce writes its own sidecar,
+# subcommand -> (handler, sidecar stem); reproduce returns its own sidecar,
 # named after the recipe
 _COMMANDS = {
     "heff-expand": (_cmd_heff_expand, "heff_expand"),
@@ -657,20 +641,23 @@ def dispatch(argv) -> int:
             warnings.simplefilter("ignore")
             cfg = RunConfig.collect(args)
             gc = _gate_config(cfg) if args.command in _GATE_COMMANDS else None
-            paths = handler(cfg, gc)
-            if isinstance(paths, tuple):
-                # a table, written only now: a refused run leaves no --out directory
-                table, paths = paths, [cfg.out_dir / f"{stem}.csv"]
-                write_csv(paths[0], *table)
+            files = handler(cfg, gc)
+            if isinstance(files, tuple):
+                files = {f"{stem}.csv": (write_csv, *files)}
             if stem is not None:
-                write_sidecar(cfg.out_dir / f"{stem}.config.json", args.command,
-                              dict(cfg) if gc is None else {**cfg, "gate_config": _fields(gc)})
+                files[f"{stem}.config.json"] = (
+                    write_sidecar, args.command,
+                    dict(cfg) if gc is None else {**cfg, "gate_config": _fields(gc)})
+            # the run has succeeded: only now does --out appear
+            out = Path(cfg["out"])
+            out.mkdir(parents=True, exist_ok=True)
+            for name, (writer, *data) in files.items():
+                writer(out / name, *data)
+                print(out / name)
     except (*_NUMERICAL_FAILURES, ValueError) as exc:  # ConfigError is a ValueError
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)
         return 3 if isinstance(exc, _NUMERICAL_FAILURES) else 2
-    for p in paths:
-        print(p)
     return 0
 
 

@@ -19,7 +19,8 @@ trapezoidal rule converges geometrically in the step (Trefethen & Weideman,
 SIAM Rev. 56, 385 (2014)). With step h = min(a, b)/4 the discretization error
 is about e^(-4 pi^2). The integral is at least 2 min(a, b), so truncating at
 +-40 min(a, b) drops below 1e-17 of it. The sum over every other point
-(step 2h) serves as the error check, which a nan sum fails too.
+(step 2h) serves as the error check. Widths whose product over- or
+underflows are refused before the sum.
 """
 
 from __future__ import annotations
@@ -123,6 +124,10 @@ def envelope_overlap(n: int, n_bar: int, m: MaterialParams) -> float:
         return 1.0
     a = m.v_g * soliton_timescale(n, m)
     b = m.v_g * soliton_timescale(n_bar, m)
+    # a finite, positive product: neither width nor their product over- or underflows
+    if not (math.isfinite(a * b) and a * b > 0):
+        raise RuntimeError(f"soliton widths v_g T_n = {a} m and {b} m are out of range: "
+                           f"their product is {a * b}")
     h = min(a, b) / 4.0
     z = np.arange(-160, 161) * h  # +-40 min(a, b)
     f = 1.0 / (np.cosh(z / a) * np.cosh(z / b))

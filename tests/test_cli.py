@@ -556,8 +556,9 @@ class TestEmitDeterminism:
         assert b",-0,-0\n" in (tmp_path / "w.csv").read_bytes()
 
     def test_emit_json(self, tmp_path):
-        cli.emit({"x": 1.5}, tmp_path / "d.json")
-        assert json.loads((tmp_path / "d.json").read_text()) == {"x": 1.5}
+        cli.emit(tmp_path / "d.json", {"x": 1.5, "a": [None]})
+        # keys sorted, two-space indent, one closing newline
+        assert (tmp_path / "d.json").read_text() == '{\n  "a": [\n    null\n  ],\n  "x": 1.5\n}\n'
 
     def test_empty_table_is_header_only(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -597,6 +598,8 @@ class TestReproduce:
         assert run(["reproduce", recipe, "--dry-run", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / f"{recipe}.config.json").read_text())
         assert doc["resolved_config"]["recipe"] == recipe
+        assert doc["command"] == f"reproduce {recipe}"
+        assert doc["schema_version"] == cli.SCHEMA_VERSION
 
     def test_fig4_runs(self, tmp_path):
         assert run(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
@@ -609,7 +612,8 @@ class TestReproduce:
 
 
 class TestSinglePath:
-    """Every option comes from `cli._OPTIONS`, and only `dispatch` reads `args`."""
+    """Every option comes from `cli._OPTIONS`, only `dispatch` reads `args`, and
+    only `dispatch` writes files."""
 
     def test_parser_flags_equal_option_table(self):
         ap = cli.build_parser()
@@ -624,18 +628,31 @@ class TestSinglePath:
     def test_handlers_never_read_args(self):
         tree = ast.parse(Path(cli.__file__).read_text())
         handlers = {handler.__name__ for handler, _ in cli._COMMANDS.values()}
-        calls = {"write_sidecar": 0, "collect": 0}
+        collects = 0
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name in handlers:
                 names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
                 names |= {a.arg for a in node.args.args}
                 assert "args" not in names, node.name
-            if isinstance(node, ast.Call):
-                func = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                if func in calls:
-                    calls[func] += 1
-        # dispatch writes every sidecar but reproduce's, which precedes its run
-        assert calls == {"write_sidecar": 2, "collect": 1}
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "collect":
+                collects += 1
+        assert collects == 1
+
+    def test_only_dispatch_writes(self):
+        # handlers and entry builders name a writer in their entries but call
+        # none; dispatch calls each entry's writer, and only it makes --out
+        tree = ast.parse(Path(cli.__file__).read_text())
+        writers = {"emit", "write_csv", "write_wigner_csv", "write_sidecar"}
+        callers = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for call in ast.walk(fn):
+                    if isinstance(call, ast.Call):
+                        func = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+                        if func in writers | {"mkdir"}:
+                            callers.setdefault(func, set()).add(fn.name)
+        # write_sidecar is emit of one document
+        assert callers == {"emit": {"write_sidecar"}, "mkdir": {"dispatch"}}
 
 
 class TestOneParsePath:
@@ -799,7 +816,9 @@ def test_sidecar_replays_run(tmp_path, command):
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert run([command, *argv, "--out", str(first)]) == 0
     sidecar = next(first.glob("*.config.json"))
-    resolved = json.loads(sidecar.read_text())["resolved_config"]
+    doc = json.loads(sidecar.read_text())
+    assert doc["command"] == command
+    resolved = doc["resolved_config"]
     cfgfile = tmp_path / "replay.cfg"
     cfgfile.write_text("".join(f"{k} = {cli._fmt(v)}\n" for k, v in resolved.items()
                                if k not in ("out", "gate_config")))
@@ -826,3 +845,53 @@ def test_config_file_run_writes_the_flag_run_sidecar(tmp_path, command):
     sidecar.unlink()
     assert run([command, "--config", str(cfgfile), "--out", str(out)]) == 0
     assert sidecar.read_bytes() == from_flags
+
+
+# runs beside `_REPLAY`'s: the other branch of state and gate, a dry run, and
+# two recipes, shrunk in `_SMALL_RECIPES`
+_LISTED = {
+    "state-amplitudes": ["state", "--input", "fock:3", "--fock", "16"],
+    "gate-lossy": ["gate", "--lambda-db", "5", "--alpha", "3", "--gamma", "0.05", "--fock", "32",
+                   "--input", "squeezed:0.5", "--chi-over-kappa", "1e-2"],
+    "reproduce-dry-run": ["reproduce", "fig4", "--dry-run"],
+    "reproduce-table": ["reproduce", "fig6b"],
+    "reproduce-state-gen": ["reproduce", "fig4"],
+}
+
+_SMALL_RECIPES = {
+    "fig6b": {"kind": "noise", "options": {"noise": "dbetax-rel", "values": "1e-5",
+                                           "lambda_db_values": "8", "fock": 32}},
+    "fig4": {"kind": "state-gen", "options": {"lambda_db": 5.0, "alpha": 3.0, "gamma": 0.05,
+                                              "fock": 32}},
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(_REPLAY), *_LISTED])
+def test_stdout_lists_the_files_written(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "_RECIPES", _SMALL_RECIPES)
+    argv = [case, *_replay_argv(tmp_path, case)] if case in _REPLAY else _LISTED[case]
+    out = tmp_path / "out" / "run"  # the run makes its parent too
+    assert run([*argv, "--out", str(out)]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert sorted(listed) == sorted(str(p) for p in out.rglob("*") if p.is_file())
+    assert len(set(listed)) == len(listed)
+    assert listed[-1].endswith(".config.json")  # the sidecar comes last
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--lambda-db", "5", "--alpha", "3", "--gamma", "0.05", "--fock", "32",
+     "--input", "squeezed:0.5", "--chi-over-kappa", "1e-2", "--wigner"],
+    ["reproduce", "fig4"],
+], ids=["gate", "reproduce-fig4"])
+def test_failed_run_leaves_no_out_directory(tmp_path, capsys, monkeypatch, argv):
+    def fails(cfg, psi):
+        raise dyn.IntegrationError("no step convergence up to 8192 steps")
+
+    monkeypatch.setattr(cli, "cubic_gate", fails)
+    monkeypatch.setattr(ex, "cubic_gate", fails)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"]["type"] == "IntegrationError"
+    assert captured.out == ""
+    assert not out.exists()

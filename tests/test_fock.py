@@ -298,8 +298,10 @@ class TestWigner:
         assert w[0, 0] < -0.3
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            fk.wigner(fk.vacuum(8), [0.0, math.inf], [0.0])
+        # either axis: a non-finite p would otherwise give a nan row, not an error
+        for xs, ps in (([0.0, math.inf], [0.0]), ([0.0], [math.nan, 1.0])):
+            with pytest.raises(ValueError, match="Wigner grid must be finite"):
+                fk.wigner(fk.vacuum(8), xs, ps)
 
 
 def _per_point_wigner(state, xs, ps):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -172,9 +173,17 @@ class TestEnvelopeOverlap:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_widths_refused(self):
-        # gamma_nl this small overflows both widths to inf, so the sums are nan
-        with pytest.raises(RuntimeError, match="did not converge"):
-            so.envelope_overlap(3, 2, replace(MAT, gamma_nl=1e-310))
+        # gamma_nl -> the widths' product: 1e-310 overflows both widths to inf and
+        # 1e308 underflows both to 0; at 1e-200 and 1e200 the widths are finite,
+        # but their product over- or underflows
+        cases = {1e-310: "inf", 1e-200: "inf", 1e200: "0.0", 1e308: "0.0"}
+        for gamma_nl, product in cases.items():
+            # refused before the sum: no numpy warning precedes the error
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RuntimeError, match=r"soliton widths v_g T_n = .* m are out "
+                                                       f"of range: their product is {product}$"):
+                    so.envelope_overlap(3, 2, replace(MAT, gamma_nl=gamma_nl))
 
     def test_rejects_small_n(self):
         for n, n_bar in ((1, 100), (100, 1), (1, 1)):
